@@ -31,8 +31,6 @@ type BenchDoc struct {
 	// representative seeded search (Albireo aggressive, ResNet18-style
 	// layer, canonical seeds, budget 500).
 	Search *BenchSearchStats `json:"search,omitempty"`
-	// Scaling reports the sharded-worker scaling runs (-scaling).
-	Scaling *BenchScaling `json:"scaling,omitempty"`
 	// Baseline holds the compared prior document's measurements.
 	Baseline *BenchDoc `json:"baseline,omitempty"`
 	// Speedup maps benchmark name to baseline ns/op divided by this
@@ -69,7 +67,6 @@ func cmdBench(args []string) error {
 	maxRegress := fs.Float64("max-regress", -1, "with -compare: exit non-zero if any benchmark runs more than this percentage slower than the baseline (e.g. 50 tolerates up to 1.5x the baseline ns/op); negative disables the gate")
 	only := fs.String("only", "", "run only this benchmark (Evaluate, EvaluateFullLedger, LowerBound, MapperSearch, Fig4, Fig5)")
 	reps := fs.Int("reps", 1, "run each benchmark this many times and record the fastest — min-of-N rejects scheduler noise on shared machines")
-	scaling := fs.Bool("scaling", false, "also run the sharded-worker scaling benchmark (the same sweep job with 1, 2 and 4 workers on a cold store)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -129,13 +126,6 @@ func cmdBench(args []string) error {
 			return err
 		}
 		doc.Search = st
-	}
-	if *scaling {
-		sc, err := benchScaling([]int{1, 2, 4})
-		if err != nil {
-			return err
-		}
-		doc.Scaling = sc
 	}
 
 	if *comparePath != "" {
@@ -334,24 +324,6 @@ func renderBench(out io.Writer, doc *BenchDoc) error {
 		s := doc.Search
 		fmt.Fprintf(out, "seeded search (budget %d): %d evals — %d pruned (%.0f%%), %d delta, %d full, %d dup, %d invalid\n",
 			s.Budget, s.Evaluations, s.Pruned, 100*s.PrunedFraction, s.DeltaEvals, s.FullEvals, s.Duplicates, s.Invalid)
-	}
-	if doc.Scaling != nil {
-		sc := doc.Scaling
-		fmt.Fprintf(out, "sharded scaling (%d points, %d searches, %d cores):\n", sc.Points, sc.Searches, sc.Cores)
-		for _, n := range []string{"1", "2", "4"} {
-			r, ok := sc.Workers[n]
-			if !ok {
-				continue
-			}
-			sp := ""
-			if r.Speedup > 0 {
-				sp = fmt.Sprintf("  %.2fx", r.Speedup)
-			}
-			fmt.Fprintf(out, "  %s worker(s): %.0f ms, %d segments, %d searches%s\n", n, r.WallMS, r.Segments, r.StoreLen, sp)
-		}
-		if sc.Note != "" {
-			fmt.Fprintf(out, "  note: %s\n", sc.Note)
-		}
 	}
 	return nil
 }

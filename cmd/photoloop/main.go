@@ -13,7 +13,7 @@
 //	photoloop jobs submit -store DIR (-sweep s.json | -explore e.json) ...
 //	photoloop jobs (resume|status|result) -store DIR [-id ID] ...
 //	photoloop serve [-addr :8080] [-workers N] [-store DIR] [-shard]
-//	photoloop worker -coordinator URL {-store DIR | -remote} [-job ID]
+//	photoloop worker -coordinator URL [-job ID]
 //	photoloop bench [-json] [-out BENCH.json] [-compare prior.json]
 //	photoloop template          # print an example architecture spec
 //	photoloop networks          # list built-in workloads
@@ -170,26 +170,20 @@ func usage(w io.Writer) {
       out across attached 'photoloop worker' processes through range
       leases; -shard-local=false leaves all evaluation to workers, and
       GET /v1/jobs/{id}/shards reports lease progress.
-  photoloop worker -coordinator URL {-store DIR | -remote} [-job ID]
-                   [-poll D] [-search-workers N] [-max-leases N] [-quiet]
+  photoloop worker -coordinator URL [-job ID] [-poll D]
+                   [-search-workers N] [-max-leases N] [-quiet]
       Join a serve -shard process as one worker: lease task ranges,
-      evaluate them, report completion. With -store DIR the worker
-      appends results to its own segment of the shared store directory
-      (which must be the same directory the serve process opened); with
-      -remote it holds no store at all and uploads results back to the
-      coordinator over HTTP — shared-nothing workers on any machine that
-      can reach the URL. Killing a worker is always safe: finished
-      searches are durable and its range is reassigned after the lease
-      TTL. See docs/SERVICE.md.
+      evaluate them, report completion. The worker holds no store and
+      uploads results back to the coordinator over HTTP, so it runs on
+      any machine that can reach the URL. Killing a worker is always
+      safe: finished searches are durable and its range is reassigned
+      after the lease TTL. See docs/SERVICE.md.
   photoloop bench [-json] [-out BENCH.json] [-compare prior.json] [-label name]
-                  [-scaling]
       Run the performance microbenchmarks (Evaluate, LowerBound,
       MapperSearch, Fig4, Fig5) plus mapper pruning statistics, and emit
       them as a table or a bench JSON document. -compare embeds a prior
       document as the baseline and reports speedups — the repo's committed
-      BENCH_*.json trajectory artifacts are produced this way. -scaling
-      additionally runs the same sweep job with 1, 2 and 4 sharded workers
-      on a cold store and records wall time plus work conservation.
+      BENCH_*.json trajectory artifacts are produced this way.
   photoloop template    print an example architecture spec
   photoloop networks    list built-in workloads
   photoloop presets     list the architecture preset library
@@ -469,7 +463,10 @@ func cmdSweep(args []string) error {
 
 // cmdJobs drives the durable job engine: submit/resume run synchronously
 // in this process (the HTTP server's POST /v1/jobs runs the same engine
-// asynchronously); status and result only read the store directory.
+// asynchronously); status and result only read the store directory. Every
+// verb takes the store's single-writer lock, so it fails while a serve
+// process holds the same directory — ask that server (GET /v1/jobs/{id})
+// instead.
 func cmdJobs(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("jobs requires a verb: submit, resume, status or result")
@@ -616,7 +613,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 	if *shardFlag && *storeDir == "" {
-		return fmt.Errorf("serve: -shard requires -store (workers share the store directory)")
+		return fmt.Errorf("serve: -shard requires -store (worker results are appended to the store)")
 	}
 	srv := sweep.NewServer()
 	srv.Workers = *workers

@@ -47,173 +47,6 @@ func waitHTTP(t *testing.T, base string) {
 	}
 }
 
-// TestShardWorkerKilledMidLease is the sharded-durability acceptance
-// test, with real processes: a serve coordinator that evaluates nothing
-// itself, a worker SIGKILLed while it holds a lease, and a second worker
-// that picks up the expired range. The job must complete with an
-// artifact byte-identical to an unsharded single-process run, and the
-// job status must record the reassignment.
-func TestShardWorkerKilledMidLease(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess crash test")
-	}
-	specDir := t.TempDir()
-	sweepSpec := writeSpecFile(t, specDir, "sweep.json", crashSweepSpec())
-
-	// Reference: the same job, unsharded, in its own store.
-	refDir := t.TempDir()
-	out, err := cli(t, "jobs", "submit", "-store", refDir, "-sweep", sweepSpec, "-quiet").Output()
-	if err != nil {
-		t.Fatalf("reference run: %v (%s)", err, out)
-	}
-	id := strings.TrimPrefix(strings.TrimSpace(string(out)), "job ")
-	ref, err := os.ReadFile(filepath.Join(refDir, "jobs", id, "result.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Coordinator: short lease TTL so the killed worker's range comes
-	// back quickly; -shard-local=false so only attached workers evaluate.
-	storeDir := t.TempDir()
-	addr := freePort(t)
-	base := "http://" + addr
-	serve := cli(t, "serve", "-addr", addr, "-store", storeDir,
-		"-shard", "-shard-local=false", "-shard-ttl", "2s")
-	if err := serve.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		serve.Process.Kill()
-		serve.Wait()
-	}()
-	waitHTTP(t, base)
-
-	// Submit over HTTP; the run blocks until workers chew the grid.
-	spec, err := os.ReadFile(sweepSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		bytes.NewReader([]byte(`{"sweep":`+string(spec)+`}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub jobs.Status
-	err = json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	if err != nil || sub.ID != id {
-		t.Fatalf("submit -> %+v, %v (want job %s)", sub, err, id)
-	}
-
-	// Worker A: slowed so the SIGKILL lands inside a lease. Its stderr
-	// tells us when it holds one.
-	workerA := cli(t, "worker", "-coordinator", base, "-store", storeDir)
-	workerA.Env = append(workerA.Env, "PHOTOLOOP_JOB_POINT_DELAY=1s")
-	workerA.Stderr = nil // cli() wired os.Stderr; use a pipe instead
-	aErr, err := workerA.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := workerA.Start(); err != nil {
-		t.Fatal(err)
-	}
-	leased := make(chan struct{})
-	go func() {
-		sc := bufio.NewScanner(aErr)
-		for sc.Scan() {
-			if strings.Contains(sc.Text(), "leased") {
-				close(leased)
-				return
-			}
-		}
-	}()
-	select {
-	case <-leased:
-	case <-time.After(60 * time.Second):
-		workerA.Process.Kill()
-		workerA.Wait()
-		t.Fatal("worker A never acquired a lease")
-	}
-	if err := workerA.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	workerA.Wait()
-
-	// Worker B finishes the job, including the dead worker's range once
-	// its lease expires.
-	workerB := cli(t, "worker", "-coordinator", base, "-store", storeDir, "-quiet")
-	if err := workerB.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		workerB.Process.Kill()
-		workerB.Wait()
-	}()
-
-	deadline := time.Now().Add(120 * time.Second)
-	var st jobs.Status
-	for {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == jobs.StateDone || st.State == jobs.StateFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sharded job never finished: %+v", st)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	if st.State != jobs.StateDone {
-		t.Fatalf("sharded job failed: %s", st.Error)
-	}
-	if st.Shards == nil || st.Shards.Reassigned == 0 {
-		t.Errorf("status does not record the killed worker's reassignment: %+v", st.Shards)
-	}
-	if st.Store == nil || st.Store.Misses != 0 {
-		t.Errorf("coordinator recomputed searches itself: %+v", st.Store)
-	}
-
-	resp, err = http.Get(base + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(storeDir, "jobs", id, "result.json"))
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, ref) {
-		t.Errorf("sharded artifact differs from unsharded run (%d vs %d bytes)", len(got), len(ref))
-	}
-
-	// Kill the serve process (another hard death: its segment lock goes
-	// stale) and warm-repeat the job offline: the merged worker segments
-	// serve every search, zero recomputed, identical bytes.
-	serve.Process.Kill()
-	serve.Wait()
-	if out, err := cli(t, "jobs", "resume", "-store", storeDir, "-id", id, "-quiet").Output(); err != nil {
-		t.Fatalf("offline warm repeat: %v (%s)", err, out)
-	}
-	after := readStatus(t, storeDir, id)
-	if after.Store == nil || after.Store.Misses != 0 {
-		t.Errorf("warm repeat computed searches: %+v", after.Store)
-	}
-	repeat, err := os.ReadFile(filepath.Join(storeDir, "jobs", id, "result.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(repeat, ref) {
-		t.Error("warm repeat artifact differs")
-	}
-}
-
 // referenceArtifact runs the spec unsharded in its own store and returns
 // the job ID and result bytes every sharded variant must reproduce.
 func referenceArtifact(t *testing.T, sweepSpec string) (string, []byte) {
@@ -299,7 +132,7 @@ func waitJobDone(t *testing.T, base, id string) jobs.Status {
 
 // assertSingleSegment is the on-disk shared-nothing proof: after a run
 // fed entirely by remote workers, the coordinator's store directory must
-// hold exactly one segment file — its own.
+// hold exactly one log file — its own.
 func assertSingleSegment(t *testing.T, storeDir string) {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(storeDir, "photoloop-store*.log"))
@@ -316,7 +149,7 @@ func assertSingleSegment(t *testing.T, storeDir string) {
 // env entries are appended to the worker's environment.
 func startRemoteWorkerUntil(t *testing.T, base, marker string, env ...string) *exec.Cmd {
 	t.Helper()
-	w := cli(t, "worker", "-coordinator", base, "-remote")
+	w := cli(t, "worker", "-coordinator", base)
 	w.Env = append(w.Env, env...)
 	w.Stderr = nil // cli() wired os.Stderr; use a pipe instead
 	pipe, err := w.StderrPipe()
@@ -347,8 +180,8 @@ func startRemoteWorkerUntil(t *testing.T, base, marker string, env ...string) *e
 }
 
 // TestRemoteShardWorkersByteIdentical is the shared-nothing acceptance
-// test with real processes: a serve coordinator and 1, 2 and 4 `worker
-// -remote` subprocesses that hold no store directory at all. Every result
+// test with real processes: a serve coordinator and 1, 2 and 4 `worker`
+// subprocesses that hold no store directory at all. Every result
 // crosses the wire, the coordinator's directory stays single-segment, and
 // the artifact is byte-identical to the unsharded reference.
 func TestRemoteShardWorkersByteIdentical(t *testing.T) {
@@ -363,7 +196,7 @@ func TestRemoteShardWorkersByteIdentical(t *testing.T) {
 			storeDir := t.TempDir()
 			base, _ := startShardServe(t, storeDir, "10s")
 			for i := 0; i < workers; i++ {
-				w := cli(t, "worker", "-coordinator", base, "-remote", "-quiet")
+				w := cli(t, "worker", "-coordinator", base, "-quiet")
 				if err := w.Start(); err != nil {
 					t.Fatal(err)
 				}
@@ -399,7 +232,7 @@ func TestRemoteShardWorkersByteIdentical(t *testing.T) {
 // it holds a lease (slowed by the point delay, so nothing has been
 // uploaded yet). The lease expires, a second remote worker recomputes the
 // range, and the artifact is still byte-identical — then a warm offline
-// repeat proves every search landed in the coordinator's segment.
+// repeat proves every search landed in the coordinator's store.
 func TestRemoteWorkerKilledMidLease(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash test")
@@ -422,7 +255,7 @@ func TestRemoteWorkerKilledMidLease(t *testing.T) {
 	}
 	workerA.Wait()
 
-	workerB := cli(t, "worker", "-coordinator", base, "-remote", "-quiet")
+	workerB := cli(t, "worker", "-coordinator", base, "-quiet")
 	if err := workerB.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +331,7 @@ func TestRemoteWorkerKilledMidUpload(t *testing.T) {
 	}
 	workerA.Wait()
 
-	workerB := cli(t, "worker", "-coordinator", base, "-remote", "-quiet")
+	workerB := cli(t, "worker", "-coordinator", base, "-quiet")
 	if err := workerB.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,24 +15,16 @@ import (
 
 // cmdWorker joins a serve process's shard coordinator as one worker: it
 // leases task ranges over HTTP, evaluates them, and reports completion.
-// Two topologies share the one loop:
-//
-//   - shared directory (-store DIR): results append to the worker's own
-//     segment of the store directory the serve process also opened —
-//     same-machine workers, zero result traffic on the wire;
-//   - shared nothing (-remote): the worker holds no store at all and
-//     POSTs completed searches back to the coordinator, which appends
-//     them into its own segment — workers anywhere the coordinator URL
-//     reaches.
+// The worker holds no store: completed searches upload back to the
+// coordinator, which appends them to its own store, so a worker runs
+// anywhere the coordinator URL reaches.
 //
 // Interrupting the worker (SIGINT/SIGTERM) is always safe — its finished
-// searches are durable (in the segment, or flushed per lease) and its
-// leased range is reassigned after the lease TTL.
+// searches are flushed per lease and its leased range is reassigned after
+// the lease TTL.
 func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	coord := fs.String("coordinator", "", "coordinator base URL — the serve -shard process (required)")
-	storeDir := fs.String("store", "", "shared result store directory; the same DIR the serve process opened")
-	remote := fs.Bool("remote", false, "shared-nothing mode: no local store, results upload to the coordinator")
 	jobID := fs.String("job", "", "work only this job ID (default: any published job)")
 	searchWorkers := fs.Int("search-workers", 0, "per-search parallelism for specs that leave it unset")
 	poll := fs.Duration("poll", 200*time.Millisecond, "idle wait between lease attempts")
@@ -44,9 +36,6 @@ func cmdWorker(args []string) error {
 	if *coord == "" {
 		return fmt.Errorf("worker requires -coordinator")
 	}
-	if *remote == (*storeDir != "") {
-		return fmt.Errorf("worker requires exactly one of -store DIR (shared directory) or -remote (shared nothing)")
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -57,34 +46,16 @@ func cmdWorker(args []string) error {
 		Poll:          *poll,
 		MaxLeases:     *maxLeases,
 	}
+	rp := store.NewRemotePersister(*coord, nil)
 	if !*quiet {
 		opts.OnLease = func(l *shard.Lease) {
 			fmt.Fprintf(os.Stderr, "worker: leased %s: job %s gen %d (%d tasks)\n",
 				l.ID, l.Job, l.Gen, len(l.Tasks))
 		}
+		rp.OnFlush = func(n int) {
+			fmt.Fprintf(os.Stderr, "worker: uploading %d results\n", n)
+		}
+		fmt.Fprintf(os.Stderr, "worker: remote (no local store), coordinator %s\n", *coord)
 	}
-
-	var ws shard.WorkerStore
-	if *remote {
-		rp := store.NewRemotePersister(*coord, nil)
-		if !*quiet {
-			rp.OnFlush = func(n int) {
-				fmt.Fprintf(os.Stderr, "worker: uploading %d results\n", n)
-			}
-			fmt.Fprintf(os.Stderr, "worker: remote (no local store), coordinator %s\n", *coord)
-		}
-		ws = rp
-	} else {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "worker: store %s (%s), coordinator %s\n",
-				*storeDir, st.SegmentName(), *coord)
-		}
-		ws = shard.SharedDir{S: st}
-	}
-	return shard.Work(ctx, &shard.Client{Base: *coord}, ws, opts)
+	return shard.Work(ctx, &shard.Client{Base: *coord}, rp, opts)
 }

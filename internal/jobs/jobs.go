@@ -14,16 +14,16 @@
 //
 // Layout under the store directory:
 //
-//	photoloop-store.log          the shared result store (package store;
-//	photoloop-store.NNN.log      one segment per concurrent writer)
+//	photoloop-store.log          the result store (package store)
+//	photoloop-store.log.lock     its single-writer lock (pid of the holder)
 //	jobs/<id>/spec.json          the submitted spec
 //	jobs/<id>/state.json         live status (atomically replaced)
 //	jobs/<id>/points.ndjson      one JSON point per line, completion order
 //	jobs/<id>/result.json        final artifact (atomically written)
 //
 // A Manager with a Shard coordinator additionally fans each run's task
-// grid out to worker processes (package shard) that warm the same store;
-// see run.go and shard.go in this package.
+// grid out to worker processes (package shard) whose results upload into
+// this store; see run.go and shard.go in this package.
 //
 // `photoloop jobs` drives a Manager from the command line and Attach
 // serves the same engine over HTTP (POST /v1/jobs and friends).

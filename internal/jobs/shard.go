@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"photoloop/internal/mapper"
 	"photoloop/internal/shard"
 )
 
@@ -14,7 +15,7 @@ import (
 const shardProgressInterval = 150 * time.Millisecond
 
 // shardRun is one job's fan-out session on the manager's coordinator:
-// publish, offer generations, wait, refresh. Workers only warm the shared
+// publish, offer generations, wait. Workers only warm the manager's
 // store — the artifact is still assembled by the unchanged local code
 // path afterwards, which is what makes sharded output byte-identical to
 // single-process output.
@@ -47,7 +48,7 @@ func (m *Manager) startShard(ctx context.Context, st *Status, kind string, inner
 			defer close(sr.done)
 			// SearchWorkers stays 0: the lease's spec must be evaluated
 			// with exactly the cache keys the assembly run will look up.
-			shard.Work(wctx, shard.Local{C: m.Shard}, shard.SharedDir{S: m.store}, shard.WorkerOptions{
+			shard.Work(wctx, shard.Local{C: m.Shard}, localStore{m.store}, shard.WorkerOptions{
 				Job:  st.ID,
 				Poll: 25 * time.Millisecond,
 			})
@@ -56,10 +57,10 @@ func (m *Manager) startShard(ctx context.Context, st *Status, kind string, inner
 	return sr, nil
 }
 
-// offer posts one generation of task indices, waits until workers finish
-// it (updating Status.Shards as ranges complete), then refreshes the
-// store view so the coordinating process sees every search the generation
-// computed. Its signature is explore.Options.PreEvaluate.
+// offer posts one generation of task indices and waits until workers
+// finish it (updating Status.Shards as ranges complete); every search the
+// generation computed is then in the manager's store. Its signature is
+// explore.Options.PreEvaluate.
 func (sr *shardRun) offer(tasks []int64) error {
 	m, id := sr.m, sr.st.ID
 	done, err := m.Shard.Offer(id, sr.gen, tasks)
@@ -81,10 +82,7 @@ wait:
 		}
 	}
 	sr.publishProgress()
-	if err := m.Shard.Err(id); err != nil {
-		return err
-	}
-	return m.store.Refresh()
+	return m.Shard.Err(id)
 }
 
 // publishProgress mirrors the coordinator's lease accounting into the
@@ -105,6 +103,17 @@ func (sr *shardRun) close() {
 		<-sr.done
 	}
 }
+
+// localStore is the in-process worker loop's result channel: the
+// manager's own store, already durable on every append, so a lease needs
+// no preparation and no flush.
+type localStore struct{ mapper.Persister }
+
+// Begin implements shard.WorkerStore.
+func (localStore) Begin(context.Context, string) error { return nil }
+
+// Flush implements shard.WorkerStore.
+func (localStore) Flush(context.Context) error { return nil }
 
 // taskIndices enumerates [0, n).
 func taskIndices(n int64) []int64 {

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"testing"
 
 	"photoloop/internal/explore"
 	"photoloop/internal/shard"
-	"photoloop/internal/store"
+	"photoloop/internal/sweep"
 )
 
 // runJob submits and runs a spec to completion, returning the status and
@@ -107,58 +108,6 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedRemoteWorkers runs a sharded sweep with the coordinating
-// process doing none of the evaluation, at 1, 2 and 4 workers: each
-// worker loop holds its own store handle on the same directory (its own
-// segment — the real multi-writer layout), and every worker count must
-// assemble the identical artifact from the merged segments.
-func TestShardedRemoteWorkers(t *testing.T) {
-	plain := openManager(t, t.TempDir())
-	_, want := runJob(t, plain, sweepJob())
-
-	for _, workers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			dir := t.TempDir()
-			m := openManager(t, dir)
-			m.Shard = shard.NewCoordinator()
-			m.ShardLocal = false
-
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			done := make(chan error, workers)
-			for i := 0; i < workers; i++ {
-				wst, err := store.Open(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer wst.Close()
-				go func() {
-					done <- shard.Work(ctx, shard.Local{C: m.Shard}, shard.SharedDir{S: wst}, shard.WorkerOptions{})
-				}()
-			}
-
-			st, got := runJob(t, m, sweepJob())
-			cancel()
-			for i := 0; i < workers; i++ {
-				if err := <-done; err != nil {
-					t.Errorf("worker: %v", err)
-				}
-			}
-			if !bytes.Equal(got, want) {
-				t.Error("remote-worker artifact differs from single-process artifact")
-			}
-			// The coordinator itself computed nothing: its attempt was
-			// pure store hits on whatever the workers wrote.
-			if st.Store == nil || st.Store.Misses != 0 {
-				t.Errorf("coordinator recomputed searches: %+v", st.Store)
-			}
-			if seg := m.Store().Segments(); seg < 2 {
-				t.Errorf("store merged %d segments, want the workers' segments too", seg)
-			}
-		})
-	}
-}
-
 // TestShardedFidelityExploreRemoteWorkers is the remote-worker leg for
 // the accuracy objective: workers only warm the store with mapper
 // searches, the coordinator alone runs the fidelity rollup during
@@ -173,32 +122,17 @@ func TestShardedFidelityExploreRemoteWorkers(t *testing.T) {
 
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			dir := t.TempDir()
-			m := openManager(t, dir)
+			m := openManager(t, t.TempDir())
 			m.Shard = shard.NewCoordinator()
 			m.ShardLocal = false
+			srv := sweep.NewServer()
+			Attach(srv, m)
+			hs := httptest.NewServer(srv)
+			defer hs.Close()
 
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			done := make(chan error, workers)
-			for i := 0; i < workers; i++ {
-				wst, err := store.Open(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer wst.Close()
-				go func() {
-					done <- shard.Work(ctx, shard.Local{C: m.Shard}, shard.SharedDir{S: wst}, shard.WorkerOptions{})
-				}()
-			}
-
+			_, stop := remoteWorkerPool(t, hs.URL, workers)
 			st, got := runJob(t, m, fidelityExploreJob())
-			cancel()
-			for i := 0; i < workers; i++ {
-				if err := <-done; err != nil {
-					t.Errorf("worker: %v", err)
-				}
-			}
+			stop()
 			if !bytes.Equal(got, want) {
 				t.Error("remote-worker fidelity frontier differs from single-process artifact")
 			}

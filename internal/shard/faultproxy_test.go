@@ -141,7 +141,7 @@ func TestShardedOverFlakyNetworkByteIdentical(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Error("flaky-network artifact differs from unsharded reference")
 			}
-			// Workers held no store: the coordinator's segment was fed
+			// Workers held no store: the coordinator's log was fed
 			// entirely over the wire, and assembly was pure hits on it.
 			if st.Store == nil || st.Store.Misses != 0 {
 				t.Errorf("assembly recomputed searches: %+v", st.Store)

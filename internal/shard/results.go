@@ -24,7 +24,7 @@ const maxUploadBytes = 64 << 20
 // Records are content-addressed, so the store is job-agnostic: the {id}
 // path segment keeps the routes under the job tree, but an upload is
 // valid whatever job produced it, and duplicate or out-of-order uploads
-// deduplicate first-write-wins exactly like racing segment writers. A
+// deduplicate first-write-wins in the coordinator's single log. A
 // batch that fails to decode whole — bad magic, torn record, CRC
 // mismatch, non-canonical payload, trailing bytes — is rejected with 400
 // and nothing is appended: a truncated POST can never land partially.
@@ -63,13 +63,6 @@ func AttachResults(mount func(pattern string, h http.Handler), st *store.Store) 
 		json.NewEncoder(w).Encode(map[string]int{"accepted": len(recs)})
 	}))
 	mount("GET /v1/jobs/{id}/keys", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Refresh first: shared-directory workers may have appended
-		// segments this process hasn't scanned yet, and their keys belong
-		// in the digest too.
-		if err := st.Refresh(); err != nil {
-			fail(w, http.StatusInternalServerError, err)
-			return
-		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(st.Digest().Encode())
 	}))
@@ -81,15 +74,7 @@ func AttachResults(mount func(pattern string, h http.Handler), st *store.Store) 
 		}
 		b, ok := st.Load(k)
 		if !ok {
-			// The digest the worker holds may be newer than our last scan
-			// (or a bloom false positive). One refresh resolves the former.
-			if err := st.Refresh(); err != nil {
-				fail(w, http.StatusInternalServerError, err)
-				return
-			}
-			b, ok = st.Load(k)
-		}
-		if !ok {
+			// A bloom false positive in the worker's digest: it recomputes.
 			fail(w, http.StatusNotFound, fmt.Errorf("shard: result %s not in store", r.PathValue("key")))
 			return
 		}

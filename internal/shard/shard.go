@@ -1,28 +1,27 @@
 // Package shard fans one durable job out across worker processes that
-// share a single result store. The design exploits the repo's central
-// invariant — the store is the checkpoint — to make distribution almost
-// free of distributed-systems surface: workers never return results over
-// the wire. A worker leases a range of task indices (sweep points, or one
-// explore generation's candidates), evaluates them with a fresh
-// mapper.Cache whose persister is its own segment of the shared store,
-// and reports only "done". The coordinator then refreshes its view of the
-// store and runs the unchanged single-process code path, which finds every
-// leased search already present and assembles the artifact with zero
-// searches — byte-identical to an unsharded run by construction, and
-// order-independent, because content-addressed cache hits are
-// bit-identical no matter which process computed them or in what order.
+// feed a single result store. The design exploits the repo's central
+// invariant — the store is the checkpoint — to keep distribution small.
+// A worker leases a range of task indices (sweep points, or one explore
+// generation's candidates), evaluates them with a fresh mapper.Cache
+// whose persister uploads every completed search to the coordinator
+// (store.RemotePersister; the coordinator appends it to its own store),
+// and reports only "done". The coordinator then runs the unchanged
+// single-process code path, which finds every leased search already
+// present and assembles the artifact with zero searches — byte-identical
+// to an unsharded run by construction, and order-independent, because
+// content-addressed cache hits are bit-identical no matter which process
+// computed them or in what order.
 //
 // Failure semantics follow from the same invariant. Leases carry a TTL
 // and are kept alive by heartbeats; a worker that dies (SIGKILL, network
 // partition, wedged host) simply stops heartbeating, the lease expires,
 // and the range is handed to the next worker. Whatever the dead worker
-// had already computed is in the store (its segment survives; the next
-// scan merges it), so reassignment repeats only the tail of its range.
-// Two workers racing on the same range — possible when a lease expires
-// while its holder limps along — is harmless for the same reason: both
-// write bit-identical records and the store deduplicates first-write-wins.
-// Completing an already-reassigned lease is therefore accepted as a
-// no-op, not an error.
+// had already uploaded is in the coordinator's store, so reassignment
+// repeats only the rest of its range. Two workers racing on the same
+// range — possible when a lease expires while its holder limps along — is
+// harmless for the same reason: both upload bit-identical records and the
+// store deduplicates first-write-wins. Completing an already-reassigned
+// lease is therefore accepted as a no-op, not an error.
 package shard
 
 import (
@@ -46,8 +45,8 @@ const DefaultLeaseTTL = 10 * time.Second
 
 // DefaultRanges is how many lease ranges one offered generation is split
 // into: enough slices that four workers stay busy with re-leasing slack,
-// few enough that per-lease overhead (a store refresh, an evaluator
-// build) stays amortized.
+// few enough that per-lease overhead (a digest pull, an evaluator build)
+// stays amortized.
 const DefaultRanges = 16
 
 // maxAttempts bounds how many times one range is reassigned before the

@@ -9,7 +9,6 @@ import (
 
 	"photoloop/internal/explore"
 	"photoloop/internal/mapper"
-	"photoloop/internal/store"
 	"photoloop/internal/sweep"
 )
 
@@ -52,13 +51,12 @@ func (l Local) Fail(ctx context.Context, job, lease, msg string) error {
 }
 
 // WorkerStore is a worker's result channel: the mapper.Persister its
-// per-lease caches write through, plus the lease-lifecycle hooks that
-// differ between the shared-directory and shared-nothing topologies.
-// Begin runs at lease start (refresh the shared view, or pull the
-// coordinator's warm-key digest); Flush runs before Complete and must
-// not return until every result of the lease is durable outside this
-// process — a range must never be marked done while its results can
-// still be lost with the worker.
+// per-lease caches write through, plus the lease-lifecycle hooks. Begin
+// runs at lease start (a store.RemotePersister pulls the coordinator's
+// warm-key digest); Flush runs before Complete and must not return until
+// every result of the lease is durable outside this process — a range
+// must never be marked done while its results can still be lost with the
+// worker.
 type WorkerStore interface {
 	mapper.Persister
 	// Begin prepares the store for one lease of the named job.
@@ -66,28 +64,6 @@ type WorkerStore interface {
 	// Flush makes every stored result durable before the lease completes.
 	Flush(ctx context.Context) error
 }
-
-// SharedDir adapts a shared-directory *store.Store to WorkerStore: the
-// worker appends to its own segment of a store directory the coordinator
-// also reads. Begin refreshes the merged view (another worker may have
-// computed half the range already); Flush is a no-op because WriteAt
-// already landed every record in the segment file.
-type SharedDir struct {
-	// S is the worker's handle on the shared store directory.
-	S *store.Store
-}
-
-// Load implements mapper.Persister.
-func (d SharedDir) Load(k mapper.Key) (*mapper.Best, bool) { return d.S.Load(k) }
-
-// Store implements mapper.Persister.
-func (d SharedDir) Store(k mapper.Key, b *mapper.Best) error { return d.S.Store(k, b) }
-
-// Begin implements WorkerStore.
-func (d SharedDir) Begin(ctx context.Context, job string) error { return d.S.Refresh() }
-
-// Flush implements WorkerStore.
-func (d SharedDir) Flush(ctx context.Context) error { return nil }
 
 // WorkerOptions tunes a Work loop.
 type WorkerOptions struct {
@@ -124,8 +100,8 @@ const maxConsecutiveFailures = 10
 // context ends (which is the normal way to stop a worker — a clean
 // return, not an error). The WorkerStore is the worker's entire output
 // channel — evaluated points are discarded, only their searches matter:
-// a SharedDir store appends to its own segment of a shared directory, a
-// store.RemotePersister uploads results to the coordinator over HTTP.
+// a store.RemotePersister uploads them to the coordinator over HTTP, and
+// the coordinating process's own loop writes straight to its store.
 // Coordinator failures degrade to retry: a lease, heartbeat or complete
 // call that fails never abandons already-durable results, and only
 // maxConsecutiveFailures failed rounds in a row stop the loop.
@@ -196,9 +172,9 @@ func Work(ctx context.Context, c Coord, ws WorkerStore, opts WorkerOptions) erro
 	}
 }
 
-// workLease executes one lease: Begin the store for the job (refresh the
-// shared view, or pull the coordinator's warm-key digest — either way,
-// tasks another worker already computed become hits), evaluate every
+// workLease executes one lease: Begin the store for the job (pull the
+// coordinator's warm-key digest, so tasks another worker already computed
+// become hits), evaluate every
 // task with a fresh two-tier cache over the worker store, then Flush
 // before the caller Completes — results must be durable outside this
 // process before the range can be marked done. A heartbeat goroutine

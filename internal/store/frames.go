@@ -12,13 +12,12 @@ import (
 // frame batch a remote worker POSTs to the coordinator, and the bloom key
 // digest the coordinator serves so remote workers skip already-solved
 // searches. Both reuse the store's own invariants — records are the same
-// CRC-framed (key, EncodeBest payload) tuples the segment files hold, so
-// a frame the coordinator accepts appends through the ordinary Store path
-// and the merged view stays byte-for-byte what a shared-directory run
-// would have produced.
+// CRC-framed (key, EncodeBest payload) tuples the log holds, so a frame
+// the coordinator accepts appends through the ordinary Store path, byte
+// for byte what a single-process run would have written.
 
 // frameMagic opens every result-upload frame batch. Versioned like the
-// segment header: a future format bumps the digit and old coordinators
+// log header: a future format bumps the digit and old coordinators
 // reject it whole instead of misparsing it.
 var frameMagic = []byte("PHLFRAME1\n")
 
@@ -39,7 +38,7 @@ type Record struct {
 
 // EncodeFrames serializes a batch of records into one upload body:
 // magic, record count, then per record the same key/length/CRC framing
-// the segment files use around an EncodeBest payload.
+// the log uses around an EncodeBest payload.
 func EncodeFrames(recs []Record) []byte {
 	buf := frameHeader(len(recs), len(recs)*512)
 	for i := range recs {

@@ -2,10 +2,7 @@ package store
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"photoloop/internal/mapper"
@@ -259,22 +256,8 @@ func TestWriteFrameFuzzCorpus(t *testing.T) {
 		EncodeFrames(randomRecords(rng, 1)),
 		EncodeFrames(randomRecords(rng, 4)),
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzResultUploadFrame")
-	if os.Getenv("UPDATE_FUZZ_CORPUS") == "1" {
-		if err := os.MkdirAll(dir, 0o777); err != nil {
-			t.Fatal(err)
-		}
-		for i, s := range seeds {
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
-			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%d", i)), []byte(body), 0o666); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if !syncFuzzCorpus(t, "FuzzResultUploadFrame", seeds) {
 		return
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("seed corpus missing (rerun with UPDATE_FUZZ_CORPUS=1): %v", err)
 	}
 	for i, s := range seeds {
 		if _, err := DecodeFrames(s); err != nil {

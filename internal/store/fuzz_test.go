@@ -47,7 +47,24 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		seeds = append(seeds, EncodeBest(randomBest(rng)))
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeBest")
+	if !syncFuzzCorpus(t, "FuzzDecodeBest", seeds) {
+		return
+	}
+	for i, s := range seeds {
+		if _, err := DecodeBest(s); err != nil {
+			t.Fatalf("seed %d no longer decodes: %v", i, err)
+		}
+	}
+}
+
+// syncFuzzCorpus writes seeds as the committed corpus of the named fuzz
+// target when UPDATE_FUZZ_CORPUS=1 is set and reports false (nothing left
+// to verify). Otherwise it fails the test if the corpus is missing and
+// reports true: the caller then checks the seeds still exercise the path
+// they were written for.
+func syncFuzzCorpus(t *testing.T, target string, seeds [][]byte) bool {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
 	if os.Getenv("UPDATE_FUZZ_CORPUS") == "1" {
 		if err := os.MkdirAll(dir, 0o777); err != nil {
 			t.Fatal(err)
@@ -58,82 +75,139 @@ func TestWriteFuzzCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return
+		return false
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("seed corpus missing (rerun with UPDATE_FUZZ_CORPUS=1): %v", err)
 	}
-	for i, s := range seeds {
-		if _, err := DecodeBest(s); err != nil {
-			t.Fatalf("seed %d no longer decodes: %v", i, err)
+	return true
+}
+
+// logSeeds builds FuzzOpenLog's seeds: an intact three-record log, the
+// same log with a torn tail, a header-only log and a foreign file.
+func logSeeds(tb testing.TB) [][]byte {
+	dir := tb.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 3; i++ {
+		if err := st.Store(mapperKey(rng), randomBest(rng)); err != nil {
+			tb.Fatal(err)
 		}
+	}
+	st.Close()
+	whole, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{
+		whole,
+		whole[:len(whole)-5],
+		append([]byte{}, logMagic...),
+		[]byte("not a photoloop store"),
 	}
 }
 
-// FuzzSegmentScan drops arbitrary bytes into a store directory as a
-// foreign segment held by a live writer and opens the store around it.
-// The scan must never panic, never modify the held file, and must leave
-// the store fully writable — corruption in one writer's segment costs
-// cache misses, not the store.
-func FuzzSegmentScan(f *testing.F) {
-	rng := rand.New(rand.NewSource(17))
-	valid := func(n int) []byte {
-		dir := f.TempDir()
-		st, err := Open(dir)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			k := mapperKey(rng)
-			if err := st.Store(k, randomBest(rng)); err != nil {
-				f.Fatal(err)
-			}
-		}
-		st.Close()
-		buf, err := os.ReadFile(filepath.Join(dir, primaryName))
-		if err != nil {
-			f.Fatal(err)
-		}
-		return buf
+// FuzzOpenLog writes arbitrary bytes as the store's log and opens it.
+// Open must never panic, and must either refuse the file (a foreign
+// header) or accept it with the file truncated to a prefix of the input,
+// Recovered reporting exactly the cut bytes. An accepted store must stay
+// writable, serve a fresh record, and reopen clean — recovery leaves a
+// log that needs no further recovery.
+//
+// Seed corpus: testdata/fuzz/FuzzOpenLog (regenerated by
+// TestWriteLogFuzzCorpus with UPDATE_FUZZ_CORPUS=1) plus the inline
+// seeds below.
+func FuzzOpenLog(f *testing.F) {
+	for _, seed := range logSeeds(f) {
+		f.Add(seed)
 	}
-	whole := valid(3)
-	f.Add(whole)
-	f.Add(whole[:len(whole)-5])           // torn tail
-	f.Add(append([]byte{}, logMagic...))  // header only
-	f.Add([]byte("not a segment at all")) // foreign header
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		foreign := filepath.Join(dir, segmentName(1))
-		if err := os.WriteFile(foreign, data, 0o666); err != nil {
+		path := filepath.Join(dir, logName)
+		if err := os.WriteFile(path, data, 0o666); err != nil {
 			t.Fatal(err)
 		}
-		// Hold the segment's lock, as its live writer would: an unlocked
-		// segment is claimable (and its torn tail legitimately truncated),
-		// so the never-modify invariant applies to held segments only.
-		if err := acquireLock(foreign + lockSuffix); err != nil {
-			t.Fatal(err)
-		}
-		defer releaseLock(foreign + lockSuffix)
 		st, err := Open(dir)
 		if err != nil {
-			return // a rejected layout (e.g. foreign header) is a valid outcome
+			if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
+				t.Fatalf("refused log modified (%d -> %d bytes, %v)", len(data), len(after), rerr)
+			}
+			return
 		}
-		defer st.Close()
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 {
+			if !bytes.Equal(after, logMagic) {
+				t.Fatalf("empty log initialized to %q, want the header", after)
+			}
+		} else if !bytes.HasPrefix(data, after) || len(after) < len(logMagic) {
+			t.Fatalf("accepted log is not a prefix of the input (%d -> %d bytes)", len(data), len(after))
+		}
+		if len(data) > 0 && st.Recovered() != int64(len(data)-len(after)) {
+			t.Fatalf("Recovered = %d, but %d bytes were cut", st.Recovered(), len(data)-len(after))
+		}
 		k := mapperKey(rand.New(rand.NewSource(1)))
+		for st.Has(k) {
+			k.Opts++ // the fuzzed log may hold this key already
+		}
 		b := randomBest(rand.New(rand.NewSource(2)))
 		if err := st.Store(k, b); err != nil {
-			t.Fatalf("store not writable after scanning fuzzed segment: %v", err)
+			t.Fatalf("store not writable after opening fuzzed log: %v", err)
 		}
-		if _, ok := st.Load(k); !ok {
-			t.Fatal("fresh record not served after scanning fuzzed segment")
+		if got, ok := st.Load(k); !ok || !bytes.Equal(EncodeBest(got), EncodeBest(b)) {
+			t.Fatal("fresh record not served after opening fuzzed log")
 		}
-		after, err := os.ReadFile(foreign)
-		if err != nil || !bytes.Equal(after, data) {
-			t.Fatalf("foreign segment modified by scan (%d -> %d bytes, %v)", len(data), len(after), err)
+		n := st.Len()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Open(dir)
+		if err != nil {
+			t.Fatalf("reopening a recovered log: %v", err)
+		}
+		defer again.Close()
+		if again.Recovered() != 0 || again.Len() != n {
+			t.Fatalf("reopen recovered %d bytes and holds %d keys, want 0 and %d", again.Recovered(), again.Len(), n)
 		}
 	})
+}
+
+// TestWriteLogFuzzCorpus mirrors TestWriteFuzzCorpus for FuzzOpenLog:
+// regenerates testdata/fuzz/FuzzOpenLog under UPDATE_FUZZ_CORPUS=1,
+// otherwise verifies the committed corpus exists and the seeds still
+// cover the clean, torn and foreign outcomes.
+func TestWriteLogFuzzCorpus(t *testing.T) {
+	seeds := logSeeds(t)
+	if !syncFuzzCorpus(t, "FuzzOpenLog", seeds) {
+		return
+	}
+	for i, want := range []struct {
+		ok        bool
+		recovered bool
+	}{{true, false}, {true, true}, {true, false}, {false, false}} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), seeds[i], 0o666); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if (err == nil) != want.ok {
+			t.Fatalf("seed %d: Open error %v, want accepted=%v", i, err, want.ok)
+		}
+		if err != nil {
+			continue
+		}
+		if got := st.Recovered() > 0; got != want.recovered {
+			t.Errorf("seed %d: recovered %d bytes, want recovery=%v", i, st.Recovered(), want.recovered)
+		}
+		st.Close()
+	}
 }
 
 func mapperKey(rng *rand.Rand) mapper.Key {

@@ -7,14 +7,13 @@ import (
 	"strings"
 )
 
-// acquireLock claims an advisory pid lock file, the store's one-writer-
-// per-segment guarantee. The claim is an O_EXCL create — atomic on every
+// acquireLock claims an advisory pid lock file, the store's one-writer
+// guarantee. The claim is an O_EXCL create — atomic on every
 // filesystem we care about — with this process's pid as the contents. A
 // lock that already exists is probed: if its owner is provably dead the
 // lock is stale (a crashed writer never unlinks) and is broken and
 // re-claimed; if the owner may be alive the claim fails with a
-// diagnostic naming the pid, and the caller moves on to the next
-// segment.
+// diagnostic naming the pid.
 func acquireLock(path string) error {
 	for attempt := 0; attempt < 3; attempt++ {
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
@@ -51,7 +50,7 @@ func acquireLock(path string) error {
 		} else {
 			holder = "pid " + holder
 		}
-		return fmt.Errorf("store: segment is locked by %s (%s)", holder, path)
+		return fmt.Errorf("store: %s is locked by %s (another process has the store open)", path, holder)
 	}
 	return fmt.Errorf("store: lock %s contested; giving up", path)
 }

@@ -18,9 +18,9 @@ import (
 // RemotePersister is the shared-nothing result channel of a remote shard
 // worker: a mapper.Persister that holds no filesystem store. Completed
 // searches batch up and POST back to the coordinator as CRC-framed
-// records (EncodeFrames); the coordinator decodes and appends them into
-// its own segment, so the artifact-assembly path over the merged store is
-// byte-for-byte what a shared-directory run produces. Loads consult a
+// records (EncodeFrames); the coordinator decodes and appends them to
+// its store, so the artifact-assembly path reads byte-for-byte what a
+// single-process run would have written. Loads consult a
 // bloom digest of the coordinator's keys (pulled once per lease) and
 // fetch probable hits individually — a digest false positive costs one
 // 404 before the worker recomputes, and every network failure on the

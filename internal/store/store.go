@@ -5,27 +5,23 @@
 // every search any prior process completed — restarts, resumed jobs and
 // repeated queries warm-start instead of recomputing.
 //
-// Layout: one store directory holds one or more segment files
-// (photoloop-store.log, photoloop-store.001.log, ...), each an append-only
-// log of checksummed records. Every writer process owns exactly one
-// segment, claimed through a pid-stamped advisory lock file
-// (<segment>.lock): Open claims the first segment whose lock is free or
-// stale (its owner died), creating a fresh segment when every existing one
-// is held by a live process — so N processes sharing one store directory
-// append concurrently without ever interleaving writes in one file.
+// Layout: one store directory holds one append-only log of checksummed
+// records (photoloop-store.log) and one pid-stamped advisory lock
+// (photoloop-store.log.lock). The process that holds the lock is the
+// store's only writer and reader: a second live Open fails naming the
+// holder's pid, while a lock whose owner died is stale and reclaimed.
+// Shard workers never open the directory — their results reach the
+// coordinator over HTTP and append through its handle.
 //
 // Each record frames a key (three fingerprints) and a versioned binary
-// payload (EncodeBest) behind a CRC32; records are never rewritten. On
-// Open every segment is scanned into one merged in-memory index; key
-// collisions resolve first-write-wins in deterministic segment order
-// (the keys are content addresses — equal keys carry bit-identical
-// payloads, so any copy serves). A framing or checksum violation in the
-// writer's own segment truncates it at the last intact record (a torn
-// tail from a crash costs the torn records only); violations in another
-// writer's segment stop the scan there without truncating — the bytes may
-// be a record mid-append, and Refresh picks the tail up once it is whole.
-// A file whose header is not ours is an error, never overwritten: pointing
-// the store at the wrong directory must not destroy foreign data.
+// payload (EncodeBest) behind a CRC32; records are never rewritten. Open
+// scans the log into an in-memory index, and a framing or checksum
+// violation truncates the log at the last intact record (a torn tail from
+// a crash costs the torn records only). A file whose header is not ours
+// is an error, never overwritten: pointing the store at the wrong
+// directory must not destroy foreign data. A directory still holding a
+// numbered segment (photoloop-store.NNN.log) of the older multi-writer
+// layout is refused for the same reason.
 //
 // Integrity over availability: a record that cannot prove itself (bad
 // CRC, bad frame, bad codec version) is a miss and the search recomputes
@@ -34,38 +30,29 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
 	"photoloop/internal/mapper"
 )
 
-// primaryName is the first segment's file name (also the whole store in
-// the single-writer layouts of prior versions — those open unchanged).
-const primaryName = "photoloop-store.log"
+// logName is the store's log file name inside its directory.
+const logName = "photoloop-store.log"
 
-// segmentPrefix/segmentSuffix frame the numbered segments:
-// photoloop-store.NNN.log.
-const (
-	segmentPrefix = "photoloop-store."
-	segmentSuffix = ".log"
-)
-
-// lockSuffix names a segment's advisory lock file. The file holds the
+// lockSuffix names the log's advisory lock file. The file holds the
 // owning pid in text; a lock whose pid no longer runs is stale and is
 // reclaimed.
 const lockSuffix = ".lock"
 
-// logMagic opens every segment file; a file that exists but does not
-// start with it is not ours and Open refuses to touch it.
+// logMagic opens the log file; a file that exists but does not start with
+// it is not ours and Open refuses to touch it.
 var logMagic = []byte("PHOTOLOOPSTORE1\n")
 
 // recordHeaderLen frames each record: 3 key fingerprints, payload length,
@@ -77,229 +64,97 @@ const recordHeaderLen = 3*8 + 4 + 4
 // read.
 const maxPayloadLen = 64 << 20
 
-// maxSegments bounds the claim loop: a directory that somehow accumulates
-// this many live writers (or leaked locks owned by live pids) is an
-// error, not an invitation to spin.
-const maxSegments = 4096
-
 // Store is the on-disk result store. It is safe for concurrent use and
 // implements mapper.Persister.
 type Store struct {
-	mu    sync.Mutex
-	dir   string
-	own   *segment   // the segment this process appends to
-	segs  []*segment // every scanned segment, own included, in merge order
-	index map[mapper.Key]recordRef
+	mu     sync.Mutex
+	f      *os.File
+	lock   string // advisory lock path, released on Close
+	closed bool
+	end    int64 // offset after the last verified record: the append position
+	index  map[mapper.Key]recordRef
 
-	recovered int64 // bytes truncated from the own segment on Open
+	recovered int64 // bytes truncated from the log tail on Open
 	loadFails int64 // records that failed to decode on Load
 }
 
-// segment is one scanned segment file.
-type segment struct {
-	name string
-	f    *os.File
-	good int64 // scan frontier: offset after the last verified record
-}
-
-// recordRef locates one record's payload: which segment, where.
+// recordRef locates one record's payload in the log.
 type recordRef struct {
-	seg int32
 	len int32
 	off int64
 }
 
-// Open opens (creating if needed) the store under dir and claims a
-// writable segment for this process. Any number of processes may hold the
-// same directory open concurrently — each appends to its own segment and
-// reads every segment. A pre-existing segment claimed after a crash is
+// Open opens (creating if needed) the store under dir and takes its
+// advisory lock: while this handle is open, another Open of the same
+// directory fails with "locked by pid N". A log left by a crash is
 // verified and its corrupted tail truncated away (see Recovered); a file
-// that is not a photoloop store segment at all is an error.
+// that is not a photoloop store log at all, or a leftover segment of the
+// older multi-writer layout, is an error.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, index: make(map[mapper.Key]recordRef)}
-	if err := s.claim(); err != nil {
+	if err := refuseSegments(dir); err != nil {
 		return nil, err
 	}
-	if err := s.scanAll(); err != nil {
-		s.closeFiles()
+	lock := filepath.Join(dir, logName+lockSuffix)
+	if err := acquireLock(lock); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE, 0o666)
+	if err != nil {
+		releaseLock(lock)
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	s := &Store{f: f, lock: lock, index: make(map[mapper.Key]recordRef)}
+	if err := s.scan(); err != nil {
+		f.Close()
+		releaseLock(lock)
 		return nil, err
 	}
 	return s, nil
 }
 
-// segmentName returns the i-th segment's file name (0 is the primary).
-func segmentName(i int) string {
-	if i == 0 {
-		return primaryName
-	}
-	return fmt.Sprintf("%s%03d%s", segmentPrefix, i, segmentSuffix)
-}
-
-// segmentIndex parses a segment file name, reporting ok=false for
-// non-segment files (locks, job records, strangers).
-func segmentIndex(name string) (int, bool) {
-	if name == primaryName {
-		return 0, true
-	}
-	if !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
-		return 0, false
-	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, segmentPrefix), segmentSuffix)
-	n, err := strconv.Atoi(mid)
-	if err != nil || n < 1 || mid != fmt.Sprintf("%03d", n) {
-		return 0, false
-	}
-	return n, true
-}
-
-// listSegments returns the indices of every segment file present, sorted
-// (the deterministic merge order).
-func (s *Store) listSegments() ([]int, error) {
-	entries, err := os.ReadDir(s.dir)
+// refuseSegments fails when dir holds a numbered segment
+// (photoloop-store.NNN.log) written by the older multi-writer layout:
+// opening only the primary log would silently drop those records.
+func refuseSegments(dir string) error {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
-	var idx []int
 	for _, e := range entries {
-		if n, ok := segmentIndex(e.Name()); ok {
-			idx = append(idx, n)
+		name := e.Name()
+		if name != logName && strings.HasPrefix(name, "photoloop-store.") && strings.HasSuffix(name, ".log") {
+			return fmt.Errorf("store: %s holds %s, a segment of the older multi-writer layout (refusing to open; move it aside)", dir, name)
 		}
 	}
-	sort.Ints(idx)
-	return idx, nil
-}
-
-// claim acquires a writable segment: the lowest-numbered segment whose
-// advisory lock is free or stale, or a fresh segment past every live one.
-// The claimed segment file is created (with header) if missing.
-func (s *Store) claim() error {
-	present, err := s.listSegments()
-	if err != nil {
-		return err
-	}
-	have := map[int]bool{}
-	for _, p := range present {
-		have[p] = true
-	}
-	// Candidates: every existing segment in order (reclaiming crashed
-	// writers' segments keeps the directory compact), then fresh numbers.
-	candidates := append([]int(nil), present...)
-	for n := 0; n < maxSegments; n++ {
-		if !have[n] {
-			candidates = append(candidates, n)
-		}
-	}
-	var lastErr error
-	for _, n := range candidates {
-		name := segmentName(n)
-		if err := acquireLock(filepath.Join(s.dir, name+lockSuffix)); err != nil {
-			lastErr = err
-			continue
-		}
-		f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR|os.O_CREATE, 0o666)
-		if err != nil {
-			releaseLock(filepath.Join(s.dir, name+lockSuffix))
-			return fmt.Errorf("store: %w", err)
-		}
-		s.own = &segment{name: name, f: f}
-		return nil
-	}
-	return fmt.Errorf("store: no claimable segment in %s (%w)", s.dir, lastErr)
-}
-
-// scanAll builds the merged index from every segment present, in
-// deterministic segment order. First write wins on key collisions: the
-// keys are content addresses, so every copy of a key carries the same
-// payload and the choice only fixes which file serves reads.
-func (s *Store) scanAll() error {
-	present, err := s.listSegments()
-	if err != nil {
-		return err
-	}
-	for _, n := range present {
-		name := segmentName(n)
-		if name == s.own.name {
-			if err := s.scanSegment(s.own, true); err != nil {
-				return err
-			}
-			s.segs = append(s.segs, s.own)
-			continue
-		}
-		f, err := os.Open(filepath.Join(s.dir, name))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // raced with nothing: listed but gone is impossible for append-only files, but harmless
-			}
-			return fmt.Errorf("store: %w", err)
-		}
-		seg := &segment{name: name, f: f}
-		if err := s.scanSegment(seg, false); err != nil {
-			f.Close()
-			return err
-		}
-		s.segs = append(s.segs, seg)
-	}
-	// The own segment may be brand new (not yet listed at listSegments
-	// time is impossible since claim created it, but guard anyway).
-	for _, seg := range s.segs {
-		if seg == s.own {
-			return nil
-		}
-	}
-	if err := s.scanSegment(s.own, true); err != nil {
-		return err
-	}
-	s.segs = append(s.segs, s.own)
 	return nil
 }
 
-// scanSegment verifies records from the segment's current scan frontier,
-// adding previously unseen keys to the merged index. For the writer's own
-// segment a framing or checksum violation truncates the file at the last
-// intact record; foreign segments are never truncated — the violation
-// just ends this scan, and a later Refresh resumes at the frontier (a
-// torn-looking tail in a live segment is usually a record mid-append).
-func (s *Store) scanSegment(seg *segment, own bool) error {
-	info, err := seg.f.Stat()
+// scan verifies the log from its header on, indexing every intact record.
+// A framing or checksum violation truncates the file at the last intact
+// record; an empty file gets the header written.
+func (s *Store) scan() error {
+	info, err := s.f.Stat()
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	if info.Size() == 0 {
-		if !own {
-			return nil // a freshly created segment whose header is not yet written
+		if _, err := s.f.WriteAt(logMagic, 0); err != nil {
+			return fmt.Errorf("store: writing log header: %w", err)
 		}
-		if _, err := seg.f.WriteAt(logMagic, 0); err != nil {
-			return fmt.Errorf("store: writing segment header: %w", err)
-		}
-		seg.good = int64(len(logMagic))
+		s.end = int64(len(logMagic))
 		return nil
 	}
-	if seg.good == 0 {
-		header := make([]byte, len(logMagic))
-		if _, err := seg.f.ReadAt(header, 0); err != nil || string(header) != string(logMagic) {
-			if !own && info.Size() < int64(len(logMagic)) {
-				return nil // header mid-write by another process; retry on Refresh
-			}
-			return fmt.Errorf("store: %s is not a photoloop result store segment (refusing to overwrite)", seg.f.Name())
-		}
-		seg.good = int64(len(logMagic))
+	header := make([]byte, len(logMagic))
+	if _, err := s.f.ReadAt(header, 0); err != nil || !bytes.Equal(header, logMagic) {
+		return fmt.Errorf("store: %s is not a photoloop result store log (refusing to overwrite)", s.f.Name())
 	}
-	segIdx := int32(-1)
-	for i, have := range s.segs {
-		if have == seg {
-			segIdx = int32(i)
-		}
-	}
-	if segIdx < 0 {
-		segIdx = int32(len(s.segs)) // about to be appended by the caller
-	}
-	off := seg.good
+	off := int64(len(logMagic))
 	hdr := make([]byte, recordHeaderLen)
 	var payload []byte
-	br := bufio.NewReader(io.NewSectionReader(seg.f, off, info.Size()-off))
+	br := bufio.NewReader(io.NewSectionReader(s.f, off, info.Size()-off))
 	for {
 		if _, err := io.ReadFull(br, hdr); err != nil {
 			break // clean EOF or torn header
@@ -325,16 +180,15 @@ func (s *Store) scanSegment(seg *segment, own bool) error {
 			break
 		}
 		off += recordHeaderLen + int64(plen)
-		// First write wins across the whole store: a key seen in an
-		// earlier segment (or earlier in this one) keeps its record.
+		// First write wins: a key seen earlier in the log keeps its record.
 		if _, dup := s.index[key]; !dup {
-			s.index[key] = recordRef{seg: segIdx, off: off - int64(plen), len: int32(plen)}
+			s.index[key] = recordRef{off: off - int64(plen), len: int32(plen)}
 		}
-		seg.good = off
 	}
-	if own && seg.good < info.Size() {
-		s.recovered += info.Size() - seg.good
-		if err := seg.f.Truncate(seg.good); err != nil {
+	s.end = off
+	if off < info.Size() {
+		s.recovered = info.Size() - off
+		if err := s.f.Truncate(off); err != nil {
 			return fmt.Errorf("store: truncating corrupted tail: %w", err)
 		}
 	}
@@ -349,116 +203,40 @@ func recordCRC(keyAndLen, payload []byte) uint32 {
 	return crc32.Update(crc, crc32.IEEETable, payload)
 }
 
-// Refresh rescans the store: new records appended to known segments by
-// other writers and entirely new segments become visible. The writer's
-// own segment never needs refreshing (only this process appends to it).
-// Refresh is how a coordinator observes worker progress — workers append
-// search results to their segments, the coordinator refreshes and serves
-// them. First-write-wins merge semantics are unchanged.
-func (s *Store) Refresh() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	present, err := s.listSegments()
-	if err != nil {
-		return err
-	}
-	known := map[string]*segment{}
-	for _, seg := range s.segs {
-		known[seg.name] = seg
-	}
-	for _, n := range present {
-		name := segmentName(n)
-		if seg, ok := known[name]; ok {
-			if seg == s.own {
-				continue
-			}
-			if err := s.scanSegment(seg, false); err != nil {
-				return err
-			}
-			continue
-		}
-		f, err := os.Open(filepath.Join(s.dir, name))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return fmt.Errorf("store: %w", err)
-		}
-		seg := &segment{name: name, f: f}
-		if err := s.scanSegment(seg, false); err != nil {
-			f.Close()
-			return err
-		}
-		s.segs = append(s.segs, seg)
-	}
-	return nil
-}
-
-// Close closes every segment file and releases the advisory lock on the
-// writer's own segment.
+// Close closes the log and releases the directory's advisory lock.
+// Closing twice is a no-op; Store and Load on a closed store fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.closeFiles()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	err := s.f.Close()
+	releaseLock(s.lock)
 	return err
 }
 
-func (s *Store) closeFiles() error {
-	var first error
-	for _, seg := range s.segs {
-		if cerr := seg.f.Close(); cerr != nil && first == nil {
-			first = cerr
-		}
-	}
-	if s.own != nil {
-		found := false
-		for _, seg := range s.segs {
-			if seg == s.own {
-				found = true
-			}
-		}
-		if !found {
-			if cerr := s.own.f.Close(); cerr != nil && first == nil {
-				first = cerr
-			}
-		}
-		releaseLock(filepath.Join(s.dir, s.own.name+lockSuffix))
-	}
-	return first
-}
-
-// Len returns the number of distinct keys in the store's current view
-// (Refresh widens the view while other writers append).
+// Len returns the number of distinct keys in the store.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.index)
 }
 
-// Segments returns how many segment files the store's current view spans.
-func (s *Store) Segments() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.segs)
-}
+// Segments returns how many log files the store spans: always 1, since
+// the store is a single log. It remains for reports that count files.
+func (s *Store) Segments() int { return 1 }
 
-// SegmentName returns the file name of the segment this process appends
-// to — diagnostics and tests; readers span every segment.
-func (s *Store) SegmentName() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.own.name
-}
-
-// Recovered returns how many corrupted bytes Open truncated from the
-// writer's own segment tail (0 for a clean log).
+// Recovered returns how many corrupted bytes Open truncated from the log
+// tail (0 for a clean log).
 func (s *Store) Recovered() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recovered
 }
 
-// Has reports whether the store's current view holds the key.
+// Has reports whether the store holds the key.
 func (s *Store) Has(k mapper.Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -466,8 +244,8 @@ func (s *Store) Has(k mapper.Key) bool {
 	return ok
 }
 
-// Keys returns a snapshot of every key in the store's current view, in
-// unspecified order.
+// Keys returns a snapshot of every key in the store, in unspecified
+// order.
 func (s *Store) Keys() []mapper.Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -478,9 +256,9 @@ func (s *Store) Keys() []mapper.Key {
 	return keys
 }
 
-// Digest builds a bloom KeyDigest over the store's current view — the
-// warm-key summary a coordinator serves so remote workers skip searches
-// any writer already solved. Digest construction is order-independent,
+// Digest builds a bloom KeyDigest over the store's keys — the warm-key
+// summary a coordinator serves so remote workers skip searches any
+// worker already solved. Digest construction is order-independent,
 // so equal key sets encode byte-identically.
 func (s *Store) Digest() *KeyDigest {
 	s.mu.Lock()
@@ -498,16 +276,12 @@ func (s *Store) Digest() *KeyDigest {
 func (s *Store) Load(k mapper.Key) (*mapper.Best, bool) {
 	s.mu.Lock()
 	ref, ok := s.index[k]
-	var f *os.File
-	if ok {
-		f = s.segs[ref.seg].f
-	}
 	s.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
 	payload := make([]byte, ref.len)
-	if _, err := f.ReadAt(payload, ref.off); err != nil {
+	if _, err := s.f.ReadAt(payload, ref.off); err != nil {
 		s.noteLoadFail()
 		return nil, false
 	}
@@ -526,11 +300,9 @@ func (s *Store) noteLoadFail() {
 }
 
 // Store implements mapper.Persister: it appends the best under the key to
-// this process's own segment. A key already present in the merged view is
-// left alone (the store is content addressed — equal keys mean
-// bit-identical results, so the first write is as good as any). Two
-// processes racing on a key each append to their own segment; the
-// duplicate wastes a few KB and deduplicates on the next scan.
+// the log. A key already present is left alone (the store is content
+// addressed — equal keys mean bit-identical results, so the first write
+// is as good as any).
 func (s *Store) Store(k mapper.Key, b *mapper.Best) error {
 	payload := EncodeBest(b)
 	if len(payload) > maxPayloadLen {
@@ -549,16 +321,10 @@ func (s *Store) Store(k mapper.Key, b *mapper.Best) error {
 	if _, ok := s.index[k]; ok {
 		return nil
 	}
-	if _, err := s.own.f.WriteAt(rec, s.own.good); err != nil {
+	if _, err := s.f.WriteAt(rec, s.end); err != nil {
 		return fmt.Errorf("store: appending record: %w", err)
 	}
-	var segIdx int32 = -1
-	for i, seg := range s.segs {
-		if seg == s.own {
-			segIdx = int32(i)
-		}
-	}
-	s.index[k] = recordRef{seg: segIdx, off: s.own.good + recordHeaderLen, len: int32(len(payload))}
-	s.own.good += int64(len(rec))
+	s.index[k] = recordRef{off: s.end + recordHeaderLen, len: int32(len(payload))}
+	s.end += int64(len(rec))
 	return nil
 }

@@ -275,7 +275,7 @@ func TestCorruptedRecordDetectedAndDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, primaryName)
+	path := filepath.Join(dir, logName)
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestTruncatedTailRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, primaryName)
+	path := filepath.Join(dir, logName)
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func TestTruncatedTailRecovered(t *testing.T) {
 // photoloop store.
 func TestForeignFileRefused(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, primaryName)
+	path := filepath.Join(dir, logName)
 	if err := os.WriteFile(path, []byte("precious user data"), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -395,138 +395,11 @@ func TestStoreDedupesKeys(t *testing.T) {
 	}
 }
 
-// TestMultiWriterSegments: two handles on one directory claim distinct
-// segments, write disjoint keys, and a fresh Open merges both.
-func TestMultiWriterSegments(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SegmentName() == b.SegmentName() {
-		t.Fatalf("both writers claimed %s", a.SegmentName())
-	}
-	keysA := storeBests(t, a, 3, 101)
-	keysB := storeBests(t, b, 3, 202)
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	merged, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer merged.Close()
-	if merged.Len() != 6 {
-		t.Fatalf("merged store has %d keys, want 6", merged.Len())
-	}
-	if merged.Segments() < 2 {
-		t.Fatalf("merged store spans %d segments, want >= 2", merged.Segments())
-	}
-	for _, k := range append(keysA, keysB...) {
-		if _, ok := merged.Load(k); !ok {
-			t.Fatalf("key %v lost in merge", k)
-		}
-	}
-}
-
-// TestRefreshSeesOtherWriters: records appended by a concurrent writer
-// become visible after Refresh without reopening — the coordinator's view
-// of worker progress.
-func TestRefreshSeesOtherWriters(t *testing.T) {
-	dir := t.TempDir()
-	coord, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	worker, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := storeBests(t, worker, 4, 303)
-	if _, ok := coord.Load(keys[0]); ok {
-		t.Fatal("unrefreshed handle served a record appended after its scan")
-	}
-	if err := coord.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if _, ok := coord.Load(k); !ok {
-			t.Fatalf("refreshed handle misses %v", k)
-		}
-	}
-	// More appends to the already-known segment: Refresh resumes at the
-	// previous frontier, not from scratch.
-	more := storeBests(t, worker, 2, 404)
-	if err := coord.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range more {
-		if _, ok := coord.Load(k); !ok {
-			t.Fatalf("incremental refresh misses %v", k)
-		}
-	}
-	if err := worker.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFirstWriteWinsAcrossSegments: the same key written by two writers
-// resolves to the earlier segment's record deterministically.
-func TestFirstWriteWinsAcrossSegments(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := mapper.Key{Arch: 9, Layer: 9, Opts: 9}
-	inPrimary := randomBest(rand.New(rand.NewSource(1)))
-	inSecond := randomBest(rand.New(rand.NewSource(2)))
-	// Each handle believes the key absent (neither refreshed), so both
-	// append — the racing-writers case.
-	if err := a.Store(k, inPrimary); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Store(k, inSecond); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	b.Close()
-
-	merged, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer merged.Close()
-	if merged.Len() != 1 {
-		t.Fatalf("duplicate key not deduped: len = %d", merged.Len())
-	}
-	got, ok := merged.Load(k)
-	if !ok {
-		t.Fatal("key lost")
-	}
-	if !reflect.DeepEqual(got, inPrimary) {
-		t.Fatal("merge did not prefer the first segment's record")
-	}
-}
-
 // TestStaleLockReclaimed: a lock file whose pid is dead (simulated with
-// an impossible pid) must not block Open from claiming the primary.
+// an impossible pid) must not block Open, and Open re-stamps it.
 func TestStaleLockReclaimed(t *testing.T) {
 	dir := t.TempDir()
-	lock := filepath.Join(dir, primaryName+lockSuffix)
+	lock := filepath.Join(dir, logName+lockSuffix)
 	if err := os.WriteFile(lock, []byte("999999999\n"), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -535,9 +408,6 @@ func TestStaleLockReclaimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.SegmentName() != primaryName {
-		t.Fatalf("stale lock pushed writer to %s, want %s", st.SegmentName(), primaryName)
-	}
 	buf, err := os.ReadFile(lock)
 	if err != nil {
 		t.Fatal(err)
@@ -547,84 +417,57 @@ func TestStaleLockReclaimed(t *testing.T) {
 	}
 }
 
-// TestLiveLockSkipped: a lock held by a live pid (our own) diverts a new
-// writer to the next segment, and the skip diagnostic names the pid.
-func TestLiveLockSkipped(t *testing.T) {
+// TestSecondOpenRefused: the store has one writer. While a handle holds
+// the directory, a second Open fails and names the holding pid; once the
+// handle closes, the directory opens again with every record intact.
+func TestSecondOpenRefused(t *testing.T) {
 	dir := t.TempDir()
-	lock := filepath.Join(dir, primaryName+lockSuffix)
-	if err := acquireLock(lock); err != nil {
-		t.Fatal(err)
-	}
-	defer releaseLock(lock)
-	if err := acquireLock(lock); err == nil {
-		t.Fatal("second acquire of a live lock succeeded")
-	} else if !strings.Contains(err.Error(), strconv.Itoa(os.Getpid())) {
-		t.Fatalf("lock error %q does not name the holding pid", err)
-	}
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if st.SegmentName() == primaryName {
-		t.Fatal("writer claimed a segment whose lock is held")
+	keys := storeBests(t, st, 2, 31)
+	if _, err := Open(dir); err == nil {
+		t.Fatal("second Open of a held store succeeded")
+	} else if !strings.Contains(err.Error(), "locked by pid "+strconv.Itoa(os.Getpid())) {
+		t.Fatalf("lock error %q does not name the holding pid", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	defer again.Close()
+	for _, k := range keys {
+		if _, ok := again.Load(k); !ok {
+			t.Fatalf("record %v lost across reopen", k)
+		}
 	}
 }
 
-// TestForeignSegmentCorruptionIsolated: corruption inside another
-// writer's segment costs only that segment's suffix — the file is never
-// truncated (it isn't ours), and our own segment keeps working.
-func TestForeignSegmentCorruptionIsolated(t *testing.T) {
+// TestLegacySegmentRefused: a numbered segment left by the older
+// multi-writer layout makes Open fail naming the file, which stays
+// untouched — opening only the primary log would silently drop it.
+func TestLegacySegmentRefused(t *testing.T) {
 	dir := t.TempDir()
-	a, err := Open(dir)
-	if err != nil {
+	seg := filepath.Join(dir, "photoloop-store.001.log")
+	body := append(append([]byte{}, logMagic...), "legacy records"...)
+	if err := os.WriteFile(seg, body, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	b, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	_, err := Open(dir)
+	if err == nil {
+		t.Fatal("directory with a legacy segment opened")
 	}
-	second := b.SegmentName()
-	keysB := storeBests(t, b, 4, 505)
-	a.Close()
-	b.Close()
-
-	path := filepath.Join(dir, second)
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), "photoloop-store.001.log") {
+		t.Fatalf("error %q does not name the legacy segment", err)
 	}
-	buf[len(buf)/2] ^= 0x40
-	if err := os.WriteFile(path, buf, 0o666); err != nil {
-		t.Fatal(err)
+	if buf, rerr := os.ReadFile(seg); rerr != nil || !bytes.Equal(buf, body) {
+		t.Fatalf("legacy segment modified: %v", rerr)
 	}
-
-	st, err := Open(dir) // claims the primary; the corrupted file is foreign
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.SegmentName() != primaryName {
-		t.Fatalf("writer claimed %s, want primary", st.SegmentName())
-	}
-	if st.Recovered() != 0 {
-		t.Fatal("foreign corruption charged to own-segment recovery")
-	}
-	if _, ok := st.Load(keysB[0]); !ok {
-		t.Fatal("record before the foreign corruption lost")
-	}
-	if _, ok := st.Load(keysB[3]); ok {
-		t.Fatal("record past the foreign corruption served")
-	}
-	if info, err := os.Stat(path); err != nil || info.Size() != int64(len(buf)) {
-		t.Fatalf("foreign segment truncated: %v bytes, want %d", info.Size(), len(buf))
-	}
-	// The dropped keys recompute into our own segment and serve again.
-	fresh := randomBest(rand.New(rand.NewSource(6)))
-	if err := st.Store(keysB[3], fresh); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := st.Load(keysB[3]); !ok || !reflect.DeepEqual(got, fresh) {
-		t.Fatal("recomputed record not served")
+	if _, serr := os.Stat(filepath.Join(dir, logName+lockSuffix)); !os.IsNotExist(serr) {
+		t.Fatalf("refused Open left a lock behind: %v", serr)
 	}
 }

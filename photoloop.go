@@ -468,7 +468,9 @@ type (
 func OpenJobManager(dir string) (*JobManager, error) { return jobs.Open(dir) }
 
 // OpenResultStore opens (creating if needed) a result store, for wiring
-// persistence directly into a SearchCache via SetPersister.
+// persistence directly into a SearchCache via SetPersister. One open
+// store holds a directory at a time: a second open fails until the first
+// is closed.
 func OpenResultStore(dir string) (*ResultStore, error) { return store.Open(dir) }
 
 // AttachJobs mounts the async job API (POST /v1/jobs and friends) on a
