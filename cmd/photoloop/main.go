@@ -1,8 +1,8 @@
 // Command photoloop is the generic specification-driven front end of the
 // modeling framework: evaluate or map JSON-specified architectures against
 // built-in or JSON-specified DNN workloads, run declarative design-space
-// sweeps and comparative preset studies, benchmark the engine, or serve
-// the model over HTTP.
+// sweeps and comparative preset studies, regenerate the paper's figures,
+// benchmark the engine, or serve the model over HTTP.
 //
 // Subcommands:
 //
@@ -14,6 +14,7 @@
 //	photoloop jobs (resume|status|result) -store DIR [-id ID] ...
 //	photoloop serve [-addr :8080] [-workers N] [-store DIR] [-shard]
 //	photoloop worker -coordinator URL [-job ID]
+//	photoloop repro [-fig all|2|3|4|5|ablation|claims] [-budget 800] [-seed 1] [-csv DIR]
 //	photoloop bench [-json] [-out BENCH.json] [-compare prior.json]
 //	photoloop template          # print an example architecture spec
 //	photoloop networks          # list built-in workloads
@@ -75,6 +76,8 @@ func run(args []string) int {
 		err = cmdServe(args[1:])
 	case "worker":
 		err = cmdWorker(args[1:])
+	case "repro":
+		err = cmdRepro(args[1:])
 	case "bench":
 		err = cmdBench(args[1:])
 	case "template":
@@ -178,6 +181,13 @@ func usage(w io.Writer) {
       any machine that can reach the URL. Killing a worker is always
       safe: finished searches are durable and its range is reassigned
       after the lease TTL. See docs/SERVICE.md.
+  photoloop repro [-fig all|2|3|4|5|ablation|claims] [-budget 800]
+                  [-seed 1] [-csv DIR]
+      Regenerate the paper's figures (Fig. 2 energy validation, Fig. 3
+      throughput, Fig. 4 memory exploration, Fig. 5 reuse exploration,
+      modeling ablations) as text, and score the paper's headline claims
+      against their tolerance bands. -csv also writes each figure's
+      table as DIR/<fig>.csv. Exits 1 if any claim fails, naming it.
   photoloop bench [-json] [-out BENCH.json] [-compare prior.json] [-label name]
       Run the performance microbenchmarks (Evaluate, LowerBound,
       MapperSearch, Fig4, Fig5) plus mapper pruning statistics, and emit

@@ -147,7 +147,6 @@ var docRefPackages = map[string]string{
 	"md":         "internal/md",
 	"exp":        "internal/exp",
 	"refsim":     "internal/refsim",
-	"report":     "internal/report",
 	"store":      "internal/store",
 	"jobs":       "internal/jobs",
 	"shard":      "internal/shard",
@@ -400,8 +399,8 @@ func TestREADMESubcommandsDocumented(t *testing.T) {
 	}
 	text := string(buf)
 	for _, sub := range []string{
-		"eval", "sweep", "explore", "study", "jobs", "serve", "bench",
-		"template", "networks", "presets", "classes",
+		"eval", "sweep", "explore", "study", "jobs", "serve", "worker",
+		"repro", "bench", "template", "networks", "presets", "classes",
 	} {
 		if !strings.Contains(text, "photoloop "+sub) {
 			t.Errorf("README.md does not document the %q subcommand", sub)
@@ -415,9 +414,9 @@ func TestREADMESubcommandsDocumented(t *testing.T) {
 	for _, sub := range []string{
 		"photoloop eval", "photoloop sweep", "photoloop explore",
 		"photoloop study", "photoloop jobs", "photoloop serve",
-		"photoloop bench", "photoloop template", "photoloop networks",
-		"photoloop presets", "photoloop classes", "photoloop version",
-		"photoloop help",
+		"photoloop worker", "photoloop repro", "photoloop bench",
+		"photoloop template", "photoloop networks", "photoloop presets",
+		"photoloop classes", "photoloop version", "photoloop help",
 	} {
 		if !bytes.Contains(main, []byte(sub)) {
 			t.Errorf("cmd/photoloop usage does not mention %q", sub)

@@ -6,8 +6,8 @@ import (
 
 	"photoloop/internal/albireo"
 	"photoloop/internal/mapper"
+	"photoloop/internal/md"
 	"photoloop/internal/model"
-	"photoloop/internal/report"
 	"photoloop/internal/workload"
 )
 
@@ -187,23 +187,24 @@ func evalAlbireoLayer(c albireo.Config, l *workload.Layer, cfg Config, disableSh
 	return best.Result, nil
 }
 
-// Table renders the rows.
-func (r *AblationResult) Table() *report.Table {
-	t := report.NewTable("Ablation", "Reference", "Variant", "Ratio", "Metric")
+// Table returns the rows as table cells with their column headers and
+// alignment (see md.Table).
+func (r *AblationResult) Table() (headers []string, align string, rows [][]string) {
 	for _, row := range r.Rows {
-		t.Row(row.Name,
+		rows = append(rows, []string{row.Name,
 			fmt.Sprintf("%.4f", row.Reference),
 			fmt.Sprintf("%.4f", row.Variant),
 			fmt.Sprintf("%.2fx", row.Ratio),
-			row.Metric)
+			row.Metric})
 	}
-	return t
+	return []string{"Ablation", "Reference", "Variant", "Ratio", "Metric"}, "lrrrl", rows
 }
 
 // Render writes the ablation study as text.
 func (r *AblationResult) Render(w io.Writer) error {
 	fmt.Fprintln(w, "Ablations — how much each modeling mechanism matters (aggressive Albireo, ResNet18 layer2.2.conv1)")
-	if err := r.Table().Render(w); err != nil {
+	headers, align, rows := r.Table()
+	if err := md.Table(w, headers, align, rows); err != nil {
 		return err
 	}
 	for _, row := range r.Rows {

@@ -5,6 +5,11 @@
 package exp
 
 import (
+	"encoding/csv"
+	"fmt"
+	"io"
+	"strings"
+
 	"photoloop/internal/albireo"
 	"photoloop/internal/mapper"
 	"photoloop/internal/workload"
@@ -57,3 +62,32 @@ func fig2Scalings() []albireo.Scaling { return albireo.AllScalings() }
 func fig4Scalings() []albireo.Scaling {
 	return []albireo.Scaling{albireo.Conservative, albireo.Aggressive}
 }
+
+// WriteCSV writes a figure's table (the headers and rows its Table method
+// returns) as RFC 4180 CSV, quoting cells that hold commas or quotes.
+func WriteCSV(w io.Writer, headers []string, rows [][]string) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(headers); err != nil {
+		return err
+	}
+	return cw.WriteAll(rows)
+}
+
+// bar renders a horizontal bar of the value scaled to maxWidth characters
+// at full scale; any positive value gets at least one mark.
+func bar(value, fullScale float64, maxWidth int) string {
+	if fullScale <= 0 || value <= 0 || maxWidth <= 0 {
+		return ""
+	}
+	n := int(value / fullScale * float64(maxWidth))
+	if n > maxWidth {
+		n = maxWidth
+	}
+	if n < 1 {
+		n = 1
+	}
+	return strings.Repeat("#", n)
+}
+
+// pct formats a ratio as a percentage.
+func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }

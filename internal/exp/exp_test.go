@@ -254,7 +254,8 @@ func TestRenderersProduceOutput(t *testing.T) {
 		}
 	}
 	var csv bytes.Buffer
-	if err := f2.Table().CSV(&csv); err != nil {
+	headers, _, rows := f2.Table()
+	if err := WriteCSV(&csv, headers, rows); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(csv.String(), "\n"); lines != 7 { // header + 6 rows
@@ -293,7 +294,8 @@ func TestAllRenderersEndToEnd(t *testing.T) {
 		}
 	}
 	var c4 bytes.Buffer
-	if err := f4.Table().CSV(&c4); err != nil {
+	headers, _, rows := f4.Table()
+	if err := WriteCSV(&c4, headers, rows); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(c4.String(), "\n"); lines != 9 { // header + 8 rows

@@ -6,8 +6,8 @@ import (
 	"math"
 
 	"photoloop/internal/albireo"
+	"photoloop/internal/md"
 	"photoloop/internal/model"
-	"photoloop/internal/report"
 )
 
 // Fig2Row is one bar of the Fig. 2 energy-breakdown validation.
@@ -78,29 +78,29 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 	return out, nil
 }
 
-// Table renders the result rows.
-func (r *Fig2Result) Table() *report.Table {
-	cols := []string{"Scaling", "Kind"}
+// Table returns the result rows as table cells with their column
+// headers and alignment (see md.Table).
+func (r *Fig2Result) Table() (headers []string, align string, rows [][]string) {
+	headers, align = []string{"Scaling", "Kind"}, "ll"
 	for _, b := range albireo.Fig2Bins() {
-		cols = append(cols, string(b))
+		headers, align = append(headers, string(b)), align+"r"
 	}
-	cols = append(cols, "Total pJ/MAC")
-	t := report.NewTable(cols...)
+	headers, align = append(headers, "Total pJ/MAC"), align+"r"
 	for _, row := range r.Rows {
-		vals := []interface{}{row.Scaling.String(), row.Kind}
+		cells := []string{row.Scaling.String(), row.Kind}
 		for _, b := range albireo.Fig2Bins() {
-			vals = append(vals, fmt.Sprintf("%.3f", row.Bins[b]))
+			cells = append(cells, fmt.Sprintf("%.3f", row.Bins[b]))
 		}
-		vals = append(vals, fmt.Sprintf("%.3f", row.Total))
-		t.Row(vals...)
+		rows = append(rows, append(cells, fmt.Sprintf("%.3f", row.Total)))
 	}
-	return t
+	return headers, align, rows
 }
 
 // Render writes the figure as text.
 func (r *Fig2Result) Render(w io.Writer) error {
 	fmt.Fprintln(w, "Fig. 2 — Energy breakdown validation (best-case pJ/MAC, accelerator + laser)")
-	if err := r.Table().Render(w); err != nil {
+	headers, align, rows := r.Table()
+	if err := md.Table(w, headers, align, rows); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Average overall energy error: %.2f%% (paper: 0.4%%)\n", r.AvgAbsErrPct)
@@ -112,7 +112,7 @@ func (r *Fig2Result) Render(w io.Writer) error {
 	}
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-12s %-8s |%s %.3f\n", row.Scaling, row.Kind,
-			report.Bar(row.Total, maxTotal, 48), row.Total)
+			bar(row.Total, maxTotal, 48), row.Total)
 	}
 	return nil
 }

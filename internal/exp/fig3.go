@@ -6,7 +6,7 @@ import (
 
 	"photoloop/internal/albireo"
 	"photoloop/internal/mapper"
-	"photoloop/internal/report"
+	"photoloop/internal/md"
 	"photoloop/internal/workload"
 )
 
@@ -110,24 +110,26 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 	return out, nil
 }
 
-// Table renders the summary rows.
-func (r *Fig3Result) Table() *report.Table {
-	t := report.NewTable("Network", "Ideal", "Reported", "Modeled", "Modeled (compute-only)", "Total/cycles")
+// Table returns the summary rows as table cells with their column
+// headers and alignment (see md.Table).
+func (r *Fig3Result) Table() (headers []string, align string, rows [][]string) {
+	headers = []string{"Network", "Ideal", "Reported", "Modeled", "Modeled (compute-only)", "Total/cycles"}
 	for _, row := range r.Rows {
-		t.Row(row.Network,
+		rows = append(rows, []string{row.Network,
 			fmt.Sprintf("%.0f", row.Ideal),
 			fmt.Sprintf("%.0f", row.Reported),
 			fmt.Sprintf("%.0f", row.Modeled),
 			fmt.Sprintf("%.0f", row.ModeledComputeOnly),
-			fmt.Sprintf("%.0f", row.TotalOverCycles))
+			fmt.Sprintf("%.0f", row.TotalOverCycles)})
 	}
-	return t
+	return headers, "lrrrrr", rows
 }
 
 // Render writes the figure as text, including the per-layer detail.
 func (r *Fig3Result) Render(w io.Writer) error {
 	fmt.Fprintln(w, "Fig. 3 — Throughput (MACs/cycle); modeled captures underutilization")
-	if err := r.Table().Render(w); err != nil {
+	headers, align, rows := r.Table()
+	if err := md.Table(w, headers, align, rows); err != nil {
 		return err
 	}
 	for _, row := range r.Rows {
@@ -139,7 +141,7 @@ func (r *Fig3Result) Render(w io.Writer) error {
 			}
 			fmt.Fprintf(w, "  %-22s util %5.1f%%  %7.1f MACs/cycle |%s%s\n",
 				lt.Layer, 100*lt.Utilization, lt.MACsPerCycle,
-				report.Bar(lt.MACsPerCycle, row.Ideal, 40), note)
+				bar(lt.MACsPerCycle, row.Ideal, 40), note)
 		}
 	}
 	return nil

@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"photoloop/internal/albireo"
-	"photoloop/internal/report"
+	"photoloop/internal/md"
 	"photoloop/internal/sweep"
 )
 
@@ -129,30 +129,29 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 	return out, nil
 }
 
-// Table renders the rows.
-func (r *Fig4Result) Table() *report.Table {
-	cols := []string{"Scaling", "Batched", "Fused", "pJ/MAC", "Normalized", "DRAM share"}
+// Table returns the rows as table cells with their column headers and
+// alignment (see md.Table).
+func (r *Fig4Result) Table() (headers []string, align string, rows [][]string) {
+	headers, align = []string{"Scaling", "Batched", "Fused", "pJ/MAC", "Normalized", "DRAM share"}, "lllrrr"
 	for _, b := range albireo.RoleBins() {
-		cols = append(cols, string(b))
+		headers, align = append(headers, string(b)), align+"r"
 	}
-	cols = append(cols, "Note")
-	t := report.NewTable(cols...)
+	headers, align = append(headers, "Note"), align+"l"
 	for _, row := range r.Rows {
-		vals := []interface{}{row.Scaling.String(), yn(row.Batched), yn(row.Fused),
+		cells := []string{row.Scaling.String(), yn(row.Batched), yn(row.Fused),
 			fmt.Sprintf("%.3f", row.PJPerMAC),
 			fmt.Sprintf("%.3f", row.Normalized),
-			report.Pct(row.DRAMShare)}
+			pct(row.DRAMShare)}
 		for _, b := range albireo.RoleBins() {
-			vals = append(vals, fmt.Sprintf("%.3f", row.Bins[b]))
+			cells = append(cells, fmt.Sprintf("%.3f", row.Bins[b]))
 		}
 		note := ""
 		if row.PaperConfig {
 			note = "Albireo paper config"
 		}
-		vals = append(vals, note)
-		t.Row(vals...)
+		rows = append(rows, append(cells, note))
 	}
-	return t
+	return headers, align, rows
 }
 
 func yn(b bool) string {
@@ -165,15 +164,16 @@ func yn(b bool) string {
 // Render writes the figure as text.
 func (r *Fig4Result) Render(w io.Writer) error {
 	fmt.Fprintln(w, "Fig. 4 — Memory exploration: ResNet18 system energy, normalized per scaling")
-	if err := r.Table().Render(w); err != nil {
+	headers, align, rows := r.Table()
+	if err := md.Table(w, headers, align, rows); err != nil {
 		return err
 	}
 	for _, row := range r.Rows {
 		label := fmt.Sprintf("%-12s batch=%v fused=%v", row.Scaling, row.Batched, row.Fused)
-		fmt.Fprintf(w, "%s |%s %.3f\n", label, report.Bar(row.Normalized, 1.2, 48), row.Normalized)
+		fmt.Fprintf(w, "%s |%s %.3f\n", label, bar(row.Normalized, 1.2, 48), row.Normalized)
 	}
-	fmt.Fprintf(w, "Aggressive baseline DRAM share: %s (paper: ~75%%)\n", report.Pct(r.AggressiveBaselineDRAMShare))
-	fmt.Fprintf(w, "Conservative baseline DRAM share: %s (paper: small)\n", report.Pct(r.ConservativeBaselineDRAMShare))
-	fmt.Fprintf(w, "Aggressive batching+fusion reduction: %s (paper: 67%%, i.e. 3x)\n", report.Pct(r.AggressiveCombinedReduction))
+	fmt.Fprintf(w, "Aggressive baseline DRAM share: %s (paper: ~75%%)\n", pct(r.AggressiveBaselineDRAMShare))
+	fmt.Fprintf(w, "Conservative baseline DRAM share: %s (paper: small)\n", pct(r.ConservativeBaselineDRAMShare))
+	fmt.Fprintf(w, "Aggressive batching+fusion reduction: %s (paper: 67%%, i.e. 3x)\n", pct(r.AggressiveCombinedReduction))
 	return nil
 }

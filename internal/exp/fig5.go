@@ -3,9 +3,10 @@ package exp
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"photoloop/internal/albireo"
-	"photoloop/internal/report"
+	"photoloop/internal/md"
 	"photoloop/internal/sweep"
 )
 
@@ -119,45 +120,45 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 	return out, nil
 }
 
-// Table renders the rows.
-func (r *Fig5Result) Table() *report.Table {
-	cols := []string{"Group", "OR", "IR", "Accel pJ/MAC", "Converter pJ/MAC"}
+// Table returns the rows as table cells with their column headers and
+// alignment (see md.Table).
+func (r *Fig5Result) Table() (headers []string, align string, rows [][]string) {
+	headers, align = []string{"Group", "OR", "IR", "Accel pJ/MAC", "Converter pJ/MAC"}, "lrrrr"
 	for _, b := range albireo.RoleBins() {
 		if b == albireo.RoleDRAM {
 			continue
 		}
-		cols = append(cols, string(b))
+		headers, align = append(headers, string(b)), align+"r"
 	}
-	cols = append(cols, "Note")
-	t := report.NewTable(cols...)
+	headers, align = append(headers, "Note"), align+"l"
 	for _, row := range r.Rows {
 		group := "Original"
 		if row.WeightReuse {
 			group = "More Weight Reuse"
 		}
-		vals := []interface{}{group, row.OR, row.IR,
+		cells := []string{group, strconv.Itoa(row.OR), strconv.Itoa(row.IR),
 			fmt.Sprintf("%.4f", row.AccelPJPerMAC),
 			fmt.Sprintf("%.4f", row.ConverterPJPerMAC)}
 		for _, b := range albireo.RoleBins() {
 			if b == albireo.RoleDRAM {
 				continue
 			}
-			vals = append(vals, fmt.Sprintf("%.4f", row.Bins[b]))
+			cells = append(cells, fmt.Sprintf("%.4f", row.Bins[b]))
 		}
 		note := ""
 		if row.Baseline {
 			note = "Albireo paper config"
 		}
-		vals = append(vals, note)
-		t.Row(vals...)
+		rows = append(rows, append(cells, note))
 	}
-	return t
+	return headers, align, rows
 }
 
 // Render writes the figure as text.
 func (r *Fig5Result) Render(w io.Writer) error {
 	fmt.Fprintln(w, "Fig. 5 — Architecture exploration: ResNet18 accelerator energy vs reuse (aggressive scaling)")
-	if err := r.Table().Render(w); err != nil {
+	headers, align, rows := r.Table()
+	if err := md.Table(w, headers, align, rows); err != nil {
 		return err
 	}
 	maxV := 0.0
@@ -172,9 +173,9 @@ func (r *Fig5Result) Render(w io.Writer) error {
 			group = "wr  "
 		}
 		fmt.Fprintf(w, "%s OR=%-2d IR=%-2d |%s %.4f\n", group, row.OR, row.IR,
-			report.Bar(row.AccelPJPerMAC, maxV, 48), row.AccelPJPerMAC)
+			bar(row.AccelPJPerMAC, maxV, 48), row.AccelPJPerMAC)
 	}
-	fmt.Fprintf(w, "Best converter-energy reduction: %s (paper: 42%%)\n", report.Pct(r.BestConverterReduction))
-	fmt.Fprintf(w, "Best accelerator-energy reduction: %s (paper: 31%%)\n", report.Pct(r.BestAcceleratorReduction))
+	fmt.Fprintf(w, "Best converter-energy reduction: %s (paper: 42%%)\n", pct(r.BestConverterReduction))
+	fmt.Fprintf(w, "Best accelerator-energy reduction: %s (paper: 31%%)\n", pct(r.BestAcceleratorReduction))
 	return nil
 }

@@ -210,8 +210,7 @@ func (o *Options) fingerprint() uint64 {
 		h.Mix(seed.Fingerprint())
 	}
 	// Warm starts change which candidates join the pool, so they are part
-	// of the search identity. (noPrune/noDelta deliberately are not: both
-	// are proven behavior preserving.)
+	// of the search identity.
 	h.Mix(uint64(len(o.WarmStarts)))
 	for _, w := range o.WarmStarts {
 		if w != nil {

@@ -122,17 +122,6 @@ type Options struct {
 	// once and share the result. Sweeps and long-lived services set it;
 	// results are bit-identical with or without a cache.
 	Cache *Cache
-
-	// noPrune, noDelta and noBatch disable the admissible-lower-bound
-	// gate, the shared-prefix delta evaluation, and the fused
-	// stage-then-finish scoring path (noBatch falls back to separate
-	// LowerBound + EvaluatePartial calls in the legacy order). All are
-	// behavior-preserving accelerations, so these exist only for the
-	// equivalence tests that prove it; they are deliberately left out of
-	// the cache fingerprint.
-	noPrune bool
-	noDelta bool
-	noBatch bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -198,15 +187,6 @@ type SearchStats struct {
 	// budget (see Options.WarmStarts).
 	WarmStartEvals int
 }
-
-// Adaptive lower-bound gating: the bound check runs unconditionally for
-// the first lbProbation candidates, then stays enabled only while at least
-// one in lbKeepRate checks prunes. Gating never changes results — a
-// skipped check just means the candidate is fully evaluated.
-const (
-	lbProbation = 64
-	lbKeepRate  = 20
-)
 
 func (s *SearchStats) add(o SearchStats) {
 	s.Pruned += o.Pruned
@@ -488,8 +468,8 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 }
 
 // assignmentRemaining computes the per-dimension temporal bound left after
-// one flat spatial assignment — remaining() without materializing a
-// mapping (all free spatial factors are 1 in mapper-drawn candidates).
+// one flat spatial assignment, without materializing a mapping (all free
+// spatial factors are 1 in mapper-drawn candidates).
 func assignmentRemaining(a *arch.Arch, assign []workload.Dim, l *workload.Layer) workload.Point {
 	spatial := workload.Ones()
 	idx := 0
@@ -739,10 +719,11 @@ func levelsShared(prev, m *mapping.Mapping) int {
 
 // searchWorker runs one worker's slice of the search: seeds, warm starts,
 // the (reordered) random exploration stream, and the hill climb. The
-// returned Best is bit-identical to the legacy always-evaluate worker for
-// the same (seed, budget) — the lower-bound gate only discards candidates
-// that provably cannot win, and delta evaluation reproduces full
-// evaluations exactly (both properties are pinned by equivalence tests).
+// returned Best is bit-identical to a naive worker that validates and fully
+// evaluates every candidate in draw order for the same (seed, budget) — the
+// lower-bound gate only discards candidates that provably cannot win, and
+// delta evaluation reproduces full evaluations exactly (both properties are
+// pinned against such a reference search by equivalence tests).
 func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, rng *rand.Rand, budget int, warm []*mapping.Mapping) (best *Best, evals int, st SearchStats) {
 	if budget <= 0 {
 		return nil, 0, st
@@ -769,10 +750,9 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 
 	// cutoff is the pruning incumbent's result: phases 0-1 track the
 	// worker best, the hill climb its (only improving) cursor. prevEval
-	// holds the delta baseline — the last staged mapping on the batched
-	// path, the last successfully evaluated one on the noBatch reference
-	// path; its content must stay untouched until the next evaluation, so
-	// candidate materialization ping-pongs between two buffers.
+	// holds the delta baseline, the last staged mapping; its content must
+	// stay untouched until the next evaluation, so candidate
+	// materialization ping-pongs between two buffers.
 	var cutoff *model.Result
 	var prevEval *mapping.Mapping
 	// lastSpatialKey identifies the spatial configuration of the last
@@ -784,7 +764,6 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// so a key match lets Stage skip the spatial-factor and instance
 	// resolution outright — no per-level comparison needed.
 	lastSpatialKey := int64(-1)
-	lbTried, lbPruned := 0, 0
 	bufA, bufB := ws.bufA, ws.bufB
 	matBuf := func() *mapping.Mapping {
 		if prevEval == bufA {
@@ -802,59 +781,11 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 		return &assignB
 	}
 
-	// lbGate reports whether the adaptive pruning gate is open: the bound
-	// check runs unconditionally through a probation window, then stays on
-	// only while it keeps a minimum hit rate. Gating never changes results
-	// — a skipped check just means the candidate is fully evaluated. Only
-	// the reference path uses it: there the bound is a separate LowerBound
-	// call worth skipping when it stops paying off, whereas the batched
-	// path gets the bound as a byproduct of staging and always checks it.
-	lbGate := func() bool {
-		return cutoff != nil && !o.noPrune &&
-			(lbTried < lbProbation || lbPruned*lbKeepRate >= lbTried)
-	}
-
-	// tryRef is the reference scoring path (noBatch): separate LowerBound
-	// and EvaluatePartial calls in the legacy order — validate, record,
-	// bound gate, delta evaluation. The batched path below must return a
-	// bit-identical Best for the same candidate stream; the equivalence
-	// tests pin it against this.
-	tryRef := func(m *mapping.Mapping, fp uint64, doValidate bool) *model.Result {
-		if doValidate && !m.Valid(a, l) {
-			st.Invalid++
-			return nil
-		}
-		seen[fp] = struct{}{}
-		if lbGate() {
-			lbTried++
-			if boundScore(o.Objective, c.LowerBound(scratch, m, evalOpts)) > Score(o.Objective, cutoff) {
-				lbPruned++
-				st.Pruned++
-				return nil
-			}
-		}
-		shared := 0
-		if !o.noDelta {
-			shared = levelsShared(prevEval, m)
-		}
-		if err := c.EvaluatePartial(scratch, m, res, evalOpts, shared); err != nil {
-			prevEval = nil
-			return nil
-		}
-		if shared > 0 {
-			st.DeltaEvals++
-		} else {
-			st.FullEvals++
-		}
-		prevEval = m
-		return res
-	}
-
 	// retainValidate marks the last scored candidate as still owing its
-	// full validation: the batched path defers m.Valid to retention time
-	// (the accept sites below), because Valid rejects almost nothing
-	// (~2 of 360 candidates on the seeded bench) yet walking every
-	// candidate through it cost ~11% of search. A candidate that is never
+	// full validation: try defers m.Valid to retention time (the accept
+	// sites below), because Valid rejects almost nothing (~2 of 360
+	// candidates on the seeded bench) yet walking every candidate through
+	// it cost ~11% of search. A candidate that is never
 	// retained never pays for validation; retainDelta remembers which
 	// stats bucket its evaluation was charged to so a retention-time
 	// rejection can recategorize it as Invalid, keeping the accounting
@@ -868,8 +799,8 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// or failed deterministically, and can never beat the incumbent, so
 	// skipping it is behavior preserving).
 	//
-	// The default path stages each candidate once (model.Compiled.Stage):
-	// one shared-prefix core resolution serves the admissible bound, and —
+	// Each candidate is staged once (model.Compiled.Stage): one
+	// shared-prefix core resolution serves the admissible bound, and —
 	// only for candidates the bound cannot discard — the finishing passes
 	// (FinishStaged). Pruned candidates therefore cost a core resolution
 	// instead of a bound plus a full evaluation's worth of resolution, and
@@ -878,11 +809,11 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// retainValidate), so an invalid candidate lands in Pruned or the
 	// eval buckets unless it is retained; neither kind can become the
 	// incumbent — Best is unaffected, only the stats split differs from
-	// the reference path. Deferral also means an invalid schedule's
-	// fingerprint now enters seen (the reference path leaves it out); a
+	// validating up front. Deferral also means an invalid schedule's
+	// fingerprint enters seen (up-front validation would leave it out); a
 	// later distinct schedule is shadowed only by a 64-bit fingerprint
 	// collision, which the dedup already accepts for valid schedules.
-	try := func(m *mapping.Mapping, charge, mustValidate bool, spatialKey int64) *model.Result {
+	try := func(m *mapping.Mapping, charge bool, spatialKey int64) *model.Result {
 		retainValidate = false
 		if charge {
 			if evals >= budget {
@@ -890,8 +821,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			}
 			evals++
 		}
-		doValidate := validate || mustValidate
-		if doValidate {
+		if validate {
 			// Fast subset of Valid: temporal loops on a capped level (an
 			// analog accumulator, a ring bank) can never validate, and
 			// hill-climb moves produce them constantly. Rejecting before
@@ -909,26 +839,19 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			st.Duplicates++
 			return nil
 		}
-		if o.noBatch {
-			return tryRef(m, fp, doValidate)
+		shared, sfShared := levelsShared(prevEval, m), 0
+		if spatialKey >= 0 && spatialKey == lastSpatialKey {
+			sfShared = n
 		}
-		shared, sfShared := 0, 0
-		if !o.noDelta {
-			shared = levelsShared(prevEval, m)
-			if spatialKey >= 0 && spatialKey == lastSpatialKey {
-				sfShared = n
-			}
-		}
-		// The staged bound is a byproduct of the core resolution, so unlike
-		// the reference path there is no adaptive gate here: checking it is
-		// free, and it always prunes when it can. When the objective is
-		// pure energy, the incumbent's score doubles as Stage's early-exit
-		// threshold: the bound stops accumulating once the partial sum
-		// alone proves the prune. The returned (partial) bound then exceeds
-		// the cutoff exactly when the full bound would, so the decision
-		// below is unchanged. Other objectives need the full bound (their
-		// score mixes in cycles).
-		prune := cutoff != nil && !o.noPrune
+		// The staged bound is a byproduct of the core resolution, so
+		// checking it is free and it always prunes when it can. When the
+		// objective is pure energy, the incumbent's score doubles as Stage's
+		// early-exit threshold: the bound stops accumulating once the
+		// partial sum alone proves the prune. The returned (partial) bound
+		// then exceeds the cutoff exactly when the full bound would, so the
+		// decision below is unchanged. Other objectives need the full bound
+		// (their score mixes in cycles).
+		prune := cutoff != nil
 		limitPJ := math.Inf(1)
 		if prune && o.Objective == MinEnergy {
 			limitPJ = cutoff.TotalPJ
@@ -963,7 +886,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			st.FullEvals++
 			retainDelta = false
 		}
-		retainValidate = doValidate
+		retainValidate = validate
 		return res
 	}
 	// retain runs the deferred full validation on a candidate about to be
@@ -999,11 +922,11 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// Seeds are tried in place: nothing below mutates a candidate, and
 	// consider clones on retention.
 	for _, seed := range o.Seeds {
-		consider(seed, try(seed, true, false, -1))
+		consider(seed, try(seed, true, -1))
 	}
 	for _, w := range warm {
 		// Already validated once in search(); try only dedups and scores.
-		r := try(w, false, false, -1)
+		r := try(w, false, -1)
 		if r != nil {
 			st.WarmStartEvals++
 		}
@@ -1028,7 +951,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			m := matBuf()
 			outerInto(a, m, l, assign, s.minLv)
 			*bufAssign(m) = int32(ai)
-			consider(m, try(m, true, false, int64(ai)))
+			consider(m, try(m, true, int64(ai)))
 		}
 	}
 
@@ -1079,7 +1002,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			ba := bufAssign(m)
 			s.materialize(m, &cands[ci], *ba == cands[ci].assign)
 			*ba = cands[ci].assign
-			consider(m, try(m, true, false, int64(cands[ci].assign)))
+			consider(m, try(m, true, int64(cands[ci].assign)))
 		}
 	}
 
@@ -1097,7 +1020,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			m := matBuf()
 			outerInto(a, m, l, assign, s.minLv)
 			*bufAssign(m) = int32(ai)
-			consider(m, try(m, true, false, int64(ai)))
+			consider(m, try(m, true, int64(ai)))
 		}
 	}
 	if best == nil {
@@ -1118,7 +1041,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			copyMapping(nb, cur.Mapping)
 			*bufAssign(nb) = -1
 			applyEdit(nb, e)
-			r := try(nb, true, false, climbKey)
+			r := try(nb, true, climbKey)
 			if r == nil {
 				continue
 			}
@@ -1214,19 +1137,6 @@ func applyAssignment(a *arch.Arch, m *mapping.Mapping, assign []workload.Dim) {
 	}
 }
 
-// remaining returns the per-dim temporal bound left after spatial factors.
-func remaining(a *arch.Arch, m *mapping.Mapping, l *workload.Layer) workload.Point {
-	spatial := workload.Ones()
-	for i := 0; i < a.NumLevels(); i++ {
-		spatial = spatial.Mul(m.SpatialAt(a, i))
-	}
-	rem := workload.Ones()
-	for _, d := range workload.AllDims() {
-		rem[d] = workload.CeilDiv(l.Bound(d), spatial[d])
-	}
-	return rem
-}
-
 // minLevels returns, per dimension, the outermost level at which loops over
 // that dimension may legally appear: the innermost of the outermost-keeper
 // levels of the tensors the dimension addresses. (Loops above a tensor's
@@ -1249,19 +1159,7 @@ func minLevels(a *arch.Arch) workload.Point {
 	return min
 }
 
-// outerMapping covers each dimension's remaining bound at the outermost
-// level allowed for it.
-func outerMapping(a *arch.Arch, l *workload.Layer, assign []workload.Dim, min workload.Point) *mapping.Mapping {
-	m := mapping.New(a)
-	applyAssignment(a, m, assign)
-	rem := remaining(a, m, l)
-	for _, d := range workload.AllDims() {
-		m.Levels[min[d]].Temporal[d] = rem[d]
-	}
-	return m
-}
-
-// outerInto is outerMapping materialized into a reusable buffer: inert
+// outerInto builds the trivial all-outer mapping into a reusable buffer: inert
 // factors and canonical permutations everywhere, the assignment applied,
 // and each dimension's remaining bound at its outermost legal level.
 func outerInto(a *arch.Arch, m *mapping.Mapping, l *workload.Layer, assign []workload.Dim, min workload.Point) {
@@ -1276,41 +1174,6 @@ func outerInto(a *arch.Arch, m *mapping.Mapping, l *workload.Layer, assign []wor
 	for _, d := range workload.AllDims() {
 		m.Levels[min[d]].Temporal[d] = rem[d]
 	}
-}
-
-// randomMapping draws a random temporal split and permutation set — the
-// reference generator drawCandidates is pinned against. Levels whose
-// MaxTemporalProduct forbids temporal loops are skipped (no factor or
-// permutation draws; see drawCandidates).
-func randomMapping(a *arch.Arch, l *workload.Layer, assign []workload.Dim, min workload.Point, rng *rand.Rand) *mapping.Mapping {
-	m := mapping.New(a)
-	applyAssignment(a, m, assign)
-	rem := remaining(a, m, l)
-	n := a.NumLevels()
-	for _, d := range workload.AllDims() {
-		// Pick an inner tile chain: for each level from innermost out,
-		// choose a candidate factor of what remains; the residue lands
-		// on the outermost level allowed for this dimension.
-		left := rem[d]
-		for i := n - 1; i > min[d] && left > 1; i-- {
-			if a.Level(i).MaxTemporalProduct == 1 {
-				continue
-			}
-			cands := mapping.PaddedCandidates(left)
-			f := cands[rng.Intn(len(cands))]
-			m.Levels[i].Temporal[d] = f
-			left = workload.CeilDiv(left, f)
-		}
-		m.Levels[min[d]].Temporal[d] *= left
-	}
-	for i := 0; i < n; i++ {
-		pi := 0
-		if a.Level(i).MaxTemporalProduct != 1 {
-			pi = rng.Intn(len(permCandidates))
-		}
-		m.Levels[i].Perm = append(m.Levels[i].Perm[:0], permCandidates[pi]...)
-	}
-	return m
 }
 
 // neighborEdit is one local move around a mapping: a factor of 2..3 of one
@@ -1505,7 +1368,7 @@ func (s *Session) Exhaustive(l *workload.Layer, obj Objective, maxEvals int) (*B
 	for _, assign := range s.assignments {
 		base := mapping.New(a)
 		applyAssignment(a, base, assign)
-		rem := remaining(a, base, l)
+		rem := assignmentRemaining(a, assign, l)
 		dimSplits := make([][][]int, workload.NumDims)
 		for _, d := range workload.AllDims() {
 			dimSplits[d] = mapping.FactorSplits(rem[d], n)

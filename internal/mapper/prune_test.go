@@ -115,10 +115,10 @@ func compareBests(t *testing.T, label string, got, want *Best) {
 }
 
 // TestPrunedSearchMatchesUnprunedSampler is the tentpole equivalence test:
-// with pruning and delta evaluation disabled the worker degenerates to the
-// legacy always-evaluate sampler, and the optimized search must return a
-// bit-identical Best for every configuration — electrical and photonic
-// architectures, all objectives, several (budget, workers, seed) splits.
+// the optimized search must return a bit-identical Best to the naive
+// always-evaluate sampler (referenceSearch) for every configuration —
+// electrical and photonic architectures, all objectives, several (budget,
+// workers, seed) splits.
 func TestPrunedSearchMatchesUnprunedSampler(t *testing.T) {
 	archs := map[string]*arch.Arch{
 		"electrical": testArch(t, 1<<20),
@@ -158,12 +158,7 @@ func TestPrunedSearchMatchesUnprunedSampler(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, l.Name, err)
 				}
-				ref := opts
-				ref.noPrune, ref.noDelta, ref.noBatch = true, true, true
-				unpruned, err := s.Search(&l, ref)
-				if err != nil {
-					t.Fatalf("%s/%s ref: %v", name, l.Name, err)
-				}
+				unpruned := referenceSearch(t, s, &l, opts)
 				compareBests(t, name+"/"+l.Name, pruned, unpruned)
 				if unpruned.Stats.Pruned != 0 || unpruned.Stats.DeltaEvals != 0 {
 					t.Fatalf("reference sampler pruned or delta-evaluated: %+v", unpruned.Stats)
@@ -173,12 +168,12 @@ func TestPrunedSearchMatchesUnprunedSampler(t *testing.T) {
 	}
 }
 
-// TestBatchedSearchMatchesReferencePath is the PR 6 tentpole equivalence
-// test: the fused stage-then-finish scoring path (one shared-prefix core
-// resolution serving both the admissible bound and the finishing passes)
-// must return a bit-identical Best to the unfused reference path — separate
-// LowerBound + EvaluatePartial calls in the legacy order — at 1, 2 and 8
-// workers, with and without pruning/delta in play.
+// TestBatchedSearchMatchesReferencePath pins the fused stage-then-finish
+// scoring path (one shared-prefix core resolution serving both the
+// admissible bound and the finishing passes) to the reference search,
+// which validates and fully evaluates every candidate in draw order: the
+// Best must be bit-identical at 1, 2 and 8 workers, for an energy and an
+// EDP objective.
 func TestBatchedSearchMatchesReferencePath(t *testing.T) {
 	archs := map[string]*arch.Arch{
 		"electrical": testArch(t, 1<<20),
@@ -201,12 +196,7 @@ func TestBatchedSearchMatchesReferencePath(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s: %v", name, l.Name, err)
 					}
-					ref := opts
-					ref.noBatch = true
-					unbatched, err := s.Search(&l, ref)
-					if err != nil {
-						t.Fatalf("%s/%s ref: %v", name, l.Name, err)
-					}
+					unbatched := referenceSearch(t, s, &l, opts)
 					label := fmt.Sprintf("%s/%s/w%d/%v", name, l.Name, workers, obj)
 					compareBests(t, label, batched, unbatched)
 				}

@@ -23,8 +23,8 @@
 //	best, _ := photoloop.Search(a, &layer, photoloop.SearchOptions{})
 //	fmt.Println(best.Result) // pJ/MAC, MACs/cycle, utilization
 //
-// See examples/ for runnable programs and cmd/albireo-repro for the
-// regeneration of every figure in the paper.
+// See examples/ for runnable programs and `photoloop repro` (cmd/photoloop)
+// for the regeneration of every figure in the paper.
 package photoloop
 
 import (
