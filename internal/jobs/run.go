@@ -126,16 +126,18 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 		// Sharded sweeps farm the whole grid out as generation 0, then
 		// fall through to the unchanged local run, which finds every
 		// search warm in the refreshed store and assembles the artifact
-		// with zero recomputation — byte-identical by construction. A
-		// sweep that cannot be planned (warm start chains searches across
-		// points) skips sharding and just runs locally.
-		if m.Shard != nil {
-			if plan, perr := shard.PlanSweep(sp.Sweep); perr == nil {
+		// with zero recomputation — byte-identical by construction.
+		// Warm-start sweeps chain searches across points (each warm start
+		// is part of the next search's cache key), so they cannot be
+		// partitioned: they run locally, as does a spec the evaluator
+		// rejects (Run reports the error).
+		if m.Shard != nil && !sp.Sweep.WarmStart {
+			if ev, eerr := sweep.NewEvaluator(*sp.Sweep, sweep.Options{Cache: cache}); eerr == nil {
 				sr, serr := m.startShard(ctx, st, shard.KindSweep, sp.Sweep)
 				if serr != nil {
 					return fail(serr)
 				}
-				serr = sr.offer(taskIndices(plan.NumPoints()))
+				serr = sr.offer(taskIndices(int64(ev.NumPoints())))
 				sr.close()
 				if serr != nil {
 					return fail(serr)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"photoloop/internal/explore"
 	"photoloop/internal/shard"
@@ -161,5 +162,48 @@ func TestShardedWarmStartSweepFallsBack(t *testing.T) {
 	}
 	if st.Shards != nil {
 		t.Errorf("warm-start sweep reported shard progress: %+v", st.Shards)
+	}
+}
+
+// TestShardingGatesOnRunnableSweeps pins where the sharding gate lives:
+// a warm-start sweep is never offered (a coordinator with no worker at
+// all still completes it), and a sweep that Run rejects — an axis with no
+// values — fails with Run's own error whether or not sharding is on.
+func TestShardingGatesOnRunnableSweeps(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	warm := sweepJob()
+	warm.Sweep.WarmStart = true
+	m := openManager(t, t.TempDir())
+	m.Shard = shard.NewCoordinator()
+	m.ShardLocal = false // nobody would work an offered lease
+	st, err := m.Submit(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = m.Run(ctx, st.ID); err != nil || st.State != StateDone {
+		t.Fatalf("warm-start sweep with an idle coordinator: state %s, err %v", st.State, err)
+	}
+
+	empty := sweepJob()
+	empty.Sweep.Axes = []sweep.Axis{{Param: "output_lanes"}}
+	_, want := sweep.Run(*empty.Sweep, sweep.Options{})
+	if want == nil {
+		t.Fatal("sweep.Run accepted an axis with no values")
+	}
+	for _, sharded := range []bool{false, true} {
+		m := openManager(t, t.TempDir())
+		if sharded {
+			m.Shard = shard.NewCoordinator()
+		}
+		st, err := m.Submit(empty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err = m.Run(ctx, st.ID)
+		if err == nil || err.Error() != want.Error() || st.State != StateFailed || st.Error != want.Error() {
+			t.Errorf("sharded=%v: state %s, err %v; want failed with %q", sharded, st.State, err, want)
+		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
-
-	"photoloop/internal/sweep"
 )
 
 // fakeClock drives lease expiry deterministically.
@@ -193,53 +191,5 @@ func TestCoordinatorOfferReplacesGeneration(t *testing.T) {
 	case <-done1:
 	default:
 		t.Fatal("generation 1 not completed")
-	}
-}
-
-func TestSweepPlanMatchesRunOrder(t *testing.T) {
-	sp := sweep.Spec{
-		Base: sweep.Base{Albireo: &sweep.AlbireoBase{}},
-		Axes: []sweep.Axis{
-			{Param: "output_lanes", Values: []any{3, 5, 7}},
-			{Param: "wavelengths", Values: []any{4, 8}},
-		},
-		Workloads:  []sweep.Workload{{Network: "vgg16"}, {Network: "alexnet"}},
-		Objectives: []string{"energy", "delay"},
-	}
-	plan, err := PlanSweep(&sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.NumPoints() != 3*2*2*2 {
-		t.Fatalf("NumPoints = %d, want 24", plan.NumPoints())
-	}
-	// Mirror sweep.Run's enumeration: variants (first axis most
-	// significant) × workloads × objectives, objective fastest.
-	idx := int64(0)
-	for _, lanes := range []int{3, 5, 7} {
-		for _, wl := range []int{4, 8} {
-			for wi := 0; wi < 2; wi++ {
-				for oi := 0; oi < 2; oi++ {
-					values, gotWi, gotOi, err := plan.Decode(idx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if values[0] != lanes || values[1] != wl || gotWi != wi || gotOi != oi {
-						t.Fatalf("index %d decoded to (%v, %d, %d), want ([%d %d], %d, %d)",
-							idx, values, gotWi, gotOi, lanes, wl, wi, oi)
-					}
-					idx++
-				}
-			}
-		}
-	}
-	if _, _, _, err := plan.Decode(plan.NumPoints()); err == nil {
-		t.Fatal("out-of-range index decoded")
-	}
-	// WarmStart sweeps chain searches across points and must refuse.
-	ws := sp
-	ws.WarmStart = true
-	if _, err := PlanSweep(&ws); err == nil {
-		t.Fatal("warm-start sweep planned")
 	}
 }

@@ -245,20 +245,12 @@ func evalTasks(ctx context.Context, cache *mapper.Cache, lease *Lease, opts Work
 		if sp.SearchWorkers == 0 {
 			sp.SearchWorkers = opts.SearchWorkers
 		}
-		plan, err := PlanSweep(&sp)
-		if err != nil {
-			return err
-		}
 		ev, err := sweep.NewEvaluator(sp, sweep.Options{Cache: cache})
 		if err != nil {
 			return err
 		}
 		for _, task := range lease.Tasks {
-			values, wi, oi, err := plan.Decode(task)
-			if err != nil {
-				return err
-			}
-			if _, err := ev.Eval(int(task), values, wi, oi); err != nil {
+			if _, err := ev.EvalPoint(int(task)); err != nil {
 				return err
 			}
 			if err := pause(); err != nil {
@@ -289,71 +281,4 @@ func evalTasks(ctx context.Context, cache *mapper.Cache, lease *Lease, opts Work
 		return nil
 	}
 	return fmt.Errorf("shard: unknown lease kind %q", lease.Kind)
-}
-
-// SweepPlan is the index arithmetic of a sweep's point grid: point index
-// = (variant*W + workload)*O + objective, variants in cross-product
-// order with the first axis most significant — exactly sweep.Run's
-// enumeration, so a plan's Decode feeds sweep.Evaluator.Eval the same
-// (values, wi, oi) the full Run computes for that index.
-type SweepPlan struct {
-	axes [][]any
-	w, o int
-}
-
-// PlanSweep indexes a sweep spec's point grid. WarmStart sweeps refuse to
-// plan: their points chain searches across the variant axis (each warm
-// start is part of the next search's cache key), so they cannot be
-// partitioned without changing results — callers run those locally.
-func PlanSweep(sp *sweep.Spec) (*SweepPlan, error) {
-	if sp.WarmStart {
-		return nil, fmt.Errorf("shard: warm-start sweeps chain searches across points and cannot shard")
-	}
-	p := &SweepPlan{w: len(sp.Workloads), o: len(sp.Objectives)}
-	if p.o == 0 {
-		p.o = 1 // the implicit default "energy" objective
-	}
-	if p.w == 0 {
-		return nil, fmt.Errorf("shard: sweep spec has no workloads")
-	}
-	total := int64(p.w * p.o)
-	for _, ax := range sp.Axes {
-		if len(ax.Values) == 0 {
-			return nil, fmt.Errorf("shard: axis %q has no values", ax.Param)
-		}
-		p.axes = append(p.axes, ax.Values)
-		total *= int64(len(ax.Values))
-		if total > 1<<40 {
-			return nil, fmt.Errorf("shard: sweep grid implausibly large")
-		}
-	}
-	return p, nil
-}
-
-// NumPoints is the grid's total point count.
-func (p *SweepPlan) NumPoints() int64 {
-	total := int64(p.w * p.o)
-	for _, values := range p.axes {
-		total *= int64(len(values))
-	}
-	return total
-}
-
-// Decode resolves a point index into its axis values and workload and
-// objective indices.
-func (p *SweepPlan) Decode(idx int64) (values []any, wi, oi int, err error) {
-	if idx < 0 || idx >= p.NumPoints() {
-		return nil, 0, 0, fmt.Errorf("shard: point index %d out of range [0, %d)", idx, p.NumPoints())
-	}
-	oi = int(idx % int64(p.o))
-	idx /= int64(p.o)
-	wi = int(idx % int64(p.w))
-	idx /= int64(p.w)
-	values = make([]any, len(p.axes))
-	for i := len(p.axes) - 1; i >= 0; i-- {
-		n := int64(len(p.axes[i]))
-		values[i] = p.axes[i][idx%n]
-		idx /= n
-	}
-	return values, wi, oi, nil
 }

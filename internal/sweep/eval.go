@@ -1,15 +1,11 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 
-	"photoloop/internal/albireo"
-	"photoloop/internal/arch"
 	"photoloop/internal/fidelity"
 	"photoloop/internal/mapper"
-	"photoloop/internal/mapping"
-	"photoloop/internal/model"
-	"photoloop/internal/presets"
 	"photoloop/internal/spec"
 	"photoloop/internal/workload"
 )
@@ -20,11 +16,11 @@ import (
 // Network/Inline selects the workload. With no Mapping, every layer is
 // mapper-searched; with one, the fixed schedule is evaluated as-is.
 //
-// Searched evaluations of Albireo-backed architectures (an Albireo base
-// or an albireo-backed preset) run through albireo.EvalNetwork — the
-// canonical schedules seed each search and repeated layer shapes share
-// one search — exactly as sweep and study points do, so a study row and
-// the corresponding `photoloop eval` answer are bit-identical.
+// A request is a one-point sweep: Eval maps it onto a zero-axis Spec
+// (base, one workload, one objective, the search knobs) and evaluates
+// that point through the same code as every sweep and study point, so a
+// study row and the corresponding `photoloop eval` answer are
+// bit-identical.
 type EvalRequest struct {
 	// Arch is a raw architecture spec document.
 	Arch *spec.ArchSpec `json:"arch,omitempty"`
@@ -43,7 +39,7 @@ type EvalRequest struct {
 	// Objective is the mapper objective (default "energy").
 	Objective string `json:"objective,omitempty"`
 	// Budget, Seed and Workers tune the per-layer search (0 = mapper
-	// defaults).
+	// defaults; Workers above 64 is rejected).
 	Budget  int   `json:"budget,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
 	Workers int   `json:"workers,omitempty"`
@@ -84,205 +80,64 @@ type EvalResponse struct {
 	FullEvals  int `json:"full_evals,omitempty"`
 }
 
-// resolveBase resolves the request's architecture. For Albireo-backed
-// requests (an Albireo base or an albireo-backed preset) the returned
-// config is non-nil, letting searched evaluations run the same
-// albireo.EvalNetwork path the sweep engine uses.
-func (req *EvalRequest) resolveBase() (*albireo.Config, *arch.Arch, error) {
-	selectors := 0
-	for _, set := range []bool{req.Arch != nil, req.Albireo != nil, req.Preset != ""} {
-		if set {
-			selectors++
-		}
-	}
-	if selectors != 1 {
-		return nil, nil, fmt.Errorf("sweep: eval request must set exactly one of arch, albireo or preset")
-	}
-	var cfg *albireo.Config
-	switch {
-	case req.Arch != nil:
-		a, err := req.Arch.Build()
-		return nil, a, err
-	case req.Albireo != nil:
-		c, err := req.Albireo.config()
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg = &c
-	default:
-		p, err := presets.ByName(req.Preset)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sweep: eval request: %w", err)
-		}
-		if c, ok := p.Albireo(); ok {
-			cfg = &c
-		} else {
-			a, err := p.Build()
-			return nil, a, err
-		}
-	}
-	a, err := cfg.Build()
-	return cfg, a, err
-}
-
-// Eval runs one evaluation request. An optional shared cache deduplicates
-// searches across requests (the HTTP server passes its process-wide
-// cache; pass nil for a one-shot evaluation).
+// Eval runs one evaluation request as a one-point sweep: the request maps
+// onto a zero-axis Spec, and its single point is evaluated by the same
+// code as every sweep and study point. An optional shared cache
+// deduplicates searches across requests (the HTTP server passes its
+// process-wide cache; pass nil for a one-shot evaluation).
 func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
-	cfg, a, err := req.resolveBase()
-	if err != nil {
-		return nil, err
+	sp := Spec{
+		Base:          Base{Arch: req.Arch, Albireo: req.Albireo, Preset: req.Preset},
+		Workloads:     []Workload{{Network: req.Network, Inline: req.Inline, Batch: req.Batch}},
+		Budget:        req.Budget,
+		Seed:          req.Seed,
+		SearchWorkers: req.Workers,
+		Fidelity:      req.Fidelity,
+		IncludeLayers: true,
 	}
-	wl := Workload{Network: req.Network, Inline: req.Inline, Batch: req.Batch}
-	net, netName, err := wl.resolve()
-	if err != nil {
-		return nil, err
+	if req.Objective != "" {
+		sp.Objectives = []string{req.Objective}
 	}
-	layers := net.Layers
+	if sp.Base.set() != 1 {
+		return nil, errors.New("sweep: eval request must set exactly one of arch, albireo or preset")
+	}
+	ev, err := NewEvaluator(sp, Options{Cache: cache})
+	if err != nil {
+		// A request has no spec positions: it names itself for a bad
+		// preset and reports any other positioned rejection by its cause.
+		var se *specError
+		switch {
+		case !errors.As(err, &se):
+			return nil, err
+		case se.pos == "base":
+			return nil, fmt.Errorf("sweep: eval request: %w", se.err)
+		default:
+			return nil, se.err
+		}
+	}
+	job := ev.job(0, ev.base, 0, 0)
+	job.mapping = req.Mapping
 	if req.Layer != "" {
-		layers = nil
-		for i := range net.Layers {
-			if net.Layers[i].Name == req.Layer {
-				layers = append(layers, net.Layers[i])
+		var layers []workload.Layer
+		for _, l := range job.network.Layers {
+			if l.Name == req.Layer {
+				layers = append(layers, l)
 			}
 		}
 		if len(layers) == 0 {
-			return nil, fmt.Errorf("sweep: network %s has no layer %q", netName, req.Layer)
+			return nil, fmt.Errorf("sweep: network %s has no layer %q", job.netName, req.Layer)
 		}
+		job.network.Layers = layers
 	}
-	objName := req.Objective
-	if objName == "" {
-		objName = "energy"
-	}
-	obj, err := mapper.ParseObjective(objName)
+	p, err := ev.evalOwn(&job)
 	if err != nil {
 		return nil, err
 	}
-
-	resp := &EvalResponse{Arch: a.Name, Network: netName, PeakMACsPerCycle: a.PeakMACsPerCycle()}
-	if area, err := a.Area(); err == nil {
-		resp.AreaUM2 = area
-	}
-
-	// The fidelity rollup is a closed-form post-pass over each finished
-	// mapping: it annotates the response's layer outcomes and MAC-weighted
-	// totals without touching (possibly cached) evaluator results.
-	var chain *fidelity.Chain
-	if req.Fidelity != nil {
-		if chain, err = fidelity.Compile(a, req.Fidelity); err != nil {
-			return nil, err
-		}
-	}
-	var fidMACs, fidBits, fidSNR, fidLoss float64
-	annotate := func(lo *LayerOutcome, m *mapping.Mapping) {
-		if chain == nil {
-			return
-		}
-		rep := chain.Evaluate(m)
-		lo.EffectiveBits = rep.EffectiveBits
-		lo.SNRDB = rep.SNRDB
-		lo.AccuracyLossPct = rep.AccuracyLossPct
-		w := float64(lo.MACs)
-		fidMACs += w
-		fidBits += rep.EffectiveBits * w
-		fidSNR += rep.SNRDB * w
-		fidLoss += rep.AccuracyLossPct * w
-	}
-	finishFidelity := func() {
-		if chain != nil && fidMACs > 0 {
-			resp.EffectiveBits = fidBits / fidMACs
-			resp.SNRDB = fidSNR / fidMACs
-			resp.AccuracyLossPct = fidLoss / fidMACs
-		}
-	}
-
-	if cfg != nil && req.Mapping == nil {
-		// Albireo-backed search: run the exact network-evaluator path the
-		// sweep engine uses (canonical seeds, shape-deduplicated
-		// searches), so eval answers match sweep and study points
-		// bit-for-bit.
-		sub := workload.Network{Name: netName, Layers: layers}
-		nres, err := albireo.EvalNetwork(*cfg, sub, albireo.NetOptions{
-			Batch: req.Batch,
-			Mapper: mapper.Options{
-				Objective: obj, Budget: req.Budget, Seed: req.Seed,
-				Workers: req.Workers, Cache: cache,
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		total := model.Result{Layer: netName}
-		for i := range nres.Layers {
-			best := nres.Layers[i].Best
-			resp.Layers = append(resp.Layers, layerOutcome(best))
-			annotate(&resp.Layers[len(resp.Layers)-1], best.Mapping)
-			resp.Evaluations += best.Evaluations
-			resp.Pruned += best.Stats.Pruned
-			resp.DeltaEvals += best.Stats.DeltaEvals
-			resp.FullEvals += best.Stats.FullEvals
-			total.Accumulate(best.Result)
-		}
-		resp.fillTotals(&total)
-		finishFidelity()
-		return resp, nil
-	}
-
-	var fixedMapping *mapping.Mapping
-	var sess *mapper.Session
-	if req.Mapping != nil {
-		if fixedMapping, err = req.Mapping.Build(a); err != nil {
-			return nil, err
-		}
-	} else {
-		if sess, err = mapper.NewSession(a); err != nil {
-			return nil, err
-		}
-	}
-
-	total := model.Result{Layer: netName}
-	for i := range layers {
-		l := &layers[i]
-		var res *model.Result
-		var m *mapping.Mapping
-		evals := 0
-		var stats mapper.SearchStats
-		if fixedMapping != nil {
-			if res, err = model.Evaluate(a, l, fixedMapping, model.Options{}); err != nil {
-				return nil, fmt.Errorf("sweep: layer %s: %w", l.Name, err)
-			}
-			m = fixedMapping
-		} else {
-			best, err := sess.Search(l, mapper.Options{
-				Objective: obj, Budget: req.Budget, Seed: req.Seed,
-				Workers: req.Workers, Cache: cache,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("sweep: layer %s: %w", l.Name, err)
-			}
-			res, evals, stats = best.Result, best.Evaluations, best.Stats
-			m = best.Mapping
-		}
-		resp.Layers = append(resp.Layers, layerOutcomeFrom(res, evals, stats))
-		annotate(&resp.Layers[len(resp.Layers)-1], m)
-		resp.Evaluations += evals
-		resp.Pruned += stats.Pruned
-		resp.DeltaEvals += stats.DeltaEvals
-		resp.FullEvals += stats.FullEvals
-		total.Accumulate(res)
-	}
-	resp.fillTotals(&total)
-	finishFidelity()
-	return resp, nil
-}
-
-// fillTotals copies the accumulated whole-network metrics into the
-// response.
-func (resp *EvalResponse) fillTotals(total *model.Result) {
-	resp.MACs = total.MACs
-	resp.Cycles = total.Cycles
-	resp.TotalPJ = total.TotalPJ
-	resp.PJPerMAC = total.PJPerMAC()
-	resp.MACsPerCycle = total.MACsPerCycle
-	resp.Utilization = total.Utilization
+	return &EvalResponse{
+		Arch: p.Arch, Network: p.Network, AreaUM2: p.AreaUM2, PeakMACsPerCycle: p.PeakMACsPerCycle,
+		Layers: p.Layers, MACs: p.MACs, Cycles: p.Cycles, TotalPJ: p.TotalPJ, PJPerMAC: p.PJPerMAC,
+		MACsPerCycle: p.MACsPerCycle, Utilization: p.Utilization, Evaluations: p.Evaluations,
+		EffectiveBits: p.EffectiveBits, SNRDB: p.SNRDB, AccuracyLossPct: p.AccuracyLossPct,
+		Pruned: p.Pruned, DeltaEvals: p.DeltaEvals, FullEvals: p.FullEvals,
+	}, nil
 }

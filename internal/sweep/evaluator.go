@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"photoloop/internal/mapper"
-	"photoloop/internal/presets"
 	"photoloop/internal/workload"
 )
 
@@ -22,6 +21,7 @@ import (
 // concurrent use.
 type Evaluator struct {
 	spec     Spec
+	base     *variant
 	r        *runner
 	networks []workload.Network
 	netNames []string
@@ -29,19 +29,43 @@ type Evaluator struct {
 	objNames []string
 }
 
+// maxSearchWorkers caps Spec.SearchWorkers (and an eval request's
+// Workers): a layer search allocates and spawns per worker, and the value
+// arrives from clients. Far above every useful setting — the mapper
+// default is at most 8.
+const maxSearchWorkers = 64
+
+// specError is a spec rejection at one position of the spec: "base",
+// "workload <i>", or "" for the objective list.
+type specError struct {
+	pos string
+	err error
+}
+
+// Error implements error: "sweep: <pos>: <cause>".
+func (e *specError) Error() string {
+	if e.pos == "" {
+		return "sweep: " + e.err.Error()
+	}
+	return "sweep: " + e.pos + ": " + e.err.Error()
+}
+
+// Unwrap returns the cause.
+func (e *specError) Unwrap() error { return e.err }
+
 // NewEvaluator validates the spec's base, workloads and objectives (its
 // axes' Values lists may be empty — only the Param names matter) and
-// prepares the shared evaluation state. Options.Workers and
-// Options.Progress are ignored: the caller drives its own concurrency and
+// prepares the shared evaluation state. It is the one validation point
+// every sweep, study, eval request and sharded task passes. Options
+// contributes only the Cache: the caller drives its own concurrency and
 // accounting, point by point.
 func NewEvaluator(sp Spec, opts Options) (*Evaluator, error) {
-	if sp.Base.set() != 1 {
-		return nil, fmt.Errorf("sweep: base must set exactly one of albireo, arch or preset")
+	base, err := sp.base()
+	if err != nil {
+		return nil, err
 	}
-	for _, ax := range sp.Axes {
-		if ax.Param == "" {
-			return nil, fmt.Errorf("sweep: axis has no param")
-		}
+	if sp.SearchWorkers > maxSearchWorkers {
+		return nil, fmt.Errorf("sweep: %d search workers exceeds the cap of %d", sp.SearchWorkers, maxSearchWorkers)
 	}
 	if len(sp.Workloads) == 0 {
 		return nil, fmt.Errorf("sweep: spec has no workloads")
@@ -52,45 +76,33 @@ func NewEvaluator(sp Spec, opts Options) (*Evaluator, error) {
 	}
 	e := &Evaluator{
 		spec:     sp,
+		base:     base,
 		networks: make([]workload.Network, len(sp.Workloads)),
 		netNames: make([]string, len(sp.Workloads)),
 		objs:     make([]mapper.Objective, len(objectives)),
 		objNames: objectives,
 	}
-	// The base kind gates fused workloads exactly as Run does (fusion
-	// needs an albireo-backed variant evaluator).
-	albireoBase := sp.Base.Albireo != nil
-	if sp.Base.Preset != "" {
-		p, err := presets.ByName(sp.Base.Preset)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: base: %w", err)
-		}
-		_, albireoBase = p.Albireo()
-	}
-	var err error
 	for i := range sp.Workloads {
 		w := &sp.Workloads[i]
-		if w.Fused && !albireoBase {
+		// Fusion needs an albireo-backed variant evaluator.
+		if w.Fused && base.albireo == nil {
 			return nil, fmt.Errorf("sweep: workload %d: fused evaluation needs an albireo-backed base", i)
 		}
 		e.networks[i], e.netNames[i], err = w.resolve()
 		if err != nil {
-			return nil, fmt.Errorf("sweep: workload %d: %w", i, err)
+			return nil, &specError{pos: fmt.Sprintf("workload %d", i), err: err}
 		}
 	}
 	for i, name := range objectives {
 		if e.objs[i], err = mapper.ParseObjective(name); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
+			return nil, &specError{err: err}
 		}
 	}
 	cache := opts.Cache
 	if cache == nil {
 		cache = mapper.NewCache()
 	}
-	e.r = &runner{
-		spec: &e.spec, opts: &Options{}, cache: cache,
-		states: map[*variant]*variantState{},
-	}
+	e.r = &runner{spec: &e.spec, cache: cache}
 	return e, nil
 }
 
@@ -102,16 +114,38 @@ func (e *Evaluator) Workloads() []string { return append([]string(nil), e.netNam
 func (e *Evaluator) Objectives() []string { return append([]string(nil), e.objNames...) }
 
 // Validate builds (and discards) the variant for one set of axis values —
-// base resolution, axis application and architecture construction — so
-// explorers can reject an invalid point or a mistyped axis param before
-// spending any evaluation.
+// axis application and architecture construction — so explorers can
+// reject an invalid point or a mistyped axis param before spending any
+// evaluation.
 func (e *Evaluator) Validate(values []any) error {
-	v, err := e.spec.variantWith(values)
+	v, err := e.spec.variantWith(e.base, values)
 	if err != nil {
 		return err
 	}
 	_, err = v.build()
 	return err
+}
+
+// job assembles the pending point index: variant v against workload wi
+// and objective oi (spec indices).
+func (e *Evaluator) job(index int, v *variant, wi, oi int) pointJob {
+	return pointJob{
+		index:    index,
+		variant:  v,
+		workload: &e.spec.Workloads[wi],
+		network:  e.networks[wi],
+		netName:  e.netNames[wi],
+		objName:  e.objNames[oi],
+		obj:      e.objs[oi],
+	}
+}
+
+// evalOwn evaluates a job whose variant no other job shares, on a
+// job-owned state (see pointJob.state).
+func (e *Evaluator) evalOwn(job *pointJob) (Point, error) {
+	job.state = &variantState{}
+	p, _, err := e.r.evaluate(job, nil, false)
+	return p, err
 }
 
 // Eval evaluates one point: the variant with the given axis values,
@@ -125,27 +159,50 @@ func (e *Evaluator) Eval(index int, values []any, wi, oi int) (*Point, error) {
 	if oi < 0 || oi >= len(e.objs) {
 		return nil, fmt.Errorf("sweep: objective index %d out of range", oi)
 	}
-	v, err := e.spec.variantWith(values)
+	v, err := e.spec.variantWith(e.base, values)
 	if err != nil {
 		return nil, err
 	}
-	// Each call gets its own variant, so the state is caller-owned rather
-	// than memoized in the runner's map (which would grow by one dead
-	// entry per evaluation for the Evaluator's lifetime).
-	st := &variantState{}
-	st.init(v, e.spec.Fidelity)
-	job := pointJob{
-		index:    index,
-		variant:  v,
-		workload: &e.spec.Workloads[wi],
-		network:  e.networks[wi],
-		netName:  e.netNames[wi],
-		objName:  e.objNames[oi],
-		obj:      e.objs[oi],
-		state:    st,
-	}
-	p, _ := e.r.evaluate(&job, nil, false)
+	job := e.job(index, v, wi, oi)
+	p, _ := e.evalOwn(&job)
 	return &p, nil
+}
+
+// NumPoints is the number of points a Run of the spec evaluates:
+// variants × workloads × objectives. It is 0 when Run rejects the grid
+// (an axis without values, or more than maxVariants variants).
+func (e *Evaluator) NumPoints() int {
+	n := 1
+	for _, ax := range e.spec.Axes {
+		if len(ax.Values) == 0 || n > maxVariants/len(ax.Values) {
+			return 0
+		}
+		n *= len(ax.Values)
+	}
+	return n * len(e.networks) * len(e.objs)
+}
+
+// EvalPoint evaluates point idx of the spec's grid in Run's index order —
+// idx = (variant*workloads + workload)*objectives + objective, variants
+// in cross-product order with the first axis most significant — and
+// returns the Point a Run produces at that index. WarmStart sweeps chain
+// searches across points, so their Run points differ from these cold
+// evaluations; sharding skips them.
+func (e *Evaluator) EvalPoint(idx int) (*Point, error) {
+	if n := e.NumPoints(); idx < 0 || idx >= n {
+		return nil, fmt.Errorf("sweep: point index %d out of range [0, %d)", idx, n)
+	}
+	oi := idx % len(e.objs)
+	rest := idx / len(e.objs)
+	wi := rest % len(e.networks)
+	rest /= len(e.networks)
+	values := make([]any, len(e.spec.Axes))
+	for i := len(values) - 1; i >= 0; i-- {
+		axis := e.spec.Axes[i].Values
+		values[i] = axis[rest%len(axis)]
+		rest /= len(axis)
+	}
+	return e.Eval(idx, values, wi, oi)
 }
 
 // CacheStats reports the hit/miss counters of the evaluator's search

@@ -54,6 +54,23 @@ func TestEvaluatorMatchesRunPoints(t *testing.T) {
 		if !reflect.DeepEqual(*got, want) {
 			t.Errorf("point %d differs:\n got %+v\nwant %+v", i, *got, want)
 		}
+		// EvalPoint owns Run's index arithmetic: the whole point,
+		// ledger included, must match.
+		byIndex, err := ev.EvalPoint(i)
+		if err != nil {
+			t.Fatalf("EvalPoint(%d): %v", i, err)
+		}
+		if !reflect.DeepEqual(byIndex, p) {
+			t.Errorf("EvalPoint(%d) differs from Run point %d:\n got %+v\nwant %+v", i, i, *byIndex, *p)
+		}
+	}
+	if n := ev.NumPoints(); n != len(res.Points) {
+		t.Errorf("NumPoints = %d, want %d", n, len(res.Points))
+	}
+	for _, idx := range []int{-1, len(res.Points)} {
+		if _, err := ev.EvalPoint(idx); err == nil {
+			t.Errorf("EvalPoint(%d) out of range accepted", idx)
+		}
 	}
 }
 
@@ -95,5 +112,58 @@ func TestEvaluatorValidate(t *testing.T) {
 	fused.Workloads = []Workload{{Network: "alexnet", Fused: true}}
 	if _, err := NewEvaluator(fused, Options{}); err == nil {
 		t.Error("fused workload on electrical base accepted")
+	}
+}
+
+// TestEvalPointIndexOrder pins EvalPoint's decoding on a grid with more
+// than one workload and objective: every index lands on the variant,
+// workload and objective of Run's point at that index.
+func TestEvalPointIndexOrder(t *testing.T) {
+	other := tinyNet()
+	other.Name = "tiny-b"
+	sp := Spec{
+		Base: Base{Albireo: &AlbireoBase{}},
+		Axes: []Axis{
+			{Param: "output_lanes", Values: []any{3, 5, 7}},
+			{Param: "or_lanes", Values: []any{1, 3}},
+		},
+		Workloads:     []Workload{{Inline: tinyNet()}, {Inline: other, Batch: 2}},
+		Objectives:    []string{"energy", "delay"},
+		Budget:        10,
+		Seed:          1,
+		SearchWorkers: 1,
+	}
+	res, err := Run(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := NewEvaluator(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ev.NumPoints(); n != 3*2*2*2 || n != len(res.Points) {
+		t.Fatalf("NumPoints = %d, Run produced %d, want 24", n, len(res.Points))
+	}
+	for i := range res.Points {
+		got, err := ev.EvalPoint(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &res.Points[i]
+		if got.Variant != want.Variant || got.Network != want.Network ||
+			got.Batch != want.Batch || got.Objective != want.Objective || got.TotalPJ != want.TotalPJ {
+			t.Errorf("index %d: EvalPoint (%s %s/%d %s) != Run (%s %s/%d %s)", i,
+				got.Variant, got.Network, got.Batch, got.Objective,
+				want.Variant, want.Network, want.Batch, want.Objective)
+		}
+	}
+	empty := sp
+	empty.Axes = []Axis{{Param: "or_lanes"}}
+	ev, err = NewEvaluator(empty, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ev.NumPoints(); n != 0 {
+		t.Errorf("axis without values: NumPoints = %d, want 0 (Run rejects the grid)", n)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"photoloop/internal/mapper"
 	"photoloop/internal/mapping"
 	"photoloop/internal/model"
+	"photoloop/internal/spec"
 	"photoloop/internal/workload"
 )
 
@@ -158,6 +159,9 @@ type pointJob struct {
 	netName  string
 	objName  string
 	obj      mapper.Objective
+	// mapping, when set, is a fixed schedule scored on every layer
+	// instead of searching (eval requests only).
+	mapping *spec.MappingSpec
 	// state, when set, carries a caller-owned variant state and bypasses
 	// the runner's per-variant memo map (Evaluator jobs build one variant
 	// per call, so memoizing them would only leak entries).
@@ -169,52 +173,20 @@ type pointJob struct {
 // failed, the first failure is returned as the error (its point, and any
 // other failed points, carry Err).
 func Run(sp Spec, opts Options) (*Result, error) {
+	ev, err := NewEvaluator(sp, opts)
+	if err != nil {
+		return nil, err
+	}
 	variants, err := sp.expand()
 	if err != nil {
 		return nil, err
 	}
-	if len(sp.Workloads) == 0 {
-		return nil, fmt.Errorf("sweep: spec has no workloads")
-	}
-	objectives := sp.Objectives
-	if len(objectives) == 0 {
-		objectives = []string{"energy"}
-	}
-
-	// Resolve workloads and objectives once up front: spec errors should
-	// fail the run before any evaluation starts.
-	networks := make([]workload.Network, len(sp.Workloads))
-	netNames := make([]string, len(sp.Workloads))
-	for i := range sp.Workloads {
-		w := &sp.Workloads[i]
-		if w.Fused && variants[0].albireo == nil {
-			return nil, fmt.Errorf("sweep: workload %d: fused evaluation needs an albireo-backed base", i)
-		}
-		networks[i], netNames[i], err = w.resolve()
-		if err != nil {
-			return nil, fmt.Errorf("sweep: workload %d: %w", i, err)
-		}
-	}
-	objs := make([]mapper.Objective, len(objectives))
-	for i, name := range objectives {
-		if objs[i], err = mapper.ParseObjective(name); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
-	}
-
-	jobs := make([]pointJob, 0, len(variants)*len(sp.Workloads)*len(objectives))
+	perWO := len(ev.networks) * len(ev.objs)
+	jobs := make([]pointJob, 0, len(variants)*perWO)
 	for _, v := range variants {
-		for wi := range sp.Workloads {
-			for oi, objName := range objectives {
-				jobs = append(jobs, pointJob{
-					index:    len(jobs),
-					variant:  v,
-					workload: &sp.Workloads[wi],
-					network:  networks[wi],
-					netName:  netNames[wi],
-					objName:  objName,
-					obj:      objs[oi],
-				})
+		for wi := range ev.networks {
+			for oi := range ev.objs {
+				jobs = append(jobs, ev.job(len(jobs), v, wi, oi))
 			}
 		}
 	}
@@ -226,7 +198,6 @@ func Run(sp Spec, opts Options) (*Result, error) {
 	// inherits its neighbor's best mappings deterministically.
 	var chains [][]int
 	if sp.WarmStart {
-		perWO := len(sp.Workloads) * len(objectives)
 		chains = make([][]int, perWO)
 		for i := range jobs {
 			wo := i % perWO
@@ -239,19 +210,14 @@ func Run(sp Spec, opts Options) (*Result, error) {
 		}
 	}
 
-	cache := opts.Cache
-	if cache == nil {
-		cache = mapper.NewCache()
-	}
 	// Snapshot the counters so the result reports THIS run's dedupe, not
 	// a shared cache's lifetime totals. (Concurrent runs on one cache
 	// still see each other's traffic in the deltas — the numbers are
 	// per-run, not per-key-set.)
-	hits0, misses0 := cache.Stats()
-	r := &runner{
-		spec: &sp, opts: &opts, cache: cache, total: len(jobs),
-		states: make(map[*variant]*variantState, len(variants)),
-	}
+	r := ev.r
+	r.opts, r.total = opts, len(jobs)
+	r.states = make(map[*variant]*variantState, len(variants))
+	hits0, misses0 := r.cache.Stats()
 	res := &Result{Name: sp.Name, Points: make([]Point, len(jobs))}
 
 	workers := opts.Workers
@@ -289,7 +255,7 @@ func Run(sp Spec, opts Options) (*Result, error) {
 						res.Points[job.index] = canceledPoint(job, ctx.Err())
 						continue
 					}
-					res.Points[job.index], warm = r.evaluate(job, warm, sp.WarmStart)
+					res.Points[job.index], warm, _ = r.evaluate(job, warm, sp.WarmStart)
 					r.report(&res.Points[job.index])
 				}
 			}
@@ -308,7 +274,7 @@ dispatch:
 	close(chainCh)
 	wg.Wait()
 
-	hits1, misses1 := cache.Stats()
+	hits1, misses1 := r.cache.Stats()
 	res.CacheHits, res.CacheMisses = hits1-hits0, misses1-misses0
 	for i := range res.Points {
 		res.Pruned += res.Points[i].Pruned
@@ -343,20 +309,23 @@ func canceledPoint(job *pointJob, err error) Point {
 	}
 }
 
-// runner carries the shared state of one Run.
+// runner carries the shared evaluation state of one Evaluator (and of
+// the Run built on it).
 type runner struct {
 	spec  *Spec
-	opts  *Options
 	cache *mapper.Cache
 
+	// opts, done and total drive a Run's progress and streaming
+	// callbacks (unset for on-demand evaluation).
+	opts  Options
 	mu    sync.Mutex
 	done  int
 	total int
 
 	// Per-variant built architecture and (for raw-spec bases) the shared
-	// mapper session. Albireo bases build sessions inside the network
-	// evaluator; the cache dedupes across them by architecture
-	// fingerprint.
+	// mapper session — a Run's memo; on-demand jobs carry their own
+	// state. Albireo bases build sessions inside the network evaluator;
+	// the cache dedupes across them by architecture fingerprint.
 	stateMu sync.Mutex
 	states  map[*variant]*variantState
 }
@@ -365,18 +334,18 @@ type runner struct {
 type variantState struct {
 	once sync.Once
 	a    *arch.Arch
-	sess *mapper.Session // raw-spec bases only
+	sess *mapper.Session // raw-spec bases with searched points only
 	fid  *fidelity.Chain // nil unless Spec.Fidelity is set
 	err  error
 }
 
-// init builds (once) the variant's architecture and, for raw-spec bases,
-// its mapper session. A non-nil fspec additionally compiles the variant's
-// analog fidelity chain.
-func (st *variantState) init(v *variant, fspec *fidelity.Spec) {
+// init builds (once) the variant's architecture and, for searched points
+// of raw-spec bases, its mapper session. A non-nil fspec additionally
+// compiles the variant's analog fidelity chain.
+func (st *variantState) init(v *variant, fspec *fidelity.Spec, search bool) {
 	st.once.Do(func() {
 		st.a, st.err = v.build()
-		if st.err == nil && v.albireo == nil {
+		if st.err == nil && v.albireo == nil && search {
 			st.sess, st.err = mapper.NewSession(st.a)
 		}
 		if st.err == nil && fspec != nil {
@@ -385,16 +354,15 @@ func (st *variantState) init(v *variant, fspec *fidelity.Spec) {
 	})
 }
 
-// state builds (once) the variant's shared evaluation state.
+// state returns the variant's memoized evaluation state.
 func (r *runner) state(v *variant) *variantState {
 	r.stateMu.Lock()
+	defer r.stateMu.Unlock()
 	st, ok := r.states[v]
 	if !ok {
 		st = &variantState{}
 		r.states[v] = st
 	}
-	r.stateMu.Unlock()
-	st.init(v, r.spec.Fidelity)
 	return st
 }
 
@@ -426,10 +394,12 @@ func (r *runner) mapperOptions(obj mapper.Objective) mapper.Options {
 	}
 }
 
-// evaluate computes one point; failures land in Point.Err. warm supplies
+// evaluate computes one point — the one evaluation path behind Run,
+// Evaluator and Eval. A failure lands in Point.Err and is returned as an
+// error too (a failed layer as "sweep: layer <name>: ..."). warm supplies
 // the previous chained point's best mappings; when collect is set the
 // point's own bests are returned for its successor.
-func (r *runner) evaluate(job *pointJob, warm warmTable, collect bool) (Point, warmTable) {
+func (r *runner) evaluate(job *pointJob, warm warmTable, collect bool) (Point, warmTable, error) {
 	p := Point{
 		Index:     job.index,
 		Variant:   job.variant.label,
@@ -439,13 +409,21 @@ func (r *runner) evaluate(job *pointJob, warm warmTable, collect bool) (Point, w
 		Fused:     job.workload.Fused,
 		Objective: job.objName,
 	}
+	fail := func(err error) (Point, warmTable, error) {
+		p.Err = err.Error()
+		return p, nil, err
+	}
+	failLayer := func(layer string, err error) (Point, warmTable, error) {
+		p.Err = fmt.Sprintf("layer %s: %v", layer, err)
+		return p, nil, fmt.Errorf("sweep: layer %s: %w", layer, err)
+	}
 	st := job.state
 	if st == nil {
 		st = r.state(job.variant)
 	}
+	st.init(job.variant, r.spec.Fidelity, job.mapping == nil)
 	if st.err != nil {
-		p.Err = st.err.Error()
-		return p, nil
+		return fail(st.err)
 	}
 	a := st.a
 	p.Arch = a.Name
@@ -453,38 +431,50 @@ func (r *runner) evaluate(job *pointJob, warm warmTable, collect bool) (Point, w
 	if area, err := a.Area(); err == nil {
 		p.AreaUM2 = area
 	}
+	var fixed *mapping.Mapping
+	if job.mapping != nil {
+		var err error
+		if fixed, err = job.mapping.Build(a); err != nil {
+			return fail(err)
+		}
+	}
 
 	var next warmTable
 	if collect {
 		next = make(warmTable)
 	}
-	addStats := func(st mapper.SearchStats) {
-		p.Pruned += st.Pruned
-		p.DeltaEvals += st.DeltaEvals
-		p.FullEvals += st.FullEvals
-	}
-	// annotate attaches the analog fidelity rollup to a layer outcome and
-	// feeds the MAC-weighted point aggregate. Cached mapper results are
-	// shared across points, so fidelity lands on the point-owned outcome
-	// and total — never on best.Result.
+	// add records one layer's best mapping: its outcome, the search
+	// funnel, the warm table and the analog fidelity rollup. Cached mapper
+	// results are shared across points, so fidelity lands on the
+	// point-owned outcome and total — never on best.Result.
+	var layers []LayerOutcome
 	var fidMACs, fidBits, fidSNR, fidLoss float64
-	annotate := func(lo *LayerOutcome, m *mapping.Mapping) {
-		if st.fid == nil {
-			return
+	add := func(layer *workload.Layer, best *mapper.Best) {
+		lo := layerOutcome(best)
+		p.Evaluations += best.Evaluations
+		p.Pruned += best.Stats.Pruned
+		p.DeltaEvals += best.Stats.DeltaEvals
+		p.FullEvals += best.Stats.FullEvals
+		if collect {
+			if fp := layer.ShapeFingerprint(); next[fp] == nil {
+				next[fp] = []*mapping.Mapping{best.Mapping}
+			}
 		}
-		rep := st.fid.Evaluate(m)
-		lo.EffectiveBits = rep.EffectiveBits
-		lo.SNRDB = rep.SNRDB
-		lo.AccuracyLossPct = rep.AccuracyLossPct
-		w := float64(lo.MACs)
-		fidMACs += w
-		fidBits += rep.EffectiveBits * w
-		fidSNR += rep.SNRDB * w
-		fidLoss += rep.AccuracyLossPct * w
+		if st.fid != nil {
+			rep := st.fid.Evaluate(best.Mapping)
+			lo.EffectiveBits = rep.EffectiveBits
+			lo.SNRDB = rep.SNRDB
+			lo.AccuracyLossPct = rep.AccuracyLossPct
+			w := float64(lo.MACs)
+			fidMACs += w
+			fidBits += rep.EffectiveBits * w
+			fidSNR += rep.SNRDB * w
+			fidLoss += rep.AccuracyLossPct * w
+		}
+		layers = append(layers, lo)
 	}
 	var total *model.Result
-	var layers []LayerOutcome
-	if job.variant.albireo != nil {
+	if job.variant.albireo != nil && fixed == nil {
 		nres, err := albireo.EvalNetwork(*job.variant.albireo, job.network, albireo.NetOptions{
 			Batch:      job.workload.Batch,
 			Fused:      job.workload.Fused,
@@ -492,46 +482,31 @@ func (r *runner) evaluate(job *pointJob, warm warmTable, collect bool) (Point, w
 			WarmStarts: warm,
 		})
 		if err != nil {
-			p.Err = err.Error()
-			return p, nil
+			return fail(err)
 		}
 		total = &nres.Total
 		for i := range nres.Layers {
-			le := &nres.Layers[i]
-			layers = append(layers, layerOutcome(le.Best))
-			annotate(&layers[len(layers)-1], le.Best.Mapping)
-			p.Evaluations += le.Best.Evaluations
-			addStats(le.Best.Stats)
-			if collect {
-				fp := le.Layer.ShapeFingerprint()
-				if next[fp] == nil {
-					next[fp] = []*mapping.Mapping{le.Best.Mapping}
-				}
-			}
+			add(&nres.Layers[i].Layer, nres.Layers[i].Best)
 		}
 	} else {
-		sess := st.sess
 		total = &model.Result{Layer: job.netName}
 		for i := range job.network.Layers {
 			layer := &job.network.Layers[i]
-			mopts := r.mapperOptions(job.obj)
-			mopts.WarmStarts = warm[layer.ShapeFingerprint()]
-			best, err := sess.Search(layer, mopts)
+			var best *mapper.Best
+			var err error
+			if fixed != nil {
+				best = &mapper.Best{Mapping: fixed}
+				best.Result, err = model.Evaluate(a, layer, fixed, model.Options{})
+			} else {
+				mopts := r.mapperOptions(job.obj)
+				mopts.WarmStarts = warm[layer.ShapeFingerprint()]
+				best, err = st.sess.Search(layer, mopts)
+			}
 			if err != nil {
-				p.Err = fmt.Sprintf("layer %s: %v", layer.Name, err)
-				return p, nil
+				return failLayer(layer.Name, err)
 			}
 			total.Accumulate(best.Result)
-			layers = append(layers, layerOutcome(best))
-			annotate(&layers[len(layers)-1], best.Mapping)
-			p.Evaluations += best.Evaluations
-			addStats(best.Stats)
-			if collect {
-				fp := layer.ShapeFingerprint()
-				if next[fp] == nil {
-					next[fp] = []*mapping.Mapping{best.Mapping}
-				}
-			}
+			add(layer, best)
 		}
 	}
 
@@ -553,14 +528,11 @@ func (r *runner) evaluate(job *pointJob, warm warmTable, collect bool) (Point, w
 	if r.spec.IncludeLayers {
 		p.Layers = layers
 	}
-	return p, next
+	return p, next, nil
 }
 
 func layerOutcome(best *mapper.Best) LayerOutcome {
-	return layerOutcomeFrom(best.Result, best.Evaluations, best.Stats)
-}
-
-func layerOutcomeFrom(res *model.Result, evals int, stats mapper.SearchStats) LayerOutcome {
+	res := best.Result
 	return LayerOutcome{
 		Layer:        res.Layer,
 		MACs:         res.MACs,
@@ -569,10 +541,10 @@ func layerOutcomeFrom(res *model.Result, evals int, stats mapper.SearchStats) La
 		Cycles:       res.Cycles,
 		MACsPerCycle: res.MACsPerCycle,
 		Utilization:  res.Utilization,
-		Evaluations:  evals,
-		Pruned:       stats.Pruned,
-		DeltaEvals:   stats.DeltaEvals,
-		FullEvals:    stats.FullEvals,
+		Evaluations:  best.Evaluations,
+		Pruned:       best.Stats.Pruned,
+		DeltaEvals:   best.Stats.DeltaEvals,
+		FullEvals:    best.Stats.FullEvals,
 	}
 }
 

@@ -120,6 +120,35 @@ func TestServeEvalSingleLayerAndErrors(t *testing.T) {
 	}
 }
 
+// TestServeRejectsSearchWorkersOverCap: the per-search worker count is
+// client input that sizes an allocation and a goroutine pool per layer
+// search, so both /v1/eval's workers and a sweep's search_workers are
+// capped at the spec validation point.
+func TestServeRejectsSearchWorkersOverCap(t *testing.T) {
+	srv := NewServer()
+	ok := &EvalRequest{Preset: "albireo", Inline: tinyNet(), Budget: 10, Seed: 1, Workers: maxSearchWorkers}
+	if w := postJSON(t, srv, "/v1/eval", ok); w.Code != http.StatusOK {
+		t.Fatalf("workers at the cap: status %d: %s", w.Code, w.Body.String())
+	}
+	for _, workers := range []int{maxSearchWorkers + 1, 100000} {
+		req := *ok
+		req.Workers = workers
+		w := postJSON(t, srv, "/v1/eval", &req)
+		if w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), "search workers exceeds the cap") {
+			t.Errorf("eval workers=%d: status %d: %s", workers, w.Code, w.Body.String())
+		}
+		w = postJSON(t, srv, "/v1/sweep", &Spec{
+			Base:          Base{Preset: "albireo"},
+			Workloads:     []Workload{{Inline: tinyNet()}},
+			Budget:        10,
+			SearchWorkers: workers,
+		})
+		if w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), "search workers exceeds the cap") {
+			t.Errorf("sweep search_workers=%d: status %d: %s", workers, w.Code, w.Body.String())
+		}
+	}
+}
+
 func TestServeSweepJSONAndCSV(t *testing.T) {
 	srv := NewServer()
 	sp := Spec{

@@ -46,8 +46,8 @@ type Spec struct {
 	// Seed fixes the mapper's randomness (0 = mapper default).
 	Seed int64 `json:"seed,omitempty"`
 	// SearchWorkers caps the per-layer search parallelism (0 = mapper
-	// default). Results are deterministic for a fixed (Seed,
-	// SearchWorkers) pair.
+	// default; above 64 is rejected). Results are deterministic for a
+	// fixed (Seed, SearchWorkers) pair.
 	SearchWorkers int `json:"search_workers,omitempty"`
 	// Fidelity enables the analog error model: every point's best
 	// mappings are rolled up through the compiled fidelity chain
@@ -110,8 +110,7 @@ type AlbireoBase struct {
 	Scaling string `json:"scaling,omitempty"`
 }
 
-// config resolves the base into an Albireo configuration — the one
-// construction both eval requests and sweep variants share.
+// config resolves the base into an Albireo configuration.
 func (b *AlbireoBase) config() (albireo.Config, error) {
 	cfg := albireo.Default(albireo.Conservative)
 	if b.Scaling != "" {
@@ -196,18 +195,50 @@ func (v *variant) build() (*arch.Arch, error) {
 	return v.arch.Build()
 }
 
-// expand walks the axes' cross product, first axis most significant, and
-// returns one variant per combination (a single variant when Axes is
-// empty).
-func (s *Spec) expand() ([]*variant, error) {
+// base resolves the spec's base into the variant every axis assignment
+// starts from (no axis applied yet): the Albireo configuration, the
+// preset, or the raw spec document itself.
+func (s *Spec) base() (*variant, error) {
 	if s.Base.set() != 1 {
 		return nil, fmt.Errorf("sweep: base must set exactly one of albireo, arch or preset")
 	}
-	total := 1
 	for _, ax := range s.Axes {
 		if ax.Param == "" {
 			return nil, fmt.Errorf("sweep: axis has no param")
 		}
+	}
+	v := &variant{arch: s.Base.Arch}
+	switch {
+	case s.Base.Albireo != nil:
+		cfg, err := s.Base.Albireo.config()
+		if err != nil {
+			return nil, err
+		}
+		v.albireo = &cfg
+	case s.Base.Preset != "":
+		p, err := presets.ByName(s.Base.Preset)
+		if err != nil {
+			return nil, &specError{pos: "base", err: err}
+		}
+		if cfg, ok := p.Albireo(); ok {
+			v.albireo = &cfg
+		} else {
+			v.preset = p
+		}
+	}
+	return v, nil
+}
+
+// expand walks the axes' cross product, first axis most significant, and
+// returns one variant per combination (a single variant when Axes is
+// empty).
+func (s *Spec) expand() ([]*variant, error) {
+	base, err := s.base()
+	if err != nil {
+		return nil, err
+	}
+	total := 1
+	for _, ax := range s.Axes {
 		if len(ax.Values) == 0 {
 			return nil, fmt.Errorf("sweep: axis %q has no values", ax.Param)
 		}
@@ -217,9 +248,13 @@ func (s *Spec) expand() ([]*variant, error) {
 		total *= len(ax.Values)
 	}
 	choice := make([]int, len(s.Axes))
+	values := make([]any, len(s.Axes))
 	out := make([]*variant, 0, total)
 	for {
-		v, err := s.variantAt(choice)
+		for i := range choice {
+			values[i] = s.Axes[i].Values[choice[i]]
+		}
+		v, err := s.variantWith(base, values)
 		if err != nil {
 			return nil, err
 		}
@@ -242,50 +277,29 @@ func (s *Spec) expand() ([]*variant, error) {
 // limit — fig-5-scale explorations are tens of variants).
 const maxVariants = 100000
 
-// variantAt materializes the variant for one choice vector into the
-// axes' value grids.
-func (s *Spec) variantAt(choice []int) (*variant, error) {
-	values := make([]any, len(choice))
-	for i := range choice {
-		values[i] = s.Axes[i].Values[choice[i]]
-	}
-	return s.variantWith(values)
-}
-
-// variantWith materializes the variant for one explicit value per axis.
-// The values need not appear in the axes' Values lists — on-demand
-// evaluators (sweep.Evaluator, the explore package) synthesize points the
-// declared grid never enumerates.
-func (s *Spec) variantWith(values []any) (*variant, error) {
+// variantWith materializes the variant for one explicit value per axis on
+// top of the resolved base. The values need not appear in the axes'
+// Values lists — on-demand evaluators (sweep.Evaluator, the explore
+// package) synthesize points the declared grid never enumerates.
+func (s *Spec) variantWith(base *variant, values []any) (*variant, error) {
 	if len(values) != len(s.Axes) {
 		return nil, fmt.Errorf("sweep: got %d axis values for %d axes", len(values), len(s.Axes))
 	}
-	v := &variant{params: make(map[string]any, len(s.Axes))}
-	var labels []string
-	switch {
-	case s.Base.Albireo != nil:
-		cfg, err := s.Base.Albireo.config()
-		if err != nil {
-			return nil, err
-		}
+	v := &variant{params: make(map[string]any, len(s.Axes)), arch: base.arch, preset: base.preset}
+	if base.albireo != nil {
+		cfg := *base.albireo
 		v.albireo = &cfg
-	case s.Base.Preset != "":
-		p, err := presets.ByName(s.Base.Preset)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: base: %w", err)
-		}
-		if cfg, ok := p.Albireo(); ok {
-			v.albireo = &cfg
-		} else {
-			v.preset = p
-		}
-	default:
-		cp, err := copyArchSpec(s.Base.Arch)
+	}
+	if v.arch != nil && len(s.Axes) > 0 {
+		// Axes override the document in place: give the variant its own
+		// deep copy so the caller's spec is never aliased.
+		cp, err := copyArchSpec(v.arch)
 		if err != nil {
 			return nil, err
 		}
 		v.arch = cp
 	}
+	var labels []string
 	for i, ax := range s.Axes {
 		val, err := v.apply(ax.Param, values[i])
 		if err != nil {
