@@ -2,7 +2,7 @@
 // modeling framework: evaluate or map JSON-specified architectures against
 // built-in or JSON-specified DNN workloads, run declarative design-space
 // sweeps and comparative preset studies, regenerate the paper's figures,
-// benchmark the engine, or serve the model over HTTP.
+// or serve the model over HTTP.
 //
 // Subcommands:
 //
@@ -15,7 +15,6 @@
 //	photoloop serve [-addr :8080] [-workers N] [-store DIR] [-shard]
 //	photoloop worker -coordinator URL [-job ID]
 //	photoloop repro [-fig all|2|3|4|5|ablation|claims] [-budget 800] [-seed 1] [-csv DIR]
-//	photoloop bench [-json] [-out BENCH.json] [-compare prior.json]
 //	photoloop template          # print an example architecture spec
 //	photoloop networks          # list built-in workloads
 //	photoloop presets           # list the architecture preset library
@@ -78,8 +77,6 @@ func run(args []string) int {
 		err = cmdWorker(args[1:])
 	case "repro":
 		err = cmdRepro(args[1:])
-	case "bench":
-		err = cmdBench(args[1:])
 	case "template":
 		fmt.Print(spec.Template)
 	case "networks":
@@ -188,12 +185,6 @@ func usage(w io.Writer) {
       modeling ablations) as text, and score the paper's headline claims
       against their tolerance bands. -csv also writes each figure's
       table as DIR/<fig>.csv. Exits 1 if any claim fails, naming it.
-  photoloop bench [-json] [-out BENCH.json] [-compare prior.json] [-label name]
-      Run the performance microbenchmarks (Evaluate, LowerBound,
-      MapperSearch, Fig4, Fig5) plus mapper pruning statistics, and emit
-      them as a table or a bench JSON document. -compare embeds a prior
-      document as the baseline and reports speedups — the repo's committed
-      BENCH_*.json trajectory artifacts are produced this way.
   photoloop template    print an example architecture spec
   photoloop networks    list built-in workloads
   photoloop presets     list the architecture preset library

@@ -391,7 +391,7 @@ func TestExplorationDocExample(t *testing.T) {
 
 // TestREADMESubcommandsDocumented keeps the README and `photoloop help`
 // honest: every CLI subcommand must appear in the README's command-line
-// session (bench was once missing; study must not regress the same way).
+// session.
 func TestREADMESubcommandsDocumented(t *testing.T) {
 	buf, err := os.ReadFile("README.md")
 	if err != nil {
@@ -400,7 +400,7 @@ func TestREADMESubcommandsDocumented(t *testing.T) {
 	text := string(buf)
 	for _, sub := range []string{
 		"eval", "sweep", "explore", "study", "jobs", "serve", "worker",
-		"repro", "bench", "template", "networks", "presets", "classes",
+		"repro", "template", "networks", "presets", "classes",
 	} {
 		if !strings.Contains(text, "photoloop "+sub) {
 			t.Errorf("README.md does not document the %q subcommand", sub)
@@ -414,9 +414,9 @@ func TestREADMESubcommandsDocumented(t *testing.T) {
 	for _, sub := range []string{
 		"photoloop eval", "photoloop sweep", "photoloop explore",
 		"photoloop study", "photoloop jobs", "photoloop serve",
-		"photoloop worker", "photoloop repro", "photoloop bench",
-		"photoloop template", "photoloop networks", "photoloop presets",
-		"photoloop classes", "photoloop version", "photoloop help",
+		"photoloop worker", "photoloop repro", "photoloop template",
+		"photoloop networks", "photoloop presets", "photoloop classes",
+		"photoloop version", "photoloop help",
 	} {
 		if !bytes.Contains(main, []byte(sub)) {
 			t.Errorf("cmd/photoloop usage does not mention %q", sub)

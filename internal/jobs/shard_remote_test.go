@@ -44,13 +44,16 @@ func remoteWorkerPool(t *testing.T, url string, n int) ([]*store.RemotePersister
 // is byte-identical to the single-process run at 1, 2 and 4 workers.
 // The coordinator's store must stay single-segment: proof that no worker
 // ever touched the directory. Work is conserved: every worker count
-// leaves the same number of searches in the store, so the leases
-// partition the grid without duplicating or losing any.
+// leaves the same, pinned number of searches in the store, so the
+// leases partition the grid without duplicating or losing any.
 func TestShardedRemoteNoSharedDir(t *testing.T) {
 	plain := openManager(t, t.TempDir())
 	_, want := runJob(t, plain, sweepJob())
 
-	searches := 0
+	// wantSearches is the number of distinct searches sweepJob runs (two
+	// variants × tinyNet's two layers), pinned so a change that adds or
+	// drops searches at every worker count alike fails too.
+	const wantSearches = 4
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			m := openManager(t, t.TempDir())
@@ -74,10 +77,8 @@ func TestShardedRemoteNoSharedDir(t *testing.T) {
 			if seg := m.Store().Segments(); seg != 1 {
 				t.Errorf("coordinator store spans %d segments; remote workers must not create segments", seg)
 			}
-			if n := m.Store().Len(); searches == 0 {
-				searches = n
-			} else if n != searches {
-				t.Errorf("store holds %d searches with %d workers, want %d as at 1 worker (duplicated or lost work)", n, workers, searches)
+			if n := m.Store().Len(); n != wantSearches {
+				t.Errorf("store holds %d searches with %d workers, want %d (duplicated or lost work)", n, workers, wantSearches)
 			}
 			uploaded := 0
 			for _, rp := range persisters {

@@ -784,9 +784,9 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// retainValidate marks the last scored candidate as still owing its
 	// full validation: try defers m.Valid to retention time (the accept
 	// sites below), because Valid rejects almost nothing (~2 of 360
-	// candidates on the seeded bench) yet walking every candidate through
-	// it cost ~11% of search. A candidate that is never
-	// retained never pays for validation; retainDelta remembers which
+	// candidates in BenchmarkMapperSearchSeeded's search) yet walking
+	// every candidate through it cost ~11% of search. A candidate that is
+	// never retained never pays for validation; retainDelta remembers which
 	// stats bucket its evaluation was charged to so a retention-time
 	// rejection can recategorize it as Invalid, keeping the accounting
 	// identity (Pruned + DeltaEvals + FullEvals + Duplicates + Invalid ==
