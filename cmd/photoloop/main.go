@@ -171,9 +171,10 @@ func usage(w io.Writer) {
       leases; -shard-local=false leaves all evaluation to workers, and
       GET /v1/jobs/{id}/shards reports lease progress.
   photoloop worker -coordinator URL [-job ID] [-poll D]
-                   [-search-workers N] [-max-leases N] [-quiet]
-      Join a serve -shard process as one worker: lease task ranges,
-      evaluate them, report completion. The worker holds no store and
+                   [-max-leases N] [-quiet]
+      Join a serve -shard process as one worker: lease ranges of point
+      indices of a job's coordinator-resolved sweep spec, evaluate
+      them, report completion. The worker holds no store and
       uploads results back to the coordinator over HTTP, so it runs on
       any machine that can reach the URL. Killing a worker is always
       safe: finished searches are durable and its range is reassigned

@@ -14,7 +14,8 @@ import (
 )
 
 // cmdWorker joins a serve process's shard coordinator as one worker: it
-// leases task ranges over HTTP, evaluates them, and reports completion.
+// leases ranges of point indices of a job's coordinator-resolved sweep
+// spec over HTTP, evaluates them, and reports completion.
 // The worker holds no store: completed searches upload back to the
 // coordinator, which appends them to its own store, so a worker runs
 // anywhere the coordinator URL reaches.
@@ -26,7 +27,6 @@ func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	coord := fs.String("coordinator", "", "coordinator base URL — the serve -shard process (required)")
 	jobID := fs.String("job", "", "work only this job ID (default: any published job)")
-	searchWorkers := fs.Int("search-workers", 0, "per-search parallelism for specs that leave it unset")
 	poll := fs.Duration("poll", 200*time.Millisecond, "idle wait between lease attempts")
 	maxLeases := fs.Int("max-leases", 0, "exit after this many completed leases (0 = run until interrupted)")
 	quiet := fs.Bool("quiet", false, "suppress per-lease output")
@@ -41,10 +41,9 @@ func cmdWorker(args []string) error {
 	defer stop()
 
 	opts := shard.WorkerOptions{
-		Job:           *jobID,
-		SearchWorkers: *searchWorkers,
-		Poll:          *poll,
-		MaxLeases:     *maxLeases,
+		Job:       *jobID,
+		Poll:      *poll,
+		MaxLeases: *maxLeases,
 	}
 	rp := store.NewRemotePersister(*coord, nil)
 	if !*quiet {

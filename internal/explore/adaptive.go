@@ -83,7 +83,7 @@ type adaptive struct {
 // order — the same point set, and therefore the same frontier, as the
 // grid strategy (test-pinned).
 func runAdaptive(sp *Spec, s *space, opts Options) (*Frontier, error) {
-	ev, err := sweep.NewEvaluator(sp.sweepSpec(s, false), sweep.Options{Cache: opts.Cache})
+	ev, err := sweep.NewEvaluator(sp.sweepSpec(s), sweep.Options{Cache: opts.Cache})
 	if err != nil {
 		return nil, err
 	}

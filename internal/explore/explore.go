@@ -12,9 +12,12 @@
 // most Budget points of spaces far too large to enumerate — millions of
 // lattice points — while remaining exactly reproducible for a fixed
 // (Seed, SearchWorkers) pair regardless of the evaluation pool size. Both
-// strategies evaluate points through the sweep engine's evaluator and the
-// shared mapper.Cache, so repeated (architecture, layer shape, objective)
-// searches are never recomputed.
+// strategies evaluate points through the sweep engine's evaluator over
+// the spec's canonical sweep equivalent (SweepSpec, whose point index is
+// the lattice index) and the shared mapper.Cache, so repeated
+// (architecture, layer shape, objective) searches are never recomputed.
+// A sharded job publishes that same sweep spec, so a lease is a range of
+// point indices of the coordinator-resolved sweep spec.
 //
 // `photoloop explore` runs a Spec from flags or JSON and `POST
 // /v1/explore` serves the same engine (see Attach).
@@ -314,12 +317,13 @@ type Options struct {
 	// PreEvaluate, when set, is called with each candidate batch's lattice
 	// indices before the batch is evaluated — the whole lattice once for
 	// the grid strategy, one generation at a time for the adaptive one.
-	// Sharded jobs hook it to farm the batch's searches out to worker
-	// processes and refresh the shared cache, after which the local
-	// evaluation finds everything warm; because the hook runs between
-	// generations it cannot change which candidates are proposed, so the
-	// frontier stays a function of (Spec, Seed) alone. An error aborts
-	// the run with the partial-frontier contract.
+	// Sharded jobs hook it to lease the batch to worker processes as
+	// point indices of SweepSpec and wait until its searches reach the
+	// shared cache's store, after which the local evaluation finds
+	// everything warm; because the hook runs between generations it
+	// cannot change which candidates are proposed, so the frontier stays
+	// a function of (Spec, Seed) alone. An error aborts the run with the
+	// partial-frontier contract.
 	PreEvaluate func(lattice []int64) error
 }
 
@@ -382,17 +386,14 @@ const (
 	StrategyAdaptive = "adaptive"
 )
 
-// sweepSpec builds the sweep.Spec equivalent of this exploration; with
-// values the axes carry their full expanded grids (the grid strategy),
-// without them only the param names (the evaluator behind the adaptive
-// strategy).
-func (sp *Spec) sweepSpec(s *space, withValues bool) sweep.Spec {
+// sweepSpec builds the sweep.Spec equivalent of this exploration: the
+// axes with their full expanded grids, the one workload and the mapper
+// objective. With one workload and one objective, lattice index i is the
+// sweep's point index i.
+func (sp *Spec) sweepSpec(s *space) sweep.Spec {
 	axes := make([]sweep.Axis, len(s.params))
 	for i := range s.params {
-		axes[i] = sweep.Axis{Param: s.names[i]}
-		if withValues {
-			axes[i].Values = s.params[i]
-		}
+		axes[i] = sweep.Axis{Param: s.names[i], Values: s.params[i]}
 	}
 	return sweep.Spec{
 		Name:          sp.Name,
@@ -405,6 +406,23 @@ func (sp *Spec) sweepSpec(s *space, withValues bool) sweep.Spec {
 		SearchWorkers: sp.SearchWorkers,
 		Fidelity:      sp.Fidelity,
 	}
+}
+
+// SweepSpec is the exploration's canonical sweep equivalent: the spec
+// with its defaults applied, every axis expanded to its value list. Its
+// point index i is lattice index i, so a sharded explore job publishes
+// it and leases ranges of candidate indices as sweep points. It fails
+// where Run would, on a spec whose defaults or axes do not resolve.
+func (sp Spec) SweepSpec() (sweep.Spec, error) {
+	sp, err := sp.withDefaults()
+	if err != nil {
+		return sweep.Spec{}, err
+	}
+	s, err := resolveSpace(sp.Axes)
+	if err != nil {
+		return sweep.Spec{}, err
+	}
+	return sp.sweepSpec(s), nil
 }
 
 // Run searches the spec's parameter space for its Pareto frontier.
@@ -464,7 +482,7 @@ func runGrid(sp *Spec, s *space, opts Options) (*Frontier, error) {
 			return nil, err
 		}
 	}
-	res, err := sweep.Run(sp.sweepSpec(s, true), sweep.Options{
+	res, err := sweep.Run(sp.sweepSpec(s), sweep.Options{
 		Workers:  opts.Workers,
 		Context:  opts.Context,
 		Cache:    opts.Cache,

@@ -10,7 +10,6 @@ import (
 
 	"photoloop/internal/explore"
 	"photoloop/internal/mapper"
-	"photoloop/internal/shard"
 	"photoloop/internal/sweep"
 )
 
@@ -125,19 +124,19 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 	case sp.Sweep != nil:
 		// Sharded sweeps farm the whole grid out as generation 0, then
 		// fall through to the unchanged local run, which finds every
-		// search warm in the refreshed store and assembles the artifact
-		// with zero recomputation — byte-identical by construction.
-		// Warm-start sweeps chain searches across points (each warm start
-		// is part of the next search's cache key), so they cannot be
+		// search warm in the store and assembles the artifact with zero
+		// recomputation — byte-identical by construction. Warm-start
+		// sweeps chain searches across points (each warm start is part
+		// of the next search's cache key), so they cannot be
 		// partitioned: they run locally, as does a spec the evaluator
 		// rejects (Run reports the error).
 		if m.Shard != nil && !sp.Sweep.WarmStart {
-			if ev, eerr := sweep.NewEvaluator(*sp.Sweep, sweep.Options{Cache: cache}); eerr == nil {
-				sr, serr := m.startShard(ctx, st, shard.KindSweep, sp.Sweep)
-				if serr != nil {
-					return fail(serr)
-				}
-				serr = sr.offer(taskIndices(int64(ev.NumPoints())))
+			sr, serr := m.startShard(ctx, st, *sp.Sweep)
+			if serr != nil {
+				return fail(serr)
+			}
+			if sr != nil {
+				serr = sr.offer(taskIndices(int64(sr.points)))
 				sr.close()
 				if serr != nil {
 					return fail(serr)
@@ -160,17 +159,24 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 			Workers: m.Workers, Context: ctx, Cache: cache,
 			OnPoint: onPoint, Progress: progress,
 		}
-		// Sharded explorations hook PreEvaluate: each candidate batch is
-		// offered as a generation and evaluated by workers before the
-		// local run scores it from the warm store. The hook runs between
-		// generations, so the frontier stays a function of (Spec, Seed).
+		// Sharded explorations publish their canonical sweep equivalent
+		// and hook PreEvaluate: each candidate batch is offered as a
+		// generation of its point indices and evaluated by workers before
+		// the local run scores it from the warm store. The hook runs
+		// between generations, so the frontier stays a function of
+		// (Spec, Seed). A spec without a sweep equivalent runs unsharded,
+		// and explore.Run reports its error.
 		if m.Shard != nil {
-			sr, serr := m.startShard(ctx, st, shard.KindExplore, sp.Explore)
-			if serr != nil {
-				return fail(serr)
+			if ssp, eerr := sp.Explore.SweepSpec(); eerr == nil {
+				sr, serr := m.startShard(ctx, st, ssp)
+				if serr != nil {
+					return fail(serr)
+				}
+				if sr != nil {
+					defer sr.close()
+					eopts.PreEvaluate = sr.offer
+				}
 			}
-			defer sr.close()
-			eopts.PreEvaluate = sr.offer
 		}
 		f, runErr := explore.Run(*sp.Explore, eopts)
 		if runErr != nil {

@@ -8,6 +8,7 @@ import (
 
 	"photoloop/internal/mapper"
 	"photoloop/internal/shard"
+	"photoloop/internal/sweep"
 )
 
 // shardProgressInterval is how often a waiting coordinator refreshes
@@ -20,34 +21,45 @@ const shardProgressInterval = 150 * time.Millisecond
 // path afterwards, which is what makes sharded output byte-identical to
 // single-process output.
 type shardRun struct {
-	m      *Manager
-	ctx    context.Context
-	st     *Status
-	gen    int
+	m   *Manager
+	ctx context.Context
+	st  *Status
+	gen int
+	// points is the published spec's NumPoints: a sweep's task count.
+	// Explore candidates arrive through offer instead.
+	points int
 	cancel context.CancelFunc // stops the local worker, when one runs
 	done   chan struct{}      // closed when the local worker exits
 }
 
-// startShard publishes the job's inner spec on the coordinator and, when
+// startShard publishes the job's sweep spec on the coordinator and, when
 // ShardLocal, starts an in-process worker loop so a sharded job completes
-// even if no worker process ever attaches.
-func (m *Manager) startShard(ctx context.Context, st *Status, kind string, inner any) (*shardRun, error) {
-	spec, err := json.Marshal(inner)
+// even if no worker process ever attaches. An unset SearchWorkers is
+// pinned to this process's default first, the value the assembly run
+// resolves it to: it is part of every search's cache key, so workers
+// with another core count still compute exactly the keys the assembly
+// run looks up. It returns nil when the evaluator rejects the
+// spec; the job then runs unsharded and its local run reports the error.
+func (m *Manager) startShard(ctx context.Context, st *Status, sp sweep.Spec) (*shardRun, error) {
+	if sp.SearchWorkers <= 0 {
+		sp.SearchWorkers = mapper.DefaultSearchWorkers()
+	}
+	ev, err := sweep.NewEvaluator(sp, sweep.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("jobs: encoding %s spec for sharding: %w", kind, err)
+		return nil, nil
 	}
-	if err := m.Shard.Publish(st.ID, kind, spec); err != nil {
-		return nil, err
+	spec, err := json.Marshal(sp)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: encoding sweep spec for sharding: %w", err)
 	}
-	sr := &shardRun{m: m, ctx: ctx, st: st}
+	m.Shard.Publish(st.ID, spec)
+	sr := &shardRun{m: m, ctx: ctx, st: st, points: ev.NumPoints()}
 	if m.ShardLocal {
 		wctx, cancel := context.WithCancel(ctx)
 		sr.cancel = cancel
 		sr.done = make(chan struct{})
 		go func() {
 			defer close(sr.done)
-			// SearchWorkers stays 0: the lease's spec must be evaluated
-			// with exactly the cache keys the assembly run will look up.
 			shard.Work(wctx, shard.Local{C: m.Shard}, localStore{m.store}, shard.WorkerOptions{
 				Job:  st.ID,
 				Poll: 25 * time.Millisecond,

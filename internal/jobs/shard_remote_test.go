@@ -3,11 +3,15 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
+	"photoloop/internal/explore"
+	"photoloop/internal/mapper"
 	"photoloop/internal/shard"
 	"photoloop/internal/store"
 	"photoloop/internal/sweep"
@@ -18,6 +22,13 @@ import (
 // waits for clean exits.
 func remoteWorkerPool(t *testing.T, url string, n int) ([]*store.RemotePersister, func()) {
 	t.Helper()
+	return remoteWorkers(t, url, n, nil)
+}
+
+// remoteWorkers is remoteWorkerPool with an OnLease observer shared by
+// every worker (nil for none); calls may be concurrent.
+func remoteWorkers(t *testing.T, url string, n int, onLease func(*shard.Lease)) ([]*store.RemotePersister, func()) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, n)
 	persisters := make([]*store.RemotePersister, n)
@@ -25,7 +36,7 @@ func remoteWorkerPool(t *testing.T, url string, n int) ([]*store.RemotePersister
 		rp := store.NewRemotePersister(url, nil)
 		persisters[i] = rp
 		go func() {
-			done <- shard.Work(ctx, &shard.Client{Base: url}, rp, shard.WorkerOptions{Poll: 10 * time.Millisecond})
+			done <- shard.Work(ctx, &shard.Client{Base: url}, rp, shard.WorkerOptions{Poll: 10 * time.Millisecond, OnLease: onLease})
 		}()
 	}
 	return persisters, func() {
@@ -153,3 +164,135 @@ func TestShardedRemoteExploreNoSharedDir(t *testing.T) {
 		t.Errorf("coordinator store spans %d segments", seg)
 	}
 }
+
+// shardedRemoteManager opens a coordinator-only manager (no in-process
+// worker) behind an HTTP server.
+func shardedRemoteManager(t *testing.T) (*Manager, string) {
+	t.Helper()
+	m := openManager(t, t.TempDir())
+	m.Shard = shard.NewCoordinator()
+	m.ShardLocal = false
+	srv := sweep.NewServer()
+	Attach(srv, m)
+	hs := httptest.NewServer(srv)
+	t.Cleanup(hs.Close)
+	return m, hs.URL
+}
+
+// TestShardedLeasesCarryResolvedSearchWorkers: a spec that leaves
+// search_workers unset is published with the coordinator's own default
+// filled in. The per-search worker count is part of every search's cache
+// key, so a worker that resolved it against its own core count would
+// upload results the assembly run never looks up and the coordinator
+// would recompute every search.
+func TestShardedLeasesCarryResolvedSearchWorkers(t *testing.T) {
+	unpinnedSweep := sweepJob()
+	unpinnedSweep.Sweep.SearchWorkers = 0
+	unpinnedExplore := adaptiveExploreJob()
+	unpinnedExplore.Explore.SearchWorkers = 0
+	want := mapper.DefaultSearchWorkers()
+	if want <= 0 {
+		t.Fatalf("DefaultSearchWorkers = %d", want)
+	}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"sweep", unpinnedSweep},
+		{"explore-adaptive", unpinnedExplore},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain := openManager(t, t.TempDir())
+			_, wantBytes := runJob(t, plain, tc.spec)
+
+			m, url := shardedRemoteManager(t)
+			var mu sync.Mutex
+			var leases []*shard.Lease
+			_, stop := remoteWorkers(t, url, 2, func(l *shard.Lease) {
+				mu.Lock()
+				leases = append(leases, l)
+				mu.Unlock()
+			})
+			st, got := runJob(t, m, tc.spec)
+			stop()
+
+			if len(leases) == 0 {
+				t.Fatal("no lease reached a worker")
+			}
+			for _, l := range leases {
+				var sp sweep.Spec
+				if err := json.Unmarshal(l.Spec, &sp); err != nil {
+					t.Fatalf("lease %s: %v", l.ID, err)
+				}
+				if sp.SearchWorkers != want {
+					t.Errorf("lease %s: spec search_workers = %d, want the coordinator default %d", l.ID, sp.SearchWorkers, want)
+				}
+			}
+			if st.Store == nil || st.Store.Misses != 0 {
+				t.Errorf("coordinator recomputed searches: %+v", st.Store)
+			}
+			if !bytes.Equal(got, wantBytes) {
+				t.Error("sharded artifact differs from single-process artifact")
+			}
+		})
+	}
+}
+
+// TestShardedExploreBeyondVariantCap shards an adaptive exploration whose
+// lattice exceeds the sweep grid's 100,000-variant typo guard: workers
+// decode candidate indices against the published spec's axes without
+// materializing the grid. The range axes' ints cross the wire as JSON
+// numbers (float64 on the worker) and must build the same architectures,
+// or the coordinator would miss.
+func TestShardedExploreBeyondVariantCap(t *testing.T) {
+	spec := Spec{Explore: &explore.Spec{
+		Name: "job-explore-big",
+		Base: sweep.Base{Albireo: &sweep.AlbireoBase{}},
+		Axes: []explore.Axis{
+			{Param: "or_lanes", Min: ptr(1.0), Max: ptr(32.0)},
+			{Param: "output_lanes", Min: ptr(1.0), Max: ptr(64.0)},
+			{Param: "clusters", Min: ptr(1.0), Max: ptr(64.0)},
+		},
+		Workload:      sweep.Workload{Inline: tinyNet()},
+		Objectives:    []string{"pj_per_mac", "area"},
+		Strategy:      explore.StrategyAdaptive,
+		Budget:        12,
+		MapperBudget:  40,
+		Seed:          7,
+		SearchWorkers: 1,
+	}}
+	ssp, err := spec.Explore.SweepSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := sweep.NewEvaluator(ssp, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ev.NumPoints(); n != 0 {
+		t.Fatalf("NumPoints = %d; the fixture must exceed the variant cap", n)
+	}
+	plain := openManager(t, t.TempDir())
+	_, want := runJob(t, plain, spec)
+
+	m, url := shardedRemoteManager(t)
+	persisters, stop := remoteWorkerPool(t, url, 2)
+	st, got := runJob(t, m, spec)
+	stop()
+
+	if !bytes.Equal(got, want) {
+		t.Error("sharded frontier differs from single-process artifact")
+	}
+	if st.Store == nil || st.Store.Misses != 0 {
+		t.Errorf("coordinator recomputed searches: %+v", st.Store)
+	}
+	uploaded := 0
+	for _, rp := range persisters {
+		uploaded += rp.Stats().Uploaded
+	}
+	if uploaded == 0 {
+		t.Error("no results travelled over the wire")
+	}
+}
+
+func ptr(v float64) *float64 { return &v }

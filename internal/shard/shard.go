@@ -1,11 +1,15 @@
 // Package shard fans one durable job out across worker processes that
 // feed a single result store. The design exploits the repo's central
 // invariant — the store is the checkpoint — to keep distribution small.
-// A worker leases a range of task indices (sweep points, or one explore
-// generation's candidates), evaluates them with a fresh mapper.Cache
-// whose persister uploads every completed search to the coordinator
-// (store.RemotePersister; the coordinator appends it to its own store),
-// and reports only "done". The coordinator then runs the unchanged
+// The coordinator publishes one fully resolved sweep spec per job (an
+// explore job publishes its canonical sweep equivalent), and a lease is
+// a range of point indices of the coordinator-resolved sweep spec. A
+// worker evaluates them (sweep.Evaluator.EvalPoint) with a fresh
+// mapper.Cache whose persister uploads every completed search to the
+// coordinator (store.RemotePersister; the coordinator appends it to its
+// own store), and reports only "done". Every cache-key input is set in
+// the published spec, so a worker computes exactly the keys the
+// coordinator looks up, whatever its own core count. The coordinator then runs the unchanged
 // single-process code path, which finds every leased search already
 // present and assembles the artifact with zero searches — byte-identical
 // to an unsharded run by construction, and order-independent, because
@@ -31,12 +35,6 @@ import (
 	"time"
 )
 
-// Job kinds.
-const (
-	KindSweep   = "sweep"
-	KindExplore = "explore"
-)
-
 // DefaultLeaseTTL is how long a lease survives without a heartbeat.
 // Workers heartbeat at TTL/3, so expiry takes three missed beats —
 // enough to ride out a GC pause or a slow scheduler tick, short enough
@@ -54,15 +52,13 @@ const DefaultRanges = 16
 // is a poison task, not bad luck.
 const maxAttempts = 5
 
-// Lease is one unit of handed-out work: a set of task indices of one
-// generation of one job, plus everything a worker needs to execute them
-// without any other endpoint — the job's inner spec travels in the lease.
-// Task indices are sweep point indices (KindSweep) or explore lattice
-// indices (KindExplore).
+// Lease is one unit of handed-out work: a range of point indices of the
+// coordinator-resolved sweep spec of one job, in one generation. The spec
+// travels in the lease, so a worker needs no other endpoint to evaluate
+// its tasks (sweep.Evaluator.EvalPoint).
 type Lease struct {
 	ID        string          `json:"id"`
 	Job       string          `json:"job"`
-	Kind      string          `json:"kind"`
 	Gen       int             `json:"gen"`
 	Tasks     []int64         `json:"tasks"`
 	Spec      json.RawMessage `json:"spec"`
@@ -112,7 +108,6 @@ type generation struct {
 // jobState is one published job.
 type jobState struct {
 	id   string
-	kind string
 	spec json.RawMessage
 	cur  *generation
 	// reassigned accumulates across generations for Progress.
@@ -157,20 +152,18 @@ func (c *Coordinator) ttl() time.Duration {
 }
 
 // Publish registers a job so workers can lease its generations. spec is
-// the job's inner sweep or explore spec (not the jobs.Spec wrapper);
-// it rides inside every lease. Publishing an already-published id
-// replaces its spec and drops any stale generation (the resume case).
-func (c *Coordinator) Publish(id, kind string, spec json.RawMessage) error {
-	if kind != KindSweep && kind != KindExplore {
-		return fmt.Errorf("shard: unknown job kind %q", kind)
-	}
+// the job's fully resolved sweep.Spec, encoded: every cache-key input is
+// set, so every worker computes exactly the keys the coordinator's
+// assembly run looks up. It rides inside every lease, whose task indices
+// are its point indices. Publishing an already-published id replaces its
+// spec and drops any stale generation (the resume case).
+func (c *Coordinator) Publish(id string, spec json.RawMessage) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.jobs[id]; !ok {
 		c.order = append(c.order, id)
 	}
-	c.jobs[id] = &jobState{id: id, kind: kind, spec: spec}
-	return nil
+	c.jobs[id] = &jobState{id: id, spec: spec}
 }
 
 // Retire drops a job: outstanding leases die quietly (Complete on them
@@ -286,7 +279,6 @@ func (c *Coordinator) Lease(id string) (*Lease, error) {
 			return &Lease{
 				ID:        r.leaseID,
 				Job:       jid,
-				Kind:      js.kind,
 				Gen:       js.cur.gen,
 				Tasks:     r.tasks,
 				Spec:      js.spec,

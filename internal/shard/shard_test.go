@@ -29,9 +29,7 @@ func tasks(n int) []int64 {
 func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	c, _ := newTestCoordinator()
 	c.Ranges = 4
-	if err := c.Publish("j1", KindSweep, json.RawMessage(`{}`)); err != nil {
-		t.Fatal(err)
-	}
+	c.Publish("j1", json.RawMessage(`{}`))
 	done, err := c.Offer("j1", 0, tasks(8))
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +45,7 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 		if l == nil {
 			break
 		}
-		if l.Job != "j1" || l.Kind != KindSweep || l.Gen != 0 {
+		if l.Job != "j1" || l.Gen != 0 {
 			t.Fatalf("unexpected lease %+v", l)
 		}
 		for _, task := range l.Tasks {
@@ -86,7 +84,7 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 func TestCoordinatorExpiryReassigns(t *testing.T) {
 	c, fc := newTestCoordinator()
 	c.Ranges = 1
-	c.Publish("j1", KindSweep, json.RawMessage(`{}`))
+	c.Publish("j1", json.RawMessage(`{}`))
 	done, _ := c.Offer("j1", 0, tasks(3))
 
 	l1, err := c.Lease("j1")
@@ -146,7 +144,7 @@ func TestCoordinatorExpiryReassigns(t *testing.T) {
 func TestCoordinatorPoisonRangeFailsGeneration(t *testing.T) {
 	c, _ := newTestCoordinator()
 	c.Ranges = 1
-	c.Publish("j1", KindSweep, json.RawMessage(`{}`))
+	c.Publish("j1", json.RawMessage(`{}`))
 	done, _ := c.Offer("j1", 0, tasks(2))
 	for i := 0; i < maxAttempts; i++ {
 		l, err := c.Lease("j1")
@@ -167,7 +165,7 @@ func TestCoordinatorPoisonRangeFailsGeneration(t *testing.T) {
 
 func TestCoordinatorOfferReplacesGeneration(t *testing.T) {
 	c, _ := newTestCoordinator()
-	c.Publish("j1", KindExplore, json.RawMessage(`{}`))
+	c.Publish("j1", json.RawMessage(`{}`))
 	done0, _ := c.Offer("j1", 0, tasks(4))
 	done1, _ := c.Offer("j1", 1, tasks(4))
 	select {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"photoloop/internal/explore"
 	"photoloop/internal/mapper"
 	"photoloop/internal/sweep"
 )
@@ -69,10 +68,6 @@ type WorkerStore interface {
 type WorkerOptions struct {
 	// Job restricts the worker to one job id ("" = any published job).
 	Job string
-	// SearchWorkers caps per-search parallelism (0 = mapper default).
-	// Leases carry the spec, whose own SearchWorkers — part of the cache
-	// key — always wins; this only covers specs that left it unset.
-	SearchWorkers int
 	// Poll is the idle wait between lease attempts when the coordinator
 	// has nothing (default 200ms).
 	Poll time.Duration
@@ -141,7 +136,7 @@ func Work(ctx context.Context, c Coord, ws WorkerStore, opts WorkerOptions) erro
 		if opts.OnLease != nil {
 			opts.OnLease(lease)
 		}
-		if err := workLease(ctx, c, ws, lease, opts); err != nil {
+		if err := workLease(ctx, c, ws, lease); err != nil {
 			// A spec-level failure: hand the range back with the reason.
 			// The lease may already be stale (heartbeat lost) — Fail is a
 			// no-op then, and a Fail the coordinator never hears is
@@ -183,7 +178,7 @@ func Work(ctx context.Context, c Coord, ws WorkerStore, opts WorkerOptions) erro
 // only duplicates another worker's effort — but what was already
 // computed still flushes: uploads dedupe first-write-wins, so the effort
 // is banked either way.
-func workLease(ctx context.Context, c Coord, ws WorkerStore, lease *Lease, opts WorkerOptions) error {
+func workLease(ctx context.Context, c Coord, ws WorkerStore, lease *Lease) error {
 	if err := ws.Begin(ctx, lease.Job); err != nil {
 		return err
 	}
@@ -213,7 +208,7 @@ func workLease(ctx context.Context, c Coord, ws WorkerStore, lease *Lease, opts 
 			}
 		}
 	}()
-	err := evalTasks(lctx, cache, lease, opts)
+	err := evalTasks(lctx, cache, lease)
 	cancel()
 	<-hbDone
 	// Flush under the parent context: even a lease lost mid-range has
@@ -224,61 +219,30 @@ func workLease(ctx context.Context, c Coord, ws WorkerStore, lease *Lease, opts 
 	return err
 }
 
-// evalTasks evaluates a lease's task indices. Point-level failures
-// (Point.Err) are not errors here: the final assembly run reproduces
-// them locally from the same deterministic evaluation, and a point that
-// fails has no searches to warm anyway.
-func evalTasks(ctx context.Context, cache *mapper.Cache, lease *Lease, opts WorkerOptions) error {
+// evalTasks evaluates a lease's point indices of its published sweep
+// spec. Point-level failures (Point.Err) are not errors here: the final
+// assembly run reproduces them locally from the same deterministic
+// evaluation, and a point that fails has no searches to warm anyway.
+func evalTasks(ctx context.Context, cache *mapper.Cache, lease *Lease) error {
+	var sp sweep.Spec
+	if err := json.Unmarshal(lease.Spec, &sp); err != nil {
+		return fmt.Errorf("shard: decoding sweep spec: %w", err)
+	}
+	ev, err := sweep.NewEvaluator(sp, sweep.Options{Cache: cache})
+	if err != nil {
+		return err
+	}
 	delay, _ := time.ParseDuration(os.Getenv(pointDelayEnv))
-	pause := func() error {
+	for _, task := range lease.Tasks {
+		if _, err := ev.EvalPoint(int(task)); err != nil {
+			return err
+		}
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		return ctx.Err()
-	}
-	switch lease.Kind {
-	case KindSweep:
-		var sp sweep.Spec
-		if err := json.Unmarshal(lease.Spec, &sp); err != nil {
-			return fmt.Errorf("shard: decoding sweep spec: %w", err)
-		}
-		if sp.SearchWorkers == 0 {
-			sp.SearchWorkers = opts.SearchWorkers
-		}
-		ev, err := sweep.NewEvaluator(sp, sweep.Options{Cache: cache})
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for _, task := range lease.Tasks {
-			if _, err := ev.EvalPoint(int(task)); err != nil {
-				return err
-			}
-			if err := pause(); err != nil {
-				return err
-			}
-		}
-		return nil
-	case KindExplore:
-		var sp explore.Spec
-		if err := json.Unmarshal(lease.Spec, &sp); err != nil {
-			return fmt.Errorf("shard: decoding explore spec: %w", err)
-		}
-		if sp.SearchWorkers == 0 {
-			sp.SearchWorkers = opts.SearchWorkers
-		}
-		ev, err := explore.NewLatticeEvaluator(sp, explore.Options{Cache: cache})
-		if err != nil {
-			return err
-		}
-		for _, task := range lease.Tasks {
-			if _, err := ev.Eval(task); err != nil {
-				return err
-			}
-			if err := pause(); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	return fmt.Errorf("shard: unknown lease kind %q", lease.Kind)
+	return nil
 }

@@ -106,13 +106,6 @@ func NewEvaluator(sp Spec, opts Options) (*Evaluator, error) {
 	return e, nil
 }
 
-// Workloads returns the resolved workload names, in spec order.
-func (e *Evaluator) Workloads() []string { return append([]string(nil), e.netNames...) }
-
-// Objectives returns the resolved mapper objective names, in spec order
-// (the default "energy" when the spec named none).
-func (e *Evaluator) Objectives() []string { return append([]string(nil), e.objNames...) }
-
 // Validate builds (and discards) the variant for one set of axis values —
 // axis application and architecture construction — so explorers can
 // reject an invalid point or a mistyped axis param before spending any
@@ -185,12 +178,15 @@ func (e *Evaluator) NumPoints() int {
 // EvalPoint evaluates point idx of the spec's grid in Run's index order —
 // idx = (variant*workloads + workload)*objectives + objective, variants
 // in cross-product order with the first axis most significant — and
-// returns the Point a Run produces at that index. WarmStart sweeps chain
-// searches across points, so their Run points differ from these cold
-// evaluations; sharding skips them.
+// returns the Point a Run produces at that index. It decodes idx against
+// the axes' own value counts without materializing the grid, so a grid
+// past Run's maxVariants typo guard (an explore lattice) still evaluates
+// point by point. WarmStart sweeps chain searches across points, so
+// their Run points differ from these cold evaluations; sharding skips
+// them.
 func (e *Evaluator) EvalPoint(idx int) (*Point, error) {
-	if n := e.NumPoints(); idx < 0 || idx >= n {
-		return nil, fmt.Errorf("sweep: point index %d out of range [0, %d)", idx, n)
+	if idx < 0 {
+		return nil, fmt.Errorf("sweep: point index %d out of range", idx)
 	}
 	oi := idx % len(e.objs)
 	rest := idx / len(e.objs)
@@ -199,8 +195,14 @@ func (e *Evaluator) EvalPoint(idx int) (*Point, error) {
 	values := make([]any, len(e.spec.Axes))
 	for i := len(values) - 1; i >= 0; i-- {
 		axis := e.spec.Axes[i].Values
+		if len(axis) == 0 {
+			return nil, fmt.Errorf("sweep: axis %q has no values", e.spec.Axes[i].Param)
+		}
 		values[i] = axis[rest%len(axis)]
 		rest /= len(axis)
+	}
+	if rest != 0 {
+		return nil, fmt.Errorf("sweep: point index %d out of range", idx)
 	}
 	return e.Eval(idx, values, wi, oi)
 }

@@ -31,12 +31,6 @@ func TestEvaluatorMatchesRunPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.Workloads(); !reflect.DeepEqual(got, []string{"alexnet"}) {
-		t.Errorf("workloads = %v", got)
-	}
-	if got := ev.Objectives(); !reflect.DeepEqual(got, []string{"energy", "delay"}) {
-		t.Errorf("objectives = %v", got)
-	}
 	for i := range res.Points {
 		p := &res.Points[i]
 		values := []any{p.Params["or_lanes"], p.Params["weight_reuse"]}
@@ -165,5 +159,60 @@ func TestEvalPointIndexOrder(t *testing.T) {
 	}
 	if n := ev.NumPoints(); n != 0 {
 		t.Errorf("axis without values: NumPoints = %d, want 0 (Run rejects the grid)", n)
+	}
+}
+
+// TestEvalPointPastVariantCap: EvalPoint decodes an index against the
+// axes' own value counts, so a grid above Run's maxVariants guard still
+// evaluates point by point, while an empty axis or an index past the
+// last point is rejected.
+func TestEvalPointPastVariantCap(t *testing.T) {
+	lanes := make([]any, 50)
+	for i := range lanes {
+		lanes[i] = i + 1
+	}
+	sp := Spec{
+		Base: Base{Albireo: &AlbireoBase{}},
+		Axes: []Axis{
+			{Param: "output_lanes", Values: lanes},
+			{Param: "or_lanes", Values: lanes},
+			{Param: "clusters", Values: lanes},
+		},
+		Workloads:     []Workload{{Inline: tinyNet()}},
+		Budget:        10,
+		Seed:          1,
+		SearchWorkers: 1,
+	}
+	ev, err := NewEvaluator(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ev.NumPoints(); n != 0 {
+		t.Fatalf("NumPoints = %d, want 0 past the %d-variant cap", n, maxVariants)
+	}
+	last := 50*50*50 - 1
+	got, err := ev.EvalPoint(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ev.Eval(last, []any{50, 50, 50}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("EvalPoint(%d) differs from Eval of the last variant:\n got %+v\nwant %+v", last, *got, *want)
+	}
+	for _, idx := range []int{-1, last + 1} {
+		if _, err := ev.EvalPoint(idx); err == nil {
+			t.Errorf("EvalPoint(%d) out of range accepted", idx)
+		}
+	}
+	empty := sp
+	empty.Axes = []Axis{{Param: "or_lanes"}}
+	if ev, err = NewEvaluator(empty, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.EvalPoint(0); err == nil {
+		t.Error("EvalPoint on an axis without values accepted")
 	}
 }
