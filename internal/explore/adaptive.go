@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"photoloop/internal/sweep"
 )
@@ -50,12 +49,6 @@ const (
 	surrogateEps = 1e-6
 )
 
-// candidate is one proposed, not-yet-evaluated lattice point.
-type candidate struct {
-	lattice int64
-	values  []any
-}
-
 // adaptive carries the state of one evolutionary run.
 type adaptive struct {
 	sp      *Spec
@@ -78,12 +71,12 @@ type adaptive struct {
 // runAdaptive is the budgeted evolutionary search: seed the lattice
 // corners plus uniform draws, then repeatedly mutate non-dominated
 // incumbents (with occasional uniform jumps), evaluating each generation
-// concurrently through the shared sweep evaluator. When the whole space
-// fits the budget it degenerates to exhaustive enumeration in lattice
-// order — the same point set, and therefore the same frontier, as the
-// grid strategy (test-pinned).
+// as one Evaluator.EvalPoints call over its lattice indices. When the
+// whole space fits the budget it degenerates to exhaustive enumeration in
+// lattice order — the same point set, and therefore the same frontier, as
+// the grid strategy (test-pinned).
 func runAdaptive(sp *Spec, s *space, opts Options) (*Frontier, error) {
-	ev, err := sweep.NewEvaluator(sp.sweepSpec(s), sweep.Options{Cache: opts.Cache})
+	ev, err := sweep.NewEvaluator(sp.sweepSpec(s), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -105,33 +98,22 @@ func runAdaptive(sp *Spec, s *space, opts Options) (*Frontier, error) {
 	if exhaustive {
 		total = int(s.size)
 	}
-	workers := poolSize(sp, &opts)
 
-	var mu sync.Mutex
-	done := 0
-	report := func(p *sweep.Point) {
-		if opts.Progress == nil && opts.OnPoint == nil {
-			return
-		}
-		mu.Lock()
-		done++
+	// The pool labels each point with its lattice index; relabel it to
+	// count evaluation order (FrontierPoint.Index) before it streams.
+	evals := 0
+	order := map[int64]int{}
+	genOpts := opts
+	genOpts.OnPoint = func(p *sweep.Point) {
+		p.Index = order[int64(p.Index)]
 		if opts.OnPoint != nil {
 			opts.OnPoint(p)
 		}
-		if opts.Progress != nil {
-			opts.Progress(done, total)
-		}
-		mu.Unlock()
+	}
+	if opts.Progress != nil {
+		genOpts.Progress = func(done, _ int) { opts.Progress(evals+done, total) }
 	}
 
-	canceled := func() error {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-			return nil
-		}
-	}
 	finish := func(runErr error) (*Frontier, error) {
 		f := buildFrontier(sp, StrategyAdaptive, s, x.evaluated, x.infeasible)
 		hits1, misses1 := ev.CacheStats()
@@ -146,9 +128,8 @@ func runAdaptive(sp *Spec, s *space, opts Options) (*Frontier, error) {
 		return f, nil
 	}
 
-	evals := 0
 	for evals < total {
-		if err := canceled(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
 		gen := generationSize
@@ -160,16 +141,12 @@ func runAdaptive(sp *Spec, s *space, opts Options) (*Frontier, error) {
 			// either way.
 			gen = surrogateGenerationSize
 		}
-		want := total - evals
-		if want > gen {
-			want = gen
-		}
-		var batch []candidate
+		want := min(total-evals, gen)
+		var batch []int64
 		if exhaustive {
 			// Lattice order, exactly the grid strategy's point order.
 			for k := 0; k < want; k++ {
-				lat := int64(evals + k)
-				batch = append(batch, candidate{lattice: lat, values: s.valuesAt(lat)})
+				batch = append(batch, int64(evals+k))
 			}
 		} else {
 			batch = x.propose(want)
@@ -177,22 +154,16 @@ func runAdaptive(sp *Spec, s *space, opts Options) (*Frontier, error) {
 		if len(batch) == 0 {
 			break // space exhausted below budget
 		}
-		if opts.PreEvaluate != nil {
-			lattice := make([]int64, len(batch))
-			for k := range batch {
-				lattice[k] = batch[k].lattice
-			}
-			if err := opts.PreEvaluate(lattice); err != nil {
-				return finish(err)
-			}
+		clear(order)
+		for k, lat := range batch {
+			order[lat] = evals + k
 		}
-		points, err := evaluateBatch(ctx, ev, batch, evals, workers, report)
+		points, err := ev.EvalPoints(batch, genOpts)
 		if err != nil {
 			return finish(err)
 		}
-		for k := range batch {
-			evals++
-			p := points[k]
+		for k := range points {
+			p := &points[k]
 			if p.Err != "" {
 				x.infeasible++
 				if x.firstErr == "" {
@@ -200,53 +171,11 @@ func runAdaptive(sp *Spec, s *space, opts Options) (*Frontier, error) {
 				}
 				continue
 			}
-			x.insert(evalPoint{point: p, lattice: batch[k].lattice, objs: objsOf(sp.Objectives, p)})
+			x.insert(evalPoint{point: p, lattice: batch[k], objs: objsOf(sp.Objectives, p)})
 		}
+		evals += len(batch)
 	}
 	return finish(nil)
-}
-
-// evaluateBatch evaluates one generation on a bounded worker pool.
-// Results are slot-ordered, so downstream archive updates are
-// deterministic regardless of pool size. Point indices continue the
-// run's evaluation sequence. report (never nil) receives each completed
-// point; the caller serializes it.
-func evaluateBatch(ctx context.Context, ev *sweep.Evaluator, batch []candidate, base, workers int, report func(*sweep.Point)) ([]*sweep.Point, error) {
-	points := make([]*sweep.Point, len(batch))
-	errs := make([]error, len(batch))
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	var wg sync.WaitGroup
-	slots := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range slots {
-				points[k], errs[k] = ev.Eval(base+k, batch[k].values, 0, 0)
-				if errs[k] == nil {
-					report(points[k])
-				}
-			}
-		}()
-	}
-	for k := range batch {
-		slots <- k
-	}
-	close(slots)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for k, err := range errs {
-		if err != nil {
-			// Eval errors are spec-level (bad axis value), not
-			// point-level; they abort the run.
-			return nil, fmt.Errorf("candidate %v: %w", batch[k].values, err)
-		}
-	}
-	return points, nil
 }
 
 // insert adds a feasible evaluated point and maintains the non-dominated
@@ -275,14 +204,14 @@ func (x *adaptive) insert(p evalPoint) {
 // the want proposals the predictor ranks most promising; the rejected
 // draws are released back to unvisited so later generations can revisit
 // them.
-func (x *adaptive) propose(want int) []candidate {
-	var out []candidate
+func (x *adaptive) propose(want int) []int64 {
+	var out []int64
 	add := func(lat int64) bool {
 		if _, ok := x.visited[lat]; ok {
 			return false
 		}
 		x.visited[lat] = struct{}{}
-		out = append(out, candidate{lattice: lat, values: x.space.valuesAt(lat)})
+		out = append(out, lat)
 		return true
 	}
 	if len(x.visited) == 0 {
@@ -375,7 +304,7 @@ func (x *adaptive) propose(want int) []candidate {
 // compromise region — a frontier search needs corners as much as knees.
 // The whole procedure is deterministic arithmetic over the generation
 // boundary's archive.
-func (x *adaptive) surrogateSelect(pool []candidate, want int) []candidate {
+func (x *adaptive) surrogateSelect(pool []int64, want int) []int64 {
 	x.surRanked += len(pool)
 	nobj := len(x.sp.Objectives)
 	refs := make([]float64, nobj)
@@ -395,7 +324,7 @@ func (x *adaptive) surrogateSelect(pool []candidate, want int) []candidate {
 	norm := make([][]float64, len(pool))
 	choices := make([][]int, len(pool))
 	for i := range pool {
-		choices[i] = x.space.choiceAt(pool[i].lattice)
+		choices[i] = x.space.choiceAt(pool[i])
 		pred := x.predict(choices[i])
 		for _, ai := range x.archive {
 			if dominates(x.evaluated[ai].objs, pred) {
@@ -416,7 +345,7 @@ func (x *adaptive) surrogateSelect(pool []candidate, want int) []candidate {
 	const crowdD2 = 0.01
 	crowded := make([]bool, len(pool))
 	taken := make([]bool, len(pool))
-	kept := make([]candidate, 0, want)
+	kept := make([]int64, 0, want)
 	for s := 0; s < want; s++ {
 		obj := s % nobj
 		pick := -1
@@ -457,7 +386,7 @@ func (x *adaptive) surrogateSelect(pool []candidate, want int) []candidate {
 	}
 	for i := range pool {
 		if !taken[i] {
-			delete(x.visited, pool[i].lattice)
+			delete(x.visited, pool[i])
 		}
 	}
 	x.surKept += len(kept)

@@ -5,7 +5,7 @@
 // per MAC, delay, area, EDP).
 //
 // Two strategies hide behind one interface. The exhaustive "grid"
-// strategy expands the space through sweep.Run — bit-identical to running
+// strategy evaluates the space through sweep.Run — bit-identical to running
 // the equivalent sweep and dominance-filtering its points, which tests
 // pin. The "adaptive" strategy is a seeded evolutionary archive search
 // (mutate non-dominated incumbents, occasionally jump) that evaluates at
@@ -24,10 +24,8 @@
 package explore
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 
 	"photoloop/internal/fidelity"
@@ -296,36 +294,15 @@ func dominates(a, b []float64) bool {
 }
 
 // Options tunes a Run without changing the frontier it finds (for a fixed
-// Spec, results are independent of Workers and Cache).
-type Options struct {
-	// Workers is the candidate-evaluation pool size (default
-	// GOMAXPROCS / per-search workers, as in sweeps).
-	Workers int
-	// Context cancels the run between evaluation batches; the partial
-	// frontier is returned alongside the context's error.
-	Context context.Context
-	// Cache deduplicates identical (architecture, layer shape) searches
-	// across candidates and across runs; nil gets a fresh per-run cache.
-	Cache *mapper.Cache
-	// Progress, when set, is called after each candidate evaluation with
-	// the number done and the planned total. Calls are serialized.
-	Progress func(done, total int)
-	// OnPoint, when set, streams each evaluated candidate as it completes
-	// (completion order). Calls are serialized with Progress. The frontier
-	// returned at the end is unaffected.
-	OnPoint func(*sweep.Point)
-	// PreEvaluate, when set, is called with each candidate batch's lattice
-	// indices before the batch is evaluated — the whole lattice once for
-	// the grid strategy, one generation at a time for the adaptive one.
-	// Sharded jobs hook it to lease the batch to worker processes as
-	// point indices of SweepSpec and wait until its searches reach the
-	// shared cache's store, after which the local evaluation finds
-	// everything warm; because the hook runs between generations it
-	// cannot change which candidates are proposed, so the frontier stays
-	// a function of (Spec, Seed) alone. An error aborts the run with the
-	// partial-frontier contract.
-	PreEvaluate func(lattice []int64) error
-}
+// Spec, results are independent of Workers and Cache). They are the sweep
+// engine's options: the grid strategy passes them to sweep.Run, and the
+// adaptive strategy to one Evaluator.EvalPoints call per generation, so
+// Context cancels between points, OnPoint streams every evaluated
+// candidate with its evaluation-order Index, Progress reports against
+// the planned total, and PreEvaluate sees the lattice indices — the whole
+// lattice once for the grid, one generation at a time for the adaptive
+// search, whose proposals it cannot change.
+type Options = sweep.Options
 
 // defaultBudget caps adaptive evaluations when the spec names none.
 const defaultBudget = 128
@@ -473,22 +450,7 @@ func objsOf(objectives []string, p *sweep.Point) []float64 {
 // the failed points counted as Infeasible — the same partial-result
 // contract the adaptive strategy keeps.
 func runGrid(sp *Spec, s *space, opts Options) (*Frontier, error) {
-	if opts.PreEvaluate != nil {
-		lattice := make([]int64, s.size)
-		for i := range lattice {
-			lattice[i] = int64(i)
-		}
-		if err := opts.PreEvaluate(lattice); err != nil {
-			return nil, err
-		}
-	}
-	res, err := sweep.Run(sp.sweepSpec(s), sweep.Options{
-		Workers:  opts.Workers,
-		Context:  opts.Context,
-		Cache:    opts.Cache,
-		Progress: opts.Progress,
-		OnPoint:  opts.OnPoint,
-	})
+	res, err := sweep.Run(sp.sweepSpec(s), opts)
 	if res == nil {
 		return nil, err // spec-level error, nothing evaluated
 	}
@@ -505,21 +467,4 @@ func runGrid(sp *Spec, s *space, opts Options) (*Frontier, error) {
 	f := buildFrontier(sp, StrategyGrid, s, evaluated, infeasible)
 	f.CacheHits, f.CacheMisses = res.CacheHits, res.CacheMisses
 	return f, err
-}
-
-// poolSize mirrors sweep.Run's default: divide GOMAXPROCS by the
-// per-layer search pool so total parallelism stays near the machine.
-func poolSize(sp *Spec, opts *Options) int {
-	workers := opts.Workers
-	if workers <= 0 {
-		perSearch := sp.SearchWorkers
-		if perSearch <= 0 {
-			perSearch = mapper.DefaultSearchWorkers()
-		}
-		workers = runtime.GOMAXPROCS(0) / perSearch
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	return workers
 }

@@ -454,3 +454,106 @@ func TestFrontierCSVAndJSON(t *testing.T) {
 		t.Errorf("JSON round trip lost points: %d vs %d", len(round.Points), len(f.Points))
 	}
 }
+
+// TestExploreCallbacksContract pins the hooks both strategies drive:
+// OnPoint streams every evaluated point exactly once; point indices count
+// evaluation order (0..Evals-1, the lattice order under the grid
+// strategy); Progress climbs strictly to (Evals, planned total); and
+// PreEvaluate sees every evaluated lattice index exactly once — the whole
+// lattice in one call for the grid, one call per generation for the
+// adaptive search.
+func TestExploreCallbacksContract(t *testing.T) {
+	grid := smallSpec()
+	grid.Strategy = StrategyGrid
+	for _, tc := range []struct {
+		name    string
+		sp      Spec
+		planned int // Progress's total
+		calls   int // PreEvaluate calls
+	}{
+		{"grid", grid, 18, 1},
+		{"adaptive", bigSpec(), bigSpec().Budget, (bigSpec().Budget + surrogateGenerationSize - 1) / surrogateGenerationSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			streamed := map[int]string{} // Point.Index -> variant label
+			var progress [][2]int
+			var offered [][]int64
+			f, err := Run(tc.sp, Options{
+				OnPoint: func(p *sweep.Point) {
+					if _, dup := streamed[p.Index]; dup {
+						t.Errorf("point index %d streamed twice", p.Index)
+					}
+					streamed[p.Index] = p.Variant
+				},
+				Progress: func(done, total int) { progress = append(progress, [2]int{done, total}) },
+				PreEvaluate: func(lattice []int64) error {
+					offered = append(offered, append([]int64(nil), lattice...))
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(streamed) != f.Evals {
+				t.Errorf("streamed %d points, want Evals = %d", len(streamed), f.Evals)
+			}
+			for i := 0; i < f.Evals; i++ {
+				if _, ok := streamed[i]; !ok {
+					t.Errorf("no streamed point has index %d", i)
+				}
+			}
+
+			if len(progress) != f.Evals {
+				t.Errorf("%d progress calls, want %d", len(progress), f.Evals)
+			}
+			for i, pr := range progress {
+				if pr[1] != tc.planned {
+					t.Errorf("progress call %d total = %d, want %d", i, pr[1], tc.planned)
+				}
+				if i > 0 && pr[0] <= progress[i-1][0] {
+					t.Errorf("progress not strictly increasing: %v then %v", progress[i-1], pr)
+				}
+			}
+			if n := len(progress); n == 0 || progress[n-1] != [2]int{f.Evals, tc.planned} {
+				t.Errorf("progress calls %v, want the last to be [%d %d]", progress, f.Evals, tc.planned)
+			}
+
+			if len(offered) != tc.calls {
+				t.Errorf("PreEvaluate called %d times, want %d", len(offered), tc.calls)
+			}
+			var order []int64 // lattice indices in evaluation order
+			seen := map[int64]bool{}
+			for _, gen := range offered {
+				if len(gen) == 0 {
+					t.Error("PreEvaluate called with no indices")
+				}
+				for _, lat := range gen {
+					if seen[lat] {
+						t.Errorf("lattice index %d offered twice", lat)
+					}
+					seen[lat] = true
+					order = append(order, lat)
+				}
+			}
+			if len(order) != f.Evals {
+				t.Fatalf("PreEvaluate saw %d indices, want Evals = %d", len(order), f.Evals)
+			}
+			if tc.sp.Strategy == StrategyGrid {
+				for i, lat := range order {
+					if lat != int64(i) {
+						t.Fatalf("grid offered lattice %d at position %d", lat, i)
+					}
+				}
+			}
+			for _, fp := range f.Points {
+				if fp.Index < 0 || fp.Index >= f.Evals || order[fp.Index] != fp.Lattice {
+					t.Errorf("frontier point index %d does not count evaluation order (lattice %d)", fp.Index, fp.Lattice)
+					continue
+				}
+				if streamed[fp.Index] != fp.Variant {
+					t.Errorf("frontier point %d is %q, streamed as %q", fp.Index, fp.Variant, streamed[fp.Index])
+				}
+			}
+		})
+	}
+}

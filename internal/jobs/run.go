@@ -119,34 +119,35 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 		}
 	}
 
-	var artifact bytes.Buffer
-	switch {
-	case sp.Sweep != nil:
-		// Sharded sweeps farm the whole grid out as generation 0, then
-		// fall through to the unchanged local run, which finds every
-		// search warm in the store and assembles the artifact with zero
-		// recomputation — byte-identical by construction. Warm-start
-		// sweeps chain searches across points (each warm start is part
-		// of the next search's cache key), so they cannot be
-		// partitioned: they run locally, as does a spec the evaluator
-		// rejects (Run reports the error).
-		if m.Shard != nil && !sp.Sweep.WarmStart {
-			sr, serr := m.startShard(ctx, st, *sp.Sweep)
+	opts := sweep.Options{
+		Workers: m.Workers, Context: ctx, Cache: cache,
+		OnPoint: onPoint, Progress: progress,
+	}
+	// A sharded job publishes its sweep spec and hooks PreEvaluate: the
+	// point indices of each evaluation — a sweep's whole grid, an
+	// exploration's lattice or one adaptive generation — are leased to
+	// workers, after grid checks and before the local run evaluates them,
+	// so the local run then assembles the artifact from the warm store
+	// with zero recomputation: byte-identical by construction. The hook
+	// runs between generations, so a frontier stays a function of
+	// (Spec, Seed).
+	if m.Shard != nil {
+		if ssp, ok := sp.shardSpec(); ok {
+			sr, serr := m.startShard(ctx, st, ssp)
 			if serr != nil {
 				return fail(serr)
 			}
 			if sr != nil {
-				serr = sr.offer(taskIndices(int64(sr.points)))
-				sr.close()
-				if serr != nil {
-					return fail(serr)
-				}
+				defer sr.close()
+				opts.PreEvaluate = sr.offer
 			}
 		}
-		res, runErr := sweep.Run(*sp.Sweep, sweep.Options{
-			Workers: m.Workers, Context: ctx, Cache: cache,
-			OnPoint: onPoint, Progress: progress,
-		})
+	}
+
+	var artifact bytes.Buffer
+	switch {
+	case sp.Sweep != nil:
+		res, runErr := sweep.Run(*sp.Sweep, opts)
 		if runErr != nil {
 			return fail(runErr)
 		}
@@ -155,30 +156,7 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 			return fail(fmt.Errorf("jobs: encoding result: %w", err))
 		}
 	case sp.Explore != nil:
-		eopts := explore.Options{
-			Workers: m.Workers, Context: ctx, Cache: cache,
-			OnPoint: onPoint, Progress: progress,
-		}
-		// Sharded explorations publish their canonical sweep equivalent
-		// and hook PreEvaluate: each candidate batch is offered as a
-		// generation of its point indices and evaluated by workers before
-		// the local run scores it from the warm store. The hook runs
-		// between generations, so the frontier stays a function of
-		// (Spec, Seed). A spec without a sweep equivalent runs unsharded,
-		// and explore.Run reports its error.
-		if m.Shard != nil {
-			if ssp, eerr := sp.Explore.SweepSpec(); eerr == nil {
-				sr, serr := m.startShard(ctx, st, ssp)
-				if serr != nil {
-					return fail(serr)
-				}
-				if sr != nil {
-					defer sr.close()
-					eopts.PreEvaluate = sr.offer
-				}
-			}
-		}
-		f, runErr := explore.Run(*sp.Explore, eopts)
+		f, runErr := explore.Run(*sp.Explore, opts)
 		if runErr != nil {
 			return fail(runErr)
 		}

@@ -21,15 +21,30 @@ const shardProgressInterval = 150 * time.Millisecond
 // path afterwards, which is what makes sharded output byte-identical to
 // single-process output.
 type shardRun struct {
-	m   *Manager
-	ctx context.Context
-	st  *Status
-	gen int
-	// points is the published spec's NumPoints: a sweep's task count.
-	// Explore candidates arrive through offer instead.
-	points int
+	m      *Manager
+	ctx    context.Context
+	st     *Status
+	gen    int
 	cancel context.CancelFunc // stops the local worker, when one runs
 	done   chan struct{}      // closed when the local worker exits
+}
+
+// shardSpec returns the sweep spec a sharded run of the job publishes,
+// and whether the job can shard at all: a sweep job publishes its own
+// spec, an explore job its SweepSpec, whose point index is the lattice
+// index. Warm-start sweeps chain searches across points (each
+// warm start is part of the next search's cache key), so they cannot be
+// partitioned; they run locally, as does an exploration without a sweep
+// equivalent (explore.Run reports its error).
+func (sp *Spec) shardSpec() (sweep.Spec, bool) {
+	switch {
+	case sp.Sweep != nil:
+		return *sp.Sweep, !sp.Sweep.WarmStart
+	case sp.Explore != nil:
+		ssp, err := sp.Explore.SweepSpec()
+		return ssp, err == nil
+	}
+	return sweep.Spec{}, false
 }
 
 // startShard publishes the job's sweep spec on the coordinator and, when
@@ -44,8 +59,7 @@ func (m *Manager) startShard(ctx context.Context, st *Status, sp sweep.Spec) (*s
 	if sp.SearchWorkers <= 0 {
 		sp.SearchWorkers = mapper.DefaultSearchWorkers()
 	}
-	ev, err := sweep.NewEvaluator(sp, sweep.Options{})
-	if err != nil {
+	if _, err := sweep.NewEvaluator(sp, sweep.Options{}); err != nil {
 		return nil, nil
 	}
 	spec, err := json.Marshal(sp)
@@ -53,7 +67,7 @@ func (m *Manager) startShard(ctx context.Context, st *Status, sp sweep.Spec) (*s
 		return nil, fmt.Errorf("jobs: encoding sweep spec for sharding: %w", err)
 	}
 	m.Shard.Publish(st.ID, spec)
-	sr := &shardRun{m: m, ctx: ctx, st: st, points: ev.NumPoints()}
+	sr := &shardRun{m: m, ctx: ctx, st: st}
 	if m.ShardLocal {
 		wctx, cancel := context.WithCancel(ctx)
 		sr.cancel = cancel
@@ -69,10 +83,10 @@ func (m *Manager) startShard(ctx context.Context, st *Status, sp sweep.Spec) (*s
 	return sr, nil
 }
 
-// offer posts one generation of task indices and waits until workers
+// offer posts one generation of point indices and waits until workers
 // finish it (updating Status.Shards as ranges complete); every search the
-// generation computed is then in the manager's store. Its signature is
-// explore.Options.PreEvaluate.
+// generation computed is then in the manager's store. It is the run's
+// sweep.Options.PreEvaluate.
 func (sr *shardRun) offer(tasks []int64) error {
 	m, id := sr.m, sr.st.ID
 	done, err := m.Shard.Offer(id, sr.gen, tasks)
@@ -126,12 +140,3 @@ func (localStore) Begin(context.Context, string) error { return nil }
 
 // Flush implements shard.WorkerStore.
 func (localStore) Flush(context.Context) error { return nil }
-
-// taskIndices enumerates [0, n).
-func taskIndices(n int64) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(i)
-	}
-	return out
-}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,5 +206,43 @@ func TestShardingGatesOnRunnableSweeps(t *testing.T) {
 		if err == nil || err.Error() != want.Error() || st.State != StateFailed || st.Error != want.Error() {
 			t.Errorf("sharded=%v: state %s, err %v; want failed with %q", sharded, st.State, err, want)
 		}
+	}
+}
+
+// TestShardedGridOverVariantCapRejectedBeforeOffer: a sharded explore
+// grid past the sweep grid's 100,000-variant cap fails with the unsharded
+// run's error before a single range is offered, so one job submission can
+// neither materialize nor lease an unbounded lattice.
+func TestShardedGridOverVariantCapRejectedBeforeOffer(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sp := Spec{Explore: &explore.Spec{
+		Name: "job-explore-grid-over-cap",
+		Base: sweep.Base{Albireo: &sweep.AlbireoBase{}},
+		Axes: []explore.Axis{ // 40 × 50 × 51 = 102,000 points
+			{Param: "or_lanes", Min: ptr(1), Max: ptr(40)},
+			{Param: "output_lanes", Min: ptr(1), Max: ptr(50)},
+			{Param: "clusters", Min: ptr(1), Max: ptr(51)},
+		},
+		Workload:      sweep.Workload{Inline: tinyNet()},
+		Strategy:      explore.StrategyGrid,
+		SearchWorkers: 1,
+	}}
+	m := openManager(t, t.TempDir())
+	m.Shard = shard.NewCoordinator()
+	m.ShardLocal = true
+	st, err := m.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err = m.Run(ctx, st.ID)
+	if err == nil || !strings.Contains(err.Error(), "axis grid exceeds 100000 variants") {
+		t.Fatalf("err = %v, want the variant cap rejection", err)
+	}
+	if st.Shards != nil {
+		t.Errorf("ranges were offered before the rejection: %+v", st.Shards)
+	}
+	if n := m.Store().Len(); n != 0 {
+		t.Errorf("workers stored %d searches for a rejected grid", n)
 	}
 }

@@ -129,7 +129,7 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 		}
 		job.network.Layers = layers
 	}
-	p, err := ev.evalOwn(&job)
+	p, _, err := ev.evaluate(&job, nil, false)
 	if err != nil {
 		return nil, err
 	}

@@ -1,28 +1,30 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"photoloop/internal/mapper"
 	"photoloop/internal/workload"
 )
 
-// Evaluator evaluates individual variant points of a Spec on demand,
-// without expanding the axis grid: the caller supplies one value per
-// declared axis and gets back the same Point a full Run of an equivalent
-// grid would produce for that combination (same variant construction,
-// same evaluation path, same shared mapper.Cache — bit-identical, which
-// the explore package's equivalence tests pin).
+// Evaluator is the sweep engine's one point evaluator. EvalPoints runs
+// any set of point indices of the spec's grid on one worker pool — Run
+// is EvalPoints over every index — and Eval evaluates a variant from
+// explicit axis values, producing the same Point a Run of an equivalent
+// grid would for that combination (same variant construction, same
+// evaluation path, same shared mapper.Cache — bit-identical, which the
+// explore package's equivalence tests pin).
 //
-// This is the hook adaptive design-space explorers build on. The declared
-// Axes contribute only their Param names (and ordering); the supplied
-// values need not appear in any Values list, so an explorer can walk
-// ranges the declarative grid never enumerates. An Evaluator is safe for
-// concurrent use.
+// Indices decode against the axes' own value counts, so a grid far past
+// Run's maxVariants typo guard (an explore lattice) still evaluates
+// point by point. An Evaluator is safe for concurrent use.
 type Evaluator struct {
 	spec     Spec
 	base     *variant
-	r        *runner
+	cache    *mapper.Cache
 	networks []workload.Network
 	netNames []string
 	objs     []mapper.Objective
@@ -57,8 +59,7 @@ func (e *specError) Unwrap() error { return e.err }
 // axes' Values lists may be empty — only the Param names matter) and
 // prepares the shared evaluation state. It is the one validation point
 // every sweep, study, eval request and sharded task passes. Options
-// contributes only the Cache: the caller drives its own concurrency and
-// accounting, point by point.
+// contributes only the Cache; the rest of it drives EvalPoints.
 func NewEvaluator(sp Spec, opts Options) (*Evaluator, error) {
 	base, err := sp.base()
 	if err != nil {
@@ -77,6 +78,7 @@ func NewEvaluator(sp Spec, opts Options) (*Evaluator, error) {
 	e := &Evaluator{
 		spec:     sp,
 		base:     base,
+		cache:    opts.Cache,
 		networks: make([]workload.Network, len(sp.Workloads)),
 		netNames: make([]string, len(sp.Workloads)),
 		objs:     make([]mapper.Objective, len(objectives)),
@@ -98,11 +100,9 @@ func NewEvaluator(sp Spec, opts Options) (*Evaluator, error) {
 			return nil, &specError{err: err}
 		}
 	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = mapper.NewCache()
+	if e.cache == nil {
+		e.cache = mapper.NewCache()
 	}
-	e.r = &runner{spec: &e.spec, cache: cache}
 	return e, nil
 }
 
@@ -133,14 +133,6 @@ func (e *Evaluator) job(index int, v *variant, wi, oi int) pointJob {
 	}
 }
 
-// evalOwn evaluates a job whose variant no other job shares, on a
-// job-owned state (see pointJob.state).
-func (e *Evaluator) evalOwn(job *pointJob) (Point, error) {
-	job.state = &variantState{}
-	p, _, err := e.r.evaluate(job, nil, false)
-	return p, err
-}
-
 // Eval evaluates one point: the variant with the given axis values,
 // against workload wi and objective oi (spec indices). index labels the
 // returned Point (Point.Index); failures land in Point.Err, exactly as in
@@ -157,56 +149,205 @@ func (e *Evaluator) Eval(index int, values []any, wi, oi int) (*Point, error) {
 		return nil, err
 	}
 	job := e.job(index, v, wi, oi)
-	p, _ := e.evalOwn(&job)
+	p, _, _ := e.evaluate(&job, nil, false)
 	return &p, nil
+}
+
+// numVariants sizes the axis grid a Run evaluates, or rejects it: an axis
+// without values, or more than maxVariants variants.
+func (e *Evaluator) numVariants() (int, error) {
+	n := 1
+	for _, ax := range e.spec.Axes {
+		if len(ax.Values) == 0 {
+			return 0, fmt.Errorf("sweep: axis %q has no values", ax.Param)
+		}
+		if n > maxVariants/len(ax.Values) {
+			return 0, fmt.Errorf("sweep: axis grid exceeds %d variants", maxVariants)
+		}
+		n *= len(ax.Values)
+	}
+	return n, nil
 }
 
 // NumPoints is the number of points a Run of the spec evaluates:
 // variants × workloads × objectives. It is 0 when Run rejects the grid
 // (an axis without values, or more than maxVariants variants).
 func (e *Evaluator) NumPoints() int {
-	n := 1
-	for _, ax := range e.spec.Axes {
-		if len(ax.Values) == 0 || n > maxVariants/len(ax.Values) {
-			return 0
-		}
-		n *= len(ax.Values)
+	n, err := e.numVariants()
+	if err != nil {
+		return 0
 	}
 	return n * len(e.networks) * len(e.objs)
 }
 
-// EvalPoint evaluates point idx of the spec's grid in Run's index order —
-// idx = (variant*workloads + workload)*objectives + objective, variants
-// in cross-product order with the first axis most significant — and
-// returns the Point a Run produces at that index. It decodes idx against
-// the axes' own value counts without materializing the grid, so a grid
-// past Run's maxVariants typo guard (an explore lattice) still evaluates
-// point by point. WarmStart sweeps chain searches across points, so
-// their Run points differ from these cold evaluations; sharding skips
-// them.
-func (e *Evaluator) EvalPoint(idx int) (*Point, error) {
+// jobAt decodes point idx of the grid in Run's index order — idx =
+// (variant*workloads + workload)*objectives + objective, variants in
+// cross-product order with the first axis most significant — against the
+// axes' own value counts. variants memoizes the decoded variants by
+// variant index, so every point of one variant shares its built
+// architecture and mapper session.
+func (e *Evaluator) jobAt(idx int64, variants map[int64]*variant) (pointJob, error) {
 	if idx < 0 {
-		return nil, fmt.Errorf("sweep: point index %d out of range", idx)
+		return pointJob{}, fmt.Errorf("sweep: point index %d out of range", idx)
 	}
-	oi := idx % len(e.objs)
-	rest := idx / len(e.objs)
-	wi := rest % len(e.networks)
-	rest /= len(e.networks)
-	values := make([]any, len(e.spec.Axes))
-	for i := len(values) - 1; i >= 0; i-- {
-		axis := e.spec.Axes[i].Values
-		if len(axis) == 0 {
-			return nil, fmt.Errorf("sweep: axis %q has no values", e.spec.Axes[i].Param)
+	perVariant := int64(len(e.networks) * len(e.objs))
+	vi, wo := idx/perVariant, int(idx%perVariant)
+	v, ok := variants[vi]
+	if !ok {
+		values := make([]any, len(e.spec.Axes))
+		rest := vi
+		for i := len(values) - 1; i >= 0; i-- {
+			axis := e.spec.Axes[i].Values
+			if len(axis) == 0 {
+				return pointJob{}, fmt.Errorf("sweep: axis %q has no values", e.spec.Axes[i].Param)
+			}
+			values[i] = axis[rest%int64(len(axis))]
+			rest /= int64(len(axis))
 		}
-		values[i] = axis[rest%len(axis)]
-		rest /= len(axis)
+		if rest != 0 {
+			return pointJob{}, fmt.Errorf("sweep: point index %d out of range", idx)
+		}
+		var err error
+		if v, err = e.spec.variantWith(e.base, values); err != nil {
+			return pointJob{}, err
+		}
+		variants[vi] = v
 	}
-	if rest != 0 {
-		return nil, fmt.Errorf("sweep: point index %d out of range", idx)
+	return e.job(int(idx), v, wo/len(e.objs), wo%len(e.objs)), nil
+}
+
+// EvalPoint evaluates point idx of the spec's grid (see EvalPoints) and
+// returns the Point a Run produces at that index. WarmStart sweeps chain
+// searches across points, so their Run points differ from these cold
+// evaluations; sharding skips them.
+func (e *Evaluator) EvalPoint(idx int) (*Point, error) {
+	points, err := e.EvalPoints([]int64{int64(idx)}, Options{})
+	if err != nil {
+		return nil, err
 	}
-	return e.Eval(idx, values, wi, oi)
+	return &points[0], nil
+}
+
+// EvalPoints evaluates the grid points idx in Run's index order on one
+// worker pool and returns them slot for slot (points[k] is point idx[k];
+// Point.Index is its grid index). It decodes every index first, so a
+// malformed index or a variant whose axis values do not apply is rejected
+// — in idx order — before anything runs; then opts.PreEvaluate sees idx,
+// and only then does the pool start. Either failure evaluates nothing and
+// returns nil points. A canceled opts.Context stops dispatch: the points
+// never started carry the cancellation as their Err, and the context's
+// error is returned with them. Point-level failures are not errors here:
+// they land in Point.Err.
+func (e *Evaluator) EvalPoints(idx []int64, opts Options) ([]Point, error) {
+	variants := map[int64]*variant{}
+	jobs := make([]pointJob, len(idx))
+	for k, i := range idx {
+		var err error
+		if jobs[k], err = e.jobAt(i, variants); err != nil {
+			return nil, err
+		}
+	}
+	if opts.PreEvaluate != nil {
+		if err := opts.PreEvaluate(idx); err != nil {
+			return nil, err
+		}
+	}
+
+	// The pool consumes chains of slots. Without warm starts every slot
+	// is its own chain (full point-level parallelism); with warm starts
+	// the points of one (workload, objective) form a chain, processed in
+	// idx order so each point inherits its predecessor's best mappings
+	// deterministically.
+	var chains [][]int
+	if e.spec.WarmStart {
+		perVariant := int64(len(e.networks) * len(e.objs))
+		chains = make([][]int, perVariant)
+		for k, i := range idx {
+			chains[i%perVariant] = append(chains[i%perVariant], k)
+		}
+	} else {
+		chains = make([][]int, len(idx))
+		for k := range idx {
+			chains[k] = []int{k}
+		}
+	}
+
+	points := make([]Point, len(idx))
+	var mu sync.Mutex
+	done := 0
+	report := func(p *Point) {
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		if opts.OnPoint != nil {
+			opts.OnPoint(p)
+		}
+		if opts.Progress != nil {
+			opts.Progress(done, len(idx))
+		}
+	}
+
+	workers := opts.Workers
+	if workers <= 0 {
+		// Each point's layer searches run their own worker pool; divide
+		// the default point pool by it so a default-flag sweep keeps
+		// total parallelism near GOMAXPROCS instead of multiplying the
+		// two pools. (Pool sizes never change results.)
+		perSearch := e.spec.SearchWorkers
+		if perSearch <= 0 {
+			perSearch = mapper.DefaultSearchWorkers()
+		}
+		workers = max(1, runtime.GOMAXPROCS(0)/perSearch)
+	}
+	workers = min(workers, len(chains))
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	chainCh := make(chan []int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for chain := range chainCh {
+				var warm warmTable
+				for _, k := range chain {
+					if len(chain) > 1 && ctx.Err() != nil {
+						// Mid-chain cancellation: successors of a chain
+						// carry the cancellation like undispatched points.
+						points[k] = canceledPoint(&jobs[k], ctx.Err())
+						continue
+					}
+					points[k], warm, _ = e.evaluate(&jobs[k], warm, e.spec.WarmStart)
+					report(&points[k])
+				}
+			}
+		}()
+	}
+	canceled := false
+dispatch:
+	for i := range chains {
+		select {
+		case chainCh <- chains[i]:
+		case <-ctx.Done():
+			canceled = true
+			break dispatch
+		}
+	}
+	close(chainCh)
+	wg.Wait()
+	if !canceled {
+		return points, nil
+	}
+	for k := range points {
+		if points[k].Network == "" { // never dispatched
+			points[k] = canceledPoint(&jobs[k], ctx.Err())
+		}
+	}
+	return points, ctx.Err()
 }
 
 // CacheStats reports the hit/miss counters of the evaluator's search
 // cache (the one passed in Options.Cache, or its private one).
-func (e *Evaluator) CacheStats() (hits, misses int64) { return e.r.cache.Stats() }
+func (e *Evaluator) CacheStats() (hits, misses int64) { return e.cache.Stats() }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -21,10 +20,12 @@ import (
 	"photoloop/internal/workload"
 )
 
-// Options tunes a Run without changing what it computes.
+// Options tunes a Run (and any EvalPoints call) without changing what it
+// computes.
 type Options struct {
-	// Workers is the point-level pool size (default GOMAXPROCS). Points
-	// are independent, so the pool size never changes results.
+	// Workers is the point-level pool size (default GOMAXPROCS divided by
+	// the per-layer search workers). Points are independent, so the pool
+	// size never changes results.
 	Workers int
 	// Context cancels the run between points (in-flight points finish);
 	// undispatched points carry the cancellation as their Err and Run
@@ -43,6 +44,16 @@ type Options struct {
 	// order, not index order). Calls are serialized; the final Result
 	// still holds every point in index order.
 	OnPoint func(*Point)
+	// PreEvaluate, when set, sees the point indices of each EvalPoints
+	// call after they all decode and before any is evaluated: a Run's
+	// whole grid once (only after the grid passed Run's checks), an
+	// adaptive exploration one generation at a time. Sharded jobs hook it
+	// to lease the indices to worker processes and wait until their
+	// searches reach the shared cache's store, after which the local
+	// evaluation finds everything warm; it runs before evaluation starts,
+	// so it cannot change what is computed. An error aborts the call with
+	// nothing evaluated.
+	PreEvaluate func(idx []int64) error
 }
 
 // Result is a completed sweep: every point of the cross product, in
@@ -162,132 +173,46 @@ type pointJob struct {
 	// mapping, when set, is a fixed schedule scored on every layer
 	// instead of searching (eval requests only).
 	mapping *spec.MappingSpec
-	// state, when set, carries a caller-owned variant state and bypasses
-	// the runner's per-variant memo map (Evaluator jobs build one variant
-	// per call, so memoizing them would only leak entries).
-	state *variantState
 }
 
-// Run expands and evaluates the sweep. The returned Result always holds
-// one point per cross-product combination in index order; if any point
-// failed, the first failure is returned as the error (its point, and any
-// other failed points, carry Err).
+// Run evaluates the sweep. It first checks the whole grid — the variant
+// cap, then every variant's axis values in index order — and then
+// evaluates points [0, N) through Evaluator.EvalPoints. The returned
+// Result always holds one point per cross-product combination in index
+// order; if any point failed, the first failure is returned as the error
+// (its point, and any other failed points, carry Err).
 func Run(sp Spec, opts Options) (*Result, error) {
 	ev, err := NewEvaluator(sp, opts)
 	if err != nil {
 		return nil, err
 	}
-	variants, err := sp.expand()
+	variants, err := ev.numVariants()
 	if err != nil {
 		return nil, err
 	}
-	perWO := len(ev.networks) * len(ev.objs)
-	jobs := make([]pointJob, 0, len(variants)*perWO)
-	for _, v := range variants {
-		for wi := range ev.networks {
-			for oi := range ev.objs {
-				jobs = append(jobs, ev.job(len(jobs), v, wi, oi))
-			}
-		}
+	idx := make([]int64, variants*len(ev.networks)*len(ev.objs))
+	for i := range idx {
+		idx[i] = int64(i)
 	}
-
-	// The pool consumes chains of jobs. Without warm starts every job is
-	// its own chain (full point-level parallelism, unchanged semantics);
-	// with warm starts the points of one (workload, objective) across the
-	// variant axis form a chain, processed in variant order so each point
-	// inherits its neighbor's best mappings deterministically.
-	var chains [][]int
-	if sp.WarmStart {
-		chains = make([][]int, perWO)
-		for i := range jobs {
-			wo := i % perWO
-			chains[wo] = append(chains[wo], i)
-		}
-	} else {
-		chains = make([][]int, len(jobs))
-		for i := range jobs {
-			chains[i] = []int{i}
-		}
-	}
-
 	// Snapshot the counters so the result reports THIS run's dedupe, not
 	// a shared cache's lifetime totals. (Concurrent runs on one cache
 	// still see each other's traffic in the deltas — the numbers are
 	// per-run, not per-key-set.)
-	r := ev.r
-	r.opts, r.total = opts, len(jobs)
-	r.states = make(map[*variant]*variantState, len(variants))
-	hits0, misses0 := r.cache.Stats()
-	res := &Result{Name: sp.Name, Points: make([]Point, len(jobs))}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		// Each point's layer searches run their own worker pool; divide
-		// the default point pool by it so a default-flag sweep keeps
-		// total parallelism near GOMAXPROCS instead of multiplying the
-		// two pools. (Pool sizes never change results.)
-		perSearch := sp.SearchWorkers
-		if perSearch <= 0 {
-			perSearch = mapper.DefaultSearchWorkers()
-		}
-		workers = max(1, runtime.GOMAXPROCS(0)/perSearch)
+	hits0, misses0 := ev.CacheStats()
+	points, err := ev.EvalPoints(idx, opts)
+	if points == nil {
+		return nil, err
 	}
-	if workers > len(chains) {
-		workers = len(chains)
-	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	chainCh := make(chan []int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for chain := range chainCh {
-				var warm warmTable
-				for _, ji := range chain {
-					job := &jobs[ji]
-					if len(chain) > 1 && ctx.Err() != nil {
-						// Mid-chain cancellation: successors of a chain
-						// carry the cancellation like undispatched points.
-						res.Points[job.index] = canceledPoint(job, ctx.Err())
-						continue
-					}
-					res.Points[job.index], warm, _ = r.evaluate(job, warm, sp.WarmStart)
-					r.report(&res.Points[job.index])
-				}
-			}
-		}()
-	}
-	canceled := false
-dispatch:
-	for i := range chains {
-		select {
-		case chainCh <- chains[i]:
-		case <-ctx.Done():
-			canceled = true
-			break dispatch
-		}
-	}
-	close(chainCh)
-	wg.Wait()
-
-	hits1, misses1 := r.cache.Stats()
+	res := &Result{Name: sp.Name, Points: points}
+	hits1, misses1 := ev.CacheStats()
 	res.CacheHits, res.CacheMisses = hits1-hits0, misses1-misses0
 	for i := range res.Points {
 		res.Pruned += res.Points[i].Pruned
 		res.DeltaEvals += res.Points[i].DeltaEvals
 		res.FullEvals += res.Points[i].FullEvals
 	}
-	if canceled {
-		for i := range jobs {
-			if res.Points[jobs[i].index].Network == "" { // never dispatched
-				res.Points[jobs[i].index] = canceledPoint(&jobs[i], ctx.Err())
-			}
-		}
-		return res, fmt.Errorf("sweep: %w", ctx.Err())
+	if err != nil {
+		return res, fmt.Errorf("sweep: %w", err)
 	}
 	for i := range res.Points {
 		if res.Points[i].Err != "" {
@@ -307,27 +232,6 @@ func canceledPoint(job *pointJob, err error) Point {
 		Batch: max(1, job.workload.Batch), Fused: job.workload.Fused,
 		Objective: job.objName, Err: err.Error(),
 	}
-}
-
-// runner carries the shared evaluation state of one Evaluator (and of
-// the Run built on it).
-type runner struct {
-	spec  *Spec
-	cache *mapper.Cache
-
-	// opts, done and total drive a Run's progress and streaming
-	// callbacks (unset for on-demand evaluation).
-	opts  Options
-	mu    sync.Mutex
-	done  int
-	total int
-
-	// Per-variant built architecture and (for raw-spec bases) the shared
-	// mapper session — a Run's memo; on-demand jobs carry their own
-	// state. Albireo bases build sessions inside the network evaluator;
-	// the cache dedupes across them by architecture fingerprint.
-	stateMu sync.Mutex
-	states  map[*variant]*variantState
 }
 
 // variantState memoizes what every point of one variant shares.
@@ -354,52 +258,27 @@ func (st *variantState) init(v *variant, fspec *fidelity.Spec, search bool) {
 	})
 }
 
-// state returns the variant's memoized evaluation state.
-func (r *runner) state(v *variant) *variantState {
-	r.stateMu.Lock()
-	defer r.stateMu.Unlock()
-	st, ok := r.states[v]
-	if !ok {
-		st = &variantState{}
-		r.states[v] = st
-	}
-	return st
-}
-
-// report serializes the progress and streaming callbacks.
-func (r *runner) report(p *Point) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.done++
-	if r.opts.OnPoint != nil {
-		r.opts.OnPoint(p)
-	}
-	if r.opts.Progress != nil {
-		r.opts.Progress(r.done, r.total)
-	}
-}
-
 // warmTable carries one point's best mappings, keyed by layer shape
 // fingerprint, to the next point of a warm-start chain.
 type warmTable map[uint64][]*mapping.Mapping
 
 // mapperOptions assembles the per-layer search options for one objective.
-func (r *runner) mapperOptions(obj mapper.Objective) mapper.Options {
+func (e *Evaluator) mapperOptions(obj mapper.Objective) mapper.Options {
 	return mapper.Options{
 		Objective: obj,
-		Budget:    r.spec.Budget,
-		Seed:      r.spec.Seed,
-		Workers:   r.spec.SearchWorkers,
-		Cache:     r.cache,
+		Budget:    e.spec.Budget,
+		Seed:      e.spec.Seed,
+		Workers:   e.spec.SearchWorkers,
+		Cache:     e.cache,
 	}
 }
 
-// evaluate computes one point — the one evaluation path behind Run,
-// Evaluator and Eval. A failure lands in Point.Err and is returned as an
+// evaluate computes one point — the one evaluation path behind
+// EvalPoints (and so Run), Evaluator.Eval and Eval. A failure lands in Point.Err and is returned as an
 // error too (a failed layer as "sweep: layer <name>: ..."). warm supplies
 // the previous chained point's best mappings; when collect is set the
 // point's own bests are returned for its successor.
-func (r *runner) evaluate(job *pointJob, warm warmTable, collect bool) (Point, warmTable, error) {
+func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point, warmTable, error) {
 	p := Point{
 		Index:     job.index,
 		Variant:   job.variant.label,
@@ -417,11 +296,8 @@ func (r *runner) evaluate(job *pointJob, warm warmTable, collect bool) (Point, w
 		p.Err = fmt.Sprintf("layer %s: %v", layer, err)
 		return p, nil, fmt.Errorf("sweep: layer %s: %w", layer, err)
 	}
-	st := job.state
-	if st == nil {
-		st = r.state(job.variant)
-	}
-	st.init(job.variant, r.spec.Fidelity, job.mapping == nil)
+	st := &job.variant.state
+	st.init(job.variant, e.spec.Fidelity, job.mapping == nil)
 	if st.err != nil {
 		return fail(st.err)
 	}
@@ -478,7 +354,7 @@ func (r *runner) evaluate(job *pointJob, warm warmTable, collect bool) (Point, w
 		nres, err := albireo.EvalNetwork(*job.variant.albireo, job.network, albireo.NetOptions{
 			Batch:      job.workload.Batch,
 			Fused:      job.workload.Fused,
-			Mapper:     r.mapperOptions(job.obj),
+			Mapper:     e.mapperOptions(job.obj),
 			WarmStarts: warm,
 		})
 		if err != nil {
@@ -498,7 +374,7 @@ func (r *runner) evaluate(job *pointJob, warm warmTable, collect bool) (Point, w
 				best = &mapper.Best{Mapping: fixed}
 				best.Result, err = model.Evaluate(a, layer, fixed, model.Options{})
 			} else {
-				mopts := r.mapperOptions(job.obj)
+				mopts := e.mapperOptions(job.obj)
 				mopts.WarmStarts = warm[layer.ShapeFingerprint()]
 				best, err = st.sess.Search(layer, mopts)
 			}
@@ -525,7 +401,7 @@ func (r *runner) evaluate(job *pointJob, warm warmTable, collect bool) (Point, w
 	p.EffectiveBits = total.EffectiveBits
 	p.SNRDB = total.SNRDB
 	p.AccuracyLossPct = total.AccuracyLossPct
-	if r.spec.IncludeLayers {
+	if e.spec.IncludeLayers {
 		p.Layers = layers
 	}
 	return p, next, nil

@@ -141,13 +141,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &sp) {
 		return
 	}
-	select {
-	case s.sweepSem <- struct{}{}:
-		defer func() { <-s.sweepSem }()
-	case <-r.Context().Done():
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("sweep queue: %w", r.Context().Err()))
+	release, err := s.AdmitHeavy(r.Context())
+	if err != nil {
+		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("sweep queue: %w", err))
 		return
 	}
+	defer release()
 	res, err := Run(sp, Options{Workers: s.Workers, Cache: s.cache, Context: r.Context()})
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
@@ -172,13 +171,12 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &sp) {
 		return
 	}
-	select {
-	case s.sweepSem <- struct{}{}:
-		defer func() { <-s.sweepSem }()
-	case <-r.Context().Done():
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("study queue: %w", r.Context().Err()))
+	release, err := s.AdmitHeavy(r.Context())
+	if err != nil {
+		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("study queue: %w", err))
 		return
 	}
+	defer release()
 	res, err := RunStudy(sp, Options{Workers: s.Workers, Cache: s.cache, Context: r.Context()})
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -299,5 +300,32 @@ func TestServeStudyMatchesLocal(t *testing.T) {
 	w = postJSON(t, srv, "/v1/study", StudySpec{Presets: []string{"nope"}})
 	if w.Code != http.StatusUnprocessableEntity {
 		t.Errorf("bad study status %d", w.Code)
+	}
+}
+
+// TestServeHeavyQueueRejection pins the heavy-run admission failure: with
+// every slot held, a sweep or study whose request context ends while it
+// queues gets a 503 naming its queue.
+func TestServeHeavyQueueRejection(t *testing.T) {
+	srv := NewServer()
+	for i := 0; i < maxConcurrentSweeps; i++ {
+		release, err := srv.AdmitHeavy(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct{ path, body, want string }{
+		{"/v1/sweep", `{"base":{"albireo":{}},"workloads":[{"network":"alexnet"}]}`, `{"error":"sweep queue: context canceled"}` + "\n"},
+		{"/v1/study", `{"presets":["albireo"],"workloads":["alexnet"]}`, `{"error":"study queue: context canceled"}` + "\n"},
+	} {
+		req := httptest.NewRequest("POST", c.path, strings.NewReader(c.body)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != http.StatusServiceUnavailable || w.Body.String() != c.want {
+			t.Errorf("%s: status %d body %q, want 503 %q", c.path, w.Code, w.Body.String(), c.want)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package sweep is the batched design-space-exploration front end of the
 // modeling framework: a declarative Spec names a base architecture (an
 // Albireo configuration or a raw architecture spec), a grid of axes
-// mutating it, a set of workloads, and mapper objectives; Run expands the
-// cross product into points and evaluates them on a worker pool of mapper
-// sessions, deduplicating identical (architecture, layer shape) searches
+// mutating it, a set of workloads, and mapper objectives; Run evaluates
+// the cross product's points on one worker pool of mapper sessions
+// (Evaluator.EvalPoints), deduplicating identical (architecture, layer shape) searches
 // through a fingerprint-keyed result cache (mapper.Cache).
 //
 // The paper's figures 4 and 5 are sweeps (internal/exp builds its grids
@@ -173,14 +173,16 @@ func (w *Workload) resolve() (workload.Network, string, error) {
 	}
 }
 
-// variant is one expanded grid point of the axes: a fully-applied base
-// plus the axis assignments that produced it.
+// variant is one grid point of the axes: a fully-applied base plus the
+// axis assignments that produced it, and the evaluation state every point
+// of the variant shares.
 type variant struct {
 	label   string
 	params  map[string]any
 	albireo *albireo.Config // Albireo bases and albireo-backed presets
 	arch    *spec.ArchSpec  // raw-spec bases (deep copy with overrides)
 	preset  *presets.Preset // non-albireo presets (the electrical baseline)
+	state   variantState
 }
 
 // build constructs the variant's architecture (the unfused one, for
@@ -229,58 +231,14 @@ func (s *Spec) base() (*variant, error) {
 	return v, nil
 }
 
-// expand walks the axes' cross product, first axis most significant, and
-// returns one variant per combination (a single variant when Axes is
-// empty).
-func (s *Spec) expand() ([]*variant, error) {
-	base, err := s.base()
-	if err != nil {
-		return nil, err
-	}
-	total := 1
-	for _, ax := range s.Axes {
-		if len(ax.Values) == 0 {
-			return nil, fmt.Errorf("sweep: axis %q has no values", ax.Param)
-		}
-		if total > maxVariants/len(ax.Values) {
-			return nil, fmt.Errorf("sweep: axis grid exceeds %d variants", maxVariants)
-		}
-		total *= len(ax.Values)
-	}
-	choice := make([]int, len(s.Axes))
-	values := make([]any, len(s.Axes))
-	out := make([]*variant, 0, total)
-	for {
-		for i := range choice {
-			values[i] = s.Axes[i].Values[choice[i]]
-		}
-		v, err := s.variantWith(base, values)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-		i := len(choice) - 1
-		for ; i >= 0; i-- {
-			choice[i]++
-			if choice[i] < len(s.Axes[i].Values) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i < 0 {
-			return out, nil
-		}
-	}
-}
-
 // maxVariants bounds a sweep's grid (a typo guard, not a capability
 // limit — fig-5-scale explorations are tens of variants).
 const maxVariants = 100000
 
 // variantWith materializes the variant for one explicit value per axis on
 // top of the resolved base. The values need not appear in the axes'
-// Values lists — on-demand evaluators (sweep.Evaluator, the explore
-// package) synthesize points the declared grid never enumerates.
+// Values lists — Evaluator.Eval synthesizes points the declared grid
+// never enumerates.
 func (s *Spec) variantWith(base *variant, values []any) (*variant, error) {
 	if len(values) != len(s.Axes) {
 		return nil, fmt.Errorf("sweep: got %d axis values for %d axes", len(values), len(s.Axes))

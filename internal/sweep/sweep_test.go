@@ -36,6 +36,32 @@ func templateBase(t *testing.T) Base {
 	return Base{Arch: &as}
 }
 
+// decodeVariants runs Run's grid check through the evaluator's variant
+// decoder and returns every variant in index order. The variants do not
+// depend on the workload, so it swaps in one tiny network and the default
+// objective (one point per variant).
+func decodeVariants(sp Spec) ([]*variant, error) {
+	sp.Workloads, sp.Objectives = []Workload{{Inline: tinyNet()}}, nil
+	ev, err := NewEvaluator(sp, Options{})
+	if err != nil {
+		return nil, err
+	}
+	n, err := ev.numVariants()
+	if err != nil {
+		return nil, err
+	}
+	memo := map[int64]*variant{}
+	out := make([]*variant, n)
+	for i := range out {
+		job, err := ev.jobAt(int64(i), memo)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = job.variant
+	}
+	return out, nil
+}
+
 func TestExpandCrossProductOrder(t *testing.T) {
 	sp := Spec{
 		Base: Base{Albireo: &AlbireoBase{Scaling: "aggressive"}},
@@ -45,7 +71,7 @@ func TestExpandCrossProductOrder(t *testing.T) {
 			{Param: "output_lanes", Values: []any{3.0, 9.0}}, // JSON-style floats coerce
 		},
 	}
-	variants, err := sp.expand()
+	variants, err := decodeVariants(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +118,7 @@ func TestExpandErrors(t *testing.T) {
 		{"bad scaling", Spec{Base: Base{Albireo: &AlbireoBase{Scaling: "warp"}}}, "unknown scaling"},
 	}
 	for _, c := range cases {
-		if _, err := c.sp.expand(); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := decodeVariants(c.sp); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.want)
 		}
 	}
@@ -423,7 +449,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if err := dec.Decode(&sp); err != nil {
 		t.Fatal(err)
 	}
-	variants, err := sp.expand()
+	variants, err := decodeVariants(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
