@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -114,20 +113,10 @@ func cmdExplore(args []string) error {
 
 	var sp explore.Spec
 	if *specPath != "" {
-		var r io.Reader = os.Stdin
-		if *specPath != "-" {
-			f, err := os.Open(*specPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			r = f
-		}
-		parsed, err := explore.DecodeSpec(r)
-		if err != nil {
+		var err error
+		if sp, err = readSpec(*specPath, explore.DecodeSpec); err != nil {
 			return err
 		}
-		sp = parsed
 		if *budget > 0 {
 			sp.Budget = *budget
 		}
@@ -158,16 +147,7 @@ func cmdExplore(args []string) error {
 		return err
 	}
 
-	opts := explore.Options{Workers: *workers}
-	if !*quiet {
-		opts.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rexplore: %d/%d points", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	}
-	f, err := explore.Run(sp, opts)
+	f, err := explore.Run(sp, explore.Options{Workers: *workers, Progress: progress("explore", *quiet)})
 	if err != nil {
 		return closeOut(err)
 	}
@@ -188,14 +168,7 @@ func cmdExplore(args []string) error {
 				f.SurrogateRanked, f.SurrogateKept)
 		}
 	}
-
-	switch *format {
-	case "json":
-		return closeOut(f.WriteJSON(out))
-	case "csv":
-		return closeOut(f.WriteCSV(out))
-	}
-	return closeOut(f.WriteMarkdown(out))
+	return closeOut(sweep.WriteArtifact(out, f, *format))
 }
 
 // splitList splits a comma-separated flag into trimmed non-empty fields.

@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -276,38 +277,23 @@ func cmdEval(args []string) error {
 	if *withFidelity {
 		req.Fidelity = &fidelity.Spec{}
 	}
+	var err error
 	if *archPath != "" {
-		af, err := os.Open(*archPath)
-		if err != nil {
-			return err
-		}
-		req.Arch, err = spec.ParseArchSpec(af)
-		af.Close()
-		if err != nil {
+		if req.Arch, err = readSpec(*archPath, spec.ParseArchSpec); err != nil {
 			return err
 		}
 	}
 	if _, ok := workload.Zoo()[*network]; ok {
 		req.Network = *network
-	} else {
-		nf, err := os.Open(*network)
-		if err != nil {
+	} else if req.Inline, err = readSpec(*network, workload.DecodeNetworkJSON); err != nil {
+		var pathErr *os.PathError
+		if errors.As(err, &pathErr) {
 			return fmt.Errorf("network %q is not built in and not a readable file: %w", *network, err)
 		}
-		req.Inline, err = workload.DecodeNetworkJSON(nf)
-		nf.Close()
-		if err != nil {
-			return err
-		}
+		return err
 	}
 	if *mappingPath != "" {
-		mf, err := os.Open(*mappingPath)
-		if err != nil {
-			return err
-		}
-		req.Mapping, err = spec.ParseMappingSpec(mf)
-		mf.Close()
-		if err != nil {
+		if req.Mapping, err = readSpec(*mappingPath, spec.ParseMappingSpec); err != nil {
 			return err
 		}
 	}
@@ -351,6 +337,35 @@ func renderEval(out io.Writer, resp *sweep.EvalResponse) error {
 	}
 	fmt.Fprintf(out, "area: %.3f mm^2, peak %d MACs/cycle\n", resp.AreaUM2/1e6, resp.PeakMACsPerCycle)
 	return nil
+}
+
+// readSpec opens a spec document (path "-" reads stdin) and parses it
+// with decode.
+func readSpec[T any](path string, decode func(io.Reader) (T, error)) (T, error) {
+	if path == "-" {
+		return decode(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer f.Close()
+	return decode(f)
+}
+
+// progress returns the "\rlabel: done/total points" stderr reporter of a
+// run, or nil when quiet.
+func progress(label string, quiet bool) func(done, total int) {
+	if quiet {
+		return nil
+	}
+	return func(done, total int) {
+		fmt.Fprintf(os.Stderr, "\r%s: %d/%d points", label, done, total)
+		if done == total {
+			fmt.Fprintln(os.Stderr)
+		}
+	}
 }
 
 // openOut opens the results destination before any compute is spent (a
@@ -404,20 +419,10 @@ func cmdSweep(args []string) error {
 	case *preset != "":
 		return fmt.Errorf("unknown preset %q (want fig4 or fig5)", *preset)
 	default:
-		var r io.Reader = os.Stdin
-		if *specPath != "-" {
-			f, err := os.Open(*specPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			r = f
-		}
-		parsed, err := sweep.DecodeSpec(r)
-		if err != nil {
+		var err error
+		if sp, err = readSpec(*specPath, sweep.DecodeSpec); err != nil {
 			return err
 		}
-		sp = parsed
 		if *budget > 0 {
 			sp.Budget = *budget
 		}
@@ -435,16 +440,7 @@ func cmdSweep(args []string) error {
 		return err
 	}
 
-	opts := sweep.Options{Workers: *workers}
-	if !*quiet {
-		opts.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rsweep: %d/%d points", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	}
-	res, err := sweep.Run(sp, opts)
+	res, err := sweep.Run(sp, sweep.Options{Workers: *workers, Progress: progress("sweep", *quiet)})
 	if err != nil {
 		return closeOut(err)
 	}
@@ -456,11 +452,7 @@ func cmdSweep(args []string) error {
 				scored, 100*res.PrunedFraction(), res.DeltaEvals, res.FullEvals)
 		}
 	}
-
-	if *format == "csv" {
-		return closeOut(res.WriteCSV(out))
-	}
-	return closeOut(res.WriteJSON(out))
+	return closeOut(sweep.WriteArtifact(out, res, *format))
 }
 
 // cmdJobs drives the durable job engine: submit/resume run synchronously
@@ -504,14 +496,7 @@ func cmdJobs(args []string) error {
 	m.Workers = *workers
 
 	runJob := func(jobID string) error {
-		if !*quiet {
-			m.Progress = func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\rjob %s: %d/%d points", jobID, done, total)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
-		}
+		m.Progress = progress("job "+jobID, *quiet)
 		st, err := m.Run(context.Background(), jobID)
 		if err != nil {
 			return err
@@ -530,18 +515,13 @@ func cmdJobs(args []string) error {
 		}
 		var sp jobs.Spec
 		if *sweepPath != "" {
-			parsed, err := decodeSweepFile(*sweepPath)
+			parsed, err := readSpec(*sweepPath, sweep.DecodeSpec)
 			if err != nil {
 				return err
 			}
 			sp.Sweep = &parsed
 		} else {
-			f, err := os.Open(*explorePath)
-			if err != nil {
-				return err
-			}
-			parsed, err := explore.DecodeSpec(f)
-			f.Close()
+			parsed, err := readSpec(*explorePath, explore.DecodeSpec)
 			if err != nil {
 				return err
 			}
@@ -586,20 +566,6 @@ func cmdJobs(args []string) error {
 		_, err = out.Write(buf)
 		return closeOut(err)
 	}
-}
-
-// decodeSweepFile strictly parses a sweep spec file (or stdin with "-").
-func decodeSweepFile(path string) (sweep.Spec, error) {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return sweep.Spec{}, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return sweep.DecodeSpec(r)
 }
 
 func cmdServe(args []string) error {

@@ -50,16 +50,7 @@ func cmdStudy(args []string) error {
 		return err
 	}
 
-	opts := sweep.Options{Workers: *workers}
-	if !*quiet {
-		opts.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rstudy: %d/%d points", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	}
-	res, err := sweep.RunStudy(spec, opts)
+	res, err := sweep.RunStudy(spec, sweep.Options{Workers: *workers, Progress: progress("study", *quiet)})
 	if err != nil {
 		return closeOut(err)
 	}
@@ -67,16 +58,10 @@ func cmdStudy(args []string) error {
 		fmt.Fprintf(os.Stderr, "study: %d layer searches, %d deduplicated\n",
 			res.CacheHits+res.CacheMisses, res.CacheHits)
 	}
-
-	switch *format {
-	case "markdown":
-		return closeOut(res.WriteMarkdown(out))
-	case "json":
-		return closeOut(res.WriteJSON(out))
-	case "csv":
-		return closeOut(res.WriteCSV(out))
+	if *format == "table" {
+		return closeOut(renderStudyTable(out, res))
 	}
-	return closeOut(renderStudyTable(out, res))
+	return closeOut(sweep.WriteArtifact(out, res, *format))
 }
 
 // renderStudyTable prints the ranked comparison as an aligned text table,

@@ -4,14 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
-	"net/http"
 
 	"photoloop/internal/sweep"
 )
 
 // DecodeSpec parses an exploration spec document strictly (unknown fields
-// are errors), as `photoloop explore -spec` and `POST /v1/explore` do.
+// are errors), as `photoloop explore -spec` does and sweep.DecodeBody
+// does for POST /v1/explore.
 func DecodeSpec(r io.Reader) (Spec, error) {
 	var sp Spec
 	dec := json.NewDecoder(r)
@@ -22,55 +21,12 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 	return sp, nil
 }
 
-// maxRequestBytes bounds POST /v1/explore bodies (specs are small
-// documents, like sweep specs).
-const maxRequestBytes = 8 << 20
-
 // Attach mounts POST /v1/explore on a sweep server: the request body is a
 // Spec, the response a Frontier (JSON, or CSV/markdown with ?format=).
-// Explorations share the server's process-wide search cache and its
-// heavy-run admission semaphore, so an exploration and a sweep never
-// oversubscribe the machine together.
+// It is one sweep.HandleRun registration, so explorations share the
+// server's request policy, process-wide search cache and heavy-run
+// admission — an exploration and a sweep never oversubscribe the machine
+// together.
 func Attach(s *sweep.Server) {
-	s.Mount("POST /v1/explore", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handleExplore(s, w, r)
-	}))
-}
-
-func handleExplore(s *sweep.Server, w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	var sp Spec
-	if err := dec.Decode(&sp); err != nil {
-		sweep.WriteHTTPError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	release, err := s.AdmitHeavy(r.Context())
-	if err != nil {
-		sweep.WriteHTTPError(w, http.StatusServiceUnavailable, fmt.Errorf("explore queue: %w", err))
-		return
-	}
-	defer release()
-	f, err := Run(sp, Options{Workers: s.Workers, Cache: s.SearchCache(), Context: r.Context()})
-	if err != nil {
-		sweep.WriteHTTPError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	switch r.URL.Query().Get("format") {
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv")
-		if err := f.WriteCSV(w); err != nil {
-			log.Printf("explore: writing CSV response: %v", err)
-		}
-	case "markdown":
-		w.Header().Set("Content-Type", "text/markdown")
-		if err := f.WriteMarkdown(w); err != nil {
-			log.Printf("explore: writing markdown response: %v", err)
-		}
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		if err := sweep.EncodeResponseJSON(w, f); err != nil {
-			log.Printf("explore: writing JSON response: %v", err)
-		}
-	}
+	s.Mount("POST /v1/explore", sweep.HandleRun(s, "explore", Run))
 }

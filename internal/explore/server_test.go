@@ -2,11 +2,13 @@ package explore
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"photoloop/internal/sweep"
 )
@@ -125,5 +127,35 @@ func TestServeExploreFormats(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity || errBody.Error == "" {
 		t.Errorf("bad spec: status %d, error %q (want 422 with message)", resp.StatusCode, errBody.Error)
+	}
+}
+
+// TestServeExploreQueueRejection pins explore's heavy-run admission
+// failure: with every slot held, an exploration whose request context
+// ends while it queues gets a 503 naming its queue.
+func TestServeExploreQueueRejection(t *testing.T) {
+	s := sweep.NewServer()
+	Attach(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for {
+		// Hold every slot: the first admission that has to queue times
+		// out.
+		wait, stop := context.WithTimeout(ctx, 20*time.Millisecond)
+		release, err := s.AdmitHeavy(wait)
+		stop()
+		if err != nil {
+			break
+		}
+		defer release()
+	}
+	canceled, stop := context.WithCancel(ctx)
+	stop()
+	req := httptest.NewRequest("POST", "/v1/explore", strings.NewReader(specJSON)).WithContext(canceled)
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	want := `{"error":"explore queue: context canceled"}` + "\n"
+	if w.Code != http.StatusServiceUnavailable || w.Body.String() != want {
+		t.Errorf("status %d body %q, want 503 %q", w.Code, w.Body.String(), want)
 	}
 }

@@ -3,8 +3,6 @@ package jobs
 import (
 	"bufio"
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -14,10 +12,6 @@ import (
 	"photoloop/internal/shard"
 	"photoloop/internal/sweep"
 )
-
-// maxRequestBytes bounds POST /v1/jobs bodies (job specs are sweep or
-// explore specs — small documents).
-const maxRequestBytes = 8 << 20
 
 // streamPollInterval is how often the stream endpoint re-reads a running
 // job's point log after catching up to its tail.
@@ -56,7 +50,7 @@ func Attach(s *sweep.Server, m *Manager) {
 			sweep.WriteHTTPError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, list)
+		sweep.WriteJSON(w, list)
 	}))
 	s.Mount("GET /v1/jobs/{id}", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		st, err := m.Status(r.PathValue("id"))
@@ -64,7 +58,7 @@ func Attach(s *sweep.Server, m *Manager) {
 			sweep.WriteHTTPError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, st)
+		sweep.WriteJSON(w, st)
 	}))
 	s.Mount("GET /v1/jobs/{id}/result", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		buf, err := m.Result(r.PathValue("id"))
@@ -81,11 +75,8 @@ func Attach(s *sweep.Server, m *Manager) {
 }
 
 func handleSubmit(s *sweep.Server, m *Manager, w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
 	var sp Spec
-	if err := dec.Decode(&sp); err != nil {
-		sweep.WriteHTTPError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !sweep.DecodeBody(w, r, &sp) {
 		return
 	}
 	st, err := m.Submit(sp)
@@ -187,12 +178,5 @@ func copyLines(w io.Writer, f *os.File, off int64) (int64, error) {
 			return n, err
 		}
 		n += int64(len(line))
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := sweep.EncodeResponseJSON(w, v); err != nil {
-		log.Printf("jobs: writing JSON response: %v", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"photoloop/internal/explore"
 	"photoloop/internal/sweep"
 )
 
@@ -160,6 +161,30 @@ func TestJobHTTPErrors(t *testing.T) {
 		srv.ServeHTTP(rec, req)
 		if rec.Code != tc.want {
 			t.Errorf("%s %s -> %d, want %d: %s", tc.method, tc.path, rec.Code, tc.want, rec.Body.String())
+		}
+	}
+}
+
+// TestServeDecodeErrorEnvelopes pins the 400 body every POST route of a
+// full server answers for an undecodable request: a strict-decoding
+// rejection and a body past the 8 MiB request cap.
+func TestServeDecodeErrorEnvelopes(t *testing.T) {
+	srv, _ := newJobServer(t)
+	explore.Attach(srv)
+	oversized := `{"name":"` + strings.Repeat("a", 8<<20) + `"}`
+	for _, route := range []string{"/v1/sweep", "/v1/study", "/v1/explore", "/v1/jobs"} {
+		for _, c := range []struct{ body, want string }{
+			{`{"bogus": 1}`, `{"error":"decoding request: json: unknown field \"bogus\""}` + "\n"},
+			{oversized, `{"error":"decoding request: http: request body too large"}` + "\n"},
+		} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", route, strings.NewReader(c.body)))
+			if rec.Code != http.StatusBadRequest || rec.Body.String() != c.want {
+				t.Errorf("%s: status %d body %q, want 400 %q", route, rec.Code, rec.Body.String(), c.want)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("%s: content type %q", route, ct)
+			}
 		}
 	}
 }

@@ -220,9 +220,12 @@ func workLease(ctx context.Context, c Coord, ws WorkerStore, lease *Lease) error
 }
 
 // evalTasks evaluates a lease's point indices of its published sweep
-// spec. Point-level failures (Point.Err) are not errors here: the final
-// assembly run reproduces them locally from the same deterministic
-// evaluation, and a point that fails has no searches to warm anyway.
+// spec in one EvalPoints call, so the points of one variant share its
+// built architecture and mapper session. One point at a time keeps a
+// worker's parallelism inside its layer searches. Point-level failures
+// (Point.Err) are not errors here: the final assembly run reproduces
+// them locally from the same deterministic evaluation, and a point that
+// fails has no searches to warm anyway.
 func evalTasks(ctx context.Context, cache *mapper.Cache, lease *Lease) error {
 	var sp sweep.Spec
 	if err := json.Unmarshal(lease.Spec, &sp); err != nil {
@@ -232,17 +235,12 @@ func evalTasks(ctx context.Context, cache *mapper.Cache, lease *Lease) error {
 	if err != nil {
 		return err
 	}
-	delay, _ := time.ParseDuration(os.Getenv(pointDelayEnv))
-	for _, task := range lease.Tasks {
-		if _, err := ev.EvalPoint(int(task)); err != nil {
-			return err
-		}
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	opts := sweep.Options{Workers: 1, Context: ctx}
+	if delay, _ := time.ParseDuration(os.Getenv(pointDelayEnv)); delay > 0 {
+		opts.OnPoint = func(*sweep.Point) { time.Sleep(delay) }
 	}
-	return nil
+	if _, err := ev.EvalPoints(lease.Tasks, opts); err != nil {
+		return err
+	}
+	return ctx.Err()
 }

@@ -44,8 +44,12 @@ type RemotePersister struct {
 	digest       *KeyDigest
 	pending      []pendingRec
 	pendingBytes int
-	local        map[mapper.Key]*mapper.Best
-	stats        RemoteStats
+	// local holds the results not yet acknowledged by the coordinator
+	// (pending or mid-upload), so a worker's own fresh results serve
+	// before they flush; uploaded ones are dropped, keeping a long-lived
+	// worker's memory bounded by one batch.
+	local map[mapper.Key]*mapper.Best
+	stats RemoteStats
 }
 
 // pendingRec is one not-yet-uploaded result, pre-encoded so the batch's
@@ -63,8 +67,8 @@ type RemoteStats struct {
 	Flushes int
 	// WarmHits is how many Loads were served by a coordinator fetch.
 	WarmHits int
-	// LocalHits is how many Loads were served from this process's own
-	// prior results.
+	// LocalHits is how many Loads were served from this process's
+	// not-yet-uploaded results.
 	LocalHits int
 	// Misses is how many Loads found nothing (including digest misses
 	// and fetch failures — both recompute).
@@ -150,8 +154,8 @@ func (r *RemotePersister) Begin(ctx context.Context, job string) error {
 	return nil
 }
 
-// Load implements mapper.Persister. Own results (uploaded or pending)
-// serve locally; otherwise the digest gates a single-key fetch from the
+// Load implements mapper.Persister. Own not-yet-uploaded results serve
+// locally; otherwise the digest gates a single-key fetch from the
 // coordinator. Any failure along the way is a miss — the search
 // recomputes the bit-identical result.
 func (r *RemotePersister) Load(k mapper.Key) (*mapper.Best, bool) {
@@ -178,7 +182,6 @@ func (r *RemotePersister) Load(k mapper.Key) (*mapper.Best, bool) {
 		return nil, false
 	}
 	r.mu.Lock()
-	r.local[k] = b
 	r.stats.WarmHits++
 	r.mu.Unlock()
 	return b, true
@@ -256,6 +259,9 @@ func (r *RemotePersister) Flush(ctx context.Context) error {
 	r.mu.Lock()
 	r.stats.Flushes++
 	r.stats.Uploaded += len(batch)
+	for i := range batch {
+		delete(r.local, batch[i].key)
+	}
 	r.mu.Unlock()
 	return nil
 }

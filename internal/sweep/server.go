@@ -24,7 +24,8 @@ func EncodeResponseJSON(w io.Writer, v any) error {
 }
 
 // DecodeSpec parses a sweep spec document strictly (unknown fields are
-// errors), as `photoloop sweep -spec` and `POST /v1/sweep` do.
+// errors), as `photoloop sweep -spec` does and DecodeBody does for
+// POST /v1/sweep.
 func DecodeSpec(r io.Reader) (Spec, error) {
 	var sp Spec
 	dec := json.NewDecoder(r)
@@ -35,8 +36,8 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 	return sp, nil
 }
 
-// maxRequestBytes bounds request bodies: sweep specs and inline networks
-// are small documents.
+// maxRequestBytes bounds every request body (DecodeBody): specs and
+// inline networks are small documents.
 const maxRequestBytes = 8 << 20
 
 // Server exposes the evaluation and sweep engines over HTTP, letting the
@@ -44,7 +45,7 @@ const maxRequestBytes = 8 << 20
 //
 //	POST /v1/eval     — one EvalRequest  -> EvalResponse
 //	POST /v1/sweep    — one Spec         -> Result (JSON, or CSV with ?format=csv)
-//	POST /v1/study    — one StudySpec    -> StudyResult (JSON, or CSV with ?format=csv)
+//	POST /v1/study    — one StudySpec    -> StudyResult (JSON, or ?format=csv|markdown)
 //	GET  /v1/networks — the built-in workload zoo
 //	GET  /v1/presets  — the architecture preset library
 //
@@ -52,6 +53,7 @@ const maxRequestBytes = 8 << 20
 // evaluations of the same (architecture, layer shape) — across requests
 // and across sweep points — are served without re-searching.
 //
+// Sweeps, studies and explorations are heavy runs served by HandleRun.
 // Sibling front ends register further endpoints through Mount; the
 // explore package adds POST /v1/explore (see explore.Attach), sharing the
 // same cache and heavy-run admission.
@@ -72,7 +74,7 @@ type Server struct {
 // architectures must not grow memory without bound).
 const cacheEntryLimit = 1 << 16
 
-// maxConcurrentSweeps bounds in-flight POST /v1/sweep requests; further
+// maxConcurrentSweeps bounds in-flight heavy runs (AdmitHeavy); further
 // requests queue on their context (evals stay unqueued — they are one
 // network each).
 const maxConcurrentSweeps = 2
@@ -85,8 +87,8 @@ func NewServer() *Server {
 		sweepSem: make(chan struct{}, maxConcurrentSweeps),
 	}
 	s.mux.HandleFunc("POST /v1/eval", s.handleEval)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/study", s.handleStudy)
+	s.mux.HandleFunc("POST /v1/sweep", HandleRun(s, "sweep", Run))
+	s.mux.HandleFunc("POST /v1/study", HandleRun(s, "study", RunStudy))
 	s.mux.HandleFunc("GET /v1/networks", s.handleNetworks)
 	s.mux.HandleFunc("GET /v1/presets", s.handlePresets)
 	return s
@@ -109,11 +111,10 @@ func (s *Server) Mount(pattern string, h http.Handler) { s.mux.Handle(pattern, h
 // endpoints share the same deduplication the built-in ones use.
 func (s *Server) SearchCache() *mapper.Cache { return s.cache }
 
-// AdmitHeavy reserves one of the server's heavy-run slots (the admission
-// semaphore sweeps and studies queue on), blocking until a slot frees or
-// ctx is done. On success the caller must invoke the returned release.
-// Mounted endpoints that spin up a full point pool (explore) use it so
-// the server's total concurrency stays bounded.
+// AdmitHeavy reserves one of the server's heavy-run slots, blocking until
+// a slot frees or ctx is done. On success the caller must invoke the
+// returned release. HandleRun and async job runs queue on it, so the
+// server's total concurrency stays bounded.
 func (s *Server) AdmitHeavy(ctx context.Context) (release func(), err error) {
 	select {
 	case s.sweepSem <- struct{}{}:
@@ -125,71 +126,84 @@ func (s *Server) AdmitHeavy(ctx context.Context) (release func(), err error) {
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	var req EvalRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	resp, err := Eval(&req, s.cache)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
+		WriteHTTPError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var sp Spec
-	if !decodeBody(w, r, &sp) {
-		return
-	}
-	release, err := s.AdmitHeavy(r.Context())
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("sweep queue: %w", err))
-		return
-	}
-	defer release()
-	res, err := Run(sp, Options{Workers: s.Workers, Cache: s.cache, Context: r.Context()})
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	if r.URL.Query().Get("format") == "csv" {
-		w.Header().Set("Content-Type", "text/csv")
-		if err := res.WriteCSV(w); err != nil {
+// HandleRun is the front door of every heavy run (sweep, study,
+// explore): it decodes the body strictly into a spec (400 "decoding
+// request: …"), queues on the heavy-run admission (503 "<name> queue: …"),
+// runs it with the server's workers, shared cache and the request's
+// context (422 on failure), and renders the result with WriteArtifact in
+// the ?format= the result supports — JSON otherwise.
+func HandleRun[S, R any](s *Server, name string, run func(S, Options) (R, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var spec S
+		if !DecodeBody(w, r, &spec) {
+			return
+		}
+		release, err := s.AdmitHeavy(r.Context())
+		if err != nil {
+			WriteHTTPError(w, http.StatusServiceUnavailable, fmt.Errorf("%s queue: %w", name, err))
+			return
+		}
+		defer release()
+		res, err := run(spec, Options{Workers: s.Workers, Cache: s.cache, Context: r.Context()})
+		if err != nil {
+			WriteHTTPError(w, http.StatusUnprocessableEntity, err)
+			return
+		}
+		format, contentType := ArtifactFormat(res, r.URL.Query().Get("format"))
+		w.Header().Set("Content-Type", contentType)
+		if err := WriteArtifact(w, res, format); err != nil {
 			// Status is already committed; the truncated body is all we
 			// can signal with.
-			log.Printf("sweep: writing CSV response: %v", err)
+			log.Printf("%s: writing %s response: %v", name, format, err)
 		}
-		return
 	}
-	writeJSON(w, res)
 }
 
-// handleStudy runs a comparative preset study; like sweeps, studies spin
-// up a full point pool, so they share the sweep admission semaphore.
-func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
-	var sp StudySpec
-	if !decodeBody(w, r, &sp) {
-		return
-	}
-	release, err := s.AdmitHeavy(r.Context())
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("study queue: %w", err))
-		return
-	}
-	defer release()
-	res, err := RunStudy(sp, Options{Workers: s.Workers, Cache: s.cache, Context: r.Context()})
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	if r.URL.Query().Get("format") == "csv" {
-		w.Header().Set("Content-Type", "text/csv")
-		if err := res.WriteCSV(w); err != nil {
-			log.Printf("study: writing CSV response: %v", err)
+// csvWriter and markdownWriter are the renderings an artifact may offer
+// besides JSON.
+type csvWriter interface{ WriteCSV(io.Writer) error }
+type markdownWriter interface{ WriteMarkdown(io.Writer) error }
+
+// ArtifactFormat resolves a requested rendering of res: "csv" or
+// "markdown" when res has that writer, "json" for anything else. It
+// returns the format WriteArtifact writes and its Content-Type.
+func ArtifactFormat(res any, format string) (resolved, contentType string) {
+	switch format {
+	case "csv":
+		if _, ok := res.(csvWriter); ok {
+			return "csv", "text/csv"
 		}
-		return
+	case "markdown":
+		if _, ok := res.(markdownWriter); ok {
+			return "markdown", "text/markdown"
+		}
 	}
-	writeJSON(w, res)
+	return "json", "application/json"
+}
+
+// WriteArtifact renders a run's result in format (resolved by
+// ArtifactFormat): CSV or markdown through the result's own writer, the
+// server's JSON encoding otherwise. The CLI's -format output and every
+// ?format= response are written here, so they are the same bytes.
+func WriteArtifact(w io.Writer, res any, format string) error {
+	switch format, _ = ArtifactFormat(res, format); format {
+	case "csv":
+		return res.(csvWriter).WriteCSV(w)
+	case "markdown":
+		return res.(markdownWriter).WriteMarkdown(w)
+	}
+	return EncodeResponseJSON(w, res)
 }
 
 // networkInfo is one zoo entry of GET /v1/networks.
@@ -213,7 +227,7 @@ func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 			Layers: len(n.Layers), MACs: n.MACs(), Weights: n.WeightElems(),
 		})
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 // presetInfo is one library entry of GET /v1/presets.
@@ -231,12 +245,12 @@ func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
 	for _, p := range all {
 		a, err := p.Build()
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			WriteHTTPError(w, http.StatusInternalServerError, err)
 			return
 		}
 		area, err := a.Area()
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			WriteHTTPError(w, http.StatusInternalServerError, err)
 			return
 		}
 		out = append(out, presetInfo{
@@ -244,16 +258,17 @@ func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
 			PeakMACsPerCycle: a.PeakMACsPerCycle(), AreaUM2: area,
 		})
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
-// decodeBody parses a JSON request body strictly; on failure it writes a
-// 400 and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
+// DecodeBody parses a JSON request body strictly (unknown fields are
+// errors, bodies are capped at maxRequestBytes); on failure it writes a
+// 400 and returns false. Every POST route decodes through it.
+func DecodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		WriteHTTPError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}
 	return true
@@ -264,20 +279,18 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func httpError(w http.ResponseWriter, status int, err error) {
+// WriteHTTPError writes the server's JSON error envelope — every route,
+// mounted ones included, fails with the same document.
+func WriteHTTPError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(errorBody{Error: err.Error()})
 }
 
-// WriteHTTPError writes the server's JSON error envelope — mounted
-// endpoints (explore) use it so every /v1 route fails with the same
-// document.
-func WriteHTTPError(w http.ResponseWriter, status int, err error) {
-	httpError(w, status, err)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers v as the server's JSON document.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	EncodeResponseJSON(w, v)
+	if err := EncodeResponseJSON(w, v); err != nil {
+		log.Printf("writing JSON response: %v", err)
+	}
 }
