@@ -87,12 +87,14 @@ func TestPublicNetworkEval(t *testing.T) {
 	net := photoloop.Network{Name: "tiny", Layers: []photoloop.Layer{
 		photoloop.NewConv("c1", 1, 64, 64, 28, 28, 3, 3, 1, 1),
 	}}
-	res, err := photoloop.EvalAlbireoNetwork(photoloop.Albireo(photoloop.Moderate), net,
-		photoloop.AlbireoNetOptions{Mapper: photoloop.SearchOptions{Budget: 200, Seed: 1}})
+	res, err := photoloop.EvalSpec(&photoloop.EvalRequest{
+		Albireo: &photoloop.SweepAlbireoBase{Scaling: "moderate"},
+		Inline:  &net, Budget: 200, Seed: 1,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PJPerMAC() <= 0 {
+	if res.PJPerMAC <= 0 {
 		t.Error("bad energy")
 	}
 }

@@ -234,18 +234,17 @@ func BenchmarkCanonicalMappings(b *testing.B) {
 	}
 }
 
-// BenchmarkNetworkEval measures a whole-network evaluation (ResNet18,
-// batched and fused — the heaviest Fig. 4 configuration).
+// BenchmarkNetworkEval measures a whole-network evaluation as a one-point
+// sweep (ResNet18, batched and fused — the heaviest Fig. 4 configuration).
 func BenchmarkNetworkEval(b *testing.B) {
-	net := photoloop.ResNet18(1)
+	sp := photoloop.SweepSpec{
+		Base:      photoloop.SweepBase{Albireo: &photoloop.SweepAlbireoBase{Scaling: "aggressive"}},
+		Workloads: []photoloop.SweepWorkload{{Network: "resnet18", Batch: 8, Fused: true}},
+		Budget:    200,
+		Seed:      1,
+	}
 	for i := 0; i < b.N; i++ {
-		_, err := photoloop.EvalAlbireoNetwork(
-			photoloop.Albireo(photoloop.Aggressive), net,
-			photoloop.AlbireoNetOptions{
-				Batch: 8, Fused: true,
-				Mapper: photoloop.SearchOptions{Budget: 200, Seed: 1},
-			})
-		if err != nil {
+		if _, err := photoloop.Sweep(sp, photoloop.SweepOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

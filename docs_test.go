@@ -128,8 +128,8 @@ func TestMarkdownLinks(t *testing.T) {
 	}
 }
 
-// docRefPackages maps the package qualifiers docs/MODELING.md may use to
-// the directories that declare them.
+// docRefPackages maps the package qualifiers the checked documents may
+// use to the directories that declare them.
 var docRefPackages = map[string]string{
 	"photoloop":  ".",
 	"workload":   "internal/workload",
@@ -201,20 +201,24 @@ func exportedNames(t *testing.T, dir string) map[string]bool {
 	return out
 }
 
-// TestModelingDocReferences guards the reference-heavy guides
-// (docs/MODELING.md and docs/EXPLORATION.md) against rot: every
-// backticked `pkg.Symbol` reference whose qualifier names one of this
-// module's packages must resolve to an exported identifier that still
-// compiles there.
+// TestModelingDocReferences guards the reference-heavy documents
+// (docs/MODELING.md, EXPLORATION.md, SERVICE.md, ARCHITECTURE.md,
+// PERFORMANCE.md and README.md) against rot: every backticked
+// `pkg.Symbol` reference whose qualifier names one of this module's
+// packages must resolve to an exported identifier that still compiles
+// there.
 func TestModelingDocReferences(t *testing.T) {
 	refRe := regexp.MustCompile("`([a-z][a-zA-Z0-9]*)\\.([A-Z][A-Za-z0-9]*)")
 	names := map[string]map[string]bool{}
 	for doc, minRefs := range map[string]int{
-		"MODELING.md":    30,
-		"EXPLORATION.md": 8,
-		"SERVICE.md":     8,
+		"docs/MODELING.md":     30,
+		"docs/EXPLORATION.md":  8,
+		"docs/SERVICE.md":      8,
+		"docs/ARCHITECTURE.md": 20,
+		"docs/PERFORMANCE.md":  4,
+		"README.md":            5,
 	} {
-		buf, err := os.ReadFile(filepath.Join("docs", doc))
+		buf, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,11 +234,11 @@ func TestModelingDocReferences(t *testing.T) {
 			}
 			checked++
 			if !names[pkg][sym] {
-				t.Errorf("docs/%s references %s.%s, which %s does not export", doc, pkg, sym, dir)
+				t.Errorf("%s references %s.%s, which %s does not export", doc, pkg, sym, dir)
 			}
 		}
 		if checked < minRefs {
-			t.Errorf("docs/%s: only %d package references found — the extraction regex may have rotted", doc, checked)
+			t.Errorf("%s: only %d package references found — the extraction regex may have rotted", doc, checked)
 		}
 	}
 }

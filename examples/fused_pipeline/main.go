@@ -23,38 +23,40 @@ func main() {
 }
 
 func run(w io.Writer) error {
-	net := photoloop.ResNet18(1)
-	type cfg struct {
-		name  string
-		batch int
-		fused bool
+	names := []string{
+		"baseline (batch 1, activations via DRAM)",
+		"batched (batch 8)",
+		"fused (activations stay on chip)",
+		"batched + fused",
 	}
-	cases := []cfg{
-		{"baseline (batch 1, activations via DRAM)", 1, false},
-		{"batched (batch 8)", 8, false},
-		{"fused (activations stay on chip)", 1, true},
-		{"batched + fused", 8, true},
+	// One sweep evaluates all four workloads on the aggressive Albireo.
+	res, err := photoloop.Sweep(photoloop.SweepSpec{
+		Base: photoloop.SweepBase{Albireo: &photoloop.SweepAlbireoBase{Scaling: "aggressive"}},
+		Workloads: []photoloop.SweepWorkload{
+			{Network: "resnet18", Batch: 1},
+			{Network: "resnet18", Batch: 8},
+			{Network: "resnet18", Batch: 1, Fused: true},
+			{Network: "resnet18", Batch: 8, Fused: true},
+		},
+		Budget: 600,
+		Seed:   1,
+	}, photoloop.SweepOptions{})
+	if err != nil {
+		return err
 	}
-	var base float64
-	for _, c := range cases {
-		res, err := photoloop.EvalAlbireoNetwork(
-			photoloop.Albireo(photoloop.Aggressive), net,
-			photoloop.AlbireoNetOptions{
-				Batch:  c.batch,
-				Fused:  c.fused,
-				Mapper: photoloop.SearchOptions{Budget: 600, Seed: 1},
-			})
-		if err != nil {
-			return err
+	base := res.Points[0].PJPerMAC
+	for i, name := range names {
+		p := &res.Points[i]
+		var dram float64
+		for _, e := range p.Total.Energy {
+			if e.Class == "dram" {
+				dram += e.TotalPJ
+			}
 		}
-		pj := res.PJPerMAC()
-		if base == 0 {
-			base = pj
-		}
-		bars := int(pj / base * 40)
-		fmt.Fprintf(w, "%-45s %.4f pJ/MAC  %s\n", c.name, pj, strings.Repeat("#", bars))
+		bars := int(p.PJPerMAC / base * 40)
+		fmt.Fprintf(w, "%-45s %.4f pJ/MAC  %s\n", name, p.PJPerMAC, strings.Repeat("#", bars))
 		fmt.Fprintf(w, "%-45s DRAM share %.1f%%, throughput %.0f MACs/cycle\n",
-			"", 100*res.DRAMShare(), res.ThroughputMACsPerCycle())
+			"", 100*dram/p.TotalPJ, float64(p.MACs)/p.Cycles)
 	}
 	fmt.Fprintln(w, "\nthe paper's finding: batching + fusion recover ~3x on the aggressive system,")
 	fmt.Fprintln(w, "because DRAM — not the photonics — dominates once devices are cheap enough.")

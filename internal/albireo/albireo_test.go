@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"photoloop/internal/mapper"
 	"photoloop/internal/model"
 	"photoloop/internal/workload"
 )
@@ -284,79 +283,43 @@ func TestReportedTablesComplete(t *testing.T) {
 	}
 }
 
-func TestEvalNetworkBatchAmortizesWeights(t *testing.T) {
-	net := workload.Network{Name: "mini", Layers: []workload.Layer{
-		workload.NewConv("c1", 1, 64, 64, 28, 28, 3, 3, 1, 1),
-		workload.NewConv("c2", 1, 64, 64, 28, 28, 3, 3, 1, 1),
-	}}
-	cfg := Default(Aggressive)
-	opts := mapper.Options{Budget: 400, Seed: 1}
-	b1, err := EvalNetwork(cfg, net, NetOptions{Batch: 1, Mapper: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b8, err := EvalNetwork(cfg, net, NetOptions{Batch: 8, Mapper: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b8.Total.MACs != 8*b1.Total.MACs {
-		t.Fatalf("batch-8 MACs = %d, want %d", b8.Total.MACs, 8*b1.Total.MACs)
-	}
-	w1 := RoleBreakdown(&b1.Total)[RoleDRAM] / float64(b1.Total.MACs)
-	w8 := RoleBreakdown(&b8.Total)[RoleDRAM] / float64(b8.Total.MACs)
-	if w8 >= w1 {
-		t.Errorf("batching did not reduce DRAM energy per MAC: %g vs %g", w8, w1)
-	}
-}
-
-func TestEvalNetworkFusionRemovesActivationDRAM(t *testing.T) {
+// TestFusedConfig pins the fusion policy at each layer position: the DRAM
+// backs weights always, plus the network's inputs at the first layer and
+// its outputs at the last (so a middle layer's DRAM carries no activation
+// traffic); the global buffer at least doubles; and every position's
+// config builds with those keeps on its DRAM level.
+func TestFusedConfig(t *testing.T) {
 	net := workload.Network{Name: "mini", Layers: []workload.Layer{
 		workload.NewConv("c1", 1, 64, 64, 28, 28, 3, 3, 1, 1),
 		workload.NewConv("c2", 1, 64, 64, 28, 28, 3, 3, 1, 1),
 		workload.NewConv("c3", 1, 64, 64, 28, 28, 3, 3, 1, 1),
 	}}
-	cfg := Default(Aggressive)
-	opts := mapper.Options{Budget: 400, Seed: 1}
-	plain, err := EvalNetwork(cfg, net, NetOptions{Batch: 1, Mapper: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := EvalNetwork(cfg, net, NetOptions{Batch: 1, Fused: true, Mapper: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fused.DRAMShare() >= plain.DRAMShare() {
-		t.Errorf("fusion did not reduce DRAM share: %g vs %g", fused.DRAMShare(), plain.DRAMShare())
-	}
-	// Fusion buys DRAM savings with a larger, more expensive buffer.
-	pb := RoleBreakdown(&plain.Total)[RoleBuffer] / float64(plain.Total.MACs)
-	fb := RoleBreakdown(&fused.Total)[RoleBuffer] / float64(fused.Total.MACs)
-	if fb <= pb {
-		t.Errorf("fused buffer energy %g should exceed plain %g", fb, pb)
-	}
-	// The middle layer's DRAM usage should carry no activation traffic:
-	// its arch keeps only weights in DRAM.
-	mid := fused.Layers[1]
-	for _, u := range mid.Best.Result.Usage {
-		if u.Level == "DRAM" && u.Tensor != workload.Weights {
-			t.Errorf("fused middle layer has DRAM usage for %v", u.Tensor)
+	w, in, out := workload.Weights, workload.Inputs, workload.Outputs
+	base := Default(Aggressive)
+	for i, keeps := range []workload.TensorSet{
+		workload.NewTensorSet(w, in),
+		workload.NewTensorSet(w),
+		workload.NewTensorSet(w, out),
+	} {
+		c := base.Fused(&net, i)
+		if c.DRAMKeeps != keeps {
+			t.Errorf("layer %d: DRAM keeps %v, want %v", i, c.DRAMKeeps, keeps)
+		}
+		if c.GLBMiB < 2*base.GLBMiB {
+			t.Errorf("layer %d: fused GLB %d MiB, want at least 2x %d", i, c.GLBMiB, base.GLBMiB)
+		}
+		a, err := c.Build()
+		if err != nil {
+			t.Fatalf("layer %d: %v", i, err)
+		}
+		if dram := a.Level(0); dram.Name != "DRAM" || dram.Keeps != keeps {
+			t.Errorf("layer %d: built level 0 %s keeps %v, want DRAM keeping %v", i, dram.Name, dram.Keeps, keeps)
 		}
 	}
-}
-
-func TestEvalNetworkThroughput(t *testing.T) {
-	net := workload.Network{Name: "mini", Layers: []workload.Layer{
-		workload.NewConv("c1", 1, 64, 64, 28, 28, 3, 3, 1, 1),
-	}}
-	res, err := EvalNetwork(Default(Conservative), net, NetOptions{Mapper: mapper.Options{Budget: 300, Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp := res.ThroughputMACsPerCycle(); tp <= 0 || tp > 6912 {
-		t.Errorf("throughput = %g", tp)
-	}
-	if res.PJPerMAC() <= 0 {
-		t.Error("non-positive energy")
+	// A one-layer network's layer is both the first and the last.
+	one := workload.Network{Name: "one", Layers: net.Layers[:1]}
+	if got := base.Fused(&one, 0).DRAMKeeps; got != workload.NewTensorSet(w, in, out) {
+		t.Errorf("one-layer fused DRAM keeps %v, want all", got)
 	}
 }
 

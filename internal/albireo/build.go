@@ -47,8 +47,8 @@ type Config struct {
 	GLBMiB int
 	// DRAMBWWordsPerCycle bounds DRAM bandwidth (default 32).
 	DRAMBWWordsPerCycle float64
-	// DRAMKeeps restricts which tensors the DRAM backs; the network
-	// evaluator uses this for layer fusion. Zero value means all.
+	// DRAMKeeps restricts which tensors the DRAM backs; Fused sets it per
+	// layer position for layer fusion. Zero value means all.
 	DRAMKeeps workload.TensorSet
 	// WordBits is the operand precision (default 8).
 	WordBits int

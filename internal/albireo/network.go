@@ -1,148 +1,30 @@
 package albireo
 
-import (
-	"fmt"
+import "photoloop/internal/workload"
 
-	"photoloop/internal/mapper"
-	"photoloop/internal/mapping"
-	"photoloop/internal/model"
-	"photoloop/internal/workload"
-)
-
-// NetOptions configures a network evaluation on Albireo.
-type NetOptions struct {
-	// Batch replicates the workload batch dimension (>= 1). Batching
-	// amortizes weight movement (the first Fig. 4 optimization).
-	Batch int
-	// Fused keeps activations in the global buffer between layers
-	// instead of spilling them to DRAM (the second Fig. 4 optimization,
-	// after LoopTree). Fusion doubles the global buffer (and grows it
-	// further if the activations demand it), charging the larger SRAM's
-	// higher per-access energy.
-	Fused bool
-	// Mapper configures the per-layer search.
-	Mapper mapper.Options
-	// WarmStarts supplies per-layer-shape incumbent mappings (keyed by
-	// workload.Layer.ShapeFingerprint) from structurally related solved
-	// evaluations — a neighboring sweep point's bests, typically. They are
-	// appended to Mapper.WarmStarts for the matching layers; see
-	// mapper.Options.WarmStarts for the semantics.
-	WarmStarts map[uint64][]*mapping.Mapping
-}
-
-// LayerEval pairs a layer with its best mapping's evaluation.
-type LayerEval struct {
-	Layer workload.Layer
-	Best  *mapper.Best
-}
-
-// NetResult is a whole-network evaluation.
-type NetResult struct {
-	Network string
-	Config  Config
-	Options NetOptions
-	Layers  []LayerEval
-	// Total accumulates all layers (energy ledger included).
-	Total model.Result
-}
-
-// PJPerMAC returns whole-network energy per MAC.
-func (r *NetResult) PJPerMAC() float64 { return r.Total.PJPerMAC() }
-
-// EvalNetwork maps and evaluates every layer of the network on the
-// configured Albireo instance, applying batching and fusion.
-func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult, error) {
-	if opts.Batch < 1 {
-		opts.Batch = 1
+// Fused returns the configuration layer i of net runs on when the
+// network's layers are fused: activations stay on chip, so the DRAM backs
+// weights always, inputs only for the first layer and outputs only for
+// the last, and the global buffer grows to hold the inter-layer
+// activations of net at its batch size (fusedGLBMiB).
+func (c Config) Fused(net *workload.Network, i int) Config {
+	keeps := workload.NewTensorSet(workload.Weights)
+	if i == 0 {
+		keeps = keeps.With(workload.Inputs)
 	}
-	work := net.WithBatch(opts.Batch)
-	if err := work.Validate(); err != nil {
-		return nil, err
+	if i == len(net.Layers)-1 {
+		keeps = keeps.With(workload.Outputs)
 	}
-
-	res := &NetResult{Network: net.Name, Config: cfg, Options: opts}
-	res.Total.Layer = net.Name
-
-	// The architecture is identical for every layer unless fusion changes
-	// which tensors the DRAM backs — and even then only the first and last
-	// layers differ. Build each distinct architecture (and the mapper
-	// session caching its invariants) once and share it across layers.
-	sessions := map[workload.TensorSet]*mapper.Session{}
-	sessionFor := func(i int) (*mapper.Session, error) {
-		lcfg := cfg
-		if opts.Fused {
-			// Activations stay on chip: DRAM backs weights always,
-			// inputs only for the first layer, outputs only for the
-			// last.
-			keeps := workload.NewTensorSet(workload.Weights)
-			if i == 0 {
-				keeps = keeps.With(workload.Inputs)
-			}
-			if i == len(work.Layers)-1 {
-				keeps = keeps.With(workload.Outputs)
-			}
-			lcfg.DRAMKeeps = keeps
-			lcfg.GLBMiB = fusedGLBMiB(cfg.GLBMiB, &work, opts.Batch)
-		}
-		if s, ok := sessions[lcfg.DRAMKeeps]; ok {
-			return s, nil
-		}
-		a, err := lcfg.Build()
-		if err != nil {
-			return nil, fmt.Errorf("albireo: building arch: %w", err)
-		}
-		s, err := mapper.NewSession(a)
-		if err != nil {
-			return nil, fmt.Errorf("albireo: preparing mapper: %w", err)
-		}
-		sessions[lcfg.DRAMKeeps] = s
-		return s, nil
-	}
-
-	// One search per distinct (session, layer shape): a search outcome
-	// depends only on the layer's shape and the options (the canonical
-	// seed mappings are themselves shape properties), so repeated blocks
-	// reuse the representative's result — bit-identical to re-searching,
-	// and it skips both the search and the per-layer seed construction.
-	type searchKey struct {
-		sess  *mapper.Session
-		shape uint64
-	}
-	solved := map[searchKey]*mapper.Best{}
-	for i := range work.Layers {
-		layer := work.Layers[i]
-		sess, err := sessionFor(i)
-		if err != nil {
-			return nil, fmt.Errorf("albireo: %s: %w", layer.Name, err)
-		}
-		key := searchKey{sess, layer.ShapeFingerprint()}
-		var best *mapper.Best
-		if prior, ok := solved[key]; ok {
-			best = prior.CloneFor(layer.Name)
-		} else {
-			a := sess.Engine().Arch()
-			mopts := opts.Mapper
-			mopts.Seeds = append(CanonicalMappings(a, &layer), mopts.Seeds...)
-			if opts.WarmStarts != nil {
-				mopts.WarmStarts = append(opts.WarmStarts[layer.ShapeFingerprint()], mopts.WarmStarts...)
-			}
-			best, err = sess.Search(&layer, mopts)
-			if err != nil {
-				return nil, fmt.Errorf("albireo: mapping %s: %w", layer.Name, err)
-			}
-			solved[key] = best
-		}
-		res.Layers = append(res.Layers, LayerEval{Layer: layer, Best: best})
-		res.Total.Accumulate(best.Result)
-	}
-	return res, nil
+	c.DRAMKeeps = keeps
+	c.GLBMiB = fusedGLBMiB(c.GLBMiB, net)
+	return c
 }
 
 // fusedGLBMiB sizes the fused global buffer: at least double the baseline
 // (the paper's trade-off) and large enough for the biggest inter-layer
 // activation working set plus headroom for weights and the second
 // activation tensor.
-func fusedGLBMiB(baseMiB int, net *workload.Network, batch int) int {
+func fusedGLBMiB(baseMiB int, net *workload.Network) int {
 	need := int64(0)
 	for i := range net.Layers {
 		l := &net.Layers[i]
@@ -158,22 +40,4 @@ func fusedGLBMiB(baseMiB int, net *workload.Network, batch int) int {
 		mib *= 2
 	}
 	return mib
-}
-
-// ThroughputMACsPerCycle returns the whole-network achieved throughput:
-// total real MACs divided by total cycles.
-func (r *NetResult) ThroughputMACsPerCycle() float64 {
-	if r.Total.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Total.MACs) / r.Total.Cycles
-}
-
-// DRAMShare returns the DRAM fraction of total energy.
-func (r *NetResult) DRAMShare() float64 {
-	if r.Total.TotalPJ == 0 {
-		return 0
-	}
-	breakdown := RoleBreakdown(&r.Total)
-	return breakdown[RoleDRAM] / r.Total.TotalPJ
 }

@@ -7,6 +7,7 @@ import (
 
 	"photoloop/internal/albireo"
 	"photoloop/internal/mapper"
+	"photoloop/internal/model"
 	"photoloop/internal/workload"
 )
 
@@ -185,11 +186,35 @@ func TestFig5ReuseExploration(t *testing.T) {
 	}
 }
 
+// directNetwork searches every layer of net from scratch on cfg's built
+// arch, seeded with the canonical Albireo mappings, with no result cache
+// and no shape dedupe — the per-layer reference the sweep's network loop
+// must reproduce.
+func directNetwork(t *testing.T, cfg albireo.Config, net workload.Network, opts mapper.Options) model.Result {
+	t.Helper()
+	a, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := model.Result{Layer: net.Name}
+	for i := range net.Layers {
+		layer := &net.Layers[i]
+		o := opts
+		o.Seeds = albireo.CanonicalMappings(a, layer)
+		best, err := mapper.Search(a, layer, o)
+		if err != nil {
+			t.Fatalf("layer %s: %v", layer.Name, err)
+		}
+		total.Accumulate(best.Result)
+	}
+	return total
+}
+
 // TestFig5MatchesDirectExploration is the sweep-equivalence anchor of the
 // acceptance criteria: Fig5 now shards its 18-variant grid across the
 // concurrent sweep subsystem (with the fingerprint dedupe cache engaged),
-// and must reproduce the original serial exploration — one
-// albireo.EvalNetwork per variant, no cache — bit-identically.
+// and must reproduce the serial exploration — every layer of every
+// variant searched directly (directNetwork), no cache — bit-identically.
 func TestFig5MatchesDirectExploration(t *testing.T) {
 	cfg := Config{Budget: 120, Seed: 1, Workers: 2}
 	r, err := Fig5(cfg)
@@ -205,26 +230,21 @@ func TestFig5MatchesDirectExploration(t *testing.T) {
 				c.OutputLanes = outLanes
 				c.ORLanes = orLanes
 				c.WeightReuse = wr
-				res, err := albireo.EvalNetwork(c, net, albireo.NetOptions{
-					Batch:  1,
-					Mapper: mapper.Options{Objective: mapper.MinEnergy, Budget: 120, Seed: 1, Workers: 2},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				total := directNetwork(t, c, net,
+					mapper.Options{Objective: mapper.MinEnergy, Budget: 120, Seed: 1, Workers: 2})
 				row := r.Rows[i]
 				if row.WeightReuse != wr || row.OR != c.OR() || row.IR != c.IR() {
 					t.Fatalf("row %d is (%v, %d, %d), want (%v, %d, %d)",
 						i, row.WeightReuse, row.OR, row.IR, wr, c.OR(), c.IR())
 				}
-				macs := float64(res.Total.MACs)
-				wantAccel := albireo.AcceleratorPJ(&res.Total) / macs
-				wantConv := albireo.ConverterPJ(&res.Total) / macs
+				macs := float64(total.MACs)
+				wantAccel := albireo.AcceleratorPJ(&total) / macs
+				wantConv := albireo.ConverterPJ(&total) / macs
 				if row.AccelPJPerMAC != wantAccel || row.ConverterPJPerMAC != wantConv {
 					t.Errorf("row %d diverged: accel %.12g vs %.12g, conv %.12g vs %.12g",
 						i, row.AccelPJPerMAC, wantAccel, row.ConverterPJPerMAC, wantConv)
 				}
-				for bin, pj := range albireo.RoleBreakdown(&res.Total) {
+				for bin, pj := range albireo.RoleBreakdown(&total) {
 					if bin == albireo.RoleDRAM {
 						continue
 					}

@@ -54,8 +54,9 @@ type Frontier struct {
 	// Dominated counts evaluated feasible points that did not make the
 	// frontier.
 	Dominated int `json:"dominated"`
-	// CacheHits and CacheMisses count deduplicated versus computed layer
-	// searches (see mapper.Cache).
+	// CacheHits and CacheMisses count layer searches the shared
+	// mapper.Cache served versus computed. They count dedupe across points
+	// only: a point never sends its repeated layer shapes to the cache.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	// Pruned, DeltaEvals and FullEvals sum the mapper's search funnel

@@ -51,7 +51,7 @@ func testArch(t *testing.T) *arch.Arch {
 }
 
 // TestDiskHitBitIdentical is the store's core equivalence property
-// (the TestRunMatchesDirectEvalNetwork pattern, one tier down): a search
+// (the TestRunMatchesDirectNetwork pattern, one tier down): a search
 // served from a cold store — a fresh process's cache whose memory tier
 // has never seen the key — is bit-identical to the direct computation.
 func TestDiskHitBitIdentical(t *testing.T) {

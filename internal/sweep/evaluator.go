@@ -86,7 +86,8 @@ func NewEvaluator(sp Spec, opts Options) (*Evaluator, error) {
 	}
 	for i := range sp.Workloads {
 		w := &sp.Workloads[i]
-		// Fusion needs an albireo-backed variant evaluator.
+		// Fusion rebuilds the arch per layer position from the variant's
+		// Albireo config (albireo.Config.Fused).
 		if w.Fused && base.albireo == nil {
 			return nil, fmt.Errorf("sweep: workload %d: fused evaluation needs an albireo-backed base", i)
 		}

@@ -62,8 +62,10 @@ type Options struct {
 type Result struct {
 	Name   string  `json:"name,omitempty"`
 	Points []Point `json:"points"`
-	// CacheHits and CacheMisses count deduplicated versus computed layer
-	// searches (see mapper.Cache).
+	// CacheHits and CacheMisses count layer searches the shared
+	// mapper.Cache served versus computed. They count dedupe across points
+	// only: a point searches each repeated layer shape once and never
+	// sends the repeats to the cache.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	// Pruned, DeltaEvals and FullEvals roll the per-point search funnel up
@@ -238,18 +240,18 @@ func canceledPoint(job *pointJob, err error) Point {
 type variantState struct {
 	once sync.Once
 	a    *arch.Arch
-	sess *mapper.Session // raw-spec bases with searched points only
+	sess *mapper.Session // searched variants only
 	fid  *fidelity.Chain // nil unless Spec.Fidelity is set
 	err  error
 }
 
-// init builds (once) the variant's architecture and, for searched points
-// of raw-spec bases, its mapper session. A non-nil fspec additionally
-// compiles the variant's analog fidelity chain.
+// init builds (once) the variant's architecture and, for searched
+// points, its mapper session. A non-nil fspec additionally compiles the
+// variant's analog fidelity chain.
 func (st *variantState) init(v *variant, fspec *fidelity.Spec, search bool) {
 	st.once.Do(func() {
 		st.a, st.err = v.build()
-		if st.err == nil && v.albireo == nil && search {
+		if st.err == nil && search {
 			st.sess, st.err = mapper.NewSession(st.a)
 		}
 		if st.err == nil && fspec != nil {
@@ -274,10 +276,12 @@ func (e *Evaluator) mapperOptions(obj mapper.Objective) mapper.Options {
 }
 
 // evaluate computes one point — the one evaluation path behind
-// EvalPoints (and so Run), Evaluator.Eval and Eval. A failure lands in Point.Err and is returned as an
-// error too (a failed layer as "sweep: layer <name>: ..."). warm supplies
-// the previous chained point's best mappings; when collect is set the
-// point's own bests are returned for its successor.
+// EvalPoints (and so Run), Evaluator.Eval and Eval — and holds the one
+// per-layer network loop, whatever the base kind and fused or not. A
+// failure lands in Point.Err and is returned as an error too (a failed
+// layer as "sweep: layer <name>: ..."). warm supplies the previous
+// chained point's best mappings; when collect is set the point's own
+// bests are returned for its successor.
 func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point, warmTable, error) {
 	p := Point{
 		Index:     job.index,
@@ -319,22 +323,81 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 	if collect {
 		next = make(warmTable)
 	}
-	// add records one layer's best mapping: its outcome, the search
-	// funnel, the warm table and the analog fidelity rollup. Cached mapper
-	// results are shared across points, so fidelity lands on the
-	// point-owned outcome and total — never on best.Result.
+	// An unfused workload runs every layer on the variant's session. A
+	// fused one runs layer i on its position's cfg.Fused(i) arch, of
+	// which a network has at most three (first, middle, last); fused
+	// memoizes their sessions for this point.
+	fused := map[albireo.Config]*mapper.Session{}
+	sessionFor := func(i int) (*mapper.Session, error) {
+		if !job.workload.Fused {
+			return st.sess, nil
+		}
+		cfg := job.variant.albireo.Fused(&job.network, i)
+		if s := fused[cfg]; s != nil {
+			return s, nil
+		}
+		fa, err := cfg.Build()
+		if err != nil {
+			return nil, err
+		}
+		s, err := mapper.NewSession(fa)
+		if err != nil {
+			return nil, err
+		}
+		fused[cfg] = s
+		return s, nil
+	}
+	// One search per distinct (session, layer shape): an outcome depends
+	// only on the layer's shape and the options (warm starts and the
+	// canonical seeds are shape properties too), so repeated blocks clone
+	// the representative's best — bit-identical to searching again, and
+	// it skips the seed construction a cache lookup would still pay.
+	type searchKey struct {
+		sess  *mapper.Session
+		shape uint64
+	}
+	solved := map[searchKey]*mapper.Best{}
+	total := &model.Result{Layer: job.netName}
+	// Cached mapper results are shared across points, so the analog
+	// fidelity rollup lands on the point-owned outcome and total — never
+	// on best.Result.
 	var layers []LayerOutcome
 	var fidMACs, fidBits, fidSNR, fidLoss float64
-	add := func(layer *workload.Layer, best *mapper.Best) {
+	for i := range job.network.Layers {
+		layer := &job.network.Layers[i]
+		sess, err := sessionFor(i)
+		if err != nil {
+			return failLayer(layer.Name, err)
+		}
+		key := searchKey{sess, layer.ShapeFingerprint()}
+		best := solved[key]
+		switch {
+		case best != nil:
+			best = best.CloneFor(layer.Name)
+		case fixed != nil:
+			best = &mapper.Best{Mapping: fixed}
+			best.Result, err = model.Evaluate(a, layer, fixed, model.Options{})
+		default:
+			mopts := e.mapperOptions(job.obj)
+			mopts.WarmStarts = warm[key.shape]
+			if job.variant.albireo != nil {
+				mopts.Seeds = albireo.CanonicalMappings(sess.Engine().Arch(), layer)
+			}
+			best, err = sess.Search(layer, mopts)
+		}
+		if err != nil {
+			return failLayer(layer.Name, err)
+		}
+		solved[key] = best
+		total.Accumulate(best.Result)
+
 		lo := layerOutcome(best)
 		p.Evaluations += best.Evaluations
 		p.Pruned += best.Stats.Pruned
 		p.DeltaEvals += best.Stats.DeltaEvals
 		p.FullEvals += best.Stats.FullEvals
-		if collect {
-			if fp := layer.ShapeFingerprint(); next[fp] == nil {
-				next[fp] = []*mapping.Mapping{best.Mapping}
-			}
+		if collect && next[key.shape] == nil {
+			next[key.shape] = []*mapping.Mapping{best.Mapping}
 		}
 		if st.fid != nil {
 			rep := st.fid.Evaluate(best.Mapping)
@@ -348,42 +411,6 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 			fidLoss += rep.AccuracyLossPct * w
 		}
 		layers = append(layers, lo)
-	}
-	var total *model.Result
-	if job.variant.albireo != nil && fixed == nil {
-		nres, err := albireo.EvalNetwork(*job.variant.albireo, job.network, albireo.NetOptions{
-			Batch:      job.workload.Batch,
-			Fused:      job.workload.Fused,
-			Mapper:     e.mapperOptions(job.obj),
-			WarmStarts: warm,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		total = &nres.Total
-		for i := range nres.Layers {
-			add(&nres.Layers[i].Layer, nres.Layers[i].Best)
-		}
-	} else {
-		total = &model.Result{Layer: job.netName}
-		for i := range job.network.Layers {
-			layer := &job.network.Layers[i]
-			var best *mapper.Best
-			var err error
-			if fixed != nil {
-				best = &mapper.Best{Mapping: fixed}
-				best.Result, err = model.Evaluate(a, layer, fixed, model.Options{})
-			} else {
-				mopts := e.mapperOptions(job.obj)
-				mopts.WarmStarts = warm[layer.ShapeFingerprint()]
-				best, err = st.sess.Search(layer, mopts)
-			}
-			if err != nil {
-				return failLayer(layer.Name, err)
-			}
-			total.Accumulate(best.Result)
-			add(layer, best)
-		}
 	}
 
 	if st.fid != nil && fidMACs > 0 {

@@ -137,9 +137,10 @@ type StudyRow struct {
 type StudyResult struct {
 	Name string     `json:"name,omitempty"`
 	Rows []StudyRow `json:"rows"`
-	// CacheHits and CacheMisses count deduplicated versus computed layer
-	// searches across the whole study (one shared cache spans all
-	// presets).
+	// CacheHits and CacheMisses count layer searches the shared
+	// mapper.Cache served versus computed across the whole study (one
+	// cache spans all presets). They count dedupe across points only: a
+	// point never sends its repeated layer shapes to the cache.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 }

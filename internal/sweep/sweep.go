@@ -186,7 +186,8 @@ type variant struct {
 }
 
 // build constructs the variant's architecture (the unfused one, for
-// Albireo bases — fusion variants are built inside the network evaluator).
+// Albireo bases — evaluate builds a fused workload's per-position
+// architectures from albireo.Config.Fused).
 func (v *variant) build() (*arch.Arch, error) {
 	if v.albireo != nil {
 		return v.albireo.Build()

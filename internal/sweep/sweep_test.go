@@ -146,11 +146,11 @@ func TestRunValidationErrors(t *testing.T) {
 	}
 }
 
-// TestRunMatchesDirectEvalNetwork is the dedupe-safety anchor: a concurrent
+// TestRunMatchesDirectNetwork is the dedupe-safety anchor: a concurrent
 // sweep over Albireo variants, with the shared fingerprint cache engaged,
-// must be bit-identical to evaluating each variant directly through
-// albireo.EvalNetwork with no cache.
-func TestRunMatchesDirectEvalNetwork(t *testing.T) {
+// must be bit-identical to searching each variant's layers directly
+// (directNetwork) with no cache.
+func TestRunMatchesDirectNetwork(t *testing.T) {
 	net := tinyNet()
 	sp := Spec{
 		Base: Base{Albireo: &AlbireoBase{Scaling: "aggressive"}},
@@ -195,17 +195,13 @@ func TestRunMatchesDirectEvalNetwork(t *testing.T) {
 			cfg := albireo.Default(albireo.Aggressive)
 			cfg.WeightReuse = wr
 			cfg.OutputLanes = lanes
-			direct, err := albireo.EvalNetwork(cfg, *net, albireo.NetOptions{
-				Mapper: mapper.Options{Objective: mapper.MinEnergy, Budget: 120, Seed: 1, Workers: 2},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			direct := directNetwork(t, cfg, net.WithBatch(1), false,
+				mapper.Options{Objective: mapper.MinEnergy, Budget: 120, Seed: 1, Workers: 2})
 			p := &res.Points[i]
-			if p.TotalPJ != direct.Total.TotalPJ || p.Cycles != direct.Total.Cycles ||
-				p.MACs != direct.Total.MACs || p.Utilization != direct.Total.Utilization {
+			if p.TotalPJ != direct.TotalPJ || p.Cycles != direct.Cycles ||
+				p.MACs != direct.MACs || p.Utilization != direct.Utilization {
 				t.Errorf("point %d (%s): sweep %.9g pJ %.9g cyc, direct %.9g pJ %.9g cyc",
-					i, p.Variant, p.TotalPJ, p.Cycles, direct.Total.TotalPJ, direct.Total.Cycles)
+					i, p.Variant, p.TotalPJ, p.Cycles, direct.TotalPJ, direct.Cycles)
 			}
 			if p.Total == nil || len(p.Total.Energy) == 0 {
 				t.Errorf("point %d missing full ledger", i)
@@ -228,7 +224,9 @@ func TestRunMatchesDirectEvalNetwork(t *testing.T) {
 
 // TestRunDedupesRepeatedShapes checks the fingerprint cache across points:
 // the same workload listed twice must not re-run a single search, and the
-// duplicated points must be identical.
+// duplicated points must be identical. Within one point, repeated layer
+// shapes are deduped before the cache for every base kind, so a raw-arch
+// point's cache traffic is one miss per distinct shape and no hits.
 func TestRunDedupesRepeatedShapes(t *testing.T) {
 	net := tinyNet()
 	sp := Spec{
@@ -252,6 +250,23 @@ func TestRunDedupesRepeatedShapes(t *testing.T) {
 	a, b := &res.Points[0], &res.Points[1]
 	if a.TotalPJ != b.TotalPJ || a.Cycles != b.Cycles || a.Evaluations != b.Evaluations {
 		t.Errorf("deduped points differ: %+v vs %+v", a, b)
+	}
+
+	raw, err := Run(Spec{
+		Base:      Base{Preset: "electrical-baseline"},
+		Workloads: []Workload{{Network: "resnet18"}},
+		Budget:    40,
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := map[uint64]bool{}
+	for _, l := range workload.ResNet18(1).Layers {
+		shapes[l.ShapeFingerprint()] = true
+	}
+	if raw.CacheHits != 0 || raw.CacheMisses != int64(len(shapes)) {
+		t.Errorf("electrical-baseline resnet18: hits/misses = %d/%d, want 0/%d (one search per distinct shape)",
+			raw.CacheHits, raw.CacheMisses, len(shapes))
 	}
 }
 

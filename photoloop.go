@@ -311,10 +311,6 @@ type (
 	AlbireoConfig = albireo.Config
 	// AlbireoScaling is a technology projection.
 	AlbireoScaling = albireo.Scaling
-	// AlbireoNetOptions configures whole-network evaluation.
-	AlbireoNetOptions = albireo.NetOptions
-	// AlbireoNetResult is a whole-network evaluation.
-	AlbireoNetResult = albireo.NetResult
 )
 
 // Albireo scaling projections.
@@ -331,12 +327,6 @@ func Albireo(s AlbireoScaling) AlbireoConfig { return albireo.Default(s) }
 // layer (useful as mapper seeds).
 func AlbireoCanonicalMappings(a *Arch, l *Layer) []*Mapping {
 	return albireo.CanonicalMappings(a, l)
-}
-
-// EvalAlbireoNetwork maps and evaluates a network on an Albireo instance
-// with optional batching and layer fusion.
-func EvalAlbireoNetwork(cfg AlbireoConfig, net Network, opts AlbireoNetOptions) (*AlbireoNetResult, error) {
-	return albireo.EvalNetwork(cfg, net, opts)
 }
 
 // ElectricalBaselineConfig parameterizes the conventional digital
