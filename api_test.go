@@ -21,7 +21,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	layer := photoloop.NewConv("conv", 1, 96, 64, 32, 32, 3, 3, 1, 1)
 	best, err := photoloop.Search(a, &layer, photoloop.SearchOptions{
 		Budget: 300, Seed: 1,
-		Seeds: photoloop.AlbireoCanonicalMappings(a, &layer),
+		Seeds: photoloop.SeedList(photoloop.AlbireoCanonicalMappings(a, &layer)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -205,7 +205,7 @@ func BenchmarkMapperSearchSeeded(b *testing.B) {
 		b.Fatal(err)
 	}
 	layer := photoloop.NewConv("l", 1, 128, 128, 28, 28, 3, 3, 1, 1)
-	seeds := photoloop.AlbireoCanonicalMappings(a, &layer)
+	seeds := photoloop.SeedList(photoloop.AlbireoCanonicalMappings(a, &layer))
 	var stats photoloop.SearchStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -28,17 +28,17 @@ func TestSearchWorkCountersGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	layer := photoloop.NewConv("l", 1, 128, 128, 28, 28, 3, 3, 1, 1)
-	canonical := photoloop.AlbireoCanonicalMappings(a, &layer)
+	canonical := photoloop.SeedList(photoloop.AlbireoCanonicalMappings(a, &layer))
 	cases := []struct {
 		name    string
-		seeds   []*photoloop.Mapping
+		seeds   photoloop.SearchSeeds
 		workers int
 		want    searchWork
 	}{
-		{"unseeded/workers=1", nil, 1, searchWork{Evaluations: 399, Stats: photoloop.SearchStats{
+		{"unseeded/workers=1", photoloop.SearchSeeds{}, 1, searchWork{Evaluations: 399, Stats: photoloop.SearchStats{
 			Pruned: 221, DeltaEvals: 10, FullEvals: 131, Duplicates: 30, Invalid: 7,
 		}}},
-		{"unseeded/workers=2", nil, 2, searchWork{Evaluations: 453, Stats: photoloop.SearchStats{
+		{"unseeded/workers=2", photoloop.SearchSeeds{}, 2, searchWork{Evaluations: 453, Stats: photoloop.SearchStats{
 			Pruned: 213, DeltaEvals: 21, FullEvals: 151, Duplicates: 59, Invalid: 9,
 		}}},
 		// The one-worker seeded search is the configuration whose counts

@@ -31,7 +31,7 @@ func main() {
 			Objective: photoloop.MinEnergy,
 			Budget:    800,
 			Seed:      1,
-			Seeds:     photoloop.AlbireoCanonicalMappings(a, l),
+			Seeds:     photoloop.SeedList(photoloop.AlbireoCanonicalMappings(a, l)),
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", l.Name, err)

@@ -58,7 +58,7 @@ func run(out io.Writer) error {
 		}
 		pb, err := photoloop.Search(a, &layer, photoloop.SearchOptions{
 			Budget: 2000, Seed: 1,
-			Seeds: photoloop.AlbireoCanonicalMappings(a, &layer),
+			Seeds: photoloop.SeedList(photoloop.AlbireoCanonicalMappings(a, &layer)),
 		})
 		if err != nil {
 			return err

@@ -45,7 +45,7 @@ func run(w io.Writer) error {
 		Objective: photoloop.MinEnergy,
 		Budget:    2000,
 		Seed:      1,
-		Seeds:     photoloop.AlbireoCanonicalMappings(a, &layer),
+		Seeds:     photoloop.SeedList(photoloop.AlbireoCanonicalMappings(a, &layer)),
 	})
 	if err != nil {
 		return err

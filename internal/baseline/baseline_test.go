@@ -95,7 +95,7 @@ func TestPhotonicVsElectricalNarrative(t *testing.T) {
 		}
 		pBest, err := mapper.Search(a, &l, mapper.Options{
 			Budget: 1500, Seed: 1,
-			Seeds: albireo.CanonicalMappings(a, &l),
+			Seeds: mapper.SeedList(albireo.CanonicalMappings(a, &l)),
 		})
 		if err != nil {
 			t.Fatal(err)

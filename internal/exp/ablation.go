@@ -122,7 +122,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 		lvl.CapacityBits = 1 << 20 // pretend light could be buffered
 		best, err := mapper.Search(a, &layer, mapper.Options{
 			Budget: cfg.Budget, Seed: cfg.Seed, Workers: cfg.Workers,
-			Seeds: albireo.CanonicalMappings(a, &layer),
+			Seeds: mapper.SeedList(albireo.CanonicalMappings(a, &layer)),
 		})
 		if err != nil {
 			return nil, err
@@ -141,7 +141,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 		}
 		seeded, err := mapper.Search(a, &layer, mapper.Options{
 			Budget: cfg.Budget, Seed: cfg.Seed, Workers: cfg.Workers,
-			Seeds: albireo.CanonicalMappings(a, &layer),
+			Seeds: mapper.SeedList(albireo.CanonicalMappings(a, &layer)),
 		})
 		if err != nil {
 			return nil, err
@@ -179,7 +179,7 @@ func evalAlbireoLayer(c albireo.Config, l *workload.Layer, cfg Config, disableSh
 	}
 	best, err := mapper.Search(a, l, mapper.Options{
 		Budget: cfg.Budget, Seed: cfg.Seed, Workers: cfg.Workers,
-		Seeds: albireo.CanonicalMappings(a, l),
+		Seeds: mapper.SeedList(albireo.CanonicalMappings(a, l)),
 	})
 	if err != nil {
 		return nil, err

@@ -200,7 +200,7 @@ func directNetwork(t *testing.T, cfg albireo.Config, net workload.Network, opts 
 	for i := range net.Layers {
 		layer := &net.Layers[i]
 		o := opts
-		o.Seeds = albireo.CanonicalMappings(a, layer)
+		o.Seeds = mapper.SeedList(albireo.CanonicalMappings(a, layer))
 		best, err := mapper.Search(a, layer, o)
 		if err != nil {
 			t.Fatalf("layer %s: %v", layer.Name, err)

@@ -80,7 +80,7 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 		for i := range net.Layers {
 			l := &net.Layers[i]
 			opts := cfg.mapperOptions(mapper.MinDelay)
-			opts.Seeds = albireo.CanonicalMappings(a, l)
+			opts.Seeds = mapper.SeedList(albireo.CanonicalMappings(a, l))
 			best, err := sess.Search(l, opts)
 			if err != nil {
 				return nil, fmt.Errorf("exp: fig3 %s/%s: %w", name, l.Name, err)

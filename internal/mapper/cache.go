@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"errors"
 	"sync"
 
 	"photoloop/internal/workload"
@@ -165,6 +166,15 @@ func (c *Cache) search(s *Session, l *workload.Layer, o Options) (*Best, error) 
 		}
 	})
 	if e.err != nil {
+		if errors.Is(e.err, errSeedMismatch) {
+			// The caller's seeds failed, not the keyed search: forget
+			// the entry so a caller whose seeds match computes it.
+			c.mu.Lock()
+			if c.m[key] == e {
+				delete(c.m, key)
+			}
+			c.mu.Unlock()
+		}
 		return nil, e.err
 	}
 	return e.best.CloneFor(l.Name), nil
@@ -205,9 +215,9 @@ func (o *Options) fingerprint() uint64 {
 		flags |= 4
 	}
 	h.Mix(flags)
-	h.Mix(uint64(len(o.Seeds)))
-	for _, seed := range o.Seeds {
-		h.Mix(seed.Fingerprint())
+	h.Mix(uint64(len(o.Seeds.prints)))
+	for _, p := range o.Seeds.prints {
+		h.Mix(p)
 	}
 	// Warm starts change which candidates join the pool, so they are part
 	// of the search identity.

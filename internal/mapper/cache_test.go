@@ -119,7 +119,7 @@ func TestCacheSeedMappingsKeyed(t *testing.T) {
 	seeded := base
 	seed := mapping.New(a)
 	seed.Levels[0].Temporal[workload.DimK] = 8
-	seeded.Seeds = []*mapping.Mapping{seed}
+	seeded.Seeds = SeedList([]*mapping.Mapping{seed})
 	if _, err := s.Search(&l, seeded); err != nil {
 		t.Fatal(err)
 	}

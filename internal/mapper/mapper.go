@@ -103,8 +103,10 @@ type Options struct {
 	Eval model.Options
 	// Seeds are mappings evaluated before random exploration (e.g. an
 	// architecture's canonical schedules); the hill climber starts from
-	// the best of seeds and random samples.
-	Seeds []*mapping.Mapping
+	// the best of seeds and random samples. Build them with SeedList or
+	// LazySeeds; only their fingerprints enter the cache key, and the
+	// mappings are built only when the search runs.
+	Seeds Seeds
 	// WarmStarts are incumbent mappings threaded in from structurally
 	// related, already-solved searches — the same layer shape on a
 	// neighboring sweep point, typically. They are validated against this
@@ -359,6 +361,10 @@ func sessionFor(a *arch.Arch) (*Session, error) {
 // Engine returns the session's compiled evaluation engine.
 func (s *Session) Engine() *model.Engine { return s.eng }
 
+// Fingerprint returns the session architecture's fingerprint, the Arch
+// half of every cache Key the session searches under.
+func (s *Session) Fingerprint() uint64 { return s.fp }
+
 // Search finds the best mapping for the layer under the options. It is a
 // convenience wrapper reusing a process-wide Session cache keyed by the
 // architecture fingerprint; prefer NewSession + Session.Search when mapping
@@ -406,6 +412,11 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Built once here, shared read-only by every worker.
+	seeds, err := o.Seeds.mappings()
+	if err != nil {
+		return nil, err
+	}
 
 	// Keep only warm starts that actually apply to this (arch, layer):
 	// they come from neighboring searches and may not transfer.
@@ -429,7 +440,7 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(&splitmix64{x: uint64(o.Seed + int64(w)*7919)})
-			best, evals, stats := s.searchWorker(c, l, o, rng, budgets[w], warm)
+			best, evals, stats := s.searchWorker(c, l, o, rng, budgets[w], seeds, warm)
 			results[w] = outcome{best, evals, stats}
 		}(w)
 	}
@@ -724,7 +735,7 @@ func levelsShared(prev, m *mapping.Mapping) int {
 // lower-bound gate only discards candidates that provably cannot win, and
 // delta evaluation reproduces full evaluations exactly (both properties are
 // pinned against such a reference search by equivalence tests).
-func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, rng *rand.Rand, budget int, warm []*mapping.Mapping) (best *Best, evals int, st SearchStats) {
+func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, rng *rand.Rand, budget int, seeds, warm []*mapping.Mapping) (best *Best, evals int, st SearchStats) {
 	if budget <= 0 {
 		return nil, 0, st
 	}
@@ -921,7 +932,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// always — they come from other searches — and not budget-charged).
 	// Seeds are tried in place: nothing below mutates a candidate, and
 	// consider clones on retention.
-	for _, seed := range o.Seeds {
+	for _, seed := range seeds {
 		consider(seed, try(seed, true, -1))
 	}
 	for _, w := range warm {

@@ -287,7 +287,7 @@ func TestMalformedSeedDoesNotShadow(t *testing.T) {
 		t.Fatal(err)
 	}
 	seededOpts := opts
-	seededOpts.Seeds = []*mapping.Mapping{bad}
+	seededOpts.Seeds = SeedList([]*mapping.Mapping{bad})
 	seeded, err := Search(a, &l, seededOpts)
 	if err != nil {
 		t.Fatal(err)

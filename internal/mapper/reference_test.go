@@ -21,7 +21,7 @@ import (
 func referenceSearch(t *testing.T, s *Session, l *workload.Layer, opts Options) *Best {
 	t.Helper()
 	o := opts.withDefaults()
-	if len(o.Seeds) > 0 || len(o.WarmStarts) > 0 {
+	if len(o.Seeds.Prints()) > 0 || len(o.WarmStarts) > 0 {
 		t.Fatal("referenceSearch: Seeds and WarmStarts are out of scope")
 	}
 	c, err := s.eng.Compile(l)

@@ -29,7 +29,7 @@ func directNetwork(t *testing.T, cfg albireo.Config, net workload.Network, fused
 			t.Fatal(err)
 		}
 		o := opts
-		o.Seeds = albireo.CanonicalMappings(a, layer)
+		o.Seeds = mapper.SeedList(albireo.CanonicalMappings(a, layer))
 		best, err := mapper.Search(a, layer, o)
 		if err != nil {
 			t.Fatalf("layer %s: %v", layer.Name, err)

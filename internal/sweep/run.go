@@ -351,7 +351,8 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 	// only on the layer's shape and the options (warm starts and the
 	// canonical seeds are shape properties too), so repeated blocks clone
 	// the representative's best — bit-identical to searching again, and
-	// it skips the seed construction a cache lookup would still pay.
+	// cheaper than even a cache hit, which hashes the memoized seed
+	// prints and clones the cached best.
 	type searchKey struct {
 		sess  *mapper.Session
 		shape uint64
@@ -381,7 +382,7 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 			mopts := e.mapperOptions(job.obj)
 			mopts.WarmStarts = warm[key.shape]
 			if job.variant.albireo != nil {
-				mopts.Seeds = albireo.CanonicalMappings(sess.Engine().Arch(), layer)
+				mopts.Seeds = canonicalSeeds(sess, layer, key.shape)
 			}
 			best, err = sess.Search(layer, mopts)
 		}

@@ -260,6 +260,9 @@ func Compile(a *Arch, l *Layer) (*Compiled, error) { return model.Compile(a, l) 
 type (
 	// SearchOptions configures the mapping search.
 	SearchOptions = mapper.Options
+	// SearchSeeds are the mappings a search tries first
+	// (SearchOptions.Seeds); build them with SeedList.
+	SearchSeeds = mapper.Seeds
 	// SearchBest is a search outcome; its Stats field breaks down how the
 	// candidate stream was spent (pruned / delta / full evaluations).
 	SearchBest = mapper.Best
@@ -276,6 +279,10 @@ type (
 
 // NewMapperSession prepares an architecture for repeated layer searches.
 func NewMapperSession(a *Arch) (*MapperSession, error) { return mapper.NewSession(a) }
+
+// SeedList wraps fixed seed mappings (e.g. AlbireoCanonicalMappings) for
+// SearchOptions.Seeds; the search tries them first and never mutates them.
+func SeedList(ms []*Mapping) SearchSeeds { return mapper.SeedList(ms) }
 
 // Search objectives.
 const (
