@@ -21,11 +21,13 @@ package mapper
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -251,8 +253,8 @@ type Session struct {
 	// hot-loop structural pre-checks visit only those instead of probing
 	// every level's cap through the architecture.
 	capped []capLevel
-	// workers pools per-worker search state (scratch, buffers, dedup set)
-	// across Search calls on this session.
+	// workers pools per-worker search state (scratch, buffers, dedup
+	// set, draw arena) across Search calls on this session.
 	workers sync.Pool
 }
 
@@ -282,15 +284,58 @@ func (s *splitmix64) Uint64() uint64 {
 func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // workerState pools one search worker's reusable allocations across
-// Search calls: the evaluation scratch, the shared result buffer, the
-// candidate ping-pong buffers and the dedup set dominate the per-call
-// allocation profile of short searches.
+// Search calls on its Session: the evaluation scratch, the shared result
+// buffer, the candidate ping-pong buffers, the dedup set and the draw
+// arena. A warm worker draws, pre-filters and orders its exploration
+// stream without allocating.
 type workerState struct {
 	scratch *model.Scratch
 	res     *model.Result
 	bufA    *mapping.Mapping
 	bufB    *mapping.Mapping
 	seen    map[uint64]struct{}
+	draw    drawArena
+}
+
+// drawArena holds the random-exploration buffers of one search worker.
+// Each search overwrites the prefix it uses, so none of them needs
+// clearing between searches except remTab, whose touched entries are
+// reset after every draw.
+type drawArena struct {
+	perms []uint8          // k*n permutation picks, candidate-major
+	temps []workload.Point // k*n temporal factors, candidate-major
+	cands []candidate
+	order []scoredCand
+	// padded caches mapping.PaddedCandidates by bound. The lists depend
+	// on the bound alone, so the table lives across searches and layers.
+	padded [][]int
+	// remTab holds the remaining temporal bounds per spatial assignment
+	// for the layer being drawn (zero: not computed yet); touched lists
+	// the entries the draw filled in.
+	remTab  []workload.Point
+	touched []int32
+}
+
+// scoredCand is one pre-filtered candidate in the scoring order: its
+// candidateKey and its draw index, the order's tie break.
+type scoredCand struct {
+	key uint64
+	ci  int32
+}
+
+// takeWorker takes a worker state from the session's pool, building one
+// when the pool is empty.
+func (s *Session) takeWorker() *workerState {
+	if ws, _ := s.workers.Get().(*workerState); ws != nil {
+		return ws
+	}
+	return &workerState{
+		scratch: s.eng.NewScratch(),
+		res:     &model.Result{},
+		bufA:    mapping.New(s.a),
+		bufB:    mapping.New(s.a),
+		seen:    make(map[uint64]struct{}, 512),
+	}
 }
 
 // NewSession prepares an architecture for repeated searches.
@@ -428,6 +473,7 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 	}
 
 	type outcome struct {
+		ws    *workerState
 		best  *Best
 		evals int
 		stats SearchStats
@@ -435,16 +481,25 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 	results := make([]outcome, o.Workers)
 	var wg sync.WaitGroup
 	budgets := splitBudget(o.Budget, o.Workers)
-	for w := 0; w < o.Workers; w++ {
+	for w := range results {
+		// Worker states leave and rejoin the pool on this goroutine, so a
+		// serial caller's next search finds them in the same
+		// processor-local pool slots instead of building new ones.
+		results[w].ws = s.takeWorker()
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			r := &results[w]
 			rng := rand.New(&splitmix64{x: uint64(o.Seed + int64(w)*7919)})
-			best, evals, stats := s.searchWorker(c, l, o, rng, budgets[w], seeds, warm)
-			results[w] = outcome{best, evals, stats}
+			r.best, r.evals, r.stats = s.searchWorker(r.ws, c, l, o, rng, budgets[w], seeds, warm)
 		}(w)
 	}
 	wg.Wait()
+	defer func() {
+		for w := range results {
+			s.workers.Put(results[w].ws)
+		}
+	}()
 
 	var best *Best
 	evals := 0
@@ -466,12 +521,13 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 	best.Stats = stats
 
 	// The workers score candidates without the itemized energy ledger;
-	// re-evaluate the winner once in full so callers can inspect it.
+	// re-evaluate the winner once in full, on a worker's scratch, so
+	// callers can inspect it.
 	fullOpts := o.Eval
 	fullOpts.SkipValidate = true
 	fullOpts.FullLedger = true
-	full, err := c.Evaluate(best.Mapping, fullOpts)
-	if err != nil {
+	full := &model.Result{}
+	if err := c.EvaluateInto(results[0].ws.scratch, best.Mapping, full, fullOpts); err != nil {
 		return nil, err
 	}
 	best.Result = full
@@ -579,52 +635,34 @@ type candidate struct {
 // die in validation; skipping them redirects that budget to schedules that
 // can actually win. A capped level's permutation is inert (it has no loops)
 // and stays at the first candidate order.
-func (s *Session) drawCandidates(l *workload.Layer, rng *rand.Rand, k, n int) []candidate {
-	perms := make([]uint8, k*n)
-	temps := make([]workload.Point, k*n)
-	cands := make([]candidate, k)
+//
+// The candidates live in the worker's arena da and stay valid until its
+// next draw; a warm arena draws without allocating.
+func (s *Session) drawCandidates(da *drawArena, l *workload.Layer, rng *rand.Rand, k, n int) []candidate {
+	da.perms = slices.Grow(da.perms[:0], k*n)[:k*n]
+	da.temps = slices.Grow(da.temps[:0], k*n)[:k*n]
+	da.cands = slices.Grow(da.cands[:0], k)[:k]
+	if len(da.remTab) != len(s.assignments) {
+		da.remTab = make([]workload.Point, len(s.assignments))
+	}
 	minLv := s.minLv
-	// PaddedCandidates consults a process-global sync.Map; an index-addressed
-	// worker-local cache is markedly cheaper in this loop. Bounds are small
-	// (remaining temporal trip counts); truly huge ones fall through.
-	const pcDirect = 1 << 14
-	var pc [][]int
-	paddedCands := func(bound int) []int {
-		if bound >= pcDirect {
-			return mapping.PaddedCandidates(bound)
-		}
-		if bound >= len(pc) {
-			grown := make([][]int, bound+1)
-			copy(grown, pc)
-			pc = grown
-		}
-		if c := pc[bound]; c != nil {
-			return c
-		}
-		c := mapping.PaddedCandidates(bound)
-		pc[bound] = c
-		return c
-	}
-	// Remaining temporal bounds per assignment, computed lazily: a draw
-	// stream touches a handful of the enumerated assignments, and the old
-	// loop recomputed the bounds for every single candidate.
-	remTab := make([]workload.Point, len(s.assignments))
-	remFor := func(ai int) workload.Point {
-		if remTab[ai] == (workload.Point{}) {
-			remTab[ai] = assignmentRemaining(s.a, s.assignments[ai], l)
-		}
-		return remTab[ai]
-	}
-	for ci := range cands {
-		cand := &cands[ci]
-		cand.perm = perms[ci*n : (ci+1)*n : (ci+1)*n]
-		cand.temporal = temps[ci*n : (ci+1)*n : (ci+1)*n]
+	for ci := range da.cands {
+		cand := &da.cands[ci]
+		cand.perm = da.perms[ci*n : (ci+1)*n : (ci+1)*n]
+		cand.temporal = da.temps[ci*n : (ci+1)*n : (ci+1)*n]
 		ai := 0
 		if rng.Intn(2) == 0 {
 			ai = rng.Intn(len(s.assignments))
 		}
 		cand.assign = int32(ai)
-		rem := remFor(ai)
+		// Remaining temporal bounds per assignment, computed lazily: a
+		// draw stream touches a handful of the enumerated assignments.
+		rem := da.remTab[ai]
+		if rem == (workload.Point{}) {
+			rem = assignmentRemaining(s.a, s.assignments[ai], l)
+			da.remTab[ai] = rem
+			da.touched = append(da.touched, int32(ai))
+		}
 		for i := range cand.temporal {
 			cand.temporal[i] = workload.Ones()
 		}
@@ -634,7 +672,7 @@ func (s *Session) drawCandidates(l *workload.Layer, rng *rand.Rand, k, n int) []
 				if s.tpOne[i] {
 					continue
 				}
-				cs := paddedCands(left)
+				cs := da.paddedCands(left)
 				f := cs[rng.Intn(len(cs))]
 				cand.temporal[i][d] = f
 				left = workload.CeilDiv(left, f)
@@ -642,13 +680,39 @@ func (s *Session) drawCandidates(l *workload.Layer, rng *rand.Rand, k, n int) []
 			cand.temporal[minLv[d]][d] *= left
 		}
 		for i := 0; i < n; i++ {
-			if s.tpOne[i] {
-				continue
+			var p uint8 // a capped level keeps the first order
+			if !s.tpOne[i] {
+				p = uint8(rng.Intn(len(permCandidates)))
 			}
-			cand.perm[i] = uint8(rng.Intn(len(permCandidates)))
+			cand.perm[i] = p
 		}
 	}
-	return cands
+	// The next draw may be for another layer: forget this one's bounds.
+	for _, ai := range da.touched {
+		da.remTab[ai] = workload.Point{}
+	}
+	da.touched = da.touched[:0]
+	return da.cands
+}
+
+// paddedCands returns mapping.PaddedCandidates(bound). That consults a
+// process-global sync.Map; the arena's index-addressed table is markedly
+// cheaper in the draw loop. Bounds are small (remaining temporal trip
+// counts); truly huge ones fall through.
+func (d *drawArena) paddedCands(bound int) []int {
+	const direct = 1 << 14
+	if bound >= direct {
+		return mapping.PaddedCandidates(bound)
+	}
+	if bound >= len(d.padded) {
+		d.padded = append(d.padded, make([][]int, bound+1-len(d.padded))...)
+	}
+	if c := d.padded[bound]; c != nil {
+		return c
+	}
+	c := mapping.PaddedCandidates(bound)
+	d.padded[bound] = c
+	return c
 }
 
 // candidateKey packs a candidate's grouping fields into one word for the
@@ -735,26 +799,13 @@ func levelsShared(prev, m *mapping.Mapping) int {
 // lower-bound gate only discards candidates that provably cannot win, and
 // delta evaluation reproduces full evaluations exactly (both properties are
 // pinned against such a reference search by equivalence tests).
-func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, rng *rand.Rand, budget int, seeds, warm []*mapping.Mapping) (best *Best, evals int, st SearchStats) {
+func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.Layer, o Options, rng *rand.Rand, budget int, seeds, warm []*mapping.Mapping) (best *Best, evals int, st SearchStats) {
 	if budget <= 0 {
 		return nil, 0, st
 	}
 	a := s.a
 	n := a.NumLevels()
-	ws, _ := s.workers.Get().(*workerState)
-	if ws == nil {
-		ws = &workerState{
-			scratch: s.eng.NewScratch(),
-			res:     &model.Result{},
-			bufA:    mapping.New(a),
-			bufB:    mapping.New(a),
-			seen:    make(map[uint64]struct{}, 512),
-		}
-	}
-	defer func() {
-		clear(ws.seen)
-		s.workers.Put(ws)
-	}()
+	defer clear(ws.seen)
 	scratch, res, seen := ws.scratch, ws.res, ws.seen
 	evalOpts := model.Options{SkipValidate: true, ChargeStatic: o.Eval.ChargeStatic}
 	validate := !o.Eval.SkipValidate
@@ -975,7 +1026,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// evaluation state; the candidate set — and hence the outcome — is
 	// identical to the legacy interleaved loop.
 	if k := budget*7/10 - evals; k > 0 {
-		cands := s.drawCandidates(l, rng, k, n)
+		cands := s.drawCandidates(&ws.draw, l, rng, k, n)
 		// Cheap structural pre-reject on the compact form, mirroring
 		// Validate's MaxTemporalProduct rule exactly: a draw that puts
 		// temporal loops on a capped level (an analog accumulator, a ring
@@ -983,8 +1034,9 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 		// fingerprinting and materialization. The legacy loop paid a full
 		// Validate per such draw. Gated on the same validate flag as
 		// try(): a SkipValidate search trusts (and fully evaluates) every
-		// draw, exactly like the legacy sampler.
-		order := make([]int, 0, k)
+		// draw, exactly like the legacy sampler. The survivors are scored
+		// in (key, draw index) order.
+		order := ws.draw.order[:0]
 	prefilter:
 		for ci := range cands {
 			if validate {
@@ -996,24 +1048,22 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 					}
 				}
 			}
-			order = append(order, ci)
+			order = append(order, scoredCand{key: candidateKey(&cands[ci]), ci: int32(ci)})
 		}
-		keys := make([]uint64, len(cands))
-		for ci := range cands {
-			keys[ci] = candidateKey(&cands[ci])
-		}
-		sort.Slice(order, func(i, j int) bool {
-			if keys[order[i]] != keys[order[j]] {
-				return keys[order[i]] < keys[order[j]]
+		ws.draw.order = order
+		slices.SortFunc(order, func(x, y scoredCand) int {
+			if r := cmp.Compare(x.key, y.key); r != 0 {
+				return r
 			}
-			return order[i] < order[j]
+			return cmp.Compare(x.ci, y.ci)
 		})
-		for _, ci := range order {
+		for _, sc := range order {
+			cand := &cands[sc.ci]
 			m := matBuf()
 			ba := bufAssign(m)
-			s.materialize(m, &cands[ci], *ba == cands[ci].assign)
-			*ba = cands[ci].assign
-			consider(m, try(m, true, int64(cands[ci].assign)))
+			s.materialize(m, cand, *ba == cand.assign)
+			*ba = cand.assign
+			consider(m, try(m, true, int64(cand.assign)))
 		}
 	}
 

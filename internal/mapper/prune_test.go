@@ -227,7 +227,7 @@ func TestDrawCandidatesMatchesRandomMapping(t *testing.T) {
 			want = append(want, randomMapping(a, &l, assign, s.minLv, legacy))
 		}
 		rng := rand.New(rand.NewSource(17))
-		cands := s.drawCandidates(&l, rng, k, a.NumLevels())
+		cands := s.drawCandidates(new(drawArena), &l, rng, k, a.NumLevels())
 		buf := mapping.New(a)
 		for i := range cands {
 			s.materialize(buf, &cands[i], false)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -358,7 +359,7 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 		shape uint64
 	}
 	solved := map[searchKey]*mapper.Best{}
-	total := &model.Result{Layer: job.netName}
+	results := make([]*model.Result, 0, len(job.network.Layers))
 	// Cached mapper results are shared across points, so the analog
 	// fidelity rollup lands on the point-owned outcome and total — never
 	// on best.Result.
@@ -390,7 +391,7 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 			return failLayer(layer.Name, err)
 		}
 		solved[key] = best
-		total.Accumulate(best.Result)
+		results = append(results, best.Result)
 
 		lo := layerOutcome(best)
 		p.Evaluations += best.Evaluations
@@ -414,6 +415,19 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 		layers = append(layers, lo)
 	}
 
+	// The per-layer ledgers are summed into storage sized once: growing
+	// it one append at a time cost about a sixth of a cold study's bytes.
+	total := &model.Result{Layer: job.netName}
+	var nEnergy, nUsage int
+	for _, r := range results {
+		nEnergy += len(r.Energy)
+		nUsage += len(r.Usage)
+	}
+	total.Energy = slices.Grow(total.Energy, nEnergy)
+	total.Usage = slices.Grow(total.Usage, nUsage)
+	for _, r := range results {
+		total.Accumulate(r)
+	}
 	if st.fid != nil && fidMACs > 0 {
 		total.EffectiveBits = fidBits / fidMACs
 		total.SNRDB = fidSNR / fidMACs
