@@ -8,6 +8,7 @@ package photoloop_test
 // internal/exp tests).
 
 import (
+	"math"
 	"testing"
 
 	"photoloop"
@@ -176,6 +177,59 @@ func BenchmarkLowerBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if bd := c.LowerBound(scratch, m, photoloop.EvalOptions{}); bd.EnergyPJ <= 0 {
 			b.Fatal("degenerate bound")
+		}
+	}
+}
+
+// BenchmarkEvaluateStagedChain measures the mapper's per-candidate Stage
+// call at its most common: a chain of candidates that keep one spatial
+// assignment and differ only in their temporal loops (each moves a factor
+// of the canonical mapping out to DRAM), staged with the whole spatial
+// configuration declared shared and bounded exactly.
+func BenchmarkEvaluateStagedChain(b *testing.B) {
+	a, err := photoloop.Albireo(photoloop.Aggressive).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	layer := photoloop.NewConv("l", 1, 128, 128, 28, 28, 3, 3, 1, 1)
+	seeds := photoloop.AlbireoCanonicalMappings(a, &layer)
+	if len(seeds) == 0 {
+		b.Fatal("no canonical mapping")
+	}
+	chain := []*photoloop.Mapping{seeds[0]}
+	for i := 1; i < a.NumLevels(); i++ {
+		for d, t := range seeds[0].Levels[i].Temporal {
+			for f := 2; f <= t; f++ {
+				if t%f != 0 {
+					continue
+				}
+				m := seeds[0].Clone()
+				m.Levels[i].Temporal[d] /= f
+				m.Levels[0].Temporal[d] *= f
+				if m.Validate(a, &layer) == nil {
+					chain = append(chain, m)
+				}
+			}
+		}
+	}
+	if len(chain) < 2 {
+		b.Fatal("no temporal variants of the canonical mapping")
+	}
+	c, err := photoloop.Compile(a, &layer)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scratch := c.Engine().NewScratch()
+	opts := photoloop.EvalOptions{SkipValidate: true}
+	n := a.NumLevels()
+	if _, err := c.Stage(scratch, chain[0], opts, 0, 0, math.Inf(1)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Stage(scratch, chain[i%len(chain)], opts, 0, n, math.Inf(1)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -823,8 +823,10 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 	// provenance (seeds, warm starts, hill-climb cursors). Two mappings
 	// built from the same assignment have bit-identical spatial
 	// configurations (FreeSpatial is Ones, choices copy the assignment),
-	// so a key match lets Stage skip the spatial-factor and instance
-	// resolution outright — no per-level comparison needed.
+	// so a key match lets Stage skip the spatial-factor, spatial-memo and
+	// instance resolution outright — no per-level comparison needed. A
+	// failed Stage or FinishStaged resets it together with prevEval, so a
+	// candidate that errored is never a baseline.
 	lastSpatialKey := int64(-1)
 	bufA, bufB := ws.bufA, ws.bufB
 	matBuf := func() *mapping.Mapping {
@@ -939,6 +941,7 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 		seen[fp] = struct{}{}
 		if err := c.FinishStaged(scratch, res, evalOpts); err != nil {
 			prevEval = nil
+			lastSpatialKey = -1
 			return nil
 		}
 		if shared > 0 {

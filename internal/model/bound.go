@@ -162,7 +162,7 @@ func (c *Compiled) boundFromCoreLimited(an *analysis, opts Options, statics []in
 			// Zero retention refills every cycle (exact; mirrors
 			// readTensorUsage).
 			lb := &eng.lbLevels[last]
-			wsExt := clamp(an.spatialExtentsBelow(last), an.bounds)
+			wsExt := an.sfClamp[last]
 			var ws int64
 			if t == workload.Inputs && !lv.InputOverlapSharing {
 				ws = naiveInputElems(wsExt)
@@ -188,8 +188,11 @@ func (c *Compiled) boundFromCoreLimited(an *analysis, opts Options, statics []in
 	// the permutation-aware refetch factor the evaluator charges is at least
 	// that (every distinct tile is fetched at least once, whatever the loop
 	// order does on top). The products depend only on the per-level temporal
-	// factors, so the floors need no nest walk. Accumulated in float64: the
-	// relative rounding error (~2^-53 per multiply) is absorbed by lbSafety.
+	// factors, so the floors need no nest walk. Each level's trips multiply
+	// as integers, then into the float64 running product once. Every
+	// partial product is an integer no larger than the padded MAC count,
+	// far below 2^53, so each multiply is exact and the grouping cannot
+	// change a bit; were one ever to round, lbSafety would absorb it.
 	var cum [workload.NumTensors]float64
 	for _, t := range workload.AllTensors() {
 		cum[t] = 1
@@ -198,11 +201,13 @@ func (c *Compiled) boundFromCoreLimited(an *analysis, opts Options, statics []in
 		an.distFloor[j] = cum
 		tl := &an.m.Levels[j].Temporal
 		for _, t := range workload.AllTensors() {
+			p := int64(1)
 			for _, d := range relevantDims[t] {
 				if tr := tl[d]; tr > 1 {
-					cum[t] *= float64(tr)
+					p *= int64(tr)
 				}
 			}
+			cum[t] *= float64(p)
 		}
 	}
 

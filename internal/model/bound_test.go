@@ -1,7 +1,9 @@
 package model
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"photoloop/internal/arch"
@@ -99,10 +101,20 @@ func photonicArch(t *testing.T, rng *rand.Rand) *arch.Arch {
 // outermost level, random permutations per level.
 func randSearchStyleMapping(rng *rand.Rand, a *arch.Arch, l *workload.Layer) *mapping.Mapping {
 	m := mapping.New(a)
+	drawTemporal(rng, a, l, m)
+	// Occasionally randomize the spatial assignment like the mapper does.
+	drawSpatial(rng, a, m, 0)
+	return m
+}
+
+// drawTemporal redraws m's temporal factors and permutations under its
+// current spatial configuration.
+func drawTemporal(rng *rand.Rand, a *arch.Arch, l *workload.Layer, m *mapping.Mapping) {
 	n := a.NumLevels()
 	spatial := workload.Ones()
 	for i := 0; i < n; i++ {
 		spatial = spatial.Mul(m.SpatialAt(a, i))
+		m.Levels[i].Temporal = workload.Ones()
 	}
 	for _, d := range workload.AllDims() {
 		rem := workload.CeilDiv(l.Bound(d), spatial[d])
@@ -122,14 +134,16 @@ func randSearchStyleMapping(rng *rand.Rand, a *arch.Arch, l *workload.Layer) *ma
 	for i := 0; i < n; i++ {
 		m.Levels[i].Perm = append([]workload.Dim(nil), perms[rng.Intn(len(perms))]...)
 	}
-	// Occasionally randomize the spatial assignment like the mapper does.
-	for i := 0; i < n; i++ {
+}
+
+// drawSpatial redraws the rigid spatial choices of levels from..n-1.
+func drawSpatial(rng *rand.Rand, a *arch.Arch, m *mapping.Mapping, from int) {
+	for i := from; i < a.NumLevels(); i++ {
 		lv := a.Level(i)
 		for j := range lv.Spatial {
 			m.Levels[i].SpatialChoice[j] = lv.Spatial[j].Dims[rng.Intn(len(lv.Spatial[j].Dims))]
 		}
 	}
-	return m
 }
 
 // TestLowerBoundAdmissible is the admissibility property: over randomized
@@ -336,5 +350,113 @@ func TestEvaluatePartialStaleScratch(t *testing.T) {
 	}
 	if got.TotalPJ != want.TotalPJ {
 		t.Fatalf("cross-engine scratch diverged: %g vs %g", got.TotalPJ, want.TotalPJ)
+	}
+}
+
+// TestStageSpatialReuseMatchesFresh is the spatial-reuse equivalence
+// property: a long chain of Stage calls through one scratch — candidates
+// that keep the previous spatial configuration and redraw only temporal
+// factors and permutations (sfShared = n), mixed with full and partial
+// spatial changes, shared outer prefixes, pruned candidates, a failed
+// Stage and engine switches that resize the buffers — yields, bit for bit,
+// the bound LowerBound computes and the result EvaluateInto computes on a
+// fresh scratch.
+func TestStageSpatialReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	spatialReused := 0
+	for archTrial := 0; archTrial < 12; archTrial++ {
+		a, other := photonicArch(t, rng), randArch(t, rng)
+		if archTrial%2 == 1 {
+			a, other = other, a
+		}
+		l := workload.NewConv("chain", 1, 8, 6, 6, 6, 3, 3, 1, 1)
+		c, err := Compile(a, &l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oc, err := Compile(other, &l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := a.NumLevels()
+		s := &Scratch{} // zero value: the first Stage sizes it
+		opts := Options{SkipValidate: true, FullLedger: true, ChargeStatic: archTrial%3 == 0}
+		got, want := &Result{}, &Result{}
+		var prev *mapping.Mapping
+		for step := 0; step < 120; step++ {
+			kind := rng.Intn(10)
+			if prev == nil {
+				kind = 0
+			}
+			var m *mapping.Mapping
+			shared, sfShared := 0, 0
+			switch {
+			case kind == 0: // fresh spatial configuration
+				m = randSearchStyleMapping(rng, a, &l)
+			case kind == 1: // spatial change from level sfShared inward
+				sfShared = rng.Intn(n)
+				m = prev.Clone()
+				drawSpatial(rng, a, m, sfShared)
+				drawTemporal(rng, a, &l, m)
+			case kind == 2: // identical outer prefix, fresh inner levels
+				shared = 1 + rng.Intn(n)
+				sfShared = shared
+				m = prev.Clone()
+				fresh := randSearchStyleMapping(rng, a, &l)
+				copy(m.Levels[shared:], fresh.Levels[shared:])
+			case kind == 3: // engine switch: the guard must drop the claim
+				om := randSearchStyleMapping(rng, other, &l)
+				if om.Validate(other, &l) == nil {
+					if _, err := oc.Stage(s, om, opts, 0, 0, math.Inf(1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fallthrough
+			default: // same spatial assignment, new temporal loops
+				sfShared = n
+				m = prev.Clone()
+				drawTemporal(rng, a, &l, m)
+			}
+			if m.Validate(a, &l) != nil {
+				continue
+			}
+			if kind == 4 {
+				// A Stage that fails validation leaves the baseline alone.
+				bad := m.Clone()
+				bad.Levels[0].Perm[0] = bad.Levels[0].Perm[1]
+				if _, err := c.Stage(s, bad, Options{}, n, n, math.Inf(1)); err == nil {
+					t.Fatal("Stage accepted an invalid mapping")
+				}
+			}
+			bound, err := c.Stage(s, m, opts, shared, sfShared, math.Inf(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := c.Engine().NewScratch()
+			if wantB := c.LowerBound(fresh, m, opts); math.Float64bits(bound.EnergyPJ) != math.Float64bits(wantB.EnergyPJ) ||
+				math.Float64bits(bound.Cycles) != math.Float64bits(wantB.Cycles) {
+				t.Fatalf("arch %d step %d (kind %d, shared %d, sfShared %d): staged bound %+v, fresh %+v",
+					archTrial, step, kind, shared, sfShared, bound, wantB)
+			}
+			if sfShared == n {
+				spatialReused++
+			}
+			prev = m
+			if kind == 5 {
+				continue // pruned: the next Stage builds on an unfinished one
+			}
+			errGot := c.FinishStaged(s, got, opts)
+			errWant := c.EvaluateInto(fresh, m, want, opts)
+			if (errGot == nil) != (errWant == nil) {
+				t.Fatalf("arch %d step %d: staged err %v, fresh err %v", archTrial, step, errGot, errWant)
+			}
+			if errWant == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("arch %d step %d (kind %d, shared %d, sfShared %d): staged result diverged:\n%+v\n%+v",
+					archTrial, step, kind, shared, sfShared, got, want)
+			}
+		}
+	}
+	if spatialReused < 300 {
+		t.Fatalf("only %d stages reused the whole spatial configuration", spatialReused)
 	}
 }

@@ -59,20 +59,34 @@ type analysis struct {
 	// padded MACs into temporal iterations), cached alongside instances so
 	// spatially-shared evaluations skip the instance pass too.
 	instTotal int64
+
+	// Spatial memo: per-level values that depend only on the spatial
+	// factors, refilled by resetCore whenever it re-resolves them. mcast
+	// holds each read tensor's multicast factor without the inputs'
+	// overlap-sharing factor (that one reads the child's temporal extent,
+	// so multicastRange multiplies it in per call); reduce holds the
+	// partial-sum merge factor; sfClamp[i] holds the spatial extents of
+	// levels >= i clamped to the layer bounds.
+	mcast   [][workload.NumTensors]float64
+	reduce  []float64
+	sfClamp []workload.Point
 }
 
 // relevantDims lists, per tensor, the dimensions addressing it — the static
 // inner loop of the bound's distinct-tile floors (a dynamic Relevant call
-// per (level, dim, tensor) showed up in search profiles).
-var relevantDims = func() (rel [workload.NumTensors][]workload.Dim) {
+// per (level, dim, tensor) showed up in search profiles). irrelevantDims
+// is the complement: the dimensions a spatial fan-out multicasts along.
+var relevantDims, irrelevantDims = func() (rel, irr [workload.NumTensors][]workload.Dim) {
 	for _, t := range workload.AllTensors() {
 		for _, d := range workload.AllDims() {
 			if workload.Relevant(t, d) {
 				rel[t] = append(rel[t], d)
+			} else {
+				irr[t] = append(irr[t], d)
 			}
 		}
 	}
-	return rel
+	return rel, irr
 }()
 
 // init sizes every buffer for an architecture with n storage levels.
@@ -86,6 +100,9 @@ func (an *analysis) init(n int) {
 	an.distinctMemo = make([][workload.NumTensors]int64, n)
 	an.memoSet = make([]uint8, n)
 	an.distFloor = make([][workload.NumTensors]float64, n)
+	an.mcast = make([][workload.NumTensors]float64, n)
+	an.reduce = make([]float64, n)
+	an.sfClamp = make([]workload.Point, n)
 }
 
 // resetCore re-derives the spatial and extent state of a mapping, reusing
@@ -98,7 +115,8 @@ func (an *analysis) init(n int) {
 // (rigid choices and free factors) matches the previous mapping even
 // though their temporal loops differ — the case for every candidate drawn
 // under one spatial assignment — skipping the spatial-factor resolution
-// and, when it covers all levels, the instance pass too. Extents are
+// and its spatial memo entries and, when it covers all levels, the
+// instance pass and the clamped spatial extents too. Tile extents are
 // always recomputed: they are suffix products, so any inner change moves
 // every outer extent.
 //
@@ -122,14 +140,27 @@ func (an *analysis) resetCore(c *Compiled, m *mapping.Mapping, shared, sfShared 
 	an.ext = an.ext[:n]
 	an.extClamp = an.extClamp[:n]
 	an.instances = an.instances[:n]
-	run := workload.Ones()
+	an.mcast = an.mcast[:n]
+	an.reduce = an.reduce[:n]
+	an.sfClamp = an.sfClamp[:n]
+	run, sfRun := workload.Ones(), workload.Ones()
 	for i := n - 1; i >= 0; i-- {
 		if i >= sfShared {
 			an.sf[i] = m.SpatialAt(a, i)
+			an.resolveSpatial(i)
 		}
-		run = run.Mul(m.Levels[i].Temporal.Mul(an.sf[i]))
+		tl, sf := &m.Levels[i].Temporal, &an.sf[i]
+		for d := range run {
+			run[d] *= tl[d] * sf[d]
+			an.extClamp[i][d] = min(run[d], an.bounds[d])
+		}
 		an.ext[i] = run
-		an.extClamp[i] = clamp(run, an.bounds)
+		if sfShared < n {
+			for d := range sfRun {
+				sfRun[d] *= sf[d]
+				an.sfClamp[i][d] = min(sfRun[d], an.bounds[d])
+			}
+		}
 	}
 	an.padded = run // the outermost tile extent spans the padded bounds
 	an.paddedMACs = an.padded.Product()
@@ -146,6 +177,34 @@ func (an *analysis) resetCore(c *Compiled, m *mapping.Mapping, shared, sfShared 
 	// trip-count products of m.TemporalIterations().
 	an.cycles = an.paddedMACs / an.instTotal
 	return shared
+}
+
+// resolveSpatial fills level j's multicast and reduction memo entries from
+// its spatial factors. Levels with NoMulticast (NoSpatialReduce) provide
+// no discount.
+func (an *analysis) resolveSpatial(j int) {
+	lv := an.a.Level(j)
+	sf := &an.sf[j]
+	for _, t := range readTensors {
+		mc := 1.0
+		if !lv.NoMulticast {
+			for _, d := range irrelevantDims[t] {
+				if sf[d] > 1 {
+					mc *= float64(sf[d])
+				}
+			}
+		}
+		an.mcast[j][t] = mc
+	}
+	sr := 1.0
+	if !lv.NoSpatialReduce {
+		for _, d := range workload.ReductionDims() {
+			if sf[d] > 1 {
+				sr *= float64(sf[d])
+			}
+		}
+	}
+	an.reduce[j] = sr
 }
 
 // resetNest rebuilds the flattened temporal nest from level shared down —
@@ -205,26 +264,6 @@ func (an *analysis) nest(li int) []mapping.Loop {
 	return an.nestBuf[:an.nestCut[li]]
 }
 
-// spatialExtentsBelow is Mapping.SpatialExtentsBelow over the cached
-// per-level spatial factors.
-func (an *analysis) spatialExtentsBelow(i int) workload.Point {
-	ext := workload.Ones()
-	for j := len(an.sf) - 1; j >= i; j-- {
-		ext = ext.Mul(an.sf[j])
-	}
-	return ext
-}
-
-func clamp(p, bounds workload.Point) workload.Point {
-	out := p
-	for i := range out {
-		if out[i] > bounds[i] {
-			out[i] = bounds[i]
-		}
-	}
-	return out
-}
-
 // naiveInputElems counts input words without window-overlap
 // deduplication: every (output-pixel, filter-tap) consumer demands its own
 // copy.
@@ -267,28 +306,6 @@ func distinctTiles(nest []mapping.Loop, t workload.Tensor) int64 {
 	return f
 }
 
-// multicastAt returns the one-to-many distribution factor of tensor t
-// provided by the spatial fan-out directly below level j: the product of
-// spatial factors over dimensions irrelevant to t, times the window-overlap
-// sharing factor for inputs when the level supports it. Levels with
-// NoMulticast provide no discount.
-func (an *analysis) multicastAt(j int, t workload.Tensor) float64 {
-	lv := an.a.Level(j)
-	if lv.NoMulticast {
-		return 1
-	}
-	mc := 1.0
-	for _, d := range workload.AllDims() {
-		if !workload.Relevant(t, d) && an.sf[j][d] > 1 {
-			mc *= float64(an.sf[j][d])
-		}
-	}
-	if t == workload.Inputs && lv.InputOverlapSharing {
-		mc *= an.overlapSharingAt(j)
-	}
-	return mc
-}
-
 // overlapSharingAt returns the input-sharing factor of the spatial fan-out
 // below level j: the ratio of naively duplicated window inputs to the
 // distinct inputs in the combined (haloed) footprint, per spatial axis.
@@ -322,36 +339,29 @@ func (an *analysis) overlapSharingAt(j int) float64 {
 	return sharing
 }
 
-// multicastRange multiplies the multicast factors of levels [from, to).
+// multicastRange multiplies the multicast factors of levels [from, to):
+// the one-to-many distribution factor of tensor t provided by each
+// level's spatial fan-out — the spatial factors over dimensions
+// irrelevant to t, times the window-overlap sharing factor for inputs when
+// the level supports it.
 func (an *analysis) multicastRange(from, to int, t workload.Tensor) float64 {
 	mc := 1.0
 	for j := from; j < to; j++ {
-		mc *= an.multicastAt(j, t)
+		if lv := an.a.Level(j); t == workload.Inputs && lv.InputOverlapSharing && !lv.NoMulticast {
+			mc *= an.mcast[j][t] * an.overlapSharingAt(j)
+		} else {
+			mc *= an.mcast[j][t]
+		}
 	}
 	return mc
 }
 
-// spatialReduceAt returns the partial-sum merge factor of the fan-out below
-// level j: the product of spatial factors over reduction dimensions.
-func (an *analysis) spatialReduceAt(j int) float64 {
-	lv := an.a.Level(j)
-	if lv.NoSpatialReduce {
-		return 1
-	}
-	sr := 1.0
-	for _, d := range workload.ReductionDims() {
-		if an.sf[j][d] > 1 {
-			sr *= float64(an.sf[j][d])
-		}
-	}
-	return sr
-}
-
-// spatialReduceRange multiplies the reduction factors of levels [from, to).
+// spatialReduceRange multiplies the partial-sum merge factors of levels
+// [from, to): the spatial factors over reduction dimensions.
 func (an *analysis) spatialReduceRange(from, to int) float64 {
 	sr := 1.0
 	for j := from; j < to; j++ {
-		sr *= an.spatialReduceAt(j)
+		sr *= an.reduce[j]
 	}
 	return sr
 }
@@ -378,7 +388,7 @@ func (an *analysis) readTensorUsage(t workload.Tensor, usages []Usage) error {
 			// every window position that touches it (the halo formula
 			// deduplicates); without it, each (pixel, tap) consumer
 			// needs its own conversion.
-			wsExt := clamp(an.spatialExtentsBelow(li), an.bounds)
+			wsExt := an.sfClamp[li]
 			var ws int64
 			if t == workload.Inputs && !lv.InputOverlapSharing {
 				ws = naiveInputElems(wsExt)
