@@ -249,6 +249,28 @@ func BenchmarkMapperSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkMapperSearchObjectives measures BenchmarkMapperSearch's search
+// for energy, delay and EDP in one call: one shared exploration and three
+// hill climbs, bit-identical to three separate searches.
+func BenchmarkMapperSearchObjectives(b *testing.B) {
+	a, err := photoloop.Albireo(photoloop.Aggressive).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := photoloop.NewMapperSession(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	layer := photoloop.NewConv("l", 1, 128, 128, 28, 28, 3, 3, 1, 1)
+	objs := []photoloop.Objective{photoloop.MinEnergy, photoloop.MinDelay, photoloop.MinEDP}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.SearchObjectives(&layer, photoloop.SearchOptions{Budget: 500, Seed: 1}, objs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMapperSearchSeeded measures the search in its production
 // configuration — canonical schedules as seeds, the setup every figure
 // harness runs — and reports the fraction of candidates the admissible

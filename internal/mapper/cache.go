@@ -68,11 +68,11 @@ type Cache struct {
 	diskFails int64
 }
 
+// cacheEntry is one key's search: done closes once best or err is set.
 type cacheEntry struct {
-	once     sync.Once
-	best     *Best
-	err      error
-	fromDisk bool
+	done chan struct{}
+	best *Best
+	err  error
 }
 
 // NewCache returns an empty, unbounded search-result cache.
@@ -125,59 +125,102 @@ func (c *Cache) TierStats() TierStats {
 	return TierStats{Hits: c.hits, DiskHits: c.diskHits, Misses: c.misses, DiskFails: c.diskFails}
 }
 
-// search runs (or joins, or reuses) the deduplicated search for the layer.
-// The options must already have defaults applied, since the defaults feed
-// the key.
-func (c *Cache) search(s *Session, l *workload.Layer, o Options) (*Best, error) {
-	key := Key{Arch: s.fp, Layer: l.ShapeFingerprint(), Opts: o.fingerprint()}
+// search runs (or joins, or reuses) the deduplicated search of the layer
+// for each objective, one key per objective. The options must already
+// have defaults applied, since the defaults feed the keys. Hits and
+// misses are counted per key exactly as separate lookups would count
+// them.
+func (c *Cache) search(s *Session, l *workload.Layer, o Options, objs []Objective) ([]*Best, error) {
+	keys := make([]Key, len(objs))
+	entries := make([]*cacheEntry, len(objs))
+	shape := l.ShapeFingerprint()
+	for i, obj := range objs {
+		ko := o
+		ko.Objective = obj
+		keys[i] = Key{Arch: s.fp, Layer: shape, Opts: ko.fingerprint()}
+	}
+	var claimed []int
 	c.mu.Lock()
-	e, ok := c.m[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-		if c.limit > 0 && len(c.m) >= c.limit {
-			c.m = make(map[Key]*cacheEntry)
+	for i, key := range keys {
+		e, ok := c.m[key]
+		if ok {
+			c.hits++
+		} else {
+			c.misses++
+			if c.limit > 0 && len(c.m) >= c.limit {
+				c.m = make(map[Key]*cacheEntry)
+			}
+			e = &cacheEntry{done: make(chan struct{})}
+			c.m[key] = e
+			claimed = append(claimed, i)
 		}
-		e = &cacheEntry{}
-		c.m[key] = e
+		entries[i] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() {
+
+	// Fill every claimed entry — from the disk tier, else by one joint
+	// search over the rest — before waiting on any entry another caller
+	// is filling.
+	var compute []int
+	var computeObjs []Objective
+	for _, i := range claimed {
 		if c.disk != nil {
-			if b, ok := c.disk.Load(key); ok {
-				e.best, e.fromDisk = b, true
-				// The creator was provisionally counted as a miss; the
-				// disk tier absorbed the computation, so move the count.
+			if b, ok := c.disk.Load(keys[i]); ok {
+				entries[i].best = b
+				// The claim was provisionally counted as a miss; the disk
+				// tier absorbed the computation, so move the count.
 				c.mu.Lock()
 				c.misses--
 				c.diskHits++
 				c.mu.Unlock()
-				return
+				continue
 			}
 		}
-		e.best, e.err = s.search(l, o)
-		if e.err == nil && c.disk != nil {
-			if err := c.disk.Store(key, e.best); err != nil {
-				c.mu.Lock()
-				c.diskFails++
-				c.mu.Unlock()
+		compute = append(compute, i)
+		computeObjs = append(computeObjs, objs[i])
+	}
+	if len(compute) > 0 {
+		bests, err := s.search(l, o, computeObjs)
+		for k, i := range compute {
+			if entries[i].err = err; err == nil {
+				entries[i].best = bests[k]
+				if c.disk != nil && c.disk.Store(keys[i], bests[k]) != nil {
+					c.mu.Lock()
+					c.diskFails++
+					c.mu.Unlock()
+				}
 			}
 		}
-	})
-	if e.err != nil {
+	}
+	for _, i := range claimed {
+		close(entries[i].done)
+	}
+
+	bests := make([]*Best, len(objs))
+	var err error
+	for i, e := range entries {
+		<-e.done
+		if e.err == nil {
+			bests[i] = e.best.CloneFor(l.Name)
+			continue
+		}
 		if errors.Is(e.err, errSeedMismatch) {
 			// The caller's seeds failed, not the keyed search: forget
 			// the entry so a caller whose seeds match computes it.
 			c.mu.Lock()
-			if c.m[key] == e {
-				delete(c.m, key)
+			if c.m[keys[i]] == e {
+				delete(c.m, keys[i])
 			}
 			c.mu.Unlock()
 		}
-		return nil, e.err
+		if err == nil {
+			err = e.err
+		}
 	}
-	return e.best.CloneFor(l.Name), nil
+	if err != nil {
+		return nil, err
+	}
+	return bests, nil
 }
 
 // CloneFor deep-copies a best for a caller evaluating a same-shaped layer

@@ -1,9 +1,12 @@
 package mapper
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"photoloop/internal/mapping"
 	"photoloop/internal/workload"
@@ -195,4 +198,205 @@ func TestCacheConcurrentSingleComputation(t *testing.T) {
 			t.Errorf("caller %d diverged", i)
 		}
 	}
+}
+
+// memPersister is an in-memory Persister counting stores per key.
+type memPersister struct {
+	mu     sync.Mutex
+	m      map[Key]*Best
+	stores map[Key]int
+}
+
+func newMemPersister() *memPersister {
+	return &memPersister{m: map[Key]*Best{}, stores: map[Key]int{}}
+}
+
+func (p *memPersister) Load(k Key) (*Best, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b, ok := p.m[k]
+	return b, ok
+}
+
+func (p *memPersister) Store(k Key, b *Best) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.m[k] = b
+	p.stores[k]++
+	return nil
+}
+
+// TestCacheGroupMatchesSingleLookups: a grouped lookup counts hits and
+// misses per key exactly as the same lookups made one by one, stores
+// each computed key once, and serves the same bests.
+func TestCacheGroupMatchesSingleLookups(t *testing.T) {
+	s, err := NewSession(photonicTestArch(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := workload.NewConv("conv", 1, 16, 8, 8, 8, 3, 3, 1, 1)
+	groups := [][]Objective{{MinEnergy, MinDelay, MinEDP}, {MinDelay, MinEnergy}, {MinEDP, MinEDP}, {MinEnergy}}
+
+	grouped, single := NewCache(), NewCache()
+	gp, sp := newMemPersister(), newMemPersister()
+	grouped.SetPersister(gp)
+	single.SetPersister(sp)
+	for _, objs := range groups {
+		got, err := s.SearchObjectives(&l, Options{Budget: 150, Seed: 2, Workers: 2, Cache: grouped}, objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, obj := range objs {
+			want, err := s.Search(&l, Options{Objective: obj, Budget: 150, Seed: 2, Workers: 2, Cache: single})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBest(t, fmt.Sprintf("%v[%d]", objs, i), got[i], want)
+		}
+	}
+	if g, w := grouped.TierStats(), single.TierStats(); g != w || g.Misses != 3 {
+		t.Fatalf("grouped stats %+v, single %+v (want 3 misses)", g, w)
+	}
+	if len(gp.stores) != 3 {
+		t.Fatalf("%d keys stored, want 3", len(gp.stores))
+	}
+	for k, n := range gp.stores {
+		if n != 1 || sp.stores[k] != 1 {
+			t.Fatalf("key %+v stored %d times grouped, %d single", k, n, sp.stores[k])
+		}
+	}
+}
+
+// TestCacheOverlappingGroupsConcurrent: groups that share keys and claim
+// them in different orders finish (no group waits on one that waits on
+// it) and compute every key once.
+func TestCacheOverlappingGroupsConcurrent(t *testing.T) {
+	s, err := NewSession(testArch(t, 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := workload.NewConv("conv", 1, 16, 8, 8, 8, 3, 3, 1, 1)
+	cache := NewCache()
+	p := newMemPersister()
+	cache.SetPersister(p)
+	groups := [][]Objective{
+		{MinEnergy, MinDelay}, {MinDelay, MinEDP}, {MinEDP, MinEnergy},
+		{MinEnergy, MinDelay, MinEDP}, {MinEDP, MinDelay, MinEnergy}, {MinDelay},
+	}
+	const rounds = 4
+	lookups := 0
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < rounds; r++ {
+		for _, objs := range groups {
+			lookups += len(objs)
+			wg.Add(1)
+			go func(objs []Objective) {
+				defer wg.Done()
+				<-start // claim together, so groups overlap in flight
+				if _, err := s.SearchObjectives(&l, Options{Budget: 2000, Seed: 1, Workers: 1, Cache: cache}, objs); err != nil {
+					t.Error(err)
+				}
+			}(objs)
+		}
+	}
+	close(start)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("overlapping groups deadlocked")
+	}
+	if st := cache.TierStats(); st.Misses != 3 || st.Hits != int64(lookups-3) {
+		t.Fatalf("stats %+v, want 3 misses and %d hits", st, lookups-3)
+	}
+	for k, n := range p.stores {
+		if n != 1 {
+			t.Fatalf("key %+v computed %d times", k, n)
+		}
+	}
+}
+
+// TestCacheGroupDiskHits: keys the disk tier holds are served from it
+// inside a group; only the rest are searched (jointly) and stored.
+func TestCacheGroupDiskHits(t *testing.T) {
+	s, err := NewSession(photonicTestArch(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := workload.NewConv("conv", 1, 16, 8, 8, 8, 3, 3, 1, 1)
+	opts := Options{Budget: 150, Seed: 3, Workers: 2}
+	p := newMemPersister()
+	warm := NewCache()
+	warm.SetPersister(p)
+	if _, err := s.SearchObjectives(&l, withCache(opts, warm), []Objective{MinEnergy, MinEDP}); err != nil {
+		t.Fatal(err)
+	}
+
+	cold := NewCache()
+	cold.SetPersister(p)
+	objs := []Objective{MinEnergy, MinDelay, MinEDP}
+	got, err := s.SearchObjectives(&l, withCache(opts, cold), objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cold.TierStats(); st != (TierStats{DiskHits: 2, Misses: 1}) {
+		t.Fatalf("stats %+v, want 2 disk hits and 1 miss", st)
+	}
+	if len(p.stores) != 3 {
+		t.Fatalf("%d keys stored, want 3", len(p.stores))
+	}
+	for k, n := range p.stores {
+		if n != 1 {
+			t.Fatalf("key %+v stored %d times", k, n)
+		}
+	}
+	for i, obj := range objs {
+		one := opts
+		one.Objective = obj
+		want, err := s.Search(&l, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBest(t, obj.String(), got[i], want)
+	}
+}
+
+// TestCacheGroupSeedMismatchForgetsClaims: a group whose seeds fail to
+// build forgets every key it claimed, so a caller with matching seeds
+// computes them.
+func TestCacheGroupSeedMismatchForgetsClaims(t *testing.T) {
+	a := testArch(t, 1<<20)
+	s, err := NewSession(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := workload.NewConv("conv", 1, 16, 8, 8, 8, 3, 3, 1, 1)
+	seed := mapping.New(a)
+	seed.Levels[0].Temporal[workload.DimK] = 16
+	prints := []uint64{seed.Fingerprint()}
+	cache := NewCache()
+	objs := []Objective{MinEnergy, MinDelay, MinEDP}
+	bad := Options{Budget: 100, Seed: 1, Cache: cache,
+		Seeds: LazySeeds(prints, func() []*mapping.Mapping { return []*mapping.Mapping{mapping.New(a)} })}
+	if _, err := s.SearchObjectives(&l, bad, objs); !errors.Is(err, errSeedMismatch) {
+		t.Fatalf("err = %v, want a seed mismatch", err)
+	}
+	if len(cache.m) != 0 {
+		t.Fatalf("%d claimed keys kept after a seed mismatch", len(cache.m))
+	}
+	good := bad
+	good.Seeds = SeedList([]*mapping.Mapping{seed})
+	if _, err := s.SearchObjectives(&l, good, objs); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.TierStats(); st.Misses != 6 || len(cache.m) != 3 {
+		t.Fatalf("stats %+v with %d entries, want 6 misses and 3 entries", st, len(cache.m))
+	}
+}
+
+func withCache(o Options, c *Cache) Options {
+	o.Cache = c
+	return o
 }

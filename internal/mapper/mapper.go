@@ -287,14 +287,32 @@ func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 // Search calls on its Session: the evaluation scratch, the shared result
 // buffer, the candidate ping-pong buffers, the dedup set and the draw
 // arena. A warm worker draws, pre-filters and orders its exploration
-// stream without allocating.
+// stream without allocating. bufLast and climbed let every hill climb of
+// a multi-objective search restart from the exploration's state.
 type workerState struct {
 	scratch *model.Scratch
 	res     *model.Result
 	bufA    *mapping.Mapping
 	bufB    *mapping.Mapping
+	bufLast *mapping.Mapping
 	seen    map[uint64]struct{}
+	climbed []uint64
 	draw    drawArena
+}
+
+// objState is one objective's share of a search worker: its incumbent,
+// pruning cutoff, funnel stats and budget spent. chain says the delta
+// baseline its DeltaEvals/FullEvals split is classified against is the
+// last staged mapping (a failed FinishStaged breaks it only for the
+// objectives that asked for the finish); scored and delta are its verdict
+// on the last tried candidate.
+type objState struct {
+	obj                  Objective
+	best                 *Best
+	cutoff               *model.Result
+	st                   SearchStats
+	evals                int
+	chain, scored, delta bool
 }
 
 // drawArena holds the random-exploration buffers of one search worker.
@@ -334,6 +352,7 @@ func (s *Session) takeWorker() *workerState {
 		res:     &model.Result{},
 		bufA:    mapping.New(s.a),
 		bufB:    mapping.New(s.a),
+		bufLast: mapping.New(s.a),
 		seen:    make(map[uint64]struct{}, 512),
 	}
 }
@@ -422,16 +441,31 @@ func Search(a *arch.Arch, l *workload.Layer, opts Options) (*Best, error) {
 	return s.Search(l, opts)
 }
 
-// Search finds the best mapping for the layer under the options.
+// Search finds the best mapping for the layer under the options: the
+// one-objective SearchObjectives.
 func (s *Session) Search(l *workload.Layer, opts Options) (*Best, error) {
-	if err := l.Validate(); err != nil {
+	bests, err := s.SearchObjectives(l, opts, []Objective{opts.Objective})
+	if err != nil {
+		return nil, err
+	}
+	return bests[0], nil
+}
+
+// SearchObjectives finds the best mapping for the layer under the options
+// once per objective in objs (opts.Objective is ignored): bests[i] is
+// bit-identical to Search with Objective objs[i], Stats included. The
+// objectives share one exploration (seeds, warm starts and random draws
+// are staged once), then each hill-climbs from its own incumbent. With a
+// Cache, each objective is its own key, as in a separate search.
+func (s *Session) SearchObjectives(l *workload.Layer, opts Options, objs []Objective) ([]*Best, error) {
+	if err := l.Validate(); err != nil || len(objs) == 0 {
 		return nil, err
 	}
 	o := opts.withDefaults()
 	if o.Cache != nil {
-		return o.Cache.search(s, l, o)
+		return o.Cache.search(s, l, o, objs)
 	}
-	return s.search(l, o)
+	return s.search(l, o, objs)
 }
 
 // splitBudget distributes budget over workers without dropping the
@@ -451,8 +485,9 @@ func splitBudget(budget, workers int) []int {
 	return out
 }
 
-// search runs the uncached search; o must have defaults applied.
-func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
+// search runs the uncached search for each objective; o must have
+// defaults applied.
+func (s *Session) search(l *workload.Layer, o Options, objs []Objective) ([]*Best, error) {
 	c, err := s.eng.Compile(l)
 	if err != nil {
 		return nil, err
@@ -472,66 +507,65 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 		}
 	}
 
-	type outcome struct {
-		ws    *workerState
-		best  *Best
-		evals int
-		stats SearchStats
+	// Worker w's objective states are states[w*len(objs):][:len(objs)].
+	wss := make([]*workerState, o.Workers)
+	states := make([]objState, o.Workers*len(objs))
+	for i := range states {
+		states[i].obj = objs[i%len(objs)]
 	}
-	results := make([]outcome, o.Workers)
 	var wg sync.WaitGroup
 	budgets := splitBudget(o.Budget, o.Workers)
-	for w := range results {
+	for w := range wss {
 		// Worker states leave and rejoin the pool on this goroutine, so a
 		// serial caller's next search finds them in the same
 		// processor-local pool slots instead of building new ones.
-		results[w].ws = s.takeWorker()
+		wss[w] = s.takeWorker()
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r := &results[w]
-			rng := rand.New(&splitmix64{x: uint64(o.Seed + int64(w)*7919)})
-			r.best, r.evals, r.stats = s.searchWorker(r.ws, c, l, o, rng, budgets[w], seeds, warm)
+			seed := uint64(o.Seed + int64(w)*7919)
+			s.searchWorker(wss[w], c, l, o, seed, budgets[w], seeds, warm, states[w*len(objs):][:len(objs)])
 		}(w)
 	}
 	wg.Wait()
 	defer func() {
-		for w := range results {
-			s.workers.Put(results[w].ws)
+		for _, ws := range wss {
+			s.workers.Put(ws)
 		}
 	}()
 
-	var best *Best
-	evals := 0
-	var stats SearchStats
-	for w := range results {
-		evals += results[w].evals
-		stats.add(results[w].stats)
-		if results[w].best == nil {
-			continue
-		}
-		if best == nil || better(o.Objective, results[w].best, best) {
-			best = results[w].best
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("mapper: no valid mapping found for %s on %s", l.Name, s.a.Name)
-	}
-	best.Evaluations = evals + stats.WarmStartEvals
-	best.Stats = stats
-
 	// The workers score candidates without the itemized energy ledger;
-	// re-evaluate the winner once in full, on a worker's scratch, so
+	// re-evaluate each winner once in full, on a worker's scratch, so
 	// callers can inspect it.
 	fullOpts := o.Eval
 	fullOpts.SkipValidate = true
 	fullOpts.FullLedger = true
-	full := &model.Result{}
-	if err := c.EvaluateInto(results[0].ws.scratch, best.Mapping, full, fullOpts); err != nil {
-		return nil, err
+	bests := make([]*Best, len(objs))
+	for j, obj := range objs {
+		var best *Best
+		evals := 0
+		var stats SearchStats
+		for w := range wss {
+			ob := &states[w*len(objs)+j]
+			evals += ob.evals
+			stats.add(ob.st)
+			if ob.best != nil && (best == nil || better(obj, ob.best, best)) {
+				best = ob.best
+			}
+		}
+		if best == nil {
+			return nil, fmt.Errorf("mapper: no valid mapping found for %s on %s", l.Name, s.a.Name)
+		}
+		best.Evaluations = evals + stats.WarmStartEvals
+		best.Stats = stats
+		full := &model.Result{}
+		if err := c.EvaluateInto(wss[0].scratch, best.Mapping, full, fullOpts); err != nil {
+			return nil, err
+		}
+		best.Result = full
+		bests[j] = best
 	}
-	best.Result = full
-	return best, nil
+	return bests, nil
 }
 
 // assignmentRemaining computes the per-dimension temporal bound left after
@@ -792,16 +826,21 @@ func levelsShared(prev, m *mapping.Mapping) int {
 	return len(m.Levels)
 }
 
-// searchWorker runs one worker's slice of the search: seeds, warm starts,
-// the (reordered) random exploration stream, and the hill climb. The
-// returned Best is bit-identical to a naive worker that validates and fully
-// evaluates every candidate in draw order for the same (seed, budget) — the
-// lower-bound gate only discards candidates that provably cannot win, and
-// delta evaluation reproduces full evaluations exactly (both properties are
-// pinned against such a reference search by equivalence tests).
-func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.Layer, o Options, rng *rand.Rand, budget int, seeds, warm []*mapping.Mapping) (best *Best, evals int, st SearchStats) {
+// searchWorker runs one worker's slice of the search for every objective
+// in states: seeds, warm starts and the (reordered) random exploration
+// once for all of them, then one hill climb per objective. Each
+// objective's outcome is bit-identical to a naive single-objective worker
+// that validates and fully evaluates every candidate in draw order for
+// the same (seed, budget) — the lower-bound gate only discards candidates
+// that provably cannot win, and delta evaluation reproduces full
+// evaluations exactly (both properties are pinned against such a
+// reference search by equivalence tests). Sharing the exploration is
+// exact: only pruning and retention depend on the objective, and until
+// the first retention nothing prunes, so whether an incumbent exists is
+// shared too.
+func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.Layer, o Options, seed uint64, budget int, seeds, warm []*mapping.Mapping, states []objState) {
 	if budget <= 0 {
-		return nil, 0, st
+		return
 	}
 	a := s.a
 	n := a.NumLevels()
@@ -809,14 +848,18 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 	scratch, res, seen := ws.scratch, ws.res, ws.seen
 	evalOpts := model.Options{SkipValidate: true, ChargeStatic: o.Eval.ChargeStatic}
 	validate := !o.Eval.SkipValidate
+	src := &splitmix64{x: seed}
+	rng := rand.New(src)
+	evals := 0
 
-	// cutoff is the pruning incumbent's result: phases 0-1 track the
-	// worker best, the hill climb its (only improving) cursor. prevEval
-	// holds the delta baseline, the last staged mapping; its content must
-	// stay untouched until the next evaluation, so candidate
-	// materialization ping-pongs between two buffers.
-	var cutoff *model.Result
-	var prevEval *mapping.Mapping
+	// last is the last staged mapping, the delta baseline of every
+	// objective whose chain holds (nil after a failed Stage); scratchOK
+	// says the scratch's own delta baseline is last, which a failed
+	// FinishStaged revokes. last's content must stay untouched until the
+	// next evaluation, so candidate materialization ping-pongs between
+	// two buffers.
+	var last *mapping.Mapping
+	scratchOK := false
 	// lastSpatialKey identifies the spatial configuration of the last
 	// staged mapping: the spatial-assignment index for candidates built
 	// from one (warmup, random draws), -1 for mappings of unknown
@@ -825,12 +868,12 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 	// configurations (FreeSpatial is Ones, choices copy the assignment),
 	// so a key match lets Stage skip the spatial-factor, spatial-memo and
 	// instance resolution outright — no per-level comparison needed. A
-	// failed Stage or FinishStaged resets it together with prevEval, so a
+	// failed Stage or FinishStaged resets it together with scratchOK, so a
 	// candidate that errored is never a baseline.
 	lastSpatialKey := int64(-1)
 	bufA, bufB := ws.bufA, ws.bufB
 	matBuf := func() *mapping.Mapping {
-		if prevEval == bufA {
+		if last == bufA {
 			return bufB
 		}
 		return bufA
@@ -845,40 +888,46 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 		return &assignB
 	}
 
-	// retainValidate marks the last scored candidate as still owing its
-	// full validation: try defers m.Valid to retention time (the accept
-	// sites below), because Valid rejects almost nothing (~2 of 360
-	// candidates in BenchmarkMapperSearchSeeded's search) yet walking
-	// every candidate through it cost ~11% of search. A candidate that is
-	// never retained never pays for validation; retainDelta remembers which
-	// stats bucket its evaluation was charged to so a retention-time
-	// rejection can recategorize it as Invalid, keeping the accounting
-	// identity (Pruned + DeltaEvals + FullEvals + Duplicates + Invalid ==
-	// charged attempts) intact.
-	var retainValidate, retainDelta bool
+	// owed marks the last scored candidate as still owing its full
+	// validation (1; -1 once it failed): try defers m.Valid to retention
+	// time (the accept sites below), because Valid rejects almost nothing
+	// (~2 of 360 candidates in BenchmarkMapperSearchSeeded's search) yet
+	// walking every candidate through it cost ~11% of search. A candidate
+	// that is never retained never pays for validation, and one retained
+	// by several objectives pays once; an objective's delta flag
+	// remembers which stats bucket its evaluation was charged to so a
+	// retention-time rejection can recategorize it as Invalid, keeping the
+	// accounting identity (Pruned + DeltaEvals + FullEvals + Duplicates +
+	// Invalid == charged attempts) intact.
+	var owed int8
 
-	// try scores a mapping on the compiled fast path. Budget is consumed
-	// per charged attempt; schedules already fingerprinted return nil
-	// without re-evaluating (an already-seen schedule was scored, pruned,
-	// or failed deterministically, and can never beat the incumbent, so
-	// skipping it is behavior preserving).
+	// try scores a mapping on the compiled fast path for the active
+	// objectives and returns the finished result, or nil when no active
+	// objective scored it (each one's verdict is in its scored flag).
+	// Budget is consumed per charged attempt; schedules already
+	// fingerprinted return nil without re-evaluating (an already-seen
+	// schedule was scored, pruned, or failed deterministically, and can
+	// never beat the incumbent, so skipping it is behavior preserving).
 	//
 	// Each candidate is staged once (model.Compiled.Stage): one
 	// shared-prefix core resolution serves the admissible bound, and —
-	// only for candidates the bound cannot discard — the finishing passes
-	// (FinishStaged). Pruned candidates therefore cost a core resolution
-	// instead of a bound plus a full evaluation's worth of resolution, and
-	// they still advance the delta-evaluation chain. Pruning needs no
-	// validity and full validation is deferred to retention (see
-	// retainValidate), so an invalid candidate lands in Pruned or the
+	// only for candidates some objective's bound cannot discard — the
+	// finishing passes (FinishStaged). Pruned candidates therefore cost a
+	// core resolution instead of a bound plus a full evaluation's worth of
+	// resolution, and they still advance the delta-evaluation chain.
+	// Pruning needs no validity and full validation is deferred to
+	// retention (see owed), so an invalid candidate lands in Pruned or the
 	// eval buckets unless it is retained; neither kind can become the
 	// incumbent — Best is unaffected, only the stats split differs from
 	// validating up front. Deferral also means an invalid schedule's
 	// fingerprint enters seen (up-front validation would leave it out); a
 	// later distinct schedule is shadowed only by a 64-bit fingerprint
 	// collision, which the dedup already accepts for valid schedules.
-	try := func(m *mapping.Mapping, charge bool, spatialKey int64) *model.Result {
-		retainValidate = false
+	try := func(active []objState, m *mapping.Mapping, charge bool, spatialKey int64) *model.Result {
+		owed = 0
+		for i := range active {
+			active[i].scored = false
+		}
 		if charge {
 			if evals >= budget {
 				return nil
@@ -893,92 +942,121 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 			// invalid candidates are never recorded either way.
 			for _, cl := range s.capped {
 				if m.Levels[cl.level].Temporal.Product() > cl.tp {
-					st.Invalid++
+					for i := range active {
+						active[i].st.Invalid++
+					}
 					return nil
 				}
 			}
 		}
 		fp := m.Fingerprint()
 		if _, dup := seen[fp]; dup {
-			st.Duplicates++
+			for i := range active {
+				active[i].st.Duplicates++
+			}
 			return nil
 		}
-		shared, sfShared := levelsShared(prevEval, m), 0
+		shared, stageShared, sfShared := levelsShared(last, m), 0, 0
+		if scratchOK {
+			stageShared = shared
+		}
 		if spatialKey >= 0 && spatialKey == lastSpatialKey {
 			sfShared = n
 		}
 		// The staged bound is a byproduct of the core resolution, so
 		// checking it is free and it always prunes when it can. When the
-		// objective is pure energy, the incumbent's score doubles as Stage's
-		// early-exit threshold: the bound stops accumulating once the
-		// partial sum alone proves the prune. The returned (partial) bound
-		// then exceeds the cutoff exactly when the full bound would, so the
-		// decision below is unchanged. Other objectives need the full bound
-		// (their score mixes in cycles).
-		prune := cutoff != nil
+		// one objective is pure energy, the incumbent's score doubles as
+		// Stage's early-exit threshold: the bound stops accumulating once
+		// the partial sum alone proves the prune. The returned (partial)
+		// bound then exceeds the cutoff exactly when the full bound would,
+		// so the decision below is unchanged. Other objectives, and
+		// several at once, need the full bound (their scores mix in
+		// cycles).
 		limitPJ := math.Inf(1)
-		if prune && o.Objective == MinEnergy {
-			limitPJ = cutoff.TotalPJ
+		if len(active) == 1 && active[0].obj == MinEnergy && active[0].cutoff != nil {
+			limitPJ = active[0].cutoff.TotalPJ
 		}
-		bound, err := c.Stage(scratch, m, evalOpts, shared, sfShared, limitPJ)
+		bound, err := c.Stage(scratch, m, evalOpts, stageShared, sfShared, limitPJ)
 		if err != nil {
-			prevEval = nil
-			lastSpatialKey = -1
+			last, scratchOK, lastSpatialKey = nil, false, -1
 			return nil
 		}
-		prevEval = m
-		lastSpatialKey = spatialKey
-		// Admissible pruning: skip the finishing passes only when the
-		// bound proves the candidate cannot strictly beat the incumbent.
-		// The check must be a strict inequality — a candidate whose true
-		// score ties the incumbent can still win the deterministic
-		// tie-break.
-		if prune && boundScore(o.Objective, bound) > Score(o.Objective, cutoff) {
-			st.Pruned++
-			seen[fp] = struct{}{}
-			return nil
+		last, scratchOK, lastSpatialKey = m, true, spatialKey
+		// Admissible pruning: skip the finishing passes only when every
+		// objective's bound proves the candidate cannot strictly beat its
+		// incumbent. The check must be a strict inequality — a candidate
+		// whose true score ties the incumbent can still win the
+		// deterministic tie-break.
+		finish := false
+		for i := range active {
+			ob := &active[i]
+			ob.delta = ob.chain && shared > 0
+			ob.chain = true
+			if ob.cutoff != nil && boundScore(ob.obj, bound) > Score(ob.obj, ob.cutoff) {
+				ob.st.Pruned++
+				continue
+			}
+			ob.scored, finish = true, true
 		}
 		seen[fp] = struct{}{}
-		if err := c.FinishStaged(scratch, res, evalOpts); err != nil {
-			prevEval = nil
-			lastSpatialKey = -1
+		ws.climbed = append(ws.climbed, fp) // reset before each climb
+		if !finish {
 			return nil
 		}
-		if shared > 0 {
-			st.DeltaEvals++
-			retainDelta = true
-		} else {
-			st.FullEvals++
-			retainDelta = false
+		if err := c.FinishStaged(scratch, res, evalOpts); err != nil {
+			scratchOK, lastSpatialKey = false, -1
+			for i := range active {
+				if active[i].scored {
+					active[i].scored, active[i].chain = false, false
+				}
+			}
+			return nil
 		}
-		retainValidate = validate
+		for i := range active {
+			switch ob := &active[i]; {
+			case !ob.scored:
+			case ob.delta:
+				ob.st.DeltaEvals++
+			default:
+				ob.st.FullEvals++
+			}
+		}
+		if validate {
+			owed = 1
+		}
 		return res
 	}
 	// retain runs the deferred full validation on a candidate about to be
-	// accepted. A rejection recategorizes the candidate's charged
-	// evaluation as Invalid — it was scored, but it may not win.
-	retain := func(m *mapping.Mapping) bool {
-		if retainValidate {
-			retainValidate = false
+	// accepted for ob. A rejection recategorizes ob's charged evaluation
+	// of the candidate as Invalid — it was scored, but it may not win.
+	retain := func(ob *objState, m *mapping.Mapping) bool {
+		if owed > 0 {
+			owed = 0
 			if !m.Valid(a, l) {
-				if retainDelta {
-					st.DeltaEvals--
-				} else {
-					st.FullEvals--
-				}
-				st.Invalid++
-				return false
+				owed = -1
 			}
 		}
-		return true
+		if owed == 0 {
+			return true
+		}
+		if ob.delta {
+			ob.st.DeltaEvals--
+		} else {
+			ob.st.FullEvals--
+		}
+		ob.st.Invalid++
+		return false
 	}
 	consider := func(m *mapping.Mapping, r *model.Result) {
 		if r == nil {
 			return
 		}
-		if (best == nil || betterEval(o.Objective, r, m, best)) && retain(m) {
-			best = &Best{Mapping: m.Clone(), Result: r.Clone()}
-			cutoff = best.Result
+		for i := range states {
+			ob := &states[i]
+			if ob.scored && (ob.best == nil || betterEval(ob.obj, r, m, ob.best)) && retain(ob, m) {
+				ob.best = &Best{Mapping: m.Clone(), Result: r.Clone()}
+				ob.cutoff = ob.best.Result
+			}
 		}
 	}
 
@@ -987,13 +1065,15 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 	// Seeds are tried in place: nothing below mutates a candidate, and
 	// consider clones on retention.
 	for _, seed := range seeds {
-		consider(seed, try(seed, true, -1))
+		consider(seed, try(states, seed, true, -1))
 	}
 	for _, w := range warm {
 		// Already validated once in search(); try only dedups and scores.
-		r := try(w, false, -1)
-		if r != nil {
-			st.WarmStartEvals++
+		r := try(states, w, false, -1)
+		for i := range states {
+			if states[i].scored {
+				states[i].st.WarmStartEvals++
+			}
 		}
 		consider(w, r)
 	}
@@ -1004,7 +1084,7 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 	// very first draw instead of fully evaluating candidates until one
 	// happens to succeed. Capped at a tenth of the budget — these are
 	// deliberately mediocre mappings, only there to arm the pruning gate.
-	if best == nil {
+	if states[0].best == nil {
 		wcap := budget / 10
 		if wcap > len(s.assignments) {
 			wcap = len(s.assignments)
@@ -1016,7 +1096,7 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 			m := matBuf()
 			outerInto(a, m, l, assign, s.minLv)
 			*bufAssign(m) = int32(ai)
-			consider(m, try(m, true, int64(ai)))
+			consider(m, try(states, m, true, int64(ai)))
 		}
 	}
 
@@ -1046,7 +1126,9 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 				for _, cl := range s.capped {
 					if cands[ci].temporal[cl.level].Product() > cl.tp {
 						evals++
-						st.Invalid++
+						for i := range states {
+							states[i].st.Invalid++
+						}
 						continue prefilter
 					}
 				}
@@ -1066,12 +1148,11 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 			ba := bufAssign(m)
 			s.materialize(m, cand, *ba == cand.assign)
 			*ba = cand.assign
-			consider(m, try(m, true, int64(cand.assign)))
+			consider(m, try(states, m, true, int64(cand.assign)))
 		}
 	}
 
-	// Phase 2: hill climb from the best mapping found.
-	if best == nil {
+	if states[0].best == nil {
 		// Fall back to the trivial all-outer mapping per assignment —
 		// on architectures whose capped levels reject every random draw
 		// (Albireo unseeded) this is where the incumbent comes from.
@@ -1084,46 +1165,72 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 			m := matBuf()
 			outerInto(a, m, l, assign, s.minLv)
 			*bufAssign(m) = int32(ai)
-			consider(m, try(m, true, int64(ai)))
+			consider(m, try(states, m, true, int64(ai)))
 		}
 	}
-	if best == nil {
-		return nil, evals, st
+	if states[0].best == nil {
+		for i := range states {
+			states[i].evals = evals
+		}
+		return
 	}
-	cur := best
-	cutoff = cur.Result
+
+	// Phase 2: each objective hill-climbs from its own incumbent. The
+	// first climb continues the exploration's state; every later one
+	// restarts from it: the rng word, the budget count, the dedup set
+	// (the previous climb's insertions are undone) and the delta chain
+	// (last is restored from a copy — the ping-pong buffers hold another
+	// climb's mappings — and the scratch re-resolves in full).
+	evals0, rng0, last0 := evals, src.x, last
+	if len(states) > 1 && last != nil {
+		copyMapping(ws.bufLast, last)
+		last0 = ws.bufLast
+	}
 	// Every climb neighbor copies cur's spatial configuration verbatim
 	// (edits touch only temporal factors and permutations, and cur is only
-	// ever replaced by a clone of such a neighbor), so the whole climb
+	// ever replaced by a clone of such a neighbor), so a whole climb
 	// shares one spatial config. A sentinel key one past the assignment
 	// indices lets consecutive climb evaluations skip re-resolving it.
 	climbKey := int64(len(s.assignments))
-	for evals < budget {
-		improved := false
-		for _, e := range neighborEdits(a, cur.Mapping, rng) {
-			nb := matBuf()
-			copyMapping(nb, cur.Mapping)
-			*bufAssign(nb) = -1
-			applyEdit(nb, e)
-			r := try(nb, true, climbKey)
-			if r == nil {
-				continue
+	for j := range states {
+		if j > 0 {
+			for _, fp := range ws.climbed {
+				delete(seen, fp)
 			}
-			if betterEval(o.Objective, r, nb, cur) && retain(nb) {
-				cur = &Best{Mapping: nb.Clone(), Result: r.Clone()}
-				cutoff = cur.Result
-				improved = true
+			evals, src.x = evals0, rng0
+			last, scratchOK, lastSpatialKey = last0, false, -1
+		}
+		ws.climbed = ws.climbed[:0]
+		ob, active := &states[j], states[j:j+1]
+		cur := ob.best
+		ob.cutoff = cur.Result
+		for evals < budget {
+			improved := false
+			for _, e := range neighborEdits(a, cur.Mapping, rng) {
+				nb := matBuf()
+				copyMapping(nb, cur.Mapping)
+				*bufAssign(nb) = -1
+				applyEdit(nb, e)
+				r := try(active, nb, true, climbKey)
+				if r == nil {
+					continue
+				}
+				if betterEval(ob.obj, r, nb, cur) && retain(ob, nb) {
+					cur = &Best{Mapping: nb.Clone(), Result: r.Clone()}
+					ob.cutoff = cur.Result
+					improved = true
+					break
+				}
+			}
+			if !improved {
 				break
 			}
 		}
-		if !improved {
-			break
+		if cur != ob.best && betterEval(ob.obj, cur.Result, cur.Mapping, ob.best) {
+			ob.best = cur
 		}
+		ob.evals = evals
 	}
-	if cur != best && betterEval(o.Objective, cur.Result, cur.Mapping, best) {
-		best = cur
-	}
-	return best, evals, st
 }
 
 // maxSpatialAssignments caps the enumerated cross product of rigid

@@ -129,10 +129,11 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 		}
 		job.network.Layers = layers
 	}
-	p, _, err := ev.evaluate(&job, nil, false)
-	if err != nil {
+	var ps [1]Point
+	if _, err := ev.evaluate([]pointJob{job}, ps[:], nil, false); err != nil {
 		return nil, err
 	}
+	p := &ps[0]
 	return &EvalResponse{
 		Arch: p.Arch, Network: p.Network, AreaUM2: p.AreaUM2, PeakMACsPerCycle: p.PeakMACsPerCycle,
 		Layers: p.Layers, MACs: p.MACs, Cycles: p.Cycles, TotalPJ: p.TotalPJ, PJPerMAC: p.PJPerMAC,

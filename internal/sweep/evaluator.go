@@ -149,9 +149,9 @@ func (e *Evaluator) Eval(index int, values []any, wi, oi int) (*Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	job := e.job(index, v, wi, oi)
-	p, _, _ := e.evaluate(&job, nil, false)
-	return &p, nil
+	var p [1]Point
+	e.evaluate([]pointJob{e.job(index, v, wi, oi)}, p[:], nil, false)
+	return &p[0], nil
 }
 
 // numVariants sizes the axis grid a Run evaluates, or rejects it: an axis
@@ -254,10 +254,12 @@ func (e *Evaluator) EvalPoints(idx []int64, opts Options) ([]Point, error) {
 		}
 	}
 
-	// The pool consumes chains of slots. Without warm starts every slot
-	// is its own chain (full point-level parallelism); with warm starts
-	// the points of one (workload, objective) form a chain, processed in
-	// idx order so each point inherits its predecessor's best mappings
+	// The pool consumes chains of slots. Without warm starts a chain is
+	// one point group — consecutive slots whose points differ only in
+	// objective (the same idx / objectives) — and its layers are searched
+	// once for all of them. With warm starts the points of one (workload,
+	// objective) form a chain, processed point by point in idx order so
+	// each point inherits its predecessor's best mappings
 	// deterministically.
 	var chains [][]int
 	if e.spec.WarmStart {
@@ -267,9 +269,13 @@ func (e *Evaluator) EvalPoints(idx []int64, opts Options) ([]Point, error) {
 			chains[i%perVariant] = append(chains[i%perVariant], k)
 		}
 	} else {
-		chains = make([][]int, len(idx))
-		for k := range idx {
-			chains[k] = []int{k}
+		nobj := int64(len(e.objs))
+		for k, i := range idx {
+			if k > 0 && i/nobj == idx[k-1]/nobj {
+				chains[len(chains)-1] = append(chains[len(chains)-1], k)
+			} else {
+				chains = append(chains, []int{k})
+			}
 		}
 	}
 
@@ -313,15 +319,22 @@ func (e *Evaluator) EvalPoints(idx []int64, opts Options) ([]Point, error) {
 			defer wg.Done()
 			for chain := range chainCh {
 				var warm warmTable
-				for _, k := range chain {
-					if len(chain) > 1 && ctx.Err() != nil {
+				step := len(chain) // a point group
+				if e.spec.WarmStart {
+					step = 1
+				}
+				for c := 0; c < len(chain); c += step {
+					k0, k1 := chain[c], chain[c+step-1]+1
+					if step < len(chain) && ctx.Err() != nil {
 						// Mid-chain cancellation: successors of a chain
 						// carry the cancellation like undispatched points.
-						points[k] = canceledPoint(&jobs[k], ctx.Err())
+						points[k0] = canceledPoint(&jobs[k0], ctx.Err())
 						continue
 					}
-					points[k], warm, _ = e.evaluate(&jobs[k], warm, e.spec.WarmStart)
-					report(&points[k])
+					warm, _ = e.evaluate(jobs[k0:k1], points[k0:k1], warm, e.spec.WarmStart)
+					for k := k0; k < k1; k++ {
+						report(&points[k])
+					}
 				}
 			}
 		}()

@@ -265,41 +265,38 @@ func (st *variantState) init(v *variant, fspec *fidelity.Spec, search bool) {
 // fingerprint, to the next point of a warm-start chain.
 type warmTable map[uint64][]*mapping.Mapping
 
-// mapperOptions assembles the per-layer search options for one objective.
-func (e *Evaluator) mapperOptions(obj mapper.Objective) mapper.Options {
-	return mapper.Options{
-		Objective: obj,
-		Budget:    e.spec.Budget,
-		Seed:      e.spec.Seed,
-		Workers:   e.spec.SearchWorkers,
-		Cache:     e.cache,
+// evaluate computes a point group into points (points[j] is jobs[j]):
+// points of one variant and workload that differ only in objective, or a
+// single point. It is the one evaluation path behind EvalPoints (and so
+// Run), Evaluator.Eval and Eval, and holds the one per-layer network
+// loop, whatever the base kind and fused or not; each layer is searched
+// once for all the group's objectives. A failure lands in every point's
+// Err and is returned as an error too (a failed layer as "sweep: layer
+// <name>: ..."). warm supplies the previous chained point's best
+// mappings; when collect is set the point's own bests are returned for
+// its successor (warm chains are single points).
+func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, collect bool) (warmTable, error) {
+	job := &jobs[0]
+	for j := range jobs {
+		points[j] = Point{
+			Index:     jobs[j].index,
+			Variant:   job.variant.label,
+			Params:    job.variant.params,
+			Network:   job.netName,
+			Batch:     max(1, job.workload.Batch),
+			Fused:     job.workload.Fused,
+			Objective: jobs[j].objName,
+		}
 	}
-}
-
-// evaluate computes one point — the one evaluation path behind
-// EvalPoints (and so Run), Evaluator.Eval and Eval — and holds the one
-// per-layer network loop, whatever the base kind and fused or not. A
-// failure lands in Point.Err and is returned as an error too (a failed
-// layer as "sweep: layer <name>: ..."). warm supplies the previous
-// chained point's best mappings; when collect is set the point's own
-// bests are returned for its successor.
-func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point, warmTable, error) {
-	p := Point{
-		Index:     job.index,
-		Variant:   job.variant.label,
-		Params:    job.variant.params,
-		Network:   job.netName,
-		Batch:     max(1, job.workload.Batch),
-		Fused:     job.workload.Fused,
-		Objective: job.objName,
+	fail := func(err error) (warmTable, error) {
+		for j := range points {
+			points[j].Err = err.Error()
+		}
+		return nil, err
 	}
-	fail := func(err error) (Point, warmTable, error) {
-		p.Err = err.Error()
-		return p, nil, err
-	}
-	failLayer := func(layer string, err error) (Point, warmTable, error) {
-		p.Err = fmt.Sprintf("layer %s: %v", layer, err)
-		return p, nil, fmt.Errorf("sweep: layer %s: %w", layer, err)
+	failLayer := func(layer string, err error) (warmTable, error) {
+		fail(fmt.Errorf("layer %s: %v", layer, err))
+		return nil, fmt.Errorf("sweep: layer %s: %w", layer, err)
 	}
 	st := &job.variant.state
 	st.init(job.variant, e.spec.Fidelity, job.mapping == nil)
@@ -307,10 +304,13 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 		return fail(st.err)
 	}
 	a := st.a
-	p.Arch = a.Name
-	p.PeakMACsPerCycle = a.PeakMACsPerCycle()
-	if area, err := a.Area(); err == nil {
-		p.AreaUM2 = area
+	area, areaErr := a.Area()
+	for j := range points {
+		points[j].Arch = a.Name
+		points[j].PeakMACsPerCycle = a.PeakMACsPerCycle()
+		if areaErr == nil {
+			points[j].AreaUM2 = area
+		}
 	}
 	var fixed *mapping.Mapping
 	if job.mapping != nil {
@@ -348,23 +348,23 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 		fused[cfg] = s
 		return s, nil
 	}
+	objs := make([]mapper.Objective, len(jobs))
+	for j := range jobs {
+		objs[j] = jobs[j].obj
+	}
 	// One search per distinct (session, layer shape): an outcome depends
 	// only on the layer's shape and the options (warm starts and the
 	// canonical seeds are shape properties too), so repeated blocks clone
-	// the representative's best — bit-identical to searching again, and
+	// the representative's bests — bit-identical to searching again, and
 	// cheaper than even a cache hit, which hashes the memoized seed
 	// prints and clones the cached best.
 	type searchKey struct {
 		sess  *mapper.Session
 		shape uint64
 	}
-	solved := map[searchKey]*mapper.Best{}
-	results := make([]*model.Result, 0, len(job.network.Layers))
-	// Cached mapper results are shared across points, so the analog
-	// fidelity rollup lands on the point-owned outcome and total — never
-	// on best.Result.
-	var layers []LayerOutcome
-	var fidMACs, fidBits, fidSNR, fidLoss float64
+	solved := map[searchKey][]*mapper.Best{}
+	// bests[i*len(jobs)+j] is layer i's best for point j.
+	bests := make([]*mapper.Best, 0, len(job.network.Layers)*len(jobs))
 	for i := range job.network.Layers {
 		layer := &job.network.Layers[i]
 		sess, err := sessionFor(i)
@@ -372,37 +372,73 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 			return failLayer(layer.Name, err)
 		}
 		key := searchKey{sess, layer.ShapeFingerprint()}
-		best := solved[key]
-		switch {
-		case best != nil:
-			best = best.CloneFor(layer.Name)
+		start := len(bests)
+		switch rep := solved[key]; {
+		case rep != nil:
+			for _, b := range rep {
+				bests = append(bests, b.CloneFor(layer.Name))
+			}
 		case fixed != nil:
-			best = &mapper.Best{Mapping: fixed}
-			best.Result, err = model.Evaluate(a, layer, fixed, model.Options{})
+			best := &mapper.Best{Mapping: fixed}
+			if best.Result, err = model.Evaluate(a, layer, fixed, model.Options{}); err != nil {
+				return failLayer(layer.Name, err)
+			}
+			bests = append(bests, best)
 		default:
-			mopts := e.mapperOptions(job.obj)
-			mopts.WarmStarts = warm[key.shape]
+			mopts := mapper.Options{
+				Budget:     e.spec.Budget,
+				Seed:       e.spec.Seed,
+				Workers:    e.spec.SearchWorkers,
+				Cache:      e.cache,
+				WarmStarts: warm[key.shape],
+			}
 			if job.variant.albireo != nil {
 				mopts.Seeds = canonicalSeeds(sess, layer, key.shape)
 			}
-			best, err = sess.Search(layer, mopts)
+			row, err := sess.SearchObjectives(layer, mopts, objs)
+			if err != nil {
+				return failLayer(layer.Name, err)
+			}
+			bests = append(bests, row...)
 		}
-		if err != nil {
-			return failLayer(layer.Name, err)
+		solved[key] = bests[start:]
+		if collect && next[key.shape] == nil {
+			next[key.shape] = []*mapping.Mapping{bests[start].Mapping}
 		}
-		solved[key] = best
-		results = append(results, best.Result)
+	}
+	for j := range points {
+		e.total(&points[j], st.fid, bests[j:], len(jobs))
+	}
+	return next, nil
+}
 
+// total fills a point's network metrics from its per-layer bests
+// (bests[i*stride] for layer i). Cached mapper results are shared across
+// points, so the fidelity rollup lands on the point-owned outcomes and
+// total — never on a best's Result.
+func (e *Evaluator) total(p *Point, fid *fidelity.Chain, bests []*mapper.Best, stride int) {
+	var layers []LayerOutcome
+	var fidMACs, fidBits, fidSNR, fidLoss float64
+	// The per-layer ledgers are summed into storage sized once: growing
+	// it one append at a time cost about a sixth of a cold study's bytes.
+	total := &model.Result{Layer: p.Network}
+	var nEnergy, nUsage int
+	for i := 0; i < len(bests); i += stride {
+		nEnergy += len(bests[i].Result.Energy)
+		nUsage += len(bests[i].Result.Usage)
+	}
+	total.Energy = slices.Grow(total.Energy, nEnergy)
+	total.Usage = slices.Grow(total.Usage, nUsage)
+	for i := 0; i < len(bests); i += stride {
+		best := bests[i]
+		total.Accumulate(best.Result)
 		lo := layerOutcome(best)
 		p.Evaluations += best.Evaluations
 		p.Pruned += best.Stats.Pruned
 		p.DeltaEvals += best.Stats.DeltaEvals
 		p.FullEvals += best.Stats.FullEvals
-		if collect && next[key.shape] == nil {
-			next[key.shape] = []*mapping.Mapping{best.Mapping}
-		}
-		if st.fid != nil {
-			rep := st.fid.Evaluate(best.Mapping)
+		if fid != nil {
+			rep := fid.Evaluate(best.Mapping)
 			lo.EffectiveBits = rep.EffectiveBits
 			lo.SNRDB = rep.SNRDB
 			lo.AccuracyLossPct = rep.AccuracyLossPct
@@ -414,21 +450,7 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 		}
 		layers = append(layers, lo)
 	}
-
-	// The per-layer ledgers are summed into storage sized once: growing
-	// it one append at a time cost about a sixth of a cold study's bytes.
-	total := &model.Result{Layer: job.netName}
-	var nEnergy, nUsage int
-	for _, r := range results {
-		nEnergy += len(r.Energy)
-		nUsage += len(r.Usage)
-	}
-	total.Energy = slices.Grow(total.Energy, nEnergy)
-	total.Usage = slices.Grow(total.Usage, nUsage)
-	for _, r := range results {
-		total.Accumulate(r)
-	}
-	if st.fid != nil && fidMACs > 0 {
+	if fid != nil && fidMACs > 0 {
 		total.EffectiveBits = fidBits / fidMACs
 		total.SNRDB = fidSNR / fidMACs
 		total.AccuracyLossPct = fidLoss / fidMACs
@@ -446,7 +468,6 @@ func (e *Evaluator) evaluate(job *pointJob, warm warmTable, collect bool) (Point
 	if e.spec.IncludeLayers {
 		p.Layers = layers
 	}
-	return p, next, nil
 }
 
 func layerOutcome(best *mapper.Best) LayerOutcome {
