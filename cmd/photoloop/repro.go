@@ -56,6 +56,7 @@ func repro(args []string, w io.Writer, claims albireo.PaperClaims) error {
 		{"5", "fig5", func() (figure, error) { return exp.Fig5(cfg) }},
 		{"ablation", "ablation", func() (figure, error) { return exp.Ablations(cfg) }},
 	}
+	done := map[string]figure{} // rendered results, reused by the claims check
 	for _, f := range figs {
 		if *fig != "all" && *fig != f.fig {
 			continue
@@ -66,6 +67,7 @@ func repro(args []string, w io.Writer, claims albireo.PaperClaims) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
+		done[name] = r
 		if err := r.Render(w); err != nil {
 			return fmt.Errorf("%s: render: %w", name, err)
 		}
@@ -77,7 +79,7 @@ func repro(args []string, w io.Writer, claims albireo.PaperClaims) error {
 		}
 	}
 	if *fig == "all" || *fig == "claims" {
-		return checkClaims(w, cfg, claims)
+		return checkClaims(w, cfg, claims, done)
 	}
 	return nil
 }
@@ -95,10 +97,10 @@ func writeFigureCSV(path string, r figure) error {
 	return f.Close()
 }
 
-// checkClaims re-runs the figures and scores the paper's quantitative
-// claims against the tolerance bands, one PASS/FAIL line per claim. It
-// returns an error naming every failed claim.
-func checkClaims(w io.Writer, cfg exp.Config, claims albireo.PaperClaims) error {
+// checkClaims scores the paper's quantitative claims against the tolerance
+// bands, one PASS/FAIL line per claim, running only the figures done does
+// not already hold. It returns an error naming every failed claim.
+func checkClaims(w io.Writer, cfg exp.Config, claims albireo.PaperClaims, done map[string]figure) error {
 	fmt.Fprintln(w, "Paper claims check")
 	fmt.Fprintln(w, "------------------")
 	var failed []string
@@ -111,14 +113,14 @@ func checkClaims(w io.Writer, cfg exp.Config, claims albireo.PaperClaims) error 
 		fmt.Fprintf(w, "%s  %s "+format+"\n", append([]any{verdict, claim}, args...)...)
 	}
 
-	f2, err := exp.Fig2(cfg)
+	f2, err := figureFor(done, "fig2", exp.Fig2, cfg)
 	if err != nil {
 		return err
 	}
 	check(f2.AvgAbsErrPct <= 100*claims.Fig2MaxAvgError, "Fig2 avg energy error",
 		"%.2f%% (paper 0.4%%, band <= %.0f%%)", f2.AvgAbsErrPct, 100*claims.Fig2MaxAvgError)
 
-	f3, err := exp.Fig3(cfg)
+	f3, err := figureFor(done, "fig3", exp.Fig3, cfg)
 	if err != nil {
 		return err
 	}
@@ -134,7 +136,7 @@ func checkClaims(w io.Writer, cfg exp.Config, claims albireo.PaperClaims) error 
 		}
 	}
 
-	f4, err := exp.Fig4(cfg)
+	f4, err := figureFor(done, "fig4", exp.Fig4, cfg)
 	if err != nil {
 		return err
 	}
@@ -149,7 +151,7 @@ func checkClaims(w io.Writer, cfg exp.Config, claims albireo.PaperClaims) error 
 		"Fig4 batching+fusion reduction", "%.2f (paper 0.67, band >= %.2f)",
 		f4.AggressiveCombinedReduction, claims.Fig4CombinedReductionLo)
 
-	f5, err := exp.Fig5(cfg)
+	f5, err := figureFor(done, "fig5", exp.Fig5, cfg)
 	if err != nil {
 		return err
 	}
@@ -164,4 +166,13 @@ func checkClaims(w io.Writer, cfg exp.Config, claims albireo.PaperClaims) error 
 		return fmt.Errorf("repro: %d paper claim(s) failed: %s", len(failed), strings.Join(failed, "; "))
 	}
 	return nil
+}
+
+// figureFor returns the named figure from done, running it at cfg if it is
+// not there.
+func figureFor[T figure](done map[string]figure, name string, run func(exp.Config) (T, error), cfg exp.Config) (T, error) {
+	if r, ok := done[name].(T); ok {
+		return r, nil
+	}
+	return run(cfg)
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"photoloop/internal/albireo"
-	"photoloop/internal/mapper"
 	"photoloop/internal/workload"
 )
 
@@ -34,15 +33,6 @@ func (c Config) withDefaults() Config {
 		c.Seed = 1
 	}
 	return c
-}
-
-func (c Config) mapperOptions(obj mapper.Objective) mapper.Options {
-	return mapper.Options{
-		Objective: obj,
-		Budget:    c.Budget,
-		Seed:      c.Seed,
-		Workers:   c.Workers,
-	}
 }
 
 // BestCaseLayer returns the canonical best-case convolution used for the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"photoloop/internal/albireo"
+	"photoloop/internal/arch"
 	"photoloop/internal/mapper"
 	"photoloop/internal/model"
 	"photoloop/internal/workload"
@@ -186,17 +187,12 @@ func TestFig5ReuseExploration(t *testing.T) {
 	}
 }
 
-// directNetwork searches every layer of net from scratch on cfg's built
-// arch, seeded with the canonical Albireo mappings, with no result cache
-// and no shape dedupe — the per-layer reference the sweep's network loop
-// must reproduce.
-func directNetwork(t *testing.T, cfg albireo.Config, net workload.Network, opts mapper.Options) model.Result {
+// directLayers searches every layer of net from scratch on a, seeded with
+// the canonical Albireo mappings, with no result cache and no shape dedupe
+// — the per-layer reference the sweep's network loop must reproduce.
+func directLayers(t *testing.T, a *arch.Arch, net workload.Network, opts mapper.Options) []*mapper.Best {
 	t.Helper()
-	a, err := cfg.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := model.Result{Layer: net.Name}
+	bests := make([]*mapper.Best, len(net.Layers))
 	for i := range net.Layers {
 		layer := &net.Layers[i]
 		o := opts
@@ -205,9 +201,76 @@ func directNetwork(t *testing.T, cfg albireo.Config, net workload.Network, opts 
 		if err != nil {
 			t.Fatalf("layer %s: %v", layer.Name, err)
 		}
+		bests[i] = best
+	}
+	return bests
+}
+
+// directNetwork accumulates directLayers on cfg's built arch into one
+// whole-network result.
+func directNetwork(t *testing.T, cfg albireo.Config, net workload.Network, opts mapper.Options) model.Result {
+	t.Helper()
+	a, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := model.Result{Layer: net.Name}
+	for _, best := range directLayers(t, a, net, opts) {
 		total.Accumulate(best.Result)
 	}
 	return total
+}
+
+// TestFig3MatchesDirectSearch pins Fig. 3, which runs through the sweep
+// (shared cache, repeated shapes searched once per point), to a direct
+// delay search of every layer: each layer's throughput bit for bit, under
+// its own name — VGG16 repeats shapes, so a deduped layer must not take its
+// representative's name.
+func TestFig3MatchesDirectSearch(t *testing.T) {
+	r, err := Fig3(Config{Budget: 120, Seed: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := albireo.Default(albireo.Conservative).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := mapper.Options{Objective: mapper.MinDelay, Budget: 120, Seed: 1, Workers: 2}
+	for i, name := range []string{"vgg16", "alexnet"} {
+		net, err := workload.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := r.Rows[i]
+		if row.Network != name || len(row.Layers) != len(net.Layers) {
+			t.Fatalf("row %d is %s with %d layers, want %s with %d", i, row.Network, len(row.Layers), name, len(net.Layers))
+		}
+		shapes := map[uint64]bool{}
+		var macs int64
+		var cycles float64
+		for j, best := range directLayers(t, a, net, opts) {
+			res := best.Result
+			shapes[net.Layers[j].ShapeFingerprint()] = true
+			want := LayerThroughput{
+				Layer:               net.Layers[j].Name,
+				Utilization:         res.Utilization,
+				MACsPerCycle:        res.MACsPerCycle,
+				ComputeMACsPerCycle: float64(res.MACs) / float64(res.ComputeCycles),
+				Bottleneck:          res.BottleneckLevel,
+			}
+			if row.Layers[j] != want {
+				t.Errorf("%s layer %d diverged:\n got %+v\nwant %+v", name, j, row.Layers[j], want)
+			}
+			macs += res.MACs
+			cycles += res.Cycles
+		}
+		if want := float64(macs) / cycles; row.TotalOverCycles != want {
+			t.Errorf("%s total/cycles %.12g, want %.12g", name, row.TotalOverCycles, want)
+		}
+		if name == "vgg16" && len(shapes) == len(net.Layers) {
+			t.Error("vgg16 has no repeated layer shape; the dedupe path is not covered")
+		}
+	}
 }
 
 // TestFig5MatchesDirectExploration is the sweep-equivalence anchor of the

@@ -5,9 +5,8 @@ import (
 	"io"
 
 	"photoloop/internal/albireo"
-	"photoloop/internal/mapper"
 	"photoloop/internal/md"
-	"photoloop/internal/workload"
+	"photoloop/internal/sweep"
 )
 
 // LayerThroughput records one layer's achieved throughput.
@@ -51,43 +50,43 @@ type Fig3Result struct {
 	Rows []Fig3Row
 }
 
-// Fig3 runs the throughput comparison on the conservative configuration
-// (throughput is scaling independent; energy scaling does not change the
-// schedule search objective here, which is delay).
+// Fig3 runs the throughput comparison through the sweep subsystem on the
+// conservative configuration (throughput is scaling independent; energy
+// scaling does not change the schedule search objective here, which is
+// delay).
 func Fig3(cfg Config) (*Fig3Result, error) {
 	cfg = cfg.withDefaults()
-	a, err := albireo.Default(albireo.Conservative).Build()
+	res, err := sweep.Run(sweep.Spec{
+		Name: "fig3",
+		Base: sweep.Base{Albireo: &sweep.AlbireoBase{}},
+		Workloads: []sweep.Workload{
+			{Network: "vgg16", Batch: 1},
+			{Network: "alexnet", Batch: 1},
+		},
+		Objectives:    []string{"delay"},
+		Budget:        cfg.Budget,
+		Seed:          cfg.Seed,
+		SearchWorkers: cfg.Workers,
+		IncludeLayers: true,
+	}, sweep.Options{})
 	if err != nil {
-		return nil, err
-	}
-	// One mapper session serves every layer of both networks: the
-	// architecture invariants (compiled energy tables, spatial
-	// assignments) are hoisted out of the per-layer searches.
-	sess, err := mapper.NewSession(a)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exp: fig3: %w", err)
 	}
 	refs := albireo.ReportedFig3()
 	out := &Fig3Result{}
-	for _, name := range []string{"vgg16", "alexnet"} {
-		net, err := workload.ByName(name, 1)
-		if err != nil {
-			return nil, err
+	for i := range res.Points {
+		pt := &res.Points[i]
+		row := Fig3Row{
+			Network:  pt.Network,
+			Ideal:    refs[pt.Network].Ideal,
+			Reported: refs[pt.Network].Reported,
+			// The point's rate is its total MACs over its total cycles.
+			TotalOverCycles: pt.MACsPerCycle,
 		}
-		row := Fig3Row{Network: name, Ideal: refs[name].Ideal, Reported: refs[name].Reported}
-		var macs int64
-		var cycles float64
-		for i := range net.Layers {
-			l := &net.Layers[i]
-			opts := cfg.mapperOptions(mapper.MinDelay)
-			opts.Seeds = mapper.SeedList(albireo.CanonicalMappings(a, l))
-			best, err := sess.Search(l, opts)
-			if err != nil {
-				return nil, fmt.Errorf("exp: fig3 %s/%s: %w", name, l.Name, err)
-			}
-			r := best.Result
+		for _, lo := range pt.Layers {
+			r := lo.Result
 			lt := LayerThroughput{
-				Layer:               l.Name,
+				Layer:               lo.Layer,
 				Utilization:         r.Utilization,
 				MACsPerCycle:        r.MACsPerCycle,
 				ComputeMACsPerCycle: float64(r.MACs) / float64(r.ComputeCycles),
@@ -96,15 +95,10 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 			row.Layers = append(row.Layers, lt)
 			row.Modeled += lt.MACsPerCycle
 			row.ModeledComputeOnly += lt.ComputeMACsPerCycle
-			macs += r.MACs
-			cycles += r.Cycles
 		}
 		n := float64(len(row.Layers))
 		row.Modeled /= n
 		row.ModeledComputeOnly /= n
-		if cycles > 0 {
-			row.TotalOverCycles = float64(macs) / cycles
-		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil

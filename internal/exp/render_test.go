@@ -3,25 +3,80 @@ package exp
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// figure is the common surface of the figure results.
+type figure interface {
+	Render(io.Writer) error
+	Table() (headers []string, align string, rows [][]string)
+}
+
+type figureRunner struct {
+	name string
+	run  func() (figure, error)
+}
+
+// figureRunners lists every figure harness at cfg, in repro's order.
+func figureRunners(cfg Config) []figureRunner {
+	return []figureRunner{
+		{"fig2", func() (figure, error) { return Fig2(cfg) }},
+		{"fig3", func() (figure, error) { return Fig3(cfg) }},
+		{"fig4", func() (figure, error) { return Fig4(cfg) }},
+		{"fig5", func() (figure, error) { return Fig5(cfg) }},
+		{"ablation", func() (figure, error) { return Ablations(cfg) }},
+	}
+}
+
+// TestFiguresGolden renders every figure at a pinned budget, seed and
+// search-worker count and compares the text against testdata: the figures'
+// numbers must not move when the code behind them is restructured. The
+// golden is never regenerated; a change that moves a figure on purpose
+// (a model fix, a new candidate stream) says so where it lands.
+func TestFiguresGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, f := range figureRunners(Config{Budget: 300, Seed: 1, Workers: 2}) {
+		r, err := f.run()
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if err := r.Render(&got); err != nil {
+			t.Fatalf("%s: render: %v", f.name, err)
+		}
+		fmt.Fprintln(&got)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "figures_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines := strings.Split(got.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("figures drifted from testdata/figures_golden.txt at line %d:\n got: %s\nwant: %s", i+1, g, w)
+		}
+	}
+}
 
 // TestFigureCSVParses writes every figure's table as CSV and reads it back:
 // each record must carry as many fields as the header. Role-bin headers such
 // as "Weight DE/AE, AE/AO" hold commas, so unquoted output would split them.
 func TestFigureCSVParses(t *testing.T) {
-	type tabler interface {
-		Table() ([]string, string, [][]string)
-	}
-	figs := map[string]func() (tabler, error){
-		"fig2":     func() (tabler, error) { return Fig2(testCfg) },
-		"fig3":     func() (tabler, error) { return Fig3(testCfg) },
-		"fig4":     func() (tabler, error) { return Fig4(testCfg) },
-		"fig5":     func() (tabler, error) { return Fig5(testCfg) },
-		"ablation": func() (tabler, error) { return Ablations(testCfg) },
-	}
-	for name, run := range figs {
-		r, err := run()
+	for _, f := range figureRunners(testCfg) {
+		name := f.name
+		r, err := f.run()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -390,12 +390,11 @@ func NewSession(a *arch.Arch) (*Session, error) {
 // the cache resets rather than growing without bound.
 const maxCachedSessions = 256
 
-// sessionCache reuses Sessions across one-shot Search/SearchNetwork calls,
-// keyed by the architecture fingerprint (which covers structure and
-// component energies — the same key the search Cache dedups on). Building
-// a session costs ~100µs of engine resolution and assignment enumeration,
-// which used to dominate short searches issued through the package-level
-// helpers.
+// sessionCache reuses Sessions across one-shot Search calls, keyed by the
+// architecture fingerprint (which covers structure and component energies
+// — the same key the search Cache dedups on). Building a session costs
+// ~100µs of engine resolution and assignment enumeration, which used to
+// dominate short searches issued through the package-level helpers.
 var (
 	sessionCacheMu sync.Mutex
 	sessionCache   = map[uint64]*Session{}
@@ -1417,79 +1416,6 @@ func applyEdit(m *mapping.Mapping, e neighborEdit) {
 		return
 	}
 	m.Levels[e.level].Perm = append(m.Levels[e.level].Perm[:0], permCandidates[e.perm]...)
-}
-
-// SearchNetwork maps every layer of a network and returns per-layer bests
-// in layer order, sharing one (cached) Session across the layers. Layers
-// are searched concurrently.
-func SearchNetwork(a *arch.Arch, net *workload.Network, opts Options) ([]*Best, error) {
-	s, err := sessionFor(a)
-	if err != nil {
-		return nil, err
-	}
-	return s.SearchNetwork(net, opts)
-}
-
-// SearchNetwork maps every layer of a network on the session's
-// architecture; distinct layer shapes are searched concurrently.
-//
-// Layers with equal shape fingerprints search identically (a search
-// depends only on the layer's shape and the options), so one
-// representative per distinct shape is searched and its result cloned for
-// the duplicates — bit-identical to searching every layer, and a large
-// saving on networks built from repeated blocks (ResNet's basic blocks,
-// VGG's paired convolutions). This is the incumbent threading the sweep
-// performs across points, applied within a network where it is exact.
-func (s *Session) SearchNetwork(net *workload.Network, opts Options) ([]*Best, error) {
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
-	bests := make([]*Best, len(net.Layers))
-	errs := make([]error, len(net.Layers))
-	rep := make([]int, len(net.Layers)) // representative index per layer
-	firstByShape := make(map[uint64]int, len(net.Layers))
-	var reps []int
-	for i := range net.Layers {
-		fp := net.Layers[i].ShapeFingerprint()
-		if j, ok := firstByShape[fp]; ok {
-			rep[i] = j
-		} else {
-			firstByShape[fp] = i
-			rep[i] = i
-			reps = append(reps, i)
-		}
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallel())
-	for _, i := range reps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			bests[i], errs[i] = s.Search(&net.Layers[i], opts)
-		}(i)
-	}
-	wg.Wait()
-	for _, i := range reps {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("mapper: layer %s: %w", net.Layers[i].Name, errs[i])
-		}
-	}
-	for i := range net.Layers {
-		if rep[i] != i {
-			bests[i] = bests[rep[i]].CloneFor(net.Layers[i].Name)
-		}
-	}
-	return bests, nil
-}
-
-func maxParallel() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		return 1
-	}
-	return n
 }
 
 // Exhaustive enumerates every combination of spatial assignment, divisor

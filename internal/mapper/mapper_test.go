@@ -149,30 +149,6 @@ func TestExhaustiveRejectsHugeSpaces(t *testing.T) {
 	}
 }
 
-func TestSearchNetwork(t *testing.T) {
-	a := testArch(t, 1<<20)
-	net := workload.Network{Name: "tiny", Layers: []workload.Layer{
-		workload.NewConv("c1", 1, 8, 4, 8, 8, 3, 3, 1, 1),
-		workload.NewConv("c2", 1, 8, 8, 8, 8, 3, 3, 1, 1),
-		workload.NewFC("fc", 1, 10, 64),
-	}}
-	bests, err := SearchNetwork(a, &net, Options{Budget: 200, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bests) != 3 {
-		t.Fatalf("got %d bests", len(bests))
-	}
-	for i, b := range bests {
-		if b == nil || b.Result == nil {
-			t.Fatalf("layer %d missing result", i)
-		}
-		if err := b.Mapping.Validate(a, &net.Layers[i]); err != nil {
-			t.Errorf("layer %d invalid mapping: %v", i, err)
-		}
-	}
-}
-
 func TestObjectives(t *testing.T) {
 	a := testArch(t, 1<<20)
 	l := workload.NewConv("l", 1, 16, 8, 8, 8, 3, 3, 1, 1)

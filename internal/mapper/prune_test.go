@@ -379,41 +379,6 @@ func TestWarmStartDeterministicAndApplicable(t *testing.T) {
 	}
 }
 
-// TestSearchNetworkShapeDedup pins SearchNetwork's shape deduplication:
-// repeated layer shapes must get results bit-identical to independent
-// searches, under the duplicate layer's own name.
-func TestSearchNetworkShapeDedup(t *testing.T) {
-	a := photonicTestArch(t)
-	s, err := NewSession(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape := func(name string) workload.Layer {
-		return workload.NewConv(name, 1, 16, 8, 8, 8, 3, 3, 1, 1)
-	}
-	net := workload.Network{Name: "dup", Layers: []workload.Layer{
-		shape("a"), workload.NewFC("fc", 1, 32, 64), shape("b"), shape("c"),
-	}}
-	opts := Options{Budget: 200, Seed: 4}
-	bests, err := s.SearchNetwork(&net, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, name := range []string{"a", "fc", "b", "c"} {
-		if bests[i].Result.Layer != name {
-			t.Fatalf("layer %d labeled %q, want %q", i, bests[i].Result.Layer, name)
-		}
-	}
-	// Every duplicate must match an independent search of its layer.
-	for _, i := range []int{2, 3} {
-		solo, err := s.Search(&net.Layers[i], opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareBests(t, "dedup "+net.Layers[i].Name, bests[i], solo)
-	}
-}
-
 // TestSearchStatsAccounting checks the stats identity: every budgeted
 // attempt lands in exactly one bucket.
 func TestSearchStatsAccounting(t *testing.T) {

@@ -162,6 +162,11 @@ type LayerOutcome struct {
 	Pruned     int `json:"pruned,omitempty"`
 	DeltaEvals int `json:"delta_evals,omitempty"`
 	FullEvals  int `json:"full_evals,omitempty"`
+
+	// Result is the layer's best-mapping evaluation with the full energy
+	// ledger, for programmatic consumers (the figure harnesses); shared
+	// with the search cache, so read-only. Omitted from JSON.
+	Result *model.Result `json:"-"`
 }
 
 // pointJob pairs a pending point with the state needed to evaluate it.
@@ -484,6 +489,7 @@ func layerOutcome(best *mapper.Best) LayerOutcome {
 		Pruned:       best.Stats.Pruned,
 		DeltaEvals:   best.Stats.DeltaEvals,
 		FullEvals:    best.Stats.FullEvals,
+		Result:       res,
 	}
 }
 

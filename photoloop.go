@@ -307,11 +307,6 @@ func Search(a *Arch, l *Layer, opts SearchOptions) (*SearchBest, error) {
 	return mapper.Search(a, l, opts)
 }
 
-// SearchNetwork maps every layer of a network.
-func SearchNetwork(a *Arch, net *Network, opts SearchOptions) ([]*SearchBest, error) {
-	return mapper.SearchNetwork(a, net, opts)
-}
-
 // Albireo instantiation.
 type (
 	// AlbireoConfig parameterizes an Albireo instance.
