@@ -400,3 +400,23 @@ func withCache(o Options, c *Cache) Options {
 	o.Cache = c
 	return o
 }
+
+// TestSearchObjectivesRejectsNoObjectives pins the empty objective list
+// as an error on both the cached and the uncached path, never a nil
+// result a caller would index.
+func TestSearchObjectivesRejectsNoObjectives(t *testing.T) {
+	s, err := NewSession(testArch(t, 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := workload.NewConv("conv", 1, 8, 8, 8, 8, 3, 3, 1, 1)
+	for _, cache := range []*Cache{nil, NewCache()} {
+		opts := Options{Budget: 50, Seed: 1, Workers: 1, Cache: cache}
+		for _, objs := range [][]Objective{nil, {}} {
+			bests, err := s.SearchObjectives(&l, opts, objs)
+			if err == nil || bests != nil {
+				t.Errorf("cache %v, objectives %v: got %v, %v; want an error", cache != nil, objs, bests, err)
+			}
+		}
+	}
+}

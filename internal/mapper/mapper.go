@@ -268,7 +268,7 @@ type capLevel struct {
 // (Steele et al.), two multiplies and three xor-shifts per draw. The
 // standard library's seeded source initializes a 607-word feedback table
 // per instance, which showed up in search profiles — every Search call
-// creates fresh per-worker sources to keep (seed, budget) reproducible.
+// reseeds its per-worker sources to keep (seed, budget) reproducible.
 type splitmix64 struct{ x uint64 }
 
 func (s *splitmix64) Seed(seed int64) { s.x = uint64(seed) }
@@ -285,19 +285,21 @@ func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // workerState pools one search worker's reusable allocations across
 // Search calls on its Session: the evaluation scratch, the shared result
-// buffer, the candidate ping-pong buffers, the dedup set and the draw
-// arena. A warm worker draws, pre-filters and orders its exploration
-// stream without allocating. bufLast and climbed let every hill climb of
-// a multi-objective search restart from the exploration's state.
+// buffer, the candidate ping-pong buffers, the dedup set, the draw arena
+// and the rng (reseeded per search). A warm worker draws, pre-filters and
+// orders its exploration stream without allocating. bufLast and climbed
+// let every hill climb of a multi-objective search restart from the
+// exploration's state.
 type workerState struct {
 	scratch *model.Scratch
 	res     *model.Result
-	bufA    *mapping.Mapping
-	bufB    *mapping.Mapping
+	bufs    pingPong
 	bufLast *mapping.Mapping
 	seen    map[uint64]struct{}
 	climbed []uint64
-	draw    drawArena
+	arena   drawArena
+	src     splitmix64
+	rng     *rand.Rand
 }
 
 // objState is one objective's share of a search worker: its incumbent,
@@ -347,14 +349,15 @@ func (s *Session) takeWorker() *workerState {
 	if ws, _ := s.workers.Get().(*workerState); ws != nil {
 		return ws
 	}
-	return &workerState{
+	ws := &workerState{
 		scratch: s.eng.NewScratch(),
 		res:     &model.Result{},
-		bufA:    mapping.New(s.a),
-		bufB:    mapping.New(s.a),
+		bufs:    pingPong{buf: [2]*mapping.Mapping{mapping.New(s.a), mapping.New(s.a)}},
 		bufLast: mapping.New(s.a),
 		seen:    make(map[uint64]struct{}, 512),
 	}
+	ws.rng = rand.New(&ws.src)
+	return ws
 }
 
 // NewSession prepares an architecture for repeated searches.
@@ -393,7 +396,7 @@ const maxCachedSessions = 256
 // sessionCache reuses Sessions across one-shot Search calls, keyed by the
 // architecture fingerprint (which covers structure and component energies
 // — the same key the search Cache dedups on). Building a session costs
-// ~100µs of engine resolution and assignment enumeration, which used to
+// ~100µs of engine resolution and assignment enumeration, which would
 // dominate short searches issued through the package-level helpers.
 var (
 	sessionCacheMu sync.Mutex
@@ -457,8 +460,11 @@ func (s *Session) Search(l *workload.Layer, opts Options) (*Best, error) {
 // are staged once), then each hill-climbs from its own incumbent. With a
 // Cache, each objective is its own key, as in a separate search.
 func (s *Session) SearchObjectives(l *workload.Layer, opts Options, objs []Objective) ([]*Best, error) {
-	if err := l.Validate(); err != nil || len(objs) == 0 {
+	if err := l.Validate(); err != nil {
 		return nil, err
+	}
+	if len(objs) == 0 {
+		return nil, errors.New("mapper: no objectives")
 	}
 	o := opts.withDefaults()
 	if o.Cache != nil {
@@ -469,9 +475,8 @@ func (s *Session) SearchObjectives(l *workload.Layer, opts Options, objs []Objec
 
 // splitBudget distributes budget over workers without dropping the
 // remainder: the first budget%workers workers get one extra evaluation, so
-// the sum is exactly budget. (The previous integer division silently spent
-// workers*floor(budget/workers); a budget below the worker count now runs
-// budget single-evaluation workers instead of overspending.)
+// the sum is exactly budget; a budget below the worker count runs budget
+// single-evaluation workers instead of overspending.
 func splitBudget(budget, workers int) []int {
 	out := make([]int, workers)
 	base, rem := budget/workers, budget%workers
@@ -644,8 +649,8 @@ func boundScore(obj Objective, b model.Bound) float64 {
 
 // candidate is the compact form of one random draw: everything needed to
 // materialize the mapping without holding a full Mapping per draw, so the
-// exploration stream can be drawn up front (preserving the legacy rng
-// sequence exactly) and then scored in an order that maximizes shared
+// exploration stream can be drawn up front (with the reference sampler's
+// rng sequence exactly) and then scored in an order that maximizes shared
 // evaluation state.
 type candidate struct {
 	assign   int32
@@ -654,18 +659,18 @@ type candidate struct {
 }
 
 // drawCandidates draws the exploration stream — the same rng calls in the
-// same order as one randomMapping per loop iteration — into k compact
-// candidates, so the set is identical to what an interleaved draw-and-score
-// loop would produce; only the scoring order changes, which cannot change
-// the argmin (the incumbent comparison is a strict total order over
-// distinct schedules).
+// same order as one call of the reference sampler (randomMapping) per loop
+// iteration — into k compact candidates, so the set is identical to what
+// an interleaved draw-and-score loop would produce; only the scoring order
+// changes, which cannot change the argmin (the incumbent comparison is a
+// strict total order over distinct schedules).
 //
 // The draw is cap-aware: levels whose MaxTemporalProduct forbids any
 // temporal loop are skipped in both the factor chains and the permutation
 // draws. On photonic hierarchies (Albireo's analog accumulator, partial-sum
-// and ring-bank levels) the blind draw landed a temporal factor on a capped
-// level in essentially every candidate, so the whole random budget used to
-// die in validation; skipping them redirects that budget to schedules that
+// and ring-bank levels) a blind draw lands a temporal factor on a capped
+// level in essentially every candidate, so the whole random budget would
+// die in validation; skipping them spends that budget on schedules that
 // can actually win. A capped level's permutation is inert (it has no loops)
 // and stays at the first candidate order.
 //
@@ -753,8 +758,7 @@ func (d *drawArena) paddedCands(bound int) []int {
 // per-level permutation picks of the outermost 16 levels (2 bits each —
 // permCandidates has 3 entries). Sorting by key groups candidates that
 // share an assignment and permutation set; key ties keep draw order, so
-// (key, draw index) is a deterministic total order. A single-word compare
-// replaced a field-by-field comparator that dominated the sort's cost —
+// (key, draw index) is a deterministic total order, compared as one word —
 // any deterministic order yields the same search outcome (the incumbent
 // comparison is a strict total order over distinct schedules).
 func candidateKey(cand *candidate) uint64 {
@@ -769,7 +773,7 @@ func candidateKey(cand *candidate) uint64 {
 }
 
 // materialize writes a compact candidate into buf, producing exactly the
-// mapping randomMapping would have returned for the same draws. spatialOK
+// mapping the reference randomMapping returns for the same draws. spatialOK
 // asserts buf's spatial configuration (FreeSpatial and SpatialChoice) was
 // last written for the same assignment and left untouched since — Temporal
 // and Perm writes don't disturb it — so the applyAssignment rewrite would
@@ -825,411 +829,406 @@ func levelsShared(prev, m *mapping.Mapping) int {
 	return len(m.Levels)
 }
 
+// funnel is one search worker's state for one search, on top of its
+// pooled workerState: a method per stage every candidate goes through
+// (draw, stage, finish, retain) and the hill climb built on them.
+type funnel struct {
+	*workerState
+	s        *Session
+	c        *model.Compiled
+	l        *workload.Layer
+	states   []objState
+	evalOpts model.Options
+	validate bool
+	evals    int // budget charged so far
+	budget   int
+	chain    deltaChain
+	// start is the exploration's end state (see snapshot).
+	start struct {
+		evals int
+		rng   uint64
+		last  *mapping.Mapping
+	}
+	// owed marks the last finished candidate as still owing its full
+	// validation (1; -1 once it failed). stage defers m.Valid to retain:
+	// Valid rejects almost nothing (~2 of 360 candidates in
+	// BenchmarkMapperSearchSeeded's search) yet walking every candidate
+	// through it cost ~11% of search. A candidate never retained never
+	// pays for it, and one retained by several objectives pays once.
+	owed int8
+}
+
+// deltaChain is the delta baseline of the next Stage. last is the last
+// staged mapping, the baseline of every objective whose chain holds (nil
+// after a failed Stage); scratchOK says the scratch's own baseline is last,
+// which a failed FinishStaged revokes. last must stay untouched until the
+// next evaluation, hence the ping-pong buffers.
+//
+// spatialKey identifies last's spatial configuration: the assignment index
+// for mappings built from one (all-outer mappings, random draws), the
+// climb's sentinel for hill-climb neighbors, -1 for mappings of unknown
+// provenance (seeds, warm starts). Two mappings built from the same
+// assignment have bit-identical spatial configurations (FreeSpatial is
+// Ones, choices copy the assignment), so a key match lets Stage skip the
+// spatial-factor, spatial-memo and instance resolution outright.
+type deltaChain struct {
+	last       *mapping.Mapping
+	scratchOK  bool
+	spatialKey int64
+}
+
+// reset keeps last for levelsShared but makes the next Stage re-resolve
+// the scratch in full, so a candidate that errored is never a baseline.
+func (d *deltaChain) reset(last *mapping.Mapping) { *d = deltaChain{last: last, spatialKey: -1} }
+
+// pingPong is the pair of buffers candidates are materialized into. assign
+// records which assignment's spatial configuration each buffer holds (-1:
+// unknown), letting materialize skip the rewrite.
+type pingPong struct {
+	buf    [2]*mapping.Mapping
+	assign [2]int32
+}
+
+// next returns the buffer that is not last, with its assignment tag.
+func (p *pingPong) next(last *mapping.Mapping) (*mapping.Mapping, *int32) {
+	if last == p.buf[0] {
+		return p.buf[1], &p.assign[1]
+	}
+	return p.buf[0], &p.assign[0]
+}
+
+func (p *pingPong) reset() { p.assign = [2]int32{-1, -1} }
+
 // searchWorker runs one worker's slice of the search for every objective
 // in states: seeds, warm starts and the (reordered) random exploration
 // once for all of them, then one hill climb per objective. Each
 // objective's outcome is bit-identical to a naive single-objective worker
-// that validates and fully evaluates every candidate in draw order for
-// the same (seed, budget) — the lower-bound gate only discards candidates
-// that provably cannot win, and delta evaluation reproduces full
-// evaluations exactly (both properties are pinned against such a
-// reference search by equivalence tests). Sharing the exploration is
-// exact: only pruning and retention depend on the objective, and until
-// the first retention nothing prunes, so whether an incumbent exists is
-// shared too.
+// that validates and fully evaluates every candidate in draw order for the
+// same (seed, budget) — the lower-bound gate only discards candidates that
+// provably cannot win, and delta evaluation reproduces full evaluations
+// exactly (both properties are pinned against such a reference search by
+// equivalence tests). Sharing the exploration is exact: only pruning and
+// retention depend on the objective, and until the first retention
+// nothing prunes, so whether an incumbent exists is shared too.
 func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.Layer, o Options, seed uint64, budget int, seeds, warm []*mapping.Mapping, states []objState) {
 	if budget <= 0 {
 		return
 	}
-	a := s.a
-	n := a.NumLevels()
 	defer clear(ws.seen)
-	scratch, res, seen := ws.scratch, ws.res, ws.seen
-	evalOpts := model.Options{SkipValidate: true, ChargeStatic: o.Eval.ChargeStatic}
-	validate := !o.Eval.SkipValidate
-	src := &splitmix64{x: seed}
-	rng := rand.New(src)
-	evals := 0
+	ws.src.x = seed
+	ws.bufs.reset()
+	f := funnel{workerState: ws, s: s, c: c, l: l, states: states, budget: budget,
+		evalOpts: model.Options{SkipValidate: true, ChargeStatic: o.Eval.ChargeStatic},
+		validate: !o.Eval.SkipValidate, chain: deltaChain{spatialKey: -1}}
 
-	// last is the last staged mapping, the delta baseline of every
-	// objective whose chain holds (nil after a failed Stage); scratchOK
-	// says the scratch's own delta baseline is last, which a failed
-	// FinishStaged revokes. last's content must stay untouched until the
-	// next evaluation, so candidate materialization ping-pongs between
-	// two buffers.
-	var last *mapping.Mapping
-	scratchOK := false
-	// lastSpatialKey identifies the spatial configuration of the last
-	// staged mapping: the spatial-assignment index for candidates built
-	// from one (warmup, random draws), -1 for mappings of unknown
-	// provenance (seeds, warm starts, hill-climb cursors). Two mappings
-	// built from the same assignment have bit-identical spatial
-	// configurations (FreeSpatial is Ones, choices copy the assignment),
-	// so a key match lets Stage skip the spatial-factor, spatial-memo and
-	// instance resolution outright — no per-level comparison needed. A
-	// failed Stage or FinishStaged resets it together with scratchOK, so a
-	// candidate that errored is never a baseline.
-	lastSpatialKey := int64(-1)
-	bufA, bufB := ws.bufA, ws.bufB
-	matBuf := func() *mapping.Mapping {
-		if last == bufA {
-			return bufB
-		}
-		return bufA
-	}
-	// Per-buffer record of which assignment's spatial configuration the
-	// buffer holds (-1: unknown), letting materialize skip the rewrite.
-	assignA, assignB := int32(-1), int32(-1)
-	bufAssign := func(m *mapping.Mapping) *int32 {
-		if m == bufA {
-			return &assignA
-		}
-		return &assignB
-	}
-
-	// owed marks the last scored candidate as still owing its full
-	// validation (1; -1 once it failed): try defers m.Valid to retention
-	// time (the accept sites below), because Valid rejects almost nothing
-	// (~2 of 360 candidates in BenchmarkMapperSearchSeeded's search) yet
-	// walking every candidate through it cost ~11% of search. A candidate
-	// that is never retained never pays for validation, and one retained
-	// by several objectives pays once; an objective's delta flag
-	// remembers which stats bucket its evaluation was charged to so a
-	// retention-time rejection can recategorize it as Invalid, keeping the
-	// accounting identity (Pruned + DeltaEvals + FullEvals + Duplicates +
-	// Invalid == charged attempts) intact.
-	var owed int8
-
-	// try scores a mapping on the compiled fast path for the active
-	// objectives and returns the finished result, or nil when no active
-	// objective scored it (each one's verdict is in its scored flag).
-	// Budget is consumed per charged attempt; schedules already
-	// fingerprinted return nil without re-evaluating (an already-seen
-	// schedule was scored, pruned, or failed deterministically, and can
-	// never beat the incumbent, so skipping it is behavior preserving).
-	//
-	// Each candidate is staged once (model.Compiled.Stage): one
-	// shared-prefix core resolution serves the admissible bound, and —
-	// only for candidates some objective's bound cannot discard — the
-	// finishing passes (FinishStaged). Pruned candidates therefore cost a
-	// core resolution instead of a bound plus a full evaluation's worth of
-	// resolution, and they still advance the delta-evaluation chain.
-	// Pruning needs no validity and full validation is deferred to
-	// retention (see owed), so an invalid candidate lands in Pruned or the
-	// eval buckets unless it is retained; neither kind can become the
-	// incumbent — Best is unaffected, only the stats split differs from
-	// validating up front. Deferral also means an invalid schedule's
-	// fingerprint enters seen (up-front validation would leave it out); a
-	// later distinct schedule is shadowed only by a 64-bit fingerprint
-	// collision, which the dedup already accepts for valid schedules.
-	try := func(active []objState, m *mapping.Mapping, charge bool, spatialKey int64) *model.Result {
-		owed = 0
-		for i := range active {
-			active[i].scored = false
-		}
-		if charge {
-			if evals >= budget {
-				return nil
-			}
-			evals++
-		}
-		if validate {
-			// Fast subset of Valid: temporal loops on a capped level (an
-			// analog accumulator, a ring bank) can never validate, and
-			// hill-climb moves produce them constantly. Rejecting before
-			// fingerprinting and full validation is behavior preserving —
-			// invalid candidates are never recorded either way.
-			for _, cl := range s.capped {
-				if m.Levels[cl.level].Temporal.Product() > cl.tp {
-					for i := range active {
-						active[i].st.Invalid++
-					}
-					return nil
-				}
-			}
-		}
-		fp := m.Fingerprint()
-		if _, dup := seen[fp]; dup {
-			for i := range active {
-				active[i].st.Duplicates++
-			}
-			return nil
-		}
-		shared, stageShared, sfShared := levelsShared(last, m), 0, 0
-		if scratchOK {
-			stageShared = shared
-		}
-		if spatialKey >= 0 && spatialKey == lastSpatialKey {
-			sfShared = n
-		}
-		// The staged bound is a byproduct of the core resolution, so
-		// checking it is free and it always prunes when it can. When the
-		// one objective is pure energy, the incumbent's score doubles as
-		// Stage's early-exit threshold: the bound stops accumulating once
-		// the partial sum alone proves the prune. The returned (partial)
-		// bound then exceeds the cutoff exactly when the full bound would,
-		// so the decision below is unchanged. Other objectives, and
-		// several at once, need the full bound (their scores mix in
-		// cycles).
-		limitPJ := math.Inf(1)
-		if len(active) == 1 && active[0].obj == MinEnergy && active[0].cutoff != nil {
-			limitPJ = active[0].cutoff.TotalPJ
-		}
-		bound, err := c.Stage(scratch, m, evalOpts, stageShared, sfShared, limitPJ)
-		if err != nil {
-			last, scratchOK, lastSpatialKey = nil, false, -1
-			return nil
-		}
-		last, scratchOK, lastSpatialKey = m, true, spatialKey
-		// Admissible pruning: skip the finishing passes only when every
-		// objective's bound proves the candidate cannot strictly beat its
-		// incumbent. The check must be a strict inequality — a candidate
-		// whose true score ties the incumbent can still win the
-		// deterministic tie-break.
-		finish := false
-		for i := range active {
-			ob := &active[i]
-			ob.delta = ob.chain && shared > 0
-			ob.chain = true
-			if ob.cutoff != nil && boundScore(ob.obj, bound) > Score(ob.obj, ob.cutoff) {
-				ob.st.Pruned++
-				continue
-			}
-			ob.scored, finish = true, true
-		}
-		seen[fp] = struct{}{}
-		ws.climbed = append(ws.climbed, fp) // reset before each climb
-		if !finish {
-			return nil
-		}
-		if err := c.FinishStaged(scratch, res, evalOpts); err != nil {
-			scratchOK, lastSpatialKey = false, -1
-			for i := range active {
-				if active[i].scored {
-					active[i].scored, active[i].chain = false, false
-				}
-			}
-			return nil
-		}
-		for i := range active {
-			switch ob := &active[i]; {
-			case !ob.scored:
-			case ob.delta:
-				ob.st.DeltaEvals++
-			default:
-				ob.st.FullEvals++
-			}
-		}
-		if validate {
-			owed = 1
-		}
-		return res
-	}
-	// retain runs the deferred full validation on a candidate about to be
-	// accepted for ob. A rejection recategorizes ob's charged evaluation
-	// of the candidate as Invalid — it was scored, but it may not win.
-	retain := func(ob *objState, m *mapping.Mapping) bool {
-		if owed > 0 {
-			owed = 0
-			if !m.Valid(a, l) {
-				owed = -1
-			}
-		}
-		if owed == 0 {
-			return true
-		}
-		if ob.delta {
-			ob.st.DeltaEvals--
-		} else {
-			ob.st.FullEvals--
-		}
-		ob.st.Invalid++
-		return false
-	}
-	consider := func(m *mapping.Mapping, r *model.Result) {
-		if r == nil {
-			return
-		}
-		for i := range states {
-			ob := &states[i]
-			if ob.scored && (ob.best == nil || betterEval(ob.obj, r, m, ob.best)) && retain(ob, m) {
-				ob.best = &Best{Mapping: m.Clone(), Result: r.Clone()}
-				ob.cutoff = ob.best.Result
-			}
-		}
-	}
-
-	// Phase 0: caller-provided seed mappings, then warm starts (validated
-	// always — they come from other searches — and not budget-charged).
-	// Seeds are tried in place: nothing below mutates a candidate, and
-	// consider clones on retention.
-	for _, seed := range seeds {
-		consider(seed, try(states, seed, true, -1))
+	// Seeds are offered in place: nothing mutates a candidate, and retain
+	// clones. Warm starts were validated in search() and are not charged.
+	for _, m := range seeds {
+		f.offer(states, m, true, -1)
 	}
 	for _, w := range warm {
-		// Already validated once in search(); try only dedups and scores.
-		r := try(states, w, false, -1)
-		for i := range states {
-			if states[i].scored {
-				states[i].st.WarmStartEvals++
+		f.offer(states, w, false, -1)
+		tally(states, func(ob *objState) {
+			if ob.scored {
+				ob.st.WarmStartEvals++
 			}
-		}
-		consider(w, r)
-	}
-
-	// Phase 0.5: when nothing has set an incumbent yet, score the trivial
-	// all-outer mapping of the first few assignments (canonical first)
-	// before random exploration, so the bound gate has a cutoff from the
-	// very first draw instead of fully evaluating candidates until one
-	// happens to succeed. Capped at a tenth of the budget — these are
-	// deliberately mediocre mappings, only there to arm the pruning gate.
-	if states[0].best == nil {
-		wcap := budget / 10
-		if wcap > len(s.assignments) {
-			wcap = len(s.assignments)
-		}
-		for ai, assign := range s.assignments[:wcap] {
-			if evals >= budget {
-				break
-			}
-			m := matBuf()
-			outerInto(a, m, l, assign, s.minLv)
-			*bufAssign(m) = int32(ai)
-			consider(m, try(states, m, true, int64(ai)))
-		}
-	}
-
-	// Phase 1: random sampling across spatial assignments. The canonical
-	// assignment (every factor on its first-listed dimension) is the
-	// architect's intended use and gets half the samples; the rest
-	// explore alternates (how FC layers find channel-parallel slots).
-	// The stream is drawn up front and scored grouped by (assignment,
-	// permutations, outer factors) so consecutive candidates share
-	// evaluation state; the candidate set — and hence the outcome — is
-	// identical to the legacy interleaved loop.
-	if k := budget*7/10 - evals; k > 0 {
-		cands := s.drawCandidates(&ws.draw, l, rng, k, n)
-		// Cheap structural pre-reject on the compact form, mirroring
-		// Validate's MaxTemporalProduct rule exactly: a draw that puts
-		// temporal loops on a capped level (an analog accumulator, a ring
-		// bank) can never validate, so it is charged and dropped before
-		// fingerprinting and materialization. The legacy loop paid a full
-		// Validate per such draw. Gated on the same validate flag as
-		// try(): a SkipValidate search trusts (and fully evaluates) every
-		// draw, exactly like the legacy sampler. The survivors are scored
-		// in (key, draw index) order.
-		order := ws.draw.order[:0]
-	prefilter:
-		for ci := range cands {
-			if validate {
-				for _, cl := range s.capped {
-					if cands[ci].temporal[cl.level].Product() > cl.tp {
-						evals++
-						for i := range states {
-							states[i].st.Invalid++
-						}
-						continue prefilter
-					}
-				}
-			}
-			order = append(order, scoredCand{key: candidateKey(&cands[ci]), ci: int32(ci)})
-		}
-		ws.draw.order = order
-		slices.SortFunc(order, func(x, y scoredCand) int {
-			if r := cmp.Compare(x.key, y.key); r != 0 {
-				return r
-			}
-			return cmp.Compare(x.ci, y.ci)
 		})
+	}
+	// Without an incumbent, the all-outer mappings of the first few
+	// assignments arm the bound gate for the first random draw (a tenth of
+	// the budget at most: they are deliberately mediocre).
+	f.outer(s.assignments[:min(budget/10, len(s.assignments))])
+	if k := budget*7/10 - f.evals; k > 0 {
+		cands, order := f.draw(k)
 		for _, sc := range order {
 			cand := &cands[sc.ci]
-			m := matBuf()
-			ba := bufAssign(m)
-			s.materialize(m, cand, *ba == cand.assign)
-			*ba = cand.assign
-			consider(m, try(states, m, true, int64(cand.assign)))
+			m, tag := f.bufs.next(f.chain.last)
+			s.materialize(m, cand, *tag == cand.assign)
+			*tag = cand.assign
+			f.offer(states, m, true, int64(cand.assign))
 		}
 	}
-
-	if states[0].best == nil {
-		// Fall back to the trivial all-outer mapping per assignment —
-		// on architectures whose capped levels reject every random draw
-		// (Albireo unseeded) this is where the incumbent comes from.
-		// Materialized into the ping-pong buffers; construction stops
-		// once the budget cannot admit another attempt.
-		for ai, assign := range s.assignments {
-			if evals >= budget {
-				break
-			}
-			m := matBuf()
-			outerInto(a, m, l, assign, s.minLv)
-			*bufAssign(m) = int32(ai)
-			consider(m, try(states, m, true, int64(ai)))
-		}
-	}
-	if states[0].best == nil {
-		for i := range states {
-			states[i].evals = evals
-		}
-		return
-	}
-
-	// Phase 2: each objective hill-climbs from its own incumbent. The
-	// first climb continues the exploration's state; every later one
-	// restarts from it: the rng word, the budget count, the dedup set
-	// (the previous climb's insertions are undone) and the delta chain
-	// (last is restored from a copy — the ping-pong buffers hold another
-	// climb's mappings — and the scratch re-resolves in full).
-	evals0, rng0, last0 := evals, src.x, last
-	if len(states) > 1 && last != nil {
-		copyMapping(ws.bufLast, last)
-		last0 = ws.bufLast
-	}
-	// Every climb neighbor copies cur's spatial configuration verbatim
-	// (edits touch only temporal factors and permutations, and cur is only
-	// ever replaced by a clone of such a neighbor), so a whole climb
-	// shares one spatial config. A sentinel key one past the assignment
-	// indices lets consecutive climb evaluations skip re-resolving it.
-	climbKey := int64(len(s.assignments))
+	// Still without one, every assignment's all-outer mapping is offered:
+	// on architectures whose capped levels reject every random draw
+	// (Albireo unseeded), this is where the incumbent comes from.
+	f.outer(s.assignments)
+	f.snapshot()
 	for j := range states {
 		if j > 0 {
-			for _, fp := range ws.climbed {
-				delete(seen, fp)
-			}
-			evals, src.x = evals0, rng0
-			last, scratchOK, lastSpatialKey = last0, false, -1
+			f.restore()
 		}
-		ws.climbed = ws.climbed[:0]
-		ob, active := &states[j], states[j:j+1]
-		cur := ob.best
-		ob.cutoff = cur.Result
-		for evals < budget {
-			improved := false
-			for _, e := range neighborEdits(a, cur.Mapping, rng) {
-				nb := matBuf()
-				copyMapping(nb, cur.Mapping)
-				*bufAssign(nb) = -1
-				applyEdit(nb, e)
-				r := try(active, nb, true, climbKey)
-				if r == nil {
-					continue
-				}
-				if betterEval(ob.obj, r, nb, cur) && retain(ob, nb) {
-					cur = &Best{Mapping: nb.Clone(), Result: r.Clone()}
-					ob.cutoff = cur.Result
-					improved = true
-					break
+		f.climb(states[j : j+1])
+	}
+}
+
+// tally applies one stats verdict to every active objective.
+func tally(active []objState, count func(*objState)) {
+	for i := range active {
+		count(&active[i])
+	}
+}
+
+// offer runs m through stage, finish and retain for the active objectives
+// and reports whether an incumbent changed.
+func (f *funnel) offer(active []objState, m *mapping.Mapping, charge bool, spatialKey int64) bool {
+	return f.stage(active, m, charge, spatialKey) && f.finish(active) && f.retain(active, m)
+}
+
+// outer, when no objective has an incumbent yet, offers the trivial
+// all-outer mapping of each assignment in turn (index 0, the canonical
+// one, first) while the budget admits attempts.
+func (f *funnel) outer(assignments [][]workload.Dim) {
+	if f.states[0].best != nil {
+		return
+	}
+	for ai, assign := range assignments {
+		if f.evals >= f.budget {
+			return
+		}
+		m, tag := f.bufs.next(f.chain.last)
+		outerInto(f.s.a, m, f.l, assign, f.s.minLv)
+		*tag = int32(ai)
+		f.offer(f.states, m, true, int64(ai))
+	}
+}
+
+// draw draws the k-candidate random exploration stream and returns it with
+// its scoring order. The canonical assignment (every factor on its
+// first-listed dimension) is the architect's intended use and gets half the
+// draws; the rest explore alternates (how FC layers find channel-parallel
+// slots).
+//
+// A cheap structural pre-reject on the compact form mirrors Validate's
+// MaxTemporalProduct rule exactly: a draw that puts temporal loops on a
+// capped level (an analog accumulator, a ring bank) can never validate, so
+// it is charged and dropped before fingerprinting and materialization. It
+// is gated like stage's: a SkipValidate search trusts (and fully
+// evaluates) every draw, exactly like the reference sampler. The survivors
+// are scored in (key, draw index) order so consecutive candidates share
+// evaluation state; the candidate set — and hence the outcome — is that of
+// an interleaved draw-and-score loop.
+func (f *funnel) draw(k int) ([]candidate, []scoredCand) {
+	cands := f.s.drawCandidates(&f.arena, f.l, f.rng, k, f.s.a.NumLevels())
+	order := f.arena.order[:0]
+prefilter:
+	for ci := range cands {
+		if f.validate {
+			for _, cl := range f.s.capped {
+				if cands[ci].temporal[cl.level].Product() > cl.tp {
+					f.evals++
+					tally(f.states, func(ob *objState) { ob.st.Invalid++ })
+					continue prefilter
 				}
 			}
-			if !improved {
+		}
+		order = append(order, scoredCand{key: candidateKey(&cands[ci]), ci: int32(ci)})
+	}
+	f.arena.order = order
+	slices.SortFunc(order, func(x, y scoredCand) int {
+		if r := cmp.Compare(x.key, y.key); r != 0 {
+			return r
+		}
+		return cmp.Compare(x.ci, y.ci)
+	})
+	return cands, order
+}
+
+// stage charges m against the budget (when charge is set), pre-checks the
+// level caps, dedups it, stages it (model.Compiled.Stage) and gates it on
+// each active objective's admissible bound. It reports whether some
+// objective needs the finishing passes. A schedule already fingerprinted
+// stops here: it was scored, pruned, or failed deterministically, and can
+// never beat the incumbent, so skipping it is behavior preserving.
+//
+// One shared-prefix core resolution serves the bound and — only for
+// candidates some objective's bound cannot discard — the finishing passes.
+// Pruned candidates therefore cost a core resolution instead of a bound
+// plus a full evaluation's worth of resolution, and they still advance the
+// delta chain. Pruning needs no validity and full validation is deferred
+// to retain (see owed), so an invalid candidate lands in Pruned or the eval
+// buckets unless it is retained; neither kind can become the incumbent —
+// Best is unaffected, only the stats split differs from validating up
+// front. Deferral also means an invalid schedule's fingerprint enters seen
+// (up-front validation would leave it out); a later distinct schedule is
+// shadowed only by a 64-bit fingerprint collision, which the dedup already
+// accepts for valid schedules.
+func (f *funnel) stage(active []objState, m *mapping.Mapping, charge bool, spatialKey int64) bool {
+	f.owed = 0
+	tally(active, func(ob *objState) { ob.scored = false })
+	if charge {
+		if f.evals >= f.budget {
+			return false
+		}
+		f.evals++
+	}
+	if f.validate {
+		// Fast subset of Valid: hill-climb moves produce capped-level
+		// violations constantly. Rejecting before fingerprinting is
+		// behavior preserving — invalid candidates are never recorded
+		// either way.
+		for _, cl := range f.s.capped {
+			if m.Levels[cl.level].Temporal.Product() > cl.tp {
+				tally(active, func(ob *objState) { ob.st.Invalid++ })
+				return false
+			}
+		}
+	}
+	fp := m.Fingerprint()
+	if _, dup := f.seen[fp]; dup {
+		tally(active, func(ob *objState) { ob.st.Duplicates++ })
+		return false
+	}
+	shared, stageShared, sfShared := levelsShared(f.chain.last, m), 0, 0
+	if f.chain.scratchOK {
+		stageShared = shared
+	}
+	if spatialKey >= 0 && spatialKey == f.chain.spatialKey {
+		sfShared = len(m.Levels)
+	}
+	// The staged bound is a byproduct of the core resolution, so checking
+	// it is free and it always prunes when it can. When the one objective
+	// is pure energy, the incumbent's score doubles as Stage's early-exit
+	// threshold: the bound stops accumulating once the partial sum alone
+	// proves the prune. The returned (partial) bound then exceeds the
+	// cutoff exactly when the full bound would, so the decision below is
+	// unchanged. Other objectives, and several at once, need the full
+	// bound (their scores mix in cycles).
+	limitPJ := math.Inf(1)
+	if len(active) == 1 && active[0].obj == MinEnergy && active[0].cutoff != nil {
+		limitPJ = active[0].cutoff.TotalPJ
+	}
+	bound, err := f.c.Stage(f.scratch, m, f.evalOpts, stageShared, sfShared, limitPJ)
+	if err != nil {
+		f.chain.reset(nil)
+		return false
+	}
+	f.chain = deltaChain{last: m, scratchOK: true, spatialKey: spatialKey}
+	// Admissible pruning: skip the finishing passes only when every
+	// objective's bound proves the candidate cannot strictly beat its
+	// incumbent. The check must be a strict inequality — a candidate whose
+	// true score ties the incumbent can still win the deterministic
+	// tie-break.
+	finish := false
+	for i := range active {
+		ob := &active[i]
+		ob.delta = ob.chain && shared > 0
+		ob.chain = true
+		if ob.cutoff != nil && boundScore(ob.obj, bound) > Score(ob.obj, ob.cutoff) {
+			ob.st.Pruned++
+			continue
+		}
+		ob.scored, finish = true, true
+	}
+	f.seen[fp] = struct{}{}
+	f.climbed = append(f.climbed, fp)
+	return finish
+}
+
+// finish runs the finishing passes on the staged candidate into f.res and
+// classifies each scored objective's evaluation as delta or full. A
+// failure unscores those objectives and breaks their delta chains.
+func (f *funnel) finish(active []objState) bool {
+	if err := f.c.FinishStaged(f.scratch, f.res, f.evalOpts); err != nil {
+		f.chain.reset(f.chain.last)
+		tally(active, func(ob *objState) { ob.scored, ob.chain = false, ob.chain && !ob.scored })
+		return false
+	}
+	tally(active, func(ob *objState) {
+		switch {
+		case !ob.scored:
+		case ob.delta:
+			ob.st.DeltaEvals++
+		default:
+			ob.st.FullEvals++
+		}
+	})
+	if f.validate {
+		f.owed = 1
+	}
+	return true
+}
+
+// retain makes the finished m the incumbent of each scored objective it
+// beats, once it passes the deferred full validation (see owed). A
+// rejection moves the objective's charged evaluation of m from the bucket
+// its delta flag names to Invalid — it was scored, but it may not win —
+// keeping the identity Pruned + DeltaEvals + FullEvals + Duplicates +
+// Invalid == charged attempts.
+func (f *funnel) retain(active []objState, m *mapping.Mapping) bool {
+	improved := false
+	for i := range active {
+		ob := &active[i]
+		if !ob.scored || (ob.best != nil && !betterEval(ob.obj, f.res, m, ob.best)) {
+			continue
+		}
+		if f.owed > 0 {
+			f.owed = 0
+			if !m.Valid(f.s.a, f.l) {
+				f.owed = -1
+			}
+		}
+		if f.owed < 0 {
+			if ob.delta {
+				ob.st.DeltaEvals--
+			} else {
+				ob.st.FullEvals--
+			}
+			ob.st.Invalid++
+			continue
+		}
+		ob.best = &Best{Mapping: m.Clone(), Result: f.res.Clone()}
+		ob.cutoff, improved = ob.best.Result, true
+	}
+	return improved
+}
+
+// climb hill-climbs the one objective in active from its incumbent: each
+// round offers its neighbors in shuffled order and moves to the first one
+// retained, until a round retains none or the budget runs out.
+func (f *funnel) climb(active []objState) {
+	ob := &active[0]
+	// Every neighbor copies the incumbent's spatial configuration verbatim
+	// (edits touch only temporal factors and permutations), so a whole
+	// climb shares one spatial config. A sentinel key one past the
+	// assignment indices lets consecutive neighbors skip re-resolving it.
+	climbKey := int64(len(f.s.assignments))
+	f.climbed = f.climbed[:0]
+	for improved := ob.best != nil; improved && f.evals < f.budget; {
+		improved = false
+		for _, e := range neighborEdits(f.s.a, ob.best.Mapping, f.rng) {
+			nb, tag := f.bufs.next(f.chain.last)
+			copyMapping(nb, ob.best.Mapping)
+			*tag = -1
+			applyEdit(nb, e)
+			if f.offer(active, nb, true, climbKey) {
+				improved = true
 				break
 			}
 		}
-		if cur != ob.best && betterEval(ob.obj, cur.Result, cur.Mapping, ob.best) {
-			ob.best = cur
-		}
-		ob.evals = evals
 	}
+	ob.evals = f.evals
+}
+
+// snapshot records the exploration's end state, where every hill climb
+// after the first restarts: the budget count, the rng word and the delta
+// baseline. last is kept as a copy when a later climb will restore it — by
+// then the ping-pong buffers hold another climb's mappings.
+func (f *funnel) snapshot() {
+	f.start.evals, f.start.rng, f.start.last = f.evals, f.src.x, f.chain.last
+	if len(f.states) > 1 && f.chain.last != nil {
+		copyMapping(f.bufLast, f.chain.last)
+		f.start.last = f.bufLast
+	}
+}
+
+// restore rewinds the funnel to the snapshot: the previous climb's dedup
+// insertions are undone, and the scratch re-resolves in full.
+func (f *funnel) restore() {
+	for _, fp := range f.climbed {
+		delete(f.seen, fp)
+	}
+	f.evals, f.src.x = f.start.evals, f.start.rng
+	f.chain.reset(f.start.last)
 }
 
 // maxSpatialAssignments caps the enumerated cross product of rigid
@@ -1242,9 +1241,8 @@ const maxSpatialAssignments = 4096
 // (index 0 is the canonical all-first-dimension assignment). Products
 // beyond maxSpatialAssignments are sampled uniformly (and
 // deterministically, from a fixed seed) over the full cross product, so
-// every factor's alternates stay represented regardless of factor order —
-// the straight prefix truncation this replaces silently dropped all
-// alternates of the leading factors.
+// every factor's alternates stay represented regardless of factor order (a
+// prefix truncation would drop all alternates of the leading factors).
 func enumerateSpatialAssignments(a *arch.Arch) [][]workload.Dim {
 	var factors []arch.SpatialFactor
 	for i := 0; i < a.NumLevels(); i++ {
@@ -1349,9 +1347,8 @@ func outerInto(a *arch.Arch, m *mapping.Mapping, l *workload.Layer, assign []wor
 // neighborEdit is one local move around a mapping: a factor of 2..3 of one
 // dimension shifted between adjacent levels, or one level's permutation
 // replaced. Edits are generated instead of cloned mappings so the hill
-// climb can materialize each neighbor into a pooled buffer on demand —
-// the legacy generator cloned every neighbor up front (~150 mappings per
-// climb round, most rejected within nanoseconds).
+// climb can materialize each neighbor into a pooled buffer on demand
+// (~150 neighbors per climb round, most rejected within nanoseconds).
 type neighborEdit struct {
 	from, to int8 // factor move: from -> to; -1,-1 for a permutation edit
 	dim      workload.Dim
@@ -1360,10 +1357,9 @@ type neighborEdit struct {
 	level    int8 // permutation edit: level whose Perm is replaced
 }
 
-// neighborEdits lists the local moves around m in the legacy generation
-// order and applies the same rng shuffle — shuffling an edit list draws
-// exactly what shuffling the cloned-mapping list drew, so the climb visits
-// neighbors in the identical order.
+// neighborEdits lists the local moves around m in a fixed generation order,
+// then shuffles them with rng; the order is part of the candidate stream
+// the reference search reproduces.
 func neighborEdits(a *arch.Arch, m *mapping.Mapping, rng *rand.Rand) []neighborEdit {
 	var out []neighborEdit
 	n := a.NumLevels()
@@ -1416,138 +1412,6 @@ func applyEdit(m *mapping.Mapping, e neighborEdit) {
 		return
 	}
 	m.Levels[e.level].Perm = append(m.Levels[e.level].Perm[:0], permCandidates[e.perm]...)
-}
-
-// Exhaustive enumerates every combination of spatial assignment, divisor
-// split and candidate permutation for small problems, guaranteeing the
-// optimum within that (restricted-permutation) space. It errors if the
-// space exceeds maxEvals.
-func Exhaustive(a *arch.Arch, l *workload.Layer, obj Objective, maxEvals int) (*Best, error) {
-	s, err := NewSession(a)
-	if err != nil {
-		return nil, err
-	}
-	return s.Exhaustive(l, obj, maxEvals)
-}
-
-// Exhaustive runs the exhaustive search on the session's architecture.
-func (s *Session) Exhaustive(l *workload.Layer, obj Objective, maxEvals int) (*Best, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	if maxEvals <= 0 {
-		maxEvals = 200000
-	}
-	a := s.a
-	n := a.NumLevels()
-	c, err := s.eng.Compile(l)
-	if err != nil {
-		return nil, err
-	}
-
-	// Estimate the space.
-	est := float64(len(s.assignments)) * math.Pow(float64(len(permCandidates)), float64(n))
-	for _, d := range workload.AllDims() {
-		splits := len(mapping.FactorSplits(l.Bound(d), n))
-		if splits > 0 {
-			est *= float64(splits)
-		}
-		if est > float64(maxEvals)*100 {
-			return nil, fmt.Errorf("mapper: exhaustive space too large (~%g)", est)
-		}
-	}
-
-	w := &exhaustiveWalk{
-		a: a, l: l, c: c, obj: obj, maxEvals: maxEvals,
-		scratch: s.eng.NewScratch(),
-		res:     &model.Result{},
-	}
-	for _, assign := range s.assignments {
-		base := mapping.New(a)
-		applyAssignment(a, base, assign)
-		rem := assignmentRemaining(a, assign, l)
-		dimSplits := make([][][]int, workload.NumDims)
-		for _, d := range workload.AllDims() {
-			dimSplits[d] = mapping.FactorSplits(rem[d], n)
-		}
-		var walk func(d int, m *mapping.Mapping)
-		walk = func(d int, m *mapping.Mapping) {
-			if w.evals > maxEvals {
-				return
-			}
-			if d == int(workload.NumDims) {
-				w.walkPerms(m, 0)
-				return
-			}
-			for _, split := range dimSplits[d] {
-				cm := m.Clone()
-				for i := 0; i < n; i++ {
-					cm.Levels[i].Temporal[workload.Dim(d)] = split[i]
-				}
-				walk(d+1, cm)
-			}
-		}
-		walk(0, base)
-	}
-	if w.best == nil {
-		return nil, errors.New("mapper: exhaustive search found no valid mapping")
-	}
-	w.best.Evaluations = w.evals
-
-	// Re-evaluate the winner with the full ledger.
-	full, err := c.Evaluate(w.best.Mapping, model.Options{SkipValidate: true, FullLedger: true})
-	if err != nil {
-		return nil, err
-	}
-	w.best.Result = full
-	return w.best, nil
-}
-
-// exhaustiveWalk carries the shared state of one exhaustive enumeration.
-type exhaustiveWalk struct {
-	a        *arch.Arch
-	l        *workload.Layer
-	c        *model.Compiled
-	obj      Objective
-	maxEvals int
-	scratch  *model.Scratch
-	res      *model.Result
-	best     *Best
-	evals    int
-}
-
-func (w *exhaustiveWalk) walkPerms(m *mapping.Mapping, level int) {
-	if w.evals > w.maxEvals {
-		return
-	}
-	if level == w.a.NumLevels() {
-		w.evals++
-		if err := m.Validate(w.a, w.l); err != nil {
-			return
-		}
-		if err := w.c.EvaluateInto(w.scratch, m, w.res, model.Options{SkipValidate: true}); err != nil {
-			return
-		}
-		if w.best == nil || betterEval(w.obj, w.res, m, w.best) {
-			w.best = &Best{Mapping: m.Clone(), Result: w.res.Clone()}
-		}
-		return
-	}
-	// Only permute levels that actually have multiple loops.
-	active := 0
-	for _, d := range workload.AllDims() {
-		if m.Levels[level].Temporal[d] > 1 {
-			active++
-		}
-	}
-	if active <= 1 {
-		w.walkPerms(m, level+1)
-		return
-	}
-	for _, cand := range permCandidates {
-		m.Levels[level].Perm = append([]workload.Dim(nil), cand...)
-		w.walkPerms(m, level+1)
-	}
 }
 
 // SortBests orders a slice of bests deterministically by layer name (used
