@@ -97,8 +97,8 @@ func cmdExplore(args []string) error {
 	mapperObjective := fs.String("mapper-objective", "energy", "what the mapper minimizes per candidate schedule")
 	mapperBudget := fs.Int("mapper-budget", 500, "mapper evaluation budget per layer")
 	seed := fs.Int64("seed", 1, "explorer + mapper seed")
-	searchWorkers := fs.Int("search-workers", 0, "per-layer search parallelism; pin it for machine-independent frontiers (0 = mapper default)")
-	workers := fs.Int("workers", 0, "candidate-evaluation pool size (default GOMAXPROCS/search-workers)")
+	searchWorkers := fs.Int("search-workers", 0, searchWorkersUsage)
+	workers := fs.Int("workers", 0, "candidate-evaluation pool size (default GOMAXPROCS / goroutines per search)")
 	format := fs.String("format", "markdown", "output format: markdown, json or csv")
 	outPath := fs.String("out", "", "write the frontier to this file (default stdout)")
 	quiet := fs.Bool("quiet", false, "suppress progress output")

@@ -41,6 +41,7 @@ import (
 	"photoloop/internal/explore"
 	"photoloop/internal/fidelity"
 	"photoloop/internal/jobs"
+	"photoloop/internal/mapper"
 	"photoloop/internal/presets"
 	"photoloop/internal/shard"
 	"photoloop/internal/spec"
@@ -245,6 +246,10 @@ func cmdPresets() error {
 	return w.Flush()
 }
 
+// searchWorkersUsage is the -search-workers help of eval, study and
+// explore.
+var searchWorkersUsage = fmt.Sprintf("per-layer search lanes: semantic, default %d; run on min(lanes, GOMAXPROCS) goroutines", mapper.DefaultLanes)
+
 func cmdEval(args []string) error {
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
 	archPath := fs.String("arch", "", "architecture spec JSON (this or -preset is required)")
@@ -256,7 +261,7 @@ func cmdEval(args []string) error {
 	budget := fs.Int("budget", 1000, "mapper budget per layer")
 	objective := fs.String("objective", "energy", "energy, delay or edp")
 	seed := fs.Int64("seed", 1, "mapper seed")
-	searchWorkers := fs.Int("search-workers", 0, "per-layer search parallelism; match a study's -search-workers for bit-identical rows (0 = mapper default)")
+	searchWorkers := fs.Int("search-workers", 0, searchWorkersUsage+"; match a study's -search-workers for bit-identical rows")
 	withFidelity := fs.Bool("fidelity", false, "run the analog fidelity rollup (SNR, effective bits, accuracy loss) over each schedule")
 	asJSON := fs.Bool("json", false, "emit the /v1/eval JSON document instead of a table")
 	if err := fs.Parse(args); err != nil {

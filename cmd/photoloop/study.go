@@ -21,7 +21,7 @@ func cmdStudy(args []string) error {
 	batch := fs.Int("batch", 1, "batch size for every workload")
 	budget := fs.Int("budget", 0, "mapper budget per layer (0 = mapper default)")
 	seed := fs.Int64("seed", 0, "mapper seed (0 = mapper default)")
-	searchWorkers := fs.Int("search-workers", 0, "per-layer search parallelism; pin it for machine-independent results (0 = mapper default)")
+	searchWorkers := fs.Int("search-workers", 0, searchWorkersUsage)
 	workers := fs.Int("workers", 0, "point-level worker pool size (default GOMAXPROCS)")
 	format := fs.String("format", "table", "output format: table, markdown, json or csv")
 	outPath := fs.String("out", "", "write results to this file (default stdout)")

@@ -6,9 +6,9 @@ package photoloop_test
 // configuration. These tests pin those numbers for the
 // BenchmarkMapperSearch and BenchmarkMapperSearchSeeded configurations,
 // so a change that alters how much a search does fails here on any
-// machine, where a ns/op reading would only drift. Workers is pinned
-// because its default follows the core count. An intended change updates
-// the literal and records why in CHANGES.md.
+// machine, where a ns/op reading would only drift. Workers (the lane
+// count) is pinned at 1 and 2 to cover more than one budget split. An
+// intended change updates the literal and records why in CHANGES.md.
 
 import (
 	"testing"

@@ -79,8 +79,9 @@ type Spec struct {
 	// Seed fixes both the mapper's randomness and the adaptive
 	// strategy's proposal stream (0 = 1).
 	Seed int64 `json:"seed,omitempty"`
-	// SearchWorkers caps per-layer search parallelism (0 = mapper
-	// default). Pin it (with Seed) for machine-independent frontiers.
+	// SearchWorkers is the per-layer search's lane count: semantic,
+	// default mapper.DefaultLanes (0); run on min(lanes, GOMAXPROCS)
+	// goroutines.
 	SearchWorkers int `json:"search_workers,omitempty"`
 
 	// noSurrogate disables the adaptive strategy's surrogate proposal

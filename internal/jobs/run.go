@@ -10,26 +10,9 @@ import (
 
 	"photoloop/internal/explore"
 	"photoloop/internal/mapper"
+	"photoloop/internal/shard"
 	"photoloop/internal/sweep"
 )
-
-// pointDelayEnv, when set to a time.Duration, sleeps after each streamed
-// point. It exists for the crash-recovery tests, which need a run slow
-// enough to SIGKILL mid-flight deterministically; it is not part of the
-// public surface.
-const pointDelayEnv = "PHOTOLOOP_JOB_POINT_DELAY"
-
-func pointDelay() time.Duration {
-	v := os.Getenv(pointDelayEnv)
-	if v == "" {
-		return 0
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d < 0 {
-		return 0
-	}
-	return d
-}
 
 // Run evaluates a submitted job synchronously: every layer search is
 // written through to the store as it completes, points stream to
@@ -99,7 +82,7 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 	}
 	defer pf.Close()
 	var writeErr error
-	delay := pointDelay()
+	delay := shard.PointDelay()
 	onPoint := func(p *sweep.Point) {
 		if writeErr == nil {
 			enc := json.NewEncoder(pf)

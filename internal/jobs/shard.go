@@ -49,16 +49,10 @@ func (sp *Spec) shardSpec() (sweep.Spec, bool) {
 
 // startShard publishes the job's sweep spec on the coordinator and, when
 // ShardLocal, starts an in-process worker loop so a sharded job completes
-// even if no worker process ever attaches. An unset SearchWorkers is
-// pinned to this process's default first, the value the assembly run
-// resolves it to: it is part of every search's cache key, so workers
-// with another core count still compute exactly the keys the assembly
-// run looks up. It returns nil when the evaluator rejects the
-// spec; the job then runs unsharded and its local run reports the error.
+// even if no worker process ever attaches. It returns nil when the
+// evaluator rejects the spec; the job then runs unsharded and its local
+// run reports the error.
 func (m *Manager) startShard(ctx context.Context, st *Status, sp sweep.Spec) (*shardRun, error) {
-	if sp.SearchWorkers <= 0 {
-		sp.SearchWorkers = mapper.DefaultSearchWorkers()
-	}
 	if _, err := sweep.NewEvaluator(sp, sweep.Options{}); err != nil {
 		return nil, nil
 	}

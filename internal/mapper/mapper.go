@@ -8,7 +8,7 @@
 // rigid spatial-factor assignments, (2) randomized temporal factorizations
 // with padding-aware candidates, (3) a small library of stationarity-driven
 // loop permutations, and (4) greedy hill climbing on the best random
-// seeds, optionally across parallel workers with a deterministic merge.
+// seeds, split into independent lanes with a deterministic merge.
 //
 // The search inner loop runs on the compiled evaluation engine
 // (model.Compiled): per-worker scratch buffers, no itemized energy ledger,
@@ -81,22 +81,23 @@ type Options struct {
 	// docs/PERFORMANCE.md for the calibration — cap-aware drawing made a
 	// budget unit buy ~2.4x more scored candidates, so 1000 today scores
 	// more real candidates than 2000 did when 2000 was chosen). It is
-	// split across Workers with the remainder distributed one-per-worker,
-	// so the configured budget is spendable exactly; a converging hill
-	// climb may stop early, so Evaluations <= Budget (+ warm starts).
+	// split across the lanes (Workers) with the remainder distributed
+	// one-per-lane, so the configured budget is spendable exactly; a
+	// converging hill climb may stop early, so Evaluations <= Budget
+	// (+ warm starts).
 	Budget int
 	// Seed makes the search deterministic (default 1).
 	Seed int64
-	// Workers parallelizes the search (default GOMAXPROCS, capped at 8).
+	// Workers is the search's lane count: semantic, default DefaultLanes;
+	// the lanes run on min(lanes, GOMAXPROCS) goroutines.
 	//
 	// Determinism contract: results are exactly reproducible for a fixed
-	// (Seed, Workers) pair — pinned by tests. Different Workers values
-	// return different (individually deterministic) results, and that is
-	// inherent to the design, not an implementation accident: each worker
-	// draws from its own seeded rng stream and owns a slice of the
-	// budget, so the sampled candidate set itself depends on the split.
-	// Callers needing machine-independent results must pin Workers
-	// explicitly rather than relying on the GOMAXPROCS default.
+	// (Seed, Workers) pair on any machine — pinned by tests. Different
+	// lane counts return different (individually deterministic) results,
+	// and that is inherent to the design: each lane draws from its own
+	// seeded rng stream and owns a slice of the budget, so the sampled
+	// candidate set itself depends on the split. How many goroutines run
+	// the lanes never changes a result.
 	Workers int
 	// Eval forwards evaluation options to the model. ChargeStatic changes
 	// what candidate schedules are scored on; SkipValidate skips the
@@ -137,25 +138,16 @@ func (o *Options) withDefaults() Options {
 		out.Seed = 1
 	}
 	if out.Workers <= 0 {
-		out.Workers = DefaultSearchWorkers()
+		out.Workers = DefaultLanes
 	}
 	return out
 }
 
-// DefaultSearchWorkers is the per-search worker pool size used when
-// Options.Workers is unset: GOMAXPROCS capped at 8. Outer pools (the
-// sweep's point pool) divide their own defaults by it to avoid
-// oversubscribing the CPU.
-func DefaultSearchWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// DefaultLanes is the search's lane count when Options.Workers is unset.
+// It is a constant, so unpinned results do not depend on the machine;
+// docs/PERFORMANCE.md ("Search lanes") records the mapping-quality
+// measurements it was chosen by.
+const DefaultLanes = 4
 
 // Best is a search outcome.
 type Best struct {
@@ -511,25 +503,32 @@ func (s *Session) search(l *workload.Layer, o Options, objs []Objective) ([]*Bes
 		}
 	}
 
-	// Worker w's objective states are states[w*len(objs):][:len(objs)].
-	wss := make([]*workerState, o.Workers)
-	states := make([]objState, o.Workers*len(objs))
+	// Lane w's objective states are states[w*len(objs):][:len(objs)]. The
+	// lanes run on min(lanes, GOMAXPROCS) goroutines, each with one
+	// worker state running its lanes one after another: searchWorker
+	// resets the state on every call and a lane writes only its own
+	// states, so which goroutine runs a lane never changes a result.
+	lanes := o.Workers
+	states := make([]objState, lanes*len(objs))
 	for i := range states {
 		states[i].obj = objs[i%len(objs)]
 	}
+	budgets := splitBudget(o.Budget, lanes)
+	wss := make([]*workerState, min(lanes, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
-	budgets := splitBudget(o.Budget, o.Workers)
-	for w := range wss {
+	for g := range wss {
 		// Worker states leave and rejoin the pool on this goroutine, so a
 		// serial caller's next search finds them in the same
 		// processor-local pool slots instead of building new ones.
-		wss[w] = s.takeWorker()
+		wss[g] = s.takeWorker()
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			seed := uint64(o.Seed + int64(w)*7919)
-			s.searchWorker(wss[w], c, l, o, seed, budgets[w], seeds, warm, states[w*len(objs):][:len(objs)])
-		}(w)
+			for w := g; w < lanes; w += len(wss) {
+				seed := uint64(o.Seed + int64(w)*7919)
+				s.searchWorker(wss[g], c, l, o, seed, budgets[w], seeds, warm, states[w*len(objs):][:len(objs)])
+			}
+		}()
 	}
 	wg.Wait()
 	defer func() {
@@ -538,7 +537,7 @@ func (s *Session) search(l *workload.Layer, o Options, objs []Objective) ([]*Bes
 		}
 	}()
 
-	// The workers score candidates without the itemized energy ledger;
+	// The lanes score candidates without the itemized energy ledger;
 	// re-evaluate each winner once in full, on a worker's scratch, so
 	// callers can inspect it.
 	fullOpts := o.Eval
@@ -549,7 +548,7 @@ func (s *Session) search(l *workload.Layer, o Options, objs []Objective) ([]*Bes
 		var best *Best
 		evals := 0
 		var stats SearchStats
-		for w := range wss {
+		for w := range lanes {
 			ob := &states[w*len(objs)+j]
 			evals += ob.evals
 			stats.add(ob.st)
@@ -899,7 +898,7 @@ func (p *pingPong) next(last *mapping.Mapping) (*mapping.Mapping, *int32) {
 
 func (p *pingPong) reset() { p.assign = [2]int32{-1, -1} }
 
-// searchWorker runs one worker's slice of the search for every objective
+// searchWorker runs one lane's slice of the search for every objective
 // in states: seeds, warm starts and the (reordered) random exploration
 // once for all of them, then one hill climb per objective. Each
 // objective's outcome is bit-identical to a naive single-objective worker

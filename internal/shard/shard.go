@@ -4,17 +4,18 @@
 // The coordinator publishes one fully resolved sweep spec per job (an
 // explore job publishes its canonical sweep equivalent), and a lease is
 // a range of point indices of the coordinator-resolved sweep spec. A
-// worker evaluates them (sweep.Evaluator.EvalPoint) with a fresh
+// worker evaluates them (sweep.Evaluator.EvalPoints) with a fresh
 // mapper.Cache whose persister uploads every completed search to the
 // coordinator (store.RemotePersister; the coordinator appends it to its
-// own store), and reports only "done". Every cache-key input is set in
-// the published spec, so a worker computes exactly the keys the
-// coordinator looks up, whatever its own core count. The coordinator then runs the unchanged
-// single-process code path, which finds every leased search already
-// present and assembles the artifact with zero searches — byte-identical
-// to an unsharded run by construction, and order-independent, because
-// content-addressed cache hits are bit-identical no matter which process
-// computed them or in what order.
+// own store), and reports only "done". Every cache-key input follows
+// from the published spec alone, so a worker computes exactly the keys
+// the coordinator looks up, whatever its own core count. The
+// coordinator then runs the unchanged single-process code path, which
+// finds every leased search already present and assembles the artifact
+// with zero searches — byte-identical to an unsharded run by
+// construction, and order-independent, because content-addressed cache
+// hits are bit-identical no matter which process computed them or in
+// what order.
 //
 // Failure semantics follow from the same invariant. Leases carry a TTL
 // and are kept alive by heartbeats; a worker that dies (SIGKILL, network
@@ -55,7 +56,7 @@ const maxAttempts = 5
 // Lease is one unit of handed-out work: a range of point indices of the
 // coordinator-resolved sweep spec of one job, in one generation. The spec
 // travels in the lease, so a worker needs no other endpoint to evaluate
-// its tasks (sweep.Evaluator.EvalPoint).
+// its tasks (sweep.Evaluator.EvalPoints).
 type Lease struct {
 	ID        string          `json:"id"`
 	Job       string          `json:"job"`

@@ -79,10 +79,21 @@ type WorkerOptions struct {
 	OnLease func(*Lease)
 }
 
-// pointDelayEnv mirrors the jobs runner's test hook: a per-task sleep
-// that widens crash windows so tests can SIGKILL a worker mid-lease
-// deterministically.
+// pointDelayEnv, when set to a time.Duration, sleeps after each evaluated
+// point, in shard workers and in the jobs runner alike. It exists for the
+// crash-recovery tests, which need a run slow enough to SIGKILL
+// mid-flight deterministically; it is not part of the public surface.
 const pointDelayEnv = "PHOTOLOOP_JOB_POINT_DELAY"
+
+// PointDelay reads the pointDelayEnv test hook: an unset, invalid or
+// negative value means no delay.
+func PointDelay() time.Duration {
+	d, err := time.ParseDuration(os.Getenv(pointDelayEnv))
+	if err != nil || d < 0 {
+		return 0
+	}
+	return d
+}
 
 // maxConsecutiveFailures is how many coordinator calls in a row may fail
 // (after the Client's own retries) before the worker loop gives up. A
@@ -236,7 +247,7 @@ func evalTasks(ctx context.Context, cache *mapper.Cache, lease *Lease) error {
 		return err
 	}
 	opts := sweep.Options{Workers: 1, Context: ctx}
-	if delay, _ := time.ParseDuration(os.Getenv(pointDelayEnv)); delay > 0 {
+	if delay := PointDelay(); delay > 0 {
 		opts.OnPoint = func(*sweep.Point) { time.Sleep(delay) }
 	}
 	if _, err := ev.EvalPoints(lease.Tasks, opts); err != nil {

@@ -38,8 +38,9 @@ type EvalRequest struct {
 	Batch int `json:"batch,omitempty"`
 	// Objective is the mapper objective (default "energy").
 	Objective string `json:"objective,omitempty"`
-	// Budget, Seed and Workers tune the per-layer search (0 = mapper
-	// defaults; Workers above 64 is rejected).
+	// Budget, Seed and Workers (the search's lane count) tune the
+	// per-layer search (0 = mapper defaults; Workers above 64 is
+	// rejected).
 	Budget  int   `json:"budget,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
 	Workers int   `json:"workers,omitempty"`

@@ -15,8 +15,8 @@ import (
 // is EvalPoints over every index — and Eval evaluates a variant from
 // explicit axis values, producing the same Point a Run of an equivalent
 // grid would for that combination (same variant construction, same
-// evaluation path, same shared mapper.Cache — bit-identical, which the
-// explore package's equivalence tests pin).
+// evaluation path, same shared mapper.Cache — bit-identical, which
+// evaluator_test.go pins).
 //
 // Indices decode against the axes' own value counts, so a grid far past
 // Run's maxVariants typo guard (an explore lattice) still evaluates
@@ -32,9 +32,9 @@ type Evaluator struct {
 }
 
 // maxSearchWorkers caps Spec.SearchWorkers (and an eval request's
-// Workers): a layer search allocates and spawns per worker, and the value
-// arrives from clients. Far above every useful setting — the mapper
-// default is at most 8.
+// Workers): a layer search allocates per lane, and the value arrives from
+// clients. Far above every useful setting — the mapper default is
+// mapper.DefaultLanes.
 const maxSearchWorkers = 64
 
 // specError is a spec rejection at one position of the spec: "base",
@@ -296,15 +296,17 @@ func (e *Evaluator) EvalPoints(idx []int64, opts Options) ([]Point, error) {
 
 	workers := opts.Workers
 	if workers <= 0 {
-		// Each point's layer searches run their own worker pool; divide
-		// the default point pool by it so a default-flag sweep keeps
-		// total parallelism near GOMAXPROCS instead of multiplying the
-		// two pools. (Pool sizes never change results.)
-		perSearch := e.spec.SearchWorkers
-		if perSearch <= 0 {
-			perSearch = mapper.DefaultSearchWorkers()
+		// Each point's layer searches run their lanes on up to GOMAXPROCS
+		// goroutines; divide the default point pool by that so a
+		// default-flag sweep keeps total parallelism near GOMAXPROCS
+		// instead of multiplying the two pools. (Pool sizes never change
+		// results.)
+		lanes := e.spec.SearchWorkers
+		if lanes <= 0 {
+			lanes = mapper.DefaultLanes
 		}
-		workers = max(1, runtime.GOMAXPROCS(0)/perSearch)
+		procs := runtime.GOMAXPROCS(0)
+		workers = max(1, procs/min(lanes, procs))
 	}
 	workers = min(workers, len(chains))
 	ctx := opts.Context

@@ -25,8 +25,8 @@ import (
 // computes.
 type Options struct {
 	// Workers is the point-level pool size (default GOMAXPROCS divided by
-	// the per-layer search workers). Points are independent, so the pool
-	// size never changes results.
+	// the goroutines each layer search runs on). Points are independent,
+	// so the pool size never changes results.
 	Workers int
 	// Context cancels the run between points (in-flight points finish);
 	// undispatched points carry the cancellation as their Err and Run

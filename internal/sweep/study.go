@@ -39,8 +39,9 @@ type StudySpec struct {
 	Budget int `json:"budget,omitempty"`
 	// Seed fixes the mapper's randomness (0 = mapper default).
 	Seed int64 `json:"seed,omitempty"`
-	// SearchWorkers caps per-layer search parallelism (0 = mapper
-	// default). Results are deterministic for a fixed (Seed,
+	// SearchWorkers is the per-layer search's lane count: semantic,
+	// default mapper.DefaultLanes (0); run on min(lanes, GOMAXPROCS)
+	// goroutines. Results are deterministic for a fixed (Seed,
 	// SearchWorkers) pair.
 	SearchWorkers int `json:"search_workers,omitempty"`
 	// Fidelity additionally runs each preset's default analog fidelity

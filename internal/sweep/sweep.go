@@ -45,8 +45,9 @@ type Spec struct {
 	Budget int `json:"budget,omitempty"`
 	// Seed fixes the mapper's randomness (0 = mapper default).
 	Seed int64 `json:"seed,omitempty"`
-	// SearchWorkers caps the per-layer search parallelism (0 = mapper
-	// default; above 64 is rejected). Results are deterministic for a
+	// SearchWorkers is the per-layer search's lane count: semantic,
+	// default mapper.DefaultLanes (0); run on min(lanes, GOMAXPROCS)
+	// goroutines. Above 64 is rejected. Results are deterministic for a
 	// fixed (Seed, SearchWorkers) pair.
 	SearchWorkers int `json:"search_workers,omitempty"`
 	// Fidelity enables the analog error model: every point's best
