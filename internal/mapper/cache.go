@@ -32,7 +32,8 @@ type Key struct {
 // a miss, so corruption costs time, not correctness.
 type Persister interface {
 	// Load returns the persisted Best for the key, or false. The returned
-	// value is owned by the cache (callers receive clones).
+	// value is owned by the cache, which shares it read-only with every
+	// caller of the key.
 	Load(k Key) (*Best, bool)
 	// Store persists a computed Best. Errors are reported through the
 	// cache's tier stats; persistence is best-effort and never fails the
@@ -201,7 +202,7 @@ func (c *Cache) search(s *Session, l *workload.Layer, o Options, objs []Objectiv
 	for i, e := range entries {
 		<-e.done
 		if e.err == nil {
-			bests[i] = e.best.CloneFor(l.Name)
+			bests[i] = e.best
 			continue
 		}
 		if errors.Is(e.err, errSeedMismatch) {
@@ -225,9 +226,8 @@ func (c *Cache) search(s *Session, l *workload.Layer, o Options, objs []Objectiv
 
 // CloneFor deep-copies a best for a caller evaluating a same-shaped layer
 // under a different name: the mapping and counts are shape properties, only
-// the result's layer label differs. Network evaluators use it to search
-// one representative per distinct layer shape and reuse the outcome for
-// the duplicates — bit-identical to re-running the search.
+// the result's layer label differs. Session.Search uses it to hand its
+// caller an owned copy of a cached best.
 func (b *Best) CloneFor(layer string) *Best {
 	out := &Best{
 		Mapping:     b.Mapping.Clone(),

@@ -28,7 +28,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"photoloop/internal/arch"
@@ -379,23 +378,23 @@ func NewSession(a *arch.Arch) (*Session, error) {
 	return s, nil
 }
 
-// maxCachedSessions caps the process-wide session cache below. Sessions are
-// small (resolved energy tables plus the assignment enumeration), but
-// exploration runs build hundreds of architecture variants; past the cap
-// the cache resets rather than growing without bound.
+// maxCachedSessions caps SessionFor's memo: a session is about 17 KB (its
+// pooled worker states are GC-reclaimable), so the memo stays near 4.4 MB,
+// resetting rather than growing past the cap.
 const maxCachedSessions = 256
 
-// sessionCache reuses Sessions across one-shot Search calls, keyed by the
-// architecture fingerprint (which covers structure and component energies
-// — the same key the search Cache dedups on). Building a session costs
-// ~100µs of engine resolution and assignment enumeration, which would
-// dominate short searches issued through the package-level helpers.
+// sessionCache is SessionFor's memo, keyed by the architecture fingerprint
+// (name, structure and component energies: the search Cache's Arch key).
 var (
 	sessionCacheMu sync.Mutex
 	sessionCache   = map[uint64]*Session{}
 )
 
-func sessionFor(a *arch.Arch) (*Session, error) {
+// SessionFor returns the process-wide Session for the architecture,
+// building it (~100µs) on first use. Package-level Search calls and sweep
+// points share one per fingerprint: a Session is safe for concurrent
+// searches, and their outcomes depend only on the fingerprint.
+func SessionFor(a *arch.Arch) (*Session, error) {
 	fp := a.Fingerprint()
 	sessionCacheMu.Lock()
 	s := sessionCache[fp]
@@ -424,11 +423,11 @@ func (s *Session) Engine() *model.Engine { return s.eng }
 func (s *Session) Fingerprint() uint64 { return s.fp }
 
 // Search finds the best mapping for the layer under the options. It is a
-// convenience wrapper reusing a process-wide Session cache keyed by the
-// architecture fingerprint; prefer NewSession + Session.Search when mapping
-// several layers on the same architecture.
+// convenience wrapper reusing the process-wide session memo (SessionFor);
+// prefer NewSession + Session.Search when mapping several layers on the
+// same architecture.
 func Search(a *arch.Arch, l *workload.Layer, opts Options) (*Best, error) {
-	s, err := sessionFor(a)
+	s, err := SessionFor(a)
 	if err != nil {
 		return nil, err
 	}
@@ -436,11 +435,15 @@ func Search(a *arch.Arch, l *workload.Layer, opts Options) (*Best, error) {
 }
 
 // Search finds the best mapping for the layer under the options: the
-// one-objective SearchObjectives.
+// one-objective SearchObjectives. The caller owns the returned Best: with
+// a Cache it is a copy of the cached one, labeled with l's name.
 func (s *Session) Search(l *workload.Layer, opts Options) (*Best, error) {
 	bests, err := s.SearchObjectives(l, opts, []Objective{opts.Objective})
 	if err != nil {
 		return nil, err
+	}
+	if opts.Cache != nil {
+		return bests[0].CloneFor(l.Name), nil
 	}
 	return bests[0], nil
 }
@@ -450,7 +453,9 @@ func (s *Session) Search(l *workload.Layer, opts Options) (*Best, error) {
 // bit-identical to Search with Objective objs[i], Stats included. The
 // objectives share one exploration (seeds, warm starts and random draws
 // are staged once), then each hill-climbs from its own incumbent. With a
-// Cache, each objective is its own key, as in a separate search.
+// Cache, each objective is its own key, as in a separate search, and the
+// bests are the cache's, shared read-only (Result.Layer names the layer
+// that first computed the key).
 func (s *Session) SearchObjectives(l *workload.Layer, opts Options, objs []Objective) ([]*Best, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -1411,12 +1416,4 @@ func applyEdit(m *mapping.Mapping, e neighborEdit) {
 		return
 	}
 	m.Levels[e.level].Perm = append(m.Levels[e.level].Perm[:0], permCandidates[e.perm]...)
-}
-
-// SortBests orders a slice of bests deterministically by layer name (used
-// by reporting code).
-func SortBests(bests []*Best) {
-	sort.SliceStable(bests, func(i, j int) bool {
-		return bests[i].Result.Layer < bests[j].Result.Layer
-	})
 }

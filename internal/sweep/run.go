@@ -165,7 +165,8 @@ type LayerOutcome struct {
 
 	// Result is the layer's best-mapping evaluation with the full energy
 	// ledger, for programmatic consumers (the figure harnesses); shared
-	// with the search cache, so read-only. Omitted from JSON.
+	// with the search cache and same-shaped layers, so read-only (its own
+	// Layer field may name another such layer). Omitted from JSON.
 	Result *model.Result `json:"-"`
 }
 
@@ -252,13 +253,13 @@ type variantState struct {
 }
 
 // init builds (once) the variant's architecture and, for searched
-// points, its mapper session. A non-nil fspec additionally compiles the
-// variant's analog fidelity chain.
+// points, takes its mapper session from the process-wide memo. A non-nil
+// fspec additionally compiles the variant's analog fidelity chain.
 func (st *variantState) init(v *variant, fspec *fidelity.Spec, search bool) {
 	st.once.Do(func() {
 		st.a, st.err = v.build()
 		if st.err == nil && search {
-			st.sess, st.err = mapper.NewSession(st.a)
+			st.sess, st.err = mapper.SessionFor(st.a)
 		}
 		if st.err == nil && fspec != nil {
 			st.fid, st.err = fidelity.Compile(st.a, fspec)
@@ -334,7 +335,7 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 	// which a network has at most three (first, middle, last); fused
 	// memoizes their sessions for this point.
 	fused := map[albireo.Config]*mapper.Session{}
-	sessionFor := func(i int) (*mapper.Session, error) {
+	layerSession := func(i int) (*mapper.Session, error) {
 		if !job.workload.Fused {
 			return st.sess, nil
 		}
@@ -346,7 +347,7 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 		if err != nil {
 			return nil, err
 		}
-		s, err := mapper.NewSession(fa)
+		s, err := mapper.SessionFor(fa)
 		if err != nil {
 			return nil, err
 		}
@@ -359,10 +360,10 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 	}
 	// One search per distinct (session, layer shape): an outcome depends
 	// only on the layer's shape and the options (warm starts and the
-	// canonical seeds are shape properties too), so repeated blocks clone
+	// canonical seeds are shape properties too), so repeated blocks share
 	// the representative's bests — bit-identical to searching again, and
 	// cheaper than even a cache hit, which hashes the memoized seed
-	// prints and clones the cached best.
+	// prints. Shared bests are read-only; total names layers from the network.
 	type searchKey struct {
 		sess  *mapper.Session
 		shape uint64
@@ -372,7 +373,7 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 	bests := make([]*mapper.Best, 0, len(job.network.Layers)*len(jobs))
 	for i := range job.network.Layers {
 		layer := &job.network.Layers[i]
-		sess, err := sessionFor(i)
+		sess, err := layerSession(i)
 		if err != nil {
 			return failLayer(layer.Name, err)
 		}
@@ -380,9 +381,7 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 		start := len(bests)
 		switch rep := solved[key]; {
 		case rep != nil:
-			for _, b := range rep {
-				bests = append(bests, b.CloneFor(layer.Name))
-			}
+			bests = append(bests, rep...)
 		case fixed != nil:
 			best := &mapper.Best{Mapping: fixed}
 			if best.Result, err = model.Evaluate(a, layer, fixed, model.Options{}); err != nil {
@@ -412,17 +411,17 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 		}
 	}
 	for j := range points {
-		e.total(&points[j], st.fid, bests[j:], len(jobs))
+		e.total(&points[j], st.fid, job.network.Layers, bests[j:], len(jobs))
 	}
 	return next, nil
 }
 
 // total fills a point's network metrics from its per-layer bests
-// (bests[i*stride] for layer i). Cached mapper results are shared across
-// points, so the fidelity rollup lands on the point-owned outcomes and
-// total — never on a best's Result.
-func (e *Evaluator) total(p *Point, fid *fidelity.Chain, bests []*mapper.Best, stride int) {
-	var layers []LayerOutcome
+// (bests[i*stride] for layers[i]). Cached mapper results are shared across
+// points and layers, so the fidelity rollup lands on the point-owned
+// outcomes and total — never on a best's Result.
+func (e *Evaluator) total(p *Point, fid *fidelity.Chain, layers []workload.Layer, bests []*mapper.Best, stride int) {
+	var outcomes []LayerOutcome
 	var fidMACs, fidBits, fidSNR, fidLoss float64
 	// The per-layer ledgers are summed into storage sized once: growing
 	// it one append at a time cost about a sixth of a cold study's bytes.
@@ -437,7 +436,7 @@ func (e *Evaluator) total(p *Point, fid *fidelity.Chain, bests []*mapper.Best, s
 	for i := 0; i < len(bests); i += stride {
 		best := bests[i]
 		total.Accumulate(best.Result)
-		lo := layerOutcome(best)
+		lo := layerOutcome(layers[i/stride].Name, best)
 		p.Evaluations += best.Evaluations
 		p.Pruned += best.Stats.Pruned
 		p.DeltaEvals += best.Stats.DeltaEvals
@@ -453,7 +452,7 @@ func (e *Evaluator) total(p *Point, fid *fidelity.Chain, bests []*mapper.Best, s
 			fidSNR += rep.SNRDB * w
 			fidLoss += rep.AccuracyLossPct * w
 		}
-		layers = append(layers, lo)
+		outcomes = append(outcomes, lo)
 	}
 	if fid != nil && fidMACs > 0 {
 		total.EffectiveBits = fidBits / fidMACs
@@ -471,14 +470,14 @@ func (e *Evaluator) total(p *Point, fid *fidelity.Chain, bests []*mapper.Best, s
 	p.SNRDB = total.SNRDB
 	p.AccuracyLossPct = total.AccuracyLossPct
 	if e.spec.IncludeLayers {
-		p.Layers = layers
+		p.Layers = outcomes
 	}
 }
 
-func layerOutcome(best *mapper.Best) LayerOutcome {
+func layerOutcome(layer string, best *mapper.Best) LayerOutcome {
 	res := best.Result
 	return LayerOutcome{
-		Layer:        res.Layer,
+		Layer:        layer,
 		MACs:         res.MACs,
 		TotalPJ:      res.TotalPJ,
 		PJPerMAC:     res.PJPerMAC(),

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"photoloop/internal/mapper"
+	"photoloop/internal/model"
+	"photoloop/internal/workload"
 )
 
 // warmHitCases is perfbench serve-mixed's hot set: the eight /v1/eval
@@ -25,8 +27,12 @@ var warmHitCases = []EvalRequest{
 // hot requests through Eval + EncodeResponseJSON on a warm cache. Before
 // the seed-print memo a replay cost 42,180 allocations, most of them
 // rebuilding and fingerprinting every layer's canonical Albireo seeds
-// just to form the cache key; with the memo it costs about 4,830.
-const warmHitAllocCeiling = 6000
+// just to form the cache key; with the memo it cost about 5,040, two
+// thirds of them cloning every cached best and building a fresh session
+// per request. Sharing the cached bests read-only and taking sessions
+// from the mapper's memo brought it to 1,466; the ceiling is that plus
+// 20%.
+const warmHitAllocCeiling = 1760
 
 // TestWarmHitAllocs guards "a warm hit costs no more than a lookup": once
 // every hot request's searches are cached, answering them again must not
@@ -63,5 +69,67 @@ func TestWarmHitAllocs(t *testing.T) {
 	t.Logf("warm replay of %d hot requests: %.0f allocs", len(reqs), allocs)
 	if allocs > warmHitAllocCeiling {
 		t.Errorf("warm replay allocates %.0f times, ceiling %d", allocs, warmHitAllocCeiling)
+	}
+}
+
+// TestWarmHitsShareCachedBests pins what makes a warm hit a lookup: a
+// second Eval on the same cache hands out the cached results themselves,
+// not copies; ResNet-18's repeated-shape layers share their
+// representative's result under their own names; and the answer is the
+// bytes of an uncached Eval.
+func TestWarmHitsShareCachedBests(t *testing.T) {
+	req := EvalRequest{Preset: "albireo", Network: "resnet18", Budget: 60, Seed: 1, Workers: 1}
+	encode := func(resp *EvalResponse) []byte {
+		var buf bytes.Buffer
+		if err := EncodeResponseJSON(&buf, resp); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cache := mapper.NewCache()
+	first, err := Eval(&req, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Eval(&req, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := workload.ByName("resnet18", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(second.Layers) != len(net.Layers) || len(first.Layers) != len(net.Layers) {
+		t.Fatalf("got %d and %d layer outcomes, want %d", len(first.Layers), len(second.Layers), len(net.Layers))
+	}
+	byShape := map[uint64]*model.Result{}
+	repeats := 0
+	for i, lo := range second.Layers {
+		if lo.Result != first.Layers[i].Result {
+			t.Errorf("layer %s: warm hit returned a copy, not the cached result", lo.Layer)
+		}
+		if want := net.Layers[i].Name; lo.Layer != want {
+			t.Errorf("outcome %d names layer %q, want %q", i, lo.Layer, want)
+		}
+		shape := net.Layers[i].ShapeFingerprint()
+		rep, seen := byShape[shape]
+		switch {
+		case !seen:
+			byShape[shape] = lo.Result
+		case lo.Result != rep:
+			t.Errorf("layer %s: repeated shape got its own result", lo.Layer)
+		default:
+			repeats++
+		}
+	}
+	if repeats == 0 {
+		t.Fatal("resnet18 has no repeated-shape layers")
+	}
+	uncached, err := Eval(&req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(second), encode(uncached)) {
+		t.Error("warm answer differs from an uncached Eval")
 	}
 }
