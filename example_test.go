@@ -97,6 +97,33 @@ func ExampleSweep() {
 	// output_lanes=9: IR=27, 16.9 pJ/MAC
 }
 
+// ExampleAlbireoConverterPJ attributes a sweep point's energy by role: a
+// point's Results hold each layer's best-mapping result, ledger included,
+// and the role helpers sum over all of them — here the share of the whole
+// network's energy spent in cross-domain converters (the paper's Fig. 5).
+func ExampleAlbireoConverterPJ() {
+	res, err := photoloop.Sweep(photoloop.SweepSpec{
+		Base: photoloop.SweepBase{Albireo: &photoloop.SweepAlbireoBase{Scaling: "aggressive"}},
+		Axes: []photoloop.SweepAxis{
+			{Param: "weight_reuse", Values: []any{false, true}},
+		},
+		Workloads:     []photoloop.SweepWorkload{{Network: "alexnet", Batch: 1}},
+		Budget:        60,
+		Seed:          1,
+		SearchWorkers: 1,
+	}, photoloop.SweepOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, p := range res.Points {
+		fmt.Printf("%s: converters %.1f%% of %.2f pJ/MAC\n",
+			p.Variant, 100*photoloop.AlbireoConverterPJ(p.Results...)/p.TotalPJ, p.PJPerMAC)
+	}
+	// Output:
+	// weight_reuse=false: converters 7.7% of 17.40 pJ/MAC
+	// weight_reuse=true: converters 3.9% of 16.62 pJ/MAC
+}
+
 // ExampleParseArchSpec round-trips the built-in template document and
 // builds it — the JSON path `photoloop eval -arch` and the HTTP endpoints
 // consume.

@@ -48,9 +48,11 @@ func run(w io.Writer) error {
 	for i, name := range names {
 		p := &res.Points[i]
 		var dram float64
-		for _, e := range p.Total.Energy {
-			if e.Class == "dram" {
-				dram += e.TotalPJ
+		for _, r := range p.Results {
+			for _, e := range r.Energy {
+				if e.Class == "dram" {
+					dram += e.TotalPJ
+				}
 			}
 		}
 		bars := int(p.PJPerMAC / base * 40)

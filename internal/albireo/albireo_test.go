@@ -2,6 +2,7 @@ package albireo
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -254,6 +255,51 @@ func TestBreakdownsSumToTotal(t *testing.T) {
 	}
 	if ConverterPJ(res) <= 0 || ConverterPJ(res) >= res.TotalPJ {
 		t.Errorf("converter energy %g out of range (total %g)", ConverterPJ(res), res.TotalPJ)
+	}
+}
+
+// TestRoleHelpersMatchConcatenatedLedger pins the role helpers' variadic
+// form, which the whole-network figures call over a sweep point's
+// per-layer results: walking the results and then each ledger in order is
+// the addition order of one concatenated ledger, so every helper over
+// rs... equals, bit for bit, the helper over a result holding the
+// appended ledgers. ResNet-18's layers are enough for per-result partial
+// sums to round differently, so a helper that summed each result first
+// would fail here.
+func TestRoleHelpersMatchConcatenatedLedger(t *testing.T) {
+	a, err := Default(Aggressive).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := workload.ResNet18(1).Layers
+	var rs []*model.Result
+	concat := &model.Result{}
+	for i := range layers {
+		m, err := CanonicalBest(a, &layers[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := model.Evaluate(a, &layers[i], m, model.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, r)
+		concat.Energy = append(concat.Energy, r.Energy...)
+	}
+	if got, want := RoleBreakdown(rs...), RoleBreakdown(concat); !reflect.DeepEqual(got, want) {
+		t.Errorf("RoleBreakdown over results %v, concatenated %v", got, want)
+	}
+	if got, want := AcceleratorPJ(rs...), AcceleratorPJ(concat); got != want {
+		t.Errorf("AcceleratorPJ over results %.17g, concatenated %.17g", got, want)
+	}
+	if got, want := ConverterPJ(rs...), ConverterPJ(concat); got != want || got <= 0 {
+		t.Errorf("ConverterPJ over results %.17g, concatenated %.17g", got, want)
+	}
+	if got := RoleBreakdown(); got == nil || len(got) != 0 {
+		t.Errorf("RoleBreakdown() = %v, want an empty map", got)
+	}
+	if AcceleratorPJ() != 0 || ConverterPJ() != 0 {
+		t.Errorf("AcceleratorPJ() = %g, ConverterPJ() = %g, want 0", AcceleratorPJ(), ConverterPJ())
 	}
 }
 

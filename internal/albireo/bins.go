@@ -109,40 +109,48 @@ func Fig2Breakdown(r *model.Result) map[Fig2Bin]float64 {
 	return out
 }
 
-// RoleBreakdown groups a result's ledger into Fig. 4/5 bins (pJ).
-func RoleBreakdown(r *model.Result) map[RoleBin]float64 {
+// RoleBreakdown groups results' ledgers into Fig. 4/5 bins (pJ), walking
+// the results in order and each ledger in order — so a network's
+// per-layer results sum exactly as one concatenated ledger would.
+func RoleBreakdown(rs ...*model.Result) map[RoleBin]float64 {
 	out := map[RoleBin]float64{}
-	for i := range r.Energy {
-		out[ClassifyRole(&r.Energy[i])] += r.Energy[i].TotalPJ
+	for _, r := range rs {
+		for i := range r.Energy {
+			out[ClassifyRole(&r.Energy[i])] += r.Energy[i].TotalPJ
+		}
 	}
 	return out
 }
 
-// AcceleratorPJ sums a result's energy excluding DRAM (the paper's Fig. 2
+// AcceleratorPJ sums results' energy excluding DRAM (the paper's Fig. 2
 // scope: accelerator + laser).
-func AcceleratorPJ(r *model.Result) float64 {
+func AcceleratorPJ(rs ...*model.Result) float64 {
 	var sum float64
-	for i := range r.Energy {
-		if r.Energy[i].Class != "dram" {
-			sum += r.Energy[i].TotalPJ
+	for _, r := range rs {
+		for i := range r.Energy {
+			if r.Energy[i].Class != "dram" {
+				sum += r.Energy[i].TotalPJ
+			}
 		}
 	}
 	return sum
 }
 
 // ConverterPJ sums all cross-domain conversion energy (DAC, ADC, MZM, MRR
-// programming, photodiode) — the quantity the paper's Fig. 5 reduces by
-// 42%.
-func ConverterPJ(r *model.Result) float64 {
+// programming, photodiode) in results — the quantity the paper's Fig. 5
+// reduces by 42%.
+func ConverterPJ(rs ...*model.Result) float64 {
 	var sum float64
-	for i := range r.Energy {
-		e := &r.Energy[i]
-		switch e.Class {
-		case "dac", "adc", "mzm", "photodiode":
-			sum += e.TotalPJ
-		case "mrr":
-			if e.Action == "program" {
+	for _, r := range rs {
+		for i := range r.Energy {
+			e := &r.Energy[i]
+			switch e.Class {
+			case "dac", "adc", "mzm", "photodiode":
 				sum += e.TotalPJ
+			case "mrr":
+				if e.Action == "program" {
+					sum += e.TotalPJ
+				}
 			}
 		}
 	}

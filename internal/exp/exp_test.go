@@ -206,8 +206,8 @@ func directLayers(t *testing.T, a *arch.Arch, net workload.Network, opts mapper.
 	return bests
 }
 
-// directNetwork accumulates directLayers on cfg's built arch into one
-// whole-network result.
+// directNetwork sums directLayers on cfg's built arch, in layer order, into
+// one whole-network result holding their concatenated energy ledger.
 func directNetwork(t *testing.T, cfg albireo.Config, net workload.Network, opts mapper.Options) model.Result {
 	t.Helper()
 	a, err := cfg.Build()
@@ -216,7 +216,8 @@ func directNetwork(t *testing.T, cfg albireo.Config, net workload.Network, opts 
 	}
 	total := model.Result{Layer: net.Name}
 	for _, best := range directLayers(t, a, net, opts) {
-		total.Accumulate(best.Result)
+		total.MACs += best.Result.MACs
+		total.Energy = append(total.Energy, best.Result.Energy...)
 	}
 	return total
 }

@@ -83,8 +83,8 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 			// The point's rate is its total MACs over its total cycles.
 			TotalOverCycles: pt.MACsPerCycle,
 		}
-		for _, lo := range pt.Layers {
-			r := lo.Result
+		for j, lo := range pt.Layers {
+			r := pt.Results[j]
 			lt := LayerThroughput{
 				Layer:               lo.Layer,
 				Utilization:         r.Utilization,

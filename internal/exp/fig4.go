@@ -88,19 +88,19 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 			return nil, fmt.Errorf("exp: fig4: %w", err)
 		}
 		batched := pt.Batch == Fig4Batch
-		macs := float64(pt.Total.MACs)
-		breakdown := albireo.RoleBreakdown(pt.Total)
+		macs := float64(pt.MACs)
+		breakdown := albireo.RoleBreakdown(pt.Results...)
 		bins := map[albireo.RoleBin]float64{}
 		for bin, pj := range breakdown {
 			bins[bin] = pj / macs
 		}
 		dramShare := 0.0
-		if pt.Total.TotalPJ > 0 {
-			dramShare = breakdown[albireo.RoleDRAM] / pt.Total.TotalPJ
+		if pt.TotalPJ > 0 {
+			dramShare = breakdown[albireo.RoleDRAM] / pt.TotalPJ
 		}
 		row := Fig4Row{
 			Scaling: s, Batched: batched, Fused: pt.Fused,
-			PJPerMAC:    pt.Total.PJPerMAC(),
+			PJPerMAC:    pt.PJPerMAC,
 			Bins:        bins,
 			DRAMShare:   dramShare,
 			PaperConfig: !batched && !pt.Fused,

@@ -83,9 +83,9 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 		// lane-to-factor coupling stays defined in one place.
 		c := albireo.Default(albireo.Aggressive)
 		c.ORLanes, c.OutputLanes, c.WeightReuse = orLanes, outLanes, wr
-		macs := float64(pt.Total.MACs)
+		macs := float64(pt.MACs)
 		bins := map[albireo.RoleBin]float64{}
-		for bin, pj := range albireo.RoleBreakdown(pt.Total) {
+		for bin, pj := range albireo.RoleBreakdown(pt.Results...) {
 			if bin == albireo.RoleDRAM {
 				continue
 			}
@@ -95,8 +95,8 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 			WeightReuse:       wr,
 			OR:                c.OR(),
 			IR:                c.IR(),
-			AccelPJPerMAC:     albireo.AcceleratorPJ(pt.Total) / macs,
-			ConverterPJPerMAC: albireo.ConverterPJ(pt.Total) / macs,
+			AccelPJPerMAC:     albireo.AcceleratorPJ(pt.Results...) / macs,
+			ConverterPJPerMAC: albireo.ConverterPJ(pt.Results...) / macs,
 			Bins:              bins,
 			Baseline:          !wr && orLanes == 1 && outLanes == 3,
 		}

@@ -432,24 +432,3 @@ func TestStaticPowerCharging(t *testing.T) {
 		}
 	}
 }
-
-func TestResultAccumulate(t *testing.T) {
-	a := twoLevel(t)
-	l := handLayer()
-	m := mapping.New(a)
-	setTemporal(m, 0, map[workload.Dim]int{workload.DimK: 2, workload.DimC: 2, workload.DimP: 2, workload.DimQ: 2}, nil)
-	r1, err := Evaluate(a, &l, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := Evaluate(a, &l, m, Options{})
-	var total Result
-	total.Accumulate(r1)
-	total.Accumulate(r2)
-	if total.MACs != 2*r1.MACs || math.Abs(total.TotalPJ-2*r1.TotalPJ) > 1e-9 {
-		t.Error("Accumulate totals wrong")
-	}
-	if math.Abs(total.Utilization-r1.Utilization) > 1e-9 {
-		t.Error("Accumulate utilization wrong")
-	}
-}

@@ -190,36 +190,6 @@ func SortedKeys(m map[string]float64) []string {
 	return keys
 }
 
-// Accumulate merges another result's ledger and counters into r (used for
-// whole-network rollups). Cycles add; utilization becomes the MAC-weighted
-// aggregate, as do the fidelity metrics when either side carries them.
-func (r *Result) Accumulate(o *Result) {
-	if r.EffectiveBits != 0 || o.EffectiveBits != 0 {
-		// MAC-weighted merge, using the pre-merge counts. A side without
-		// fidelity annotation contributes zeros at its weight — annotate
-		// every accumulated layer or none.
-		rw, ow := float64(r.MACs), float64(o.MACs)
-		if rw+ow > 0 {
-			r.EffectiveBits = (r.EffectiveBits*rw + o.EffectiveBits*ow) / (rw + ow)
-			r.SNRDB = (r.SNRDB*rw + o.SNRDB*ow) / (rw + ow)
-			r.AccuracyLossPct = (r.AccuracyLossPct*rw + o.AccuracyLossPct*ow) / (rw + ow)
-		}
-	}
-	r.MACs += o.MACs
-	r.PaddedMACs += o.PaddedMACs
-	r.ComputeCycles += o.ComputeCycles
-	r.Cycles += o.Cycles
-	r.TotalPJ += o.TotalPJ
-	r.Energy = append(r.Energy, o.Energy...)
-	r.Usage = append(r.Usage, o.Usage...)
-	if r.PaddedMACs > 0 {
-		r.Utilization = float64(r.MACs) / float64(r.PaddedMACs)
-	}
-	if r.Cycles > 0 {
-		r.MACsPerCycle = float64(r.MACs) / r.Cycles
-	}
-}
-
 // String summarizes the result in one line.
 func (r *Result) String() string {
 	return fmt.Sprintf("%s: %.3f pJ/MAC, %.1f MACs/cycle, util %.1f%%",

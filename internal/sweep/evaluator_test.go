@@ -42,11 +42,8 @@ func TestEvaluatorMatchesRunPoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("point %d: %v", i, err)
 		}
-		// Total carries a pointer; compare the exported value fields.
-		want := *p
-		want.Total, got.Total = nil, nil
-		if !reflect.DeepEqual(*got, want) {
-			t.Errorf("point %d differs:\n got %+v\nwant %+v", i, *got, want)
+		if !reflect.DeepEqual(got, p) {
+			t.Errorf("point %d differs:\n got %+v\nwant %+v", i, *got, *p)
 		}
 		// EvalPoint owns Run's index arithmetic: the whole point,
 		// ledger included, must match.

@@ -53,7 +53,7 @@ func TestGroupedPointsMatchSinglePoints(t *testing.T) {
 			}
 		}
 		for i := range got {
-			if !reflect.DeepEqual(got[i].Total, res.Points[i].Total) {
+			if !reflect.DeepEqual(got[i].Results, res.Points[i].Results) {
 				t.Fatalf("%s: point %d ledger differs", label, i)
 			}
 		}

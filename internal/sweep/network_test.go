@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"photoloop/internal/albireo"
@@ -14,7 +15,8 @@ import (
 // reproduce: every layer of net (already at its batch size) is searched
 // from scratch on its own built Albireo arch — cfg.Fused's for a fused
 // workload — seeded with the canonical mappings, with no result cache and
-// no shape dedupe.
+// no shape dedupe. The layers' results are summed in order into one
+// result holding their concatenated energy ledger.
 func directNetwork(t *testing.T, cfg albireo.Config, net workload.Network, fused bool, opts mapper.Options) model.Result {
 	t.Helper()
 	total := model.Result{Layer: net.Name}
@@ -34,8 +36,14 @@ func directNetwork(t *testing.T, cfg albireo.Config, net workload.Network, fused
 		if err != nil {
 			t.Fatalf("layer %s: %v", layer.Name, err)
 		}
-		total.Accumulate(best.Result)
+		r := best.Result
+		total.MACs += r.MACs
+		total.PaddedMACs += r.PaddedMACs
+		total.Cycles += r.Cycles
+		total.TotalPJ += r.TotalPJ
+		total.Energy = append(total.Energy, r.Energy...)
 	}
+	total.Utilization = float64(total.MACs) / float64(total.PaddedMACs)
 	return total
 }
 
@@ -77,6 +85,9 @@ func TestRunMatchesDirectFusedNetwork(t *testing.T) {
 			t.Errorf("point %d (batch %d, fused %v): sweep %.12g pJ %.12g cyc %d MACs, direct %.12g pJ %.12g cyc %d MACs",
 				i, w.Batch, w.Fused, p.TotalPJ, p.Cycles, p.MACs, direct.TotalPJ, direct.Cycles, direct.MACs)
 		}
+		if got, want := albireo.RoleBreakdown(p.Results...), albireo.RoleBreakdown(&direct); !reflect.DeepEqual(got, want) {
+			t.Errorf("point %d: per-layer role breakdown %v, concatenated ledger %v", i, got, want)
+		}
 	}
 }
 
@@ -107,7 +118,7 @@ func runPoints(t *testing.T, scaling string, budget int, workloads ...Workload) 
 
 // dramShare returns the DRAM fraction of a point's total energy.
 func dramShare(p *Point) float64 {
-	return albireo.RoleBreakdown(p.Total)[albireo.RoleDRAM] / p.Total.TotalPJ
+	return albireo.RoleBreakdown(p.Results...)[albireo.RoleDRAM] / p.TotalPJ
 }
 
 // TestRunBatchAmortizesWeights: batching multiplies the work and amortizes
@@ -116,12 +127,12 @@ func dramShare(p *Point) float64 {
 func TestRunBatchAmortizesWeights(t *testing.T) {
 	net := miniNet(2)
 	pts := runPoints(t, "aggressive", 400, Workload{Inline: net, Batch: 1}, Workload{Inline: net, Batch: 8})
-	b1, b8 := pts[0].Total, pts[1].Total
+	b1, b8 := &pts[0], &pts[1]
 	if b8.MACs != 8*b1.MACs {
 		t.Fatalf("batch-8 MACs = %d, want %d", b8.MACs, 8*b1.MACs)
 	}
-	w1 := albireo.RoleBreakdown(b1)[albireo.RoleDRAM] / float64(b1.MACs)
-	w8 := albireo.RoleBreakdown(b8)[albireo.RoleDRAM] / float64(b8.MACs)
+	w1 := albireo.RoleBreakdown(b1.Results...)[albireo.RoleDRAM] / float64(b1.MACs)
+	w8 := albireo.RoleBreakdown(b8.Results...)[albireo.RoleDRAM] / float64(b8.MACs)
 	if w8 >= w1 {
 		t.Errorf("batching did not reduce DRAM energy per MAC: %g vs %g", w8, w1)
 	}
@@ -138,8 +149,8 @@ func TestRunFusionRemovesActivationDRAM(t *testing.T) {
 	if dramShare(fused) >= dramShare(plain) {
 		t.Errorf("fusion did not reduce DRAM share: %g vs %g", dramShare(fused), dramShare(plain))
 	}
-	pb := albireo.RoleBreakdown(plain.Total)[albireo.RoleBuffer] / float64(plain.Total.MACs)
-	fb := albireo.RoleBreakdown(fused.Total)[albireo.RoleBuffer] / float64(fused.Total.MACs)
+	pb := albireo.RoleBreakdown(plain.Results...)[albireo.RoleBuffer] / float64(plain.MACs)
+	fb := albireo.RoleBreakdown(fused.Results...)[albireo.RoleBuffer] / float64(fused.MACs)
 	if fb <= pb {
 		t.Errorf("fused buffer energy %g should exceed plain %g", fb, pb)
 	}
@@ -149,7 +160,7 @@ func TestRunFusionRemovesActivationDRAM(t *testing.T) {
 // within the conservative Albireo's 6912 MACs/cycle peak.
 func TestRunThroughput(t *testing.T) {
 	p := &runPoints(t, "conservative", 300, Workload{Inline: miniNet(1)})[0]
-	if tp := float64(p.Total.MACs) / p.Total.Cycles; tp <= 0 || tp > 6912 {
+	if tp := float64(p.MACs) / p.Cycles; tp <= 0 || tp > 6912 {
 		t.Errorf("throughput = %g", tp)
 	}
 	if p.PJPerMAC <= 0 {

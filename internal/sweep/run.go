@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -133,10 +132,12 @@ type Point struct {
 	// Err records a failed point (the Run error names the first).
 	Err string `json:"error,omitempty"`
 
-	// Total is the accumulated whole-network result with the full energy
-	// ledger — for programmatic consumers (the figure harnesses); omitted
-	// from JSON.
-	Total *model.Result `json:"-"`
+	// Results holds each layer's best-mapping evaluation, full energy
+	// ledger included, in network order — for programmatic consumers (the
+	// figure harnesses). They are shared with the search cache and with
+	// same-shaped layers, so read-only (a result's own Layer field may
+	// name another such layer). Omitted from JSON.
+	Results []*model.Result `json:"-"`
 	// Layers holds per-layer outcomes when Spec.IncludeLayers is set.
 	Layers []LayerOutcome `json:"layers,omitempty"`
 }
@@ -162,12 +163,6 @@ type LayerOutcome struct {
 	Pruned     int `json:"pruned,omitempty"`
 	DeltaEvals int `json:"delta_evals,omitempty"`
 	FullEvals  int `json:"full_evals,omitempty"`
-
-	// Result is the layer's best-mapping evaluation with the full energy
-	// ledger, for programmatic consumers (the figure harnesses); shared
-	// with the search cache and same-shaped layers, so read-only (its own
-	// Layer field may name another such layer). Omitted from JSON.
-	Result *model.Result `json:"-"`
 }
 
 // pointJob pairs a pending point with the state needed to evaluate it.
@@ -417,60 +412,56 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 }
 
 // total fills a point's network metrics from its per-layer bests
-// (bests[i*stride] for layers[i]). Cached mapper results are shared across
-// points and layers, so the fidelity rollup lands on the point-owned
-// outcomes and total — never on a best's Result.
+// (bests[i*stride] for layers[i]), summing in layer order. Cached mapper
+// results are shared across points and layers, so the point holds them
+// read-only in Results and the fidelity rollup lands on point-owned
+// fields — never on a best's Result.
 func (e *Evaluator) total(p *Point, fid *fidelity.Chain, layers []workload.Layer, bests []*mapper.Best, stride int) {
-	var outcomes []LayerOutcome
+	p.Results = make([]*model.Result, 0, len(layers))
+	var paddedMACs int64
 	var fidMACs, fidBits, fidSNR, fidLoss float64
-	// The per-layer ledgers are summed into storage sized once: growing
-	// it one append at a time cost about a sixth of a cold study's bytes.
-	total := &model.Result{Layer: p.Network}
-	var nEnergy, nUsage int
-	for i := 0; i < len(bests); i += stride {
-		nEnergy += len(bests[i].Result.Energy)
-		nUsage += len(bests[i].Result.Usage)
-	}
-	total.Energy = slices.Grow(total.Energy, nEnergy)
-	total.Usage = slices.Grow(total.Usage, nUsage)
 	for i := 0; i < len(bests); i += stride {
 		best := bests[i]
-		total.Accumulate(best.Result)
-		lo := layerOutcome(layers[i/stride].Name, best)
+		res := best.Result
+		p.Results = append(p.Results, res)
+		p.MACs += res.MACs
+		paddedMACs += res.PaddedMACs
+		p.Cycles += res.Cycles
+		p.TotalPJ += res.TotalPJ
 		p.Evaluations += best.Evaluations
 		p.Pruned += best.Stats.Pruned
 		p.DeltaEvals += best.Stats.DeltaEvals
 		p.FullEvals += best.Stats.FullEvals
+		var rep fidelity.Report
 		if fid != nil {
-			rep := fid.Evaluate(best.Mapping)
-			lo.EffectiveBits = rep.EffectiveBits
-			lo.SNRDB = rep.SNRDB
-			lo.AccuracyLossPct = rep.AccuracyLossPct
-			w := float64(lo.MACs)
+			rep = fid.Evaluate(best.Mapping)
+			w := float64(res.MACs)
 			fidMACs += w
 			fidBits += rep.EffectiveBits * w
 			fidSNR += rep.SNRDB * w
 			fidLoss += rep.AccuracyLossPct * w
 		}
-		outcomes = append(outcomes, lo)
+		if e.spec.IncludeLayers {
+			lo := layerOutcome(layers[i/stride].Name, best)
+			lo.EffectiveBits = rep.EffectiveBits
+			lo.SNRDB = rep.SNRDB
+			lo.AccuracyLossPct = rep.AccuracyLossPct
+			p.Layers = append(p.Layers, lo)
+		}
 	}
-	if fid != nil && fidMACs > 0 {
-		total.EffectiveBits = fidBits / fidMACs
-		total.SNRDB = fidSNR / fidMACs
-		total.AccuracyLossPct = fidLoss / fidMACs
+	if p.MACs != 0 {
+		p.PJPerMAC = p.TotalPJ / float64(p.MACs)
 	}
-	p.Total = total
-	p.MACs = total.MACs
-	p.Cycles = total.Cycles
-	p.TotalPJ = total.TotalPJ
-	p.PJPerMAC = total.PJPerMAC()
-	p.MACsPerCycle = total.MACsPerCycle
-	p.Utilization = total.Utilization
-	p.EffectiveBits = total.EffectiveBits
-	p.SNRDB = total.SNRDB
-	p.AccuracyLossPct = total.AccuracyLossPct
-	if e.spec.IncludeLayers {
-		p.Layers = outcomes
+	if paddedMACs > 0 {
+		p.Utilization = float64(p.MACs) / float64(paddedMACs)
+	}
+	if p.Cycles > 0 {
+		p.MACsPerCycle = float64(p.MACs) / p.Cycles
+	}
+	if fidMACs > 0 {
+		p.EffectiveBits = fidBits / fidMACs
+		p.SNRDB = fidSNR / fidMACs
+		p.AccuracyLossPct = fidLoss / fidMACs
 	}
 }
 
@@ -488,7 +479,6 @@ func layerOutcome(layer string, best *mapper.Best) LayerOutcome {
 		Pruned:       best.Stats.Pruned,
 		DeltaEvals:   best.Stats.DeltaEvals,
 		FullEvals:    best.Stats.FullEvals,
-		Result:       res,
 	}
 }
 

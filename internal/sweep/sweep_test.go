@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -203,8 +204,11 @@ func TestRunMatchesDirectNetwork(t *testing.T) {
 				t.Errorf("point %d (%s): sweep %.9g pJ %.9g cyc, direct %.9g pJ %.9g cyc",
 					i, p.Variant, p.TotalPJ, p.Cycles, direct.TotalPJ, direct.Cycles)
 			}
-			if p.Total == nil || len(p.Total.Energy) == 0 {
+			if len(p.Results) == 0 || len(p.Results[0].Energy) == 0 {
 				t.Errorf("point %d missing full ledger", i)
+			}
+			if got, want := albireo.RoleBreakdown(p.Results...), albireo.RoleBreakdown(&direct); !reflect.DeepEqual(got, want) {
+				t.Errorf("point %d: per-layer role breakdown %v, concatenated ledger %v", i, got, want)
 			}
 			a, err := cfg.Build()
 			if err != nil {

@@ -73,12 +73,21 @@ func TestWarmHitAllocs(t *testing.T) {
 }
 
 // TestWarmHitsShareCachedBests pins what makes a warm hit a lookup: a
-// second Eval on the same cache hands out the cached results themselves,
-// not copies; ResNet-18's repeated-shape layers share their
-// representative's result under their own names; and the answer is the
-// bytes of an uncached Eval.
+// second Run of the same spec on the same cache hands out the cached
+// results themselves, not copies, one per layer in network order;
+// ResNet-18's repeated-shape layers share their representative's result
+// under their own names; and a warm Eval answers the bytes of an uncached
+// one.
 func TestWarmHitsShareCachedBests(t *testing.T) {
 	req := EvalRequest{Preset: "albireo", Network: "resnet18", Budget: 60, Seed: 1, Workers: 1}
+	sp := Spec{
+		Base:          Base{Preset: req.Preset},
+		Workloads:     []Workload{{Network: req.Network}},
+		Budget:        req.Budget,
+		Seed:          req.Seed,
+		SearchWorkers: req.Workers,
+		IncludeLayers: true,
+	}
 	encode := func(resp *EvalResponse) []byte {
 		var buf bytes.Buffer
 		if err := EncodeResponseJSON(&buf, resp); err != nil {
@@ -87,37 +96,39 @@ func TestWarmHitsShareCachedBests(t *testing.T) {
 		return buf.Bytes()
 	}
 	cache := mapper.NewCache()
-	first, err := Eval(&req, cache)
-	if err != nil {
-		t.Fatal(err)
+	var points [2]*Point
+	for k := range points {
+		res, err := Run(sp, Options{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		points[k] = &res.Points[0]
 	}
-	second, err := Eval(&req, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, second := points[0], points[1]
 	net, err := workload.ByName("resnet18", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(second.Layers) != len(net.Layers) || len(first.Layers) != len(net.Layers) {
-		t.Fatalf("got %d and %d layer outcomes, want %d", len(first.Layers), len(second.Layers), len(net.Layers))
+	if len(second.Results) != len(net.Layers) || len(first.Results) != len(net.Layers) {
+		t.Fatalf("got %d and %d layer results, want %d", len(first.Results), len(second.Results), len(net.Layers))
 	}
 	byShape := map[uint64]*model.Result{}
 	repeats := 0
-	for i, lo := range second.Layers {
-		if lo.Result != first.Layers[i].Result {
-			t.Errorf("layer %s: warm hit returned a copy, not the cached result", lo.Layer)
+	for i, r := range second.Results {
+		name := net.Layers[i].Name
+		if r != first.Results[i] {
+			t.Errorf("layer %s: warm hit returned a copy, not the cached result", name)
 		}
-		if want := net.Layers[i].Name; lo.Layer != want {
-			t.Errorf("outcome %d names layer %q, want %q", i, lo.Layer, want)
+		if lo := second.Layers[i]; lo.Layer != name {
+			t.Errorf("outcome %d names layer %q, want %q", i, lo.Layer, name)
 		}
 		shape := net.Layers[i].ShapeFingerprint()
 		rep, seen := byShape[shape]
 		switch {
 		case !seen:
-			byShape[shape] = lo.Result
-		case lo.Result != rep:
-			t.Errorf("layer %s: repeated shape got its own result", lo.Layer)
+			byShape[shape] = r
+		case r != rep:
+			t.Errorf("layer %s: repeated shape got its own result", name)
 		default:
 			repeats++
 		}
@@ -125,11 +136,19 @@ func TestWarmHitsShareCachedBests(t *testing.T) {
 	if repeats == 0 {
 		t.Fatal("resnet18 has no repeated-shape layers")
 	}
+	_, misses := cache.Stats()
+	warm, err := Eval(&req, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, after := cache.Stats(); after != misses {
+		t.Fatalf("warm Eval searched again: misses %d -> %d", misses, after)
+	}
 	uncached, err := Eval(&req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encode(second), encode(uncached)) {
+	if !bytes.Equal(encode(warm), encode(uncached)) {
 		t.Error("warm answer differs from an uncached Eval")
 	}
 }

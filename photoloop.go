@@ -340,11 +340,12 @@ type ElectricalBaselineConfig = baseline.Config
 // Albireo's peak throughput.
 func ElectricalBaseline() ElectricalBaselineConfig { return baseline.Default() }
 
-// AlbireoAcceleratorPJ sums a result's energy excluding DRAM.
-func AlbireoAcceleratorPJ(r *Result) float64 { return albireo.AcceleratorPJ(r) }
+// AlbireoAcceleratorPJ sums results' energy excluding DRAM (pass a sweep
+// point's Results... for the whole network).
+func AlbireoAcceleratorPJ(rs ...*Result) float64 { return albireo.AcceleratorPJ(rs...) }
 
-// AlbireoConverterPJ sums all cross-domain conversion energy in a result.
-func AlbireoConverterPJ(r *Result) float64 { return albireo.ConverterPJ(r) }
+// AlbireoConverterPJ sums all cross-domain conversion energy in results.
+func AlbireoConverterPJ(rs ...*Result) float64 { return albireo.ConverterPJ(rs...) }
 
 // Design-space sweep types: a declarative grid of architecture variants ×
 // workloads × objectives, evaluated concurrently with cross-point search
