@@ -19,7 +19,8 @@ import (
 // points.ndjson, and the final artifact lands in result.json. Running a
 // job again — after a crash, a failure, or even completion — re-evaluates
 // the spec against the warm store and rewrites byte-identical outputs;
-// only searches no prior attempt finished are recomputed. Context cancels
+// only searches no prior attempt finished are recomputed, and a sharded
+// re-run leases only the points holding such searches. Context cancels
 // between points.
 //
 // The artifact's cache counters (cache_hits/cache_misses) are zeroed:
@@ -108,10 +109,12 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 	}
 	// A sharded job publishes its sweep spec and hooks PreEvaluate: the
 	// point indices of each evaluation — a sweep's whole grid, an
-	// exploration's lattice or one adaptive generation — are leased to
-	// workers, after grid checks and before the local run evaluates them,
-	// so the local run then assembles the artifact from the warm store
-	// with zero recomputation: byte-identical by construction. The hook
+	// exploration's lattice or one adaptive generation — that the store
+	// cannot already serve are leased to workers, after grid checks and
+	// before the local run evaluates them, so the local run then
+	// assembles the artifact from the warm store with zero
+	// recomputation: byte-identical by construction. Warm points never
+	// leave this process, and a fully warm job needs no worker. The hook
 	// runs between generations, so a frontier stays a function of
 	// (Spec, Seed).
 	if m.Shard != nil {

@@ -24,6 +24,7 @@ type shardRun struct {
 	m      *Manager
 	ctx    context.Context
 	st     *Status
+	ev     *sweep.Evaluator // the published spec's, for offer's key walk
 	gen    int
 	cancel context.CancelFunc // stops the local worker, when one runs
 	done   chan struct{}      // closed when the local worker exits
@@ -53,7 +54,8 @@ func (sp *Spec) shardSpec() (sweep.Spec, bool) {
 // evaluator rejects the spec; the job then runs unsharded and its local
 // run reports the error.
 func (m *Manager) startShard(ctx context.Context, st *Status, sp sweep.Spec) (*shardRun, error) {
-	if _, err := sweep.NewEvaluator(sp, sweep.Options{}); err != nil {
+	ev, err := sweep.NewEvaluator(sp, sweep.Options{})
+	if err != nil {
 		return nil, nil
 	}
 	spec, err := json.Marshal(sp)
@@ -61,7 +63,7 @@ func (m *Manager) startShard(ctx context.Context, st *Status, sp sweep.Spec) (*s
 		return nil, fmt.Errorf("jobs: encoding sweep spec for sharding: %w", err)
 	}
 	m.Shard.Publish(st.ID, spec)
-	sr := &shardRun{m: m, ctx: ctx, st: st}
+	sr := &shardRun{m: m, ctx: ctx, st: st, ev: ev}
 	if m.ShardLocal {
 		wctx, cancel := context.WithCancel(ctx)
 		sr.cancel = cancel
@@ -77,13 +79,18 @@ func (m *Manager) startShard(ctx context.Context, st *Status, sp sweep.Spec) (*s
 	return sr, nil
 }
 
-// offer posts one generation of point indices and waits until workers
-// finish it (updating Status.Shards as ranges complete); every search the
-// generation computed is then in the manager's store. It is the run's
+// offer posts one generation of the point indices whose searches the
+// manager's store cannot already serve, and waits until workers finish
+// it (updating Status.Shards as ranges complete); every search of the
+// generation is then in the manager's store. A point counts as served
+// only when the exact store.Store.Has holds every one of its search keys
+// (sweep.Evaluator.ColdPoints), so a warm point never leaves the
+// coordinator, and a fully warm generation offers no range at all and
+// completes at once, with or without workers attached. It is the run's
 // sweep.Options.PreEvaluate.
 func (sr *shardRun) offer(tasks []int64) error {
 	m, id := sr.m, sr.st.ID
-	done, err := m.Shard.Offer(id, sr.gen, tasks)
+	done, err := m.Shard.Offer(id, sr.gen, sr.ev.ColdPoints(tasks, m.store.Has))
 	if err != nil {
 		return err
 	}

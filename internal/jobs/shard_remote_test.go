@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"photoloop/internal/shard"
 	"photoloop/internal/store"
 	"photoloop/internal/sweep"
+	"photoloop/internal/workload"
 )
 
 // remoteWorkerPool starts n shared-nothing workers against the manager's
@@ -98,10 +101,11 @@ func TestShardedRemoteNoSharedDir(t *testing.T) {
 			}
 
 			// Warm repeat with a fresh worker pool: the coordinator's
-			// store already holds every search, so the new workers pull
-			// the warm-key digest, serve their leases from coordinator
-			// fetches, and upload nothing.
-			persisters2, stop2 := remoteWorkerPool(t, hs.URL, workers)
+			// store already holds every search, so the coordinator
+			// offers no range — the workers lease nothing and upload
+			// nothing.
+			var leased atomic.Int64
+			persisters2, stop2 := remoteWorkers(t, hs.URL, workers, func(*shard.Lease) { leased.Add(1) })
 			st2, err := m.Run(context.Background(), st.ID)
 			if err != nil {
 				t.Fatal(err)
@@ -117,17 +121,15 @@ func TestShardedRemoteNoSharedDir(t *testing.T) {
 			if !bytes.Equal(rerun, want) {
 				t.Error("warm repeat artifact differs")
 			}
-			warm, uploaded2 := 0, 0
+			uploaded2 := 0
 			for _, rp := range persisters2 {
-				s := rp.Stats()
-				warm += s.WarmHits
-				uploaded2 += s.Uploaded
+				uploaded2 += rp.Stats().Uploaded
 			}
 			if uploaded2 != 0 {
 				t.Errorf("warm repeat uploaded %d records, want 0 (every search already coordinator-side)", uploaded2)
 			}
-			if warm == 0 {
-				t.Error("warm repeat served no warm hits from the coordinator")
+			if n := leased.Load(); n != 0 {
+				t.Errorf("warm repeat leased %d ranges, want 0 (every point already coordinator-side)", n)
 			}
 		})
 	}
@@ -280,3 +282,95 @@ func TestShardedExploreBeyondVariantCap(t *testing.T) {
 }
 
 func ptr(v float64) *float64 { return &v }
+
+// TestShardedLeasesOnlyColdPoints: the coordinator leases only the points
+// its store cannot already serve. Extending a finished sweep by one
+// variant leases that variant's point alone; adding a workload that
+// shares a layer shape leases the new workload's points, whose shared
+// layer the workers fetch from the coordinator (partially warm points);
+// and a fully warm job offers no range at all, so it completes with no
+// worker attached. Every artifact is the single-process bytes and the
+// coordinator computes nothing.
+func TestShardedLeasesOnlyColdPoints(t *testing.T) {
+	withVariants := func(name string, lanes ...any) Spec {
+		sp := sweepJob()
+		sp.Sweep.Name = name
+		sp.Sweep.Axes[0].Values = lanes
+		return sp
+	}
+	// shared repeats tinyNet's conv shape under another name and adds an
+	// FC shape of its own.
+	shared := &workload.Network{Name: "shared", Layers: []workload.Layer{
+		workload.NewConv("conv1b", 1, 6, 8, 8, 8, 3, 3, 1, 1),
+		workload.NewFC("fc2", 1, 24, 32),
+	}}
+	twoNets := func(name string) Spec {
+		sp := withVariants(name, 3, 5, 9)
+		sp.Sweep.Workloads = append(sp.Sweep.Workloads, sweep.Workload{Inline: shared})
+		return sp
+	}
+
+	m, url := shardedRemoteManager(t)
+	plain := openManager(t, t.TempDir())
+	for _, tc := range []struct {
+		spec     Spec
+		workers  int
+		tasks    []int64 // the leased point indices, in any order
+		warmHits int     // searches the workers fetched from the coordinator
+	}{
+		{withVariants("cold-base", 3, 9), 2, []int64{0, 1}, 0},
+		// Variant 5 sits between the stored 3 and 9: point 1.
+		{withVariants("cold-superset", 3, 5, 9), 2, []int64{1}, 0},
+		// (variant, workload) points; the shared network's are 1, 3, 5,
+		// each with its conv layer already stored.
+		{twoNets("cold-two-nets"), 2, []int64{1, 3, 5}, 3},
+		// The same grid under a new name is fully warm: no worker.
+		{twoNets("cold-rerun"), 0, nil, 0},
+	} {
+		name := tc.spec.Sweep.Name
+		_, want := runJob(t, plain, tc.spec)
+		var mu sync.Mutex
+		var leased []int64
+		persisters, stop := remoteWorkers(t, url, tc.workers, func(l *shard.Lease) {
+			mu.Lock()
+			leased = append(leased, l.Tasks...)
+			mu.Unlock()
+		})
+		// A job that waits for a lease no worker takes must fail here,
+		// not hang the test.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		st, err := m.Submit(tc.spec)
+		if err == nil {
+			st, err = m.Run(ctx, st.ID)
+		}
+		cancel()
+		stop()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := m.Result(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: sharded artifact differs from single-process artifact", name)
+		}
+		if st.Store == nil || st.Store.Misses != 0 {
+			t.Errorf("%s: coordinator recomputed searches: %+v", name, st.Store)
+		}
+		slices.Sort(leased)
+		if !slices.Equal(leased, tc.tasks) {
+			t.Errorf("%s: leased points %v, want %v", name, leased, tc.tasks)
+		}
+		if tc.tasks == nil && (st.Shards == nil || st.Shards.Ranges != 0) {
+			t.Errorf("%s: fully warm job offered ranges: %+v", name, st.Shards)
+		}
+		warm := 0
+		for _, rp := range persisters {
+			warm += rp.Stats().WarmHits
+		}
+		if warm != tc.warmHits {
+			t.Errorf("%s: workers fetched %d warm searches, want %d", name, warm, tc.warmHits)
+		}
+	}
+}

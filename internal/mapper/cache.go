@@ -126,20 +126,30 @@ func (c *Cache) TierStats() TierStats {
 	return TierStats{Hits: c.hits, DiskHits: c.diskHits, Misses: c.misses, DiskFails: c.diskFails}
 }
 
+// Keys returns the cache keys a SearchObjectives call of the layer under
+// opts (defaults applied, opts.Objective ignored) looks up, one per
+// objective in objs — the content addresses a Persister serves the
+// call's results under. It is the one key derivation: Cache.search
+// calls it.
+func (s *Session) Keys(l *workload.Layer, opts Options, objs []Objective) []Key {
+	o := opts.withDefaults()
+	keys := make([]Key, len(objs))
+	shape := l.ShapeFingerprint()
+	for i, obj := range objs {
+		o.Objective = obj
+		keys[i] = Key{Arch: s.fp, Layer: shape, Opts: o.fingerprint()}
+	}
+	return keys
+}
+
 // search runs (or joins, or reuses) the deduplicated search of the layer
-// for each objective, one key per objective. The options must already
-// have defaults applied, since the defaults feed the keys. Hits and
+// for each objective, one key per objective (Session.Keys). The options
+// must already have defaults applied, as the search runs on them. Hits and
 // misses are counted per key exactly as separate lookups would count
 // them.
 func (c *Cache) search(s *Session, l *workload.Layer, o Options, objs []Objective) ([]*Best, error) {
-	keys := make([]Key, len(objs))
+	keys := s.Keys(l, o, objs)
 	entries := make([]*cacheEntry, len(objs))
-	shape := l.ShapeFingerprint()
-	for i, obj := range objs {
-		ko := o
-		ko.Objective = obj
-		keys[i] = Key{Arch: s.fp, Layer: shape, Opts: ko.fingerprint()}
-	}
 	var claimed []int
 	c.mu.Lock()
 	for i, key := range keys {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"photoloop/internal/albireo"
 	"photoloop/internal/mapper"
 	"photoloop/internal/workload"
 )
@@ -344,6 +345,13 @@ func (e *Evaluator) EvalPoints(idx []int64, opts Options) ([]Point, error) {
 	canceled := false
 dispatch:
 	for i := range chains {
+		// A select with both cases ready picks at random, so a canceled
+		// context could still dispatch a chain to an idle worker; check
+		// it first.
+		if ctx.Err() != nil {
+			canceled = true
+			break
+		}
 		select {
 		case chainCh <- chains[i]:
 		case <-ctx.Done():
@@ -362,6 +370,61 @@ dispatch:
 		}
 	}
 	return points, ctx.Err()
+}
+
+// ColdPoints returns the points of idx, in idx order, that a run would
+// compute at least one search for: those with a search key has does not
+// hold. It derives a point's keys exactly as evaluate looks them up —
+// the same per-layer sessions and search options, then
+// mapper.Session.Keys — and stops at the point's first key has lacks.
+// Whatever it cannot derive reads as cold: an index that does not
+// decode, a variant or layer session that fails to build, and every
+// point of a WarmStart spec, whose keys depend on earlier points'
+// results.
+func (e *Evaluator) ColdPoints(idx []int64, has func(mapper.Key) bool) []int64 {
+	if e.spec.WarmStart {
+		return idx
+	}
+	variants := map[int64]*variant{}
+	var cold []int64
+	for _, i := range idx {
+		job, err := e.jobAt(i, variants)
+		if err != nil || !e.served(&job, has) {
+			cold = append(cold, i)
+		}
+	}
+	return cold
+}
+
+// served reports whether has holds every search key of the point: true
+// at once for a fixed mapping, which searches nothing.
+func (e *Evaluator) served(job *pointJob, has func(mapper.Key) bool) bool {
+	if job.mapping != nil {
+		return true
+	}
+	// The keys need the variant's session, not its fidelity chain (the
+	// variant is this walk's own, so nothing later misses the chain).
+	st := &job.variant.state
+	st.init(job.variant, nil, true)
+	if st.err != nil {
+		return false
+	}
+	fused := map[albireo.Config]*mapper.Session{}
+	objs := []mapper.Objective{job.obj}
+	for i := range job.network.Layers {
+		layer := &job.network.Layers[i]
+		sess, err := job.layerSession(i, fused)
+		if err != nil {
+			return false
+		}
+		opts := e.searchOptions(job, sess, layer, layer.ShapeFingerprint(), nil)
+		for _, k := range sess.Keys(layer, opts, objs) {
+			if !has(k) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // CacheStats reports the hit/miss counters of the evaluator's search

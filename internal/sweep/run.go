@@ -48,8 +48,9 @@ type Options struct {
 	// call after they all decode and before any is evaluated: a Run's
 	// whole grid once (only after the grid passed Run's checks), an
 	// adaptive exploration one generation at a time. Sharded jobs hook it
-	// to lease the indices to worker processes and wait until their
-	// searches reach the shared cache's store, after which the local
+	// to lease the indices whose searches the shared cache's store cannot
+	// already serve (Evaluator.ColdPoints) to worker processes and wait
+	// until those searches reach the store, after which the local
 	// evaluation finds everything warm; it runs before evaluation starts,
 	// so it cannot change what is computed. An error aborts the call with
 	// nothing evaluated.
@@ -325,30 +326,7 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 	if collect {
 		next = make(warmTable)
 	}
-	// An unfused workload runs every layer on the variant's session. A
-	// fused one runs layer i on its position's cfg.Fused(i) arch, of
-	// which a network has at most three (first, middle, last); fused
-	// memoizes their sessions for this point.
 	fused := map[albireo.Config]*mapper.Session{}
-	layerSession := func(i int) (*mapper.Session, error) {
-		if !job.workload.Fused {
-			return st.sess, nil
-		}
-		cfg := job.variant.albireo.Fused(&job.network, i)
-		if s := fused[cfg]; s != nil {
-			return s, nil
-		}
-		fa, err := cfg.Build()
-		if err != nil {
-			return nil, err
-		}
-		s, err := mapper.SessionFor(fa)
-		if err != nil {
-			return nil, err
-		}
-		fused[cfg] = s
-		return s, nil
-	}
 	objs := make([]mapper.Objective, len(jobs))
 	for j := range jobs {
 		objs[j] = jobs[j].obj
@@ -368,7 +346,7 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 	bests := make([]*mapper.Best, 0, len(job.network.Layers)*len(jobs))
 	for i := range job.network.Layers {
 		layer := &job.network.Layers[i]
-		sess, err := layerSession(i)
+		sess, err := job.layerSession(i, fused)
 		if err != nil {
 			return failLayer(layer.Name, err)
 		}
@@ -384,16 +362,7 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 			}
 			bests = append(bests, best)
 		default:
-			mopts := mapper.Options{
-				Budget:     e.spec.Budget,
-				Seed:       e.spec.Seed,
-				Workers:    e.spec.SearchWorkers,
-				Cache:      e.cache,
-				WarmStarts: warm[key.shape],
-			}
-			if job.variant.albireo != nil {
-				mopts.Seeds = canonicalSeeds(sess, layer, key.shape)
-			}
+			mopts := e.searchOptions(job, sess, layer, key.shape, warm[key.shape])
 			row, err := sess.SearchObjectives(layer, mopts, objs)
 			if err != nil {
 				return failLayer(layer.Name, err)
@@ -409,6 +378,49 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 		e.total(&points[j], st.fid, job.network.Layers, bests[j:], len(jobs))
 	}
 	return next, nil
+}
+
+// layerSession returns the mapper session layer i of the point runs on.
+// An unfused workload runs every layer on the variant's session (its
+// state must be initialized). A fused one runs layer i on its position's
+// cfg.Fused(i) arch, of which a network has at most three (first,
+// middle, last); fused memoizes their sessions for the point.
+func (job *pointJob) layerSession(i int, fused map[albireo.Config]*mapper.Session) (*mapper.Session, error) {
+	if !job.workload.Fused {
+		return job.variant.state.sess, nil
+	}
+	cfg := job.variant.albireo.Fused(&job.network, i)
+	if s := fused[cfg]; s != nil {
+		return s, nil
+	}
+	fa, err := cfg.Build()
+	if err != nil {
+		return nil, err
+	}
+	s, err := mapper.SessionFor(fa)
+	if err != nil {
+		return nil, err
+	}
+	fused[cfg] = s
+	return s, nil
+}
+
+// searchOptions returns the mapper options the point searches layer
+// (shape fingerprint shape) with on sess: the spec's budget, seed and
+// lanes, the evaluator's cache, the canonical Albireo seeds on an
+// Albireo base, and the warm starts a warm-start chain threads in.
+func (e *Evaluator) searchOptions(job *pointJob, sess *mapper.Session, layer *workload.Layer, shape uint64, warm []*mapping.Mapping) mapper.Options {
+	o := mapper.Options{
+		Budget:     e.spec.Budget,
+		Seed:       e.spec.Seed,
+		Workers:    e.spec.SearchWorkers,
+		Cache:      e.cache,
+		WarmStarts: warm,
+	}
+	if job.variant.albireo != nil {
+		o.Seeds = canonicalSeeds(sess, layer, shape)
+	}
+	return o
 }
 
 // total fills a point's network metrics from its per-layer bests
