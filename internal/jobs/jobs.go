@@ -17,7 +17,7 @@
 //	photoloop-store.log          the result store (package store)
 //	photoloop-store.log.lock     its single-writer lock (pid of the holder)
 //	jobs/<id>/spec.json          the submitted spec
-//	jobs/<id>/state.json         live status (atomically replaced)
+//	jobs/<id>/state.json         status as of the last state transition (atomically replaced)
 //	jobs/<id>/points.ndjson      one JSON point per line, completion order
 //	jobs/<id>/result.json        final artifact (atomically written)
 //
@@ -70,7 +70,10 @@ const (
 )
 
 // Status is a job's current state — what GET /v1/jobs/{id} and
-// `photoloop jobs status` report, persisted as state.json.
+// `photoloop jobs status` report. state.json holds it as of the last
+// state transition (submit, run start, run end); progress in between is
+// kept in the running process's memory, so a crashed attempt's file
+// shows the state when that attempt started.
 type Status struct {
 	// ID is the job's content address (a hash of the canonical spec).
 	ID string `json:"id"`
@@ -118,10 +121,20 @@ type Manager struct {
 	ShardLocal bool
 	// Progress, when set, mirrors each running job's progress reports
 	// (done, total) — the CLI renders them; calls are serialized per job.
+	// Like Status.Done and Total, they are not written to state.json.
 	Progress func(done, total int)
 
 	mu      sync.Mutex
-	running map[string]chan struct{} // job id -> closed when the run ends
+	running map[string]*liveJob // job id -> its run in this process
+}
+
+// liveJob is a job running in this process.
+type liveJob struct {
+	done chan struct{} // closed when the run ends
+	// st is the run's live status, nil until the run has written its
+	// running state; the run mutates it, and readers copy it, under
+	// Manager.mu.
+	st *Status
 }
 
 // Open opens (creating if needed) the store directory and its job root.
@@ -134,7 +147,7 @@ func Open(dir string) (*Manager, error) {
 		st.Close()
 		return nil, fmt.Errorf("jobs: %w", err)
 	}
-	return &Manager{dir: dir, store: st, ShardLocal: true, running: make(map[string]chan struct{})}, nil
+	return &Manager{dir: dir, store: st, ShardLocal: true, running: make(map[string]*liveJob)}, nil
 }
 
 // Close closes the underlying store. Jobs still running keep evaluating
@@ -230,10 +243,14 @@ func (m *Manager) Spec(id string) (*Spec, error) {
 	return &sp, nil
 }
 
-// Status reads a job's state. A state file claiming "running" without a
-// live runner in this process is reported as interrupted — the owning
-// process died and the job is resumable.
+// Status reports a job's state: a copy of the live status for a job
+// running in this process, otherwise its state file. A state file
+// claiming "running" without a live runner in this process is reported
+// as interrupted — the owning process died and the job is resumable.
 func (m *Manager) Status(id string) (*Status, error) {
+	if st := m.liveStatus(id); st != nil {
+		return st, nil
+	}
 	buf, err := os.ReadFile(m.statePath(id))
 	if err != nil {
 		return nil, fmt.Errorf("jobs: job %s: %w", id, err)
@@ -284,7 +301,33 @@ func (m *Manager) Result(id string) ([]byte, error) {
 func (m *Manager) runningChan(id string) chan struct{} {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.running[id]
+	if j := m.running[id]; j != nil {
+		return j.done
+	}
+	return nil
+}
+
+// liveStatus returns a copy of an in-process run's live status, or nil
+// when the job is not running here or its run has not started yet.
+func (m *Manager) liveStatus(id string) *Status {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j := m.running[id]
+	if j == nil || j.st == nil {
+		return nil
+	}
+	// The run replaces Store and Shards, never mutating them in place,
+	// so the copy may share them.
+	st := *j.st
+	return &st
+}
+
+// update applies f to a running job's live status under m.mu, so
+// concurrent Status calls never see a half-applied change.
+func (m *Manager) update(f func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f()
 }
 
 // writeState persists a status as the job's state.json, atomically.

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"photoloop/internal/explore"
@@ -283,5 +284,73 @@ func TestInterruptedStateAndResume(t *testing.T) {
 	}
 	if len(list) != 1 || list[0].ID != st.ID || list[0].State != StateDone {
 		t.Fatalf("list = %+v", list)
+	}
+}
+
+// readStateFile parses a job's state.json straight off disk.
+func readStateFile(dir, id string) (*Status, error) {
+	buf, err := os.ReadFile(filepath.Join(dir, "jobs", id, "state.json"))
+	if err != nil {
+		return nil, err
+	}
+	var st Status
+	if err := json.Unmarshal(buf, &st); err != nil {
+		return nil, err
+	}
+	return &st, nil
+}
+
+// TestJobStateWrittenOnTransitions pins when state.json is written: mid-
+// run, Status reports the live progress from memory while the file still
+// holds the snapshot written when the run started; the run's end writes
+// the final status.
+func TestJobStateWrittenOnTransitions(t *testing.T) {
+	dir := t.TempDir()
+	m := openManager(t, dir)
+	sp := sweepJob()
+	sp.Sweep.Axes[0].Values = []any{3, 5, 7, 9}
+	st, err := m.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := false
+	m.Progress = func(done, total int) {
+		if done != total/2 {
+			return
+		}
+		checked = true
+		live, err := m.Status(st.ID)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if live.State != StateRunning || live.Done != done || live.Total != total {
+			t.Errorf("live status at point %d/%d = %+v", done, total, live)
+		}
+		disk, err := readStateFile(dir, st.ID)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if disk.State != StateRunning || disk.Done != 0 || disk.Total != 0 {
+			t.Errorf("state.json at point %d/%d = %+v, want the running snapshot with Done == 0", done, total, disk)
+		}
+	}
+	final, err := m.Run(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !checked {
+		t.Fatal("progress never reported the middle point")
+	}
+	if final.State != StateDone || final.Done != 4 || final.Total != 4 || final.Store == nil {
+		t.Fatalf("final status = %+v", final)
+	}
+	disk, err := readStateFile(dir, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(disk, final) {
+		t.Errorf("state.json after the run = %+v, want the final status %+v", disk, final)
 	}
 }

@@ -28,20 +28,23 @@ import (
 // and a resumed run of the same job. The per-tier traffic of the attempt
 // is reported in Status.Store instead — a warm re-run shows Misses == 0,
 // meaning not one mapper search ran.
+//
+// state.json is written when the attempt starts and when it ends; in
+// between, Status and List report the run's in-memory status.
 func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 	m.mu.Lock()
 	if _, ok := m.running[id]; ok {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("jobs: job %s is already running", id)
 	}
-	done := make(chan struct{})
-	m.running[id] = done
+	live := &liveJob{done: make(chan struct{})}
+	m.running[id] = live
 	m.mu.Unlock()
 	defer func() {
 		m.mu.Lock()
 		delete(m.running, id)
 		m.mu.Unlock()
-		close(done)
+		close(live.done)
 	}()
 
 	sp, err := m.Spec(id)
@@ -60,10 +63,13 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 	if err := m.writeState(st); err != nil {
 		return nil, err
 	}
+	m.update(func() { live.st = st })
 
 	fail := func(runErr error) (*Status, error) {
-		st.State = StateFailed
-		st.Error = runErr.Error()
+		m.update(func() {
+			st.State = StateFailed
+			st.Error = runErr.Error()
+		})
 		if werr := m.writeState(st); werr != nil {
 			return st, fmt.Errorf("%w (and writing state: %v)", runErr, werr)
 		}
@@ -82,11 +88,12 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 		return fail(fmt.Errorf("jobs: %w", err))
 	}
 	defer pf.Close()
+	// Unbuffered: each point reaches the file as it completes.
+	enc := json.NewEncoder(pf)
 	var writeErr error
 	delay := shard.PointDelay()
 	onPoint := func(p *sweep.Point) {
 		if writeErr == nil {
-			enc := json.NewEncoder(pf)
 			writeErr = enc.Encode(p)
 		}
 		if delay > 0 {
@@ -94,10 +101,7 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 		}
 	}
 	progress := func(done, total int) {
-		st.Done, st.Total = done, total
-		// State writes are progress reporting; a transient failure must
-		// not kill the run (the store still checkpoints every search).
-		m.writeState(st)
+		m.update(func() { st.Done, st.Total = done, total })
 		if m.Progress != nil {
 			m.Progress(done, total)
 		}
@@ -160,8 +164,10 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 		return fail(err)
 	}
 	ts := cache.TierStats()
-	st.State = StateDone
-	st.Store = &ts
+	m.update(func() {
+		st.State = StateDone
+		st.Store = &ts
+	})
 	if err := m.writeState(st); err != nil {
 		return st, err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -186,5 +187,77 @@ func TestServeDecodeErrorEnvelopes(t *testing.T) {
 				t.Errorf("%s: content type %q", route, ct)
 			}
 		}
+	}
+}
+
+// getJSON serves one GET and decodes its 200 body into v.
+func getJSON(t *testing.T, srv *sweep.Server, path string, v any) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s status %d: %s", path, rec.Code, rec.Body.String())
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJobStatusPollsWhileRunning polls an async job's status and the
+// job list while the job runs, as a client would: its progress, served
+// from the run's in-memory status, never goes backwards, and the last
+// poll equals the status the manager reports once the run is over.
+func TestJobStatusPollsWhileRunning(t *testing.T) {
+	// Slow each point so the run outlasts many polls.
+	t.Setenv("PHOTOLOOP_JOB_POINT_DELAY", "30ms")
+	srv, m := newJobServer(t)
+	sp := sweepJob()
+	sp.Sweep.Axes[0].Values = []any{3, 5, 7, 9}
+	id := postJob(t, srv, sp).ID
+
+	var last Status
+	lastDone, midRun := 0, false
+	observe := func(st Status) {
+		if st.Done < lastDone {
+			t.Fatalf("done went backwards: %d after %d (%+v)", st.Done, lastDone, st)
+		}
+		lastDone = st.Done
+		if st.State == StateRunning && st.Done > 0 && st.Done < st.Total {
+			midRun = true
+		}
+		last = st
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for last.State != StateDone {
+		if time.Now().After(deadline) {
+			t.Fatalf("job did not finish in time: %+v", last)
+		}
+		var st Status
+		getJSON(t, srv, "/v1/jobs/"+id, &st)
+		observe(st)
+		var list []Status
+		getJSON(t, srv, "/v1/jobs", &list)
+		if len(list) != 1 || list[0].ID != id {
+			t.Fatalf("list = %+v", list)
+		}
+		observe(list[0])
+		if last.State == StateFailed {
+			t.Fatalf("job failed: %s", last.Error)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if !midRun {
+		t.Error("no poll saw the job running part way through")
+	}
+	// The runner may still be retiring the job; wait for it to go.
+	for m.runningChan(id) != nil {
+		time.Sleep(time.Millisecond)
+	}
+	want, err := m.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&last, want) {
+		t.Errorf("last poll = %+v, manager status = %+v", last, *want)
 	}
 }

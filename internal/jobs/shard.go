@@ -113,11 +113,10 @@ wait:
 }
 
 // publishProgress mirrors the coordinator's lease accounting into the
-// job's persisted status.
+// job's in-memory status; state.json records it when the run ends.
 func (sr *shardRun) publishProgress() {
 	if p, ok := sr.m.Shard.Progress(sr.st.ID); ok {
-		sr.st.Shards = &p
-		sr.m.writeState(sr.st)
+		sr.m.update(func() { sr.st.Shards = &p })
 	}
 }
 
