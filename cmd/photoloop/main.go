@@ -119,13 +119,9 @@ func usage(w io.Writer) {
       delay and area are bit-identical either way. With -json, the result
       is the same document POST /v1/eval answers.
   photoloop sweep (-spec sweep.json | -preset fig4|fig5) [-format json|csv]
-                  [-out file] [-workers N] [-budget N] [-seed N]
-                  [-warm-start] [-quiet]
+                  [-out file] [-workers N] [-budget N] [-seed N] [-quiet]
       Run a declarative design-space sweep (variants x workloads x
       objectives) on a concurrent worker pool with search deduplication.
-      -warm-start chains same-workload points across the variant axis,
-      seeding each search with its neighbor's best mappings so the
-      mapper's lower bound prunes from the first candidate.
   photoloop explore (-spec explore.json | -preset name [-axis param=...])
                     [-network vgg16] [-objectives energy,area] [-budget N]
                     [-strategy auto|grid|adaptive] [-mapper-budget N] [-seed N]
@@ -404,7 +400,6 @@ func cmdSweep(args []string) error {
 	workers := fs.Int("workers", 0, "point-level worker pool size (default GOMAXPROCS)")
 	budget := fs.Int("budget", 0, "override the spec's mapper budget per layer")
 	seed := fs.Int64("seed", 0, "override the spec's mapper seed")
-	warmStart := fs.Bool("warm-start", false, "thread incumbent mappings across neighboring grid points (chains same-workload points; see the spec's warm_start field)")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -434,10 +429,6 @@ func cmdSweep(args []string) error {
 		if *seed != 0 {
 			sp.Seed = *seed
 		}
-	}
-
-	if *warmStart {
-		sp.WarmStart = true
 	}
 
 	out, closeOut, err := openOut(*outPath)

@@ -112,7 +112,7 @@ type Manager struct {
 	// Shard, when set, fans shardable jobs out across worker processes
 	// through a range-lease coordinator: workers warm the shared store,
 	// and the artifact is then assembled by the unchanged local path
-	// (see run.go). Warm-start sweeps cannot shard and run locally.
+	// (see run.go).
 	Shard *shard.Coordinator
 	// ShardLocal makes the coordinating process work its own leases (an
 	// in-process worker loop), so a sharded job completes even when no

@@ -168,16 +168,26 @@ func TestJobHTTPErrors(t *testing.T) {
 
 // TestServeDecodeErrorEnvelopes pins the 400 body every POST route of a
 // full server answers for an undecodable request: a strict-decoding
-// rejection and a body past the 8 MiB request cap.
+// rejection and a body past the 8 MiB request cap. A sweep that sets the
+// removed warm_start field, bare or inside a job, is such a rejection.
 func TestServeDecodeErrorEnvelopes(t *testing.T) {
 	srv, _ := newJobServer(t)
 	explore.Attach(srv)
 	oversized := `{"name":"` + strings.Repeat("a", 8<<20) + `"}`
+	warmStart := `{"error":"decoding request: json: unknown field \"warm_start\""}` + "\n"
+	removed := map[string]string{
+		"/v1/sweep": `{"name":"w","budget":50,"warm_start":true}`,
+		"/v1/jobs":  `{"sweep":{"name":"w","budget":50,"warm_start":true}}`,
+	}
 	for _, route := range []string{"/v1/sweep", "/v1/study", "/v1/explore", "/v1/jobs"} {
-		for _, c := range []struct{ body, want string }{
+		cases := []struct{ body, want string }{
 			{`{"bogus": 1}`, `{"error":"decoding request: json: unknown field \"bogus\""}` + "\n"},
 			{oversized, `{"error":"decoding request: http: request body too large"}` + "\n"},
-		} {
+		}
+		if body, ok := removed[route]; ok {
+			cases = append(cases, struct{ body, want string }{body, warmStart})
+		}
+		for _, c := range cases {
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, httptest.NewRequest("POST", route, strings.NewReader(c.body)))
 			if rec.Code != http.StatusBadRequest || rec.Body.String() != c.want {

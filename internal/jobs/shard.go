@@ -33,14 +33,12 @@ type shardRun struct {
 // shardSpec returns the sweep spec a sharded run of the job publishes,
 // and whether the job can shard at all: a sweep job publishes its own
 // spec, an explore job its SweepSpec, whose point index is the lattice
-// index. Warm-start sweeps chain searches across points (each
-// warm start is part of the next search's cache key), so they cannot be
-// partitioned; they run locally, as does an exploration without a sweep
-// equivalent (explore.Run reports its error).
+// index. An exploration without a sweep equivalent runs locally
+// (explore.Run reports its error).
 func (sp *Spec) shardSpec() (sweep.Spec, bool) {
 	switch {
 	case sp.Sweep != nil:
-		return *sp.Sweep, !sp.Sweep.WarmStart
+		return *sp.Sweep, true
 	case sp.Explore != nil:
 		ssp, err := sp.Explore.SweepSpec()
 		return ssp, err == nil

@@ -145,47 +145,12 @@ func TestShardedFidelityExploreRemoteWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedWarmStartSweepFallsBack pins the documented fallback: a
-// warm-start sweep cannot be partitioned, so a sharding manager runs it
-// on the local path — same bytes, no shard progress.
-func TestShardedWarmStartSweepFallsBack(t *testing.T) {
-	sp := sweepJob()
-	sp.Sweep.WarmStart = true
-
-	plain := openManager(t, t.TempDir())
-	_, want := runJob(t, plain, sp)
-
-	m := openManager(t, t.TempDir())
-	m.Shard = shard.NewCoordinator()
-	st, got := runJob(t, m, sp)
-	if !bytes.Equal(got, want) {
-		t.Error("warm-start fallback artifact differs")
-	}
-	if st.Shards != nil {
-		t.Errorf("warm-start sweep reported shard progress: %+v", st.Shards)
-	}
-}
-
 // TestShardingGatesOnRunnableSweeps pins where the sharding gate lives:
-// a warm-start sweep is never offered (a coordinator with no worker at
-// all still completes it), and a sweep that Run rejects — an axis with no
-// values — fails with Run's own error whether or not sharding is on.
+// a sweep that Run rejects — an axis with no values — fails with Run's
+// own error whether or not sharding is on.
 func TestShardingGatesOnRunnableSweeps(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-
-	warm := sweepJob()
-	warm.Sweep.WarmStart = true
-	m := openManager(t, t.TempDir())
-	m.Shard = shard.NewCoordinator()
-	m.ShardLocal = false // nobody would work an offered lease
-	st, err := m.Submit(warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err = m.Run(ctx, st.ID); err != nil || st.State != StateDone {
-		t.Fatalf("warm-start sweep with an idle coordinator: state %s, err %v", st.State, err)
-	}
 
 	empty := sweepJob()
 	empty.Sweep.Axes = []sweep.Axis{{Param: "output_lanes"}}

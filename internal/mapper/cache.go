@@ -56,7 +56,7 @@ type Persister interface {
 // SetPersister adds a durable second tier: lookups missing in memory
 // consult the persister before computing, and computed results are written
 // through — so a restarted process (or a different one sharing the store)
-// warm-starts from every search any prior run completed.
+// starts warm from every search any prior run completed.
 type Cache struct {
 	mu    sync.Mutex
 	m     map[Key]*cacheEntry
@@ -272,13 +272,8 @@ func (o *Options) fingerprint() uint64 {
 	for _, p := range o.Seeds.prints {
 		h.Mix(p)
 	}
-	// Warm starts change which candidates join the pool, so they are part
-	// of the search identity.
-	h.Mix(uint64(len(o.WarmStarts)))
-	for _, w := range o.WarmStarts {
-		if w != nil {
-			h.Mix(w.Fingerprint())
-		}
-	}
+	// Once the count of a removed option (always 0 now); existing stores
+	// are addressed by keys that mix it.
+	h.Mix(0)
 	return h.Sum()
 }

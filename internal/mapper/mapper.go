@@ -82,8 +82,7 @@ type Options struct {
 	// more real candidates than 2000 did when 2000 was chosen). It is
 	// split across the lanes (Workers) with the remainder distributed
 	// one-per-lane, so the configured budget is spendable exactly; a
-	// converging hill climb may stop early, so Evaluations <= Budget
-	// (+ warm starts).
+	// converging hill climb may stop early, so Evaluations <= Budget.
 	Budget int
 	// Seed makes the search deterministic (default 1).
 	Seed int64
@@ -109,18 +108,6 @@ type Options struct {
 	// LazySeeds; only their fingerprints enter the cache key, and the
 	// mappings are built only when the search runs.
 	Seeds Seeds
-	// WarmStarts are incumbent mappings threaded in from structurally
-	// related, already-solved searches — the same layer shape on a
-	// neighboring sweep point, typically. They are validated against this
-	// (architecture, layer) pair (inapplicable ones are silently dropped)
-	// and evaluated after Seeds without consuming Budget, so they only
-	// tighten the pruning cutoff early: with a good warm start the
-	// admissible lower bound discards most random candidates from the
-	// first draw. A warm-started search is deterministic given identical
-	// WarmStarts; its Best usually improves on (and may differ from) the
-	// cold search's, because the warm candidates join the pool and the
-	// hill climber may start from one of them.
-	WarmStarts []*mapping.Mapping
 	// Cache, when non-nil, deduplicates searches across calls: searches
 	// with equal (architecture, layer shape, options) fingerprints run
 	// once and share the result. Sweeps and long-lived services set it;
@@ -154,7 +141,7 @@ type Best struct {
 	Result  *model.Result
 	// Evaluations counts candidate attempts charged against the budget
 	// (duplicates, invalid candidates and pruned candidates included —
-	// each consumed one draw) plus any warm-start evaluations.
+	// each consumed one draw).
 	Evaluations int
 	// Stats breaks down how the search spent its candidate stream.
 	Stats SearchStats
@@ -162,7 +149,7 @@ type Best struct {
 
 // SearchStats counts how a search's candidate stream was dispatched. The
 // identity Pruned + DeltaEvals + FullEvals + Duplicates + invalid/failed
-// candidates = Evaluations holds per search (warm starts excepted).
+// candidates = Evaluations holds per search.
 type SearchStats struct {
 	// Pruned counts candidates discarded because the admissible lower
 	// bound (model.Compiled.LowerBound) proved they could not beat the
@@ -178,8 +165,9 @@ type SearchStats struct {
 	Duplicates int
 	// Invalid counts candidates rejected by structural validation.
 	Invalid int
-	// WarmStartEvals counts warm-start candidates evaluated on top of the
-	// budget (see Options.WarmStarts).
+	// WarmStartEvals is always 0 for new searches; records written by
+	// older warm-start sweeps carry their count. The store codec keeps it
+	// so those records decode and re-encode byte for byte.
 	WarmStartEvals int
 }
 
@@ -189,7 +177,6 @@ func (s *SearchStats) add(o SearchStats) {
 	s.FullEvals += o.FullEvals
 	s.Duplicates += o.Duplicates
 	s.Invalid += o.Invalid
-	s.WarmStartEvals += o.WarmStartEvals
 }
 
 // PrunedFraction returns the share of scoreable candidates (valid,
@@ -451,7 +438,7 @@ func (s *Session) Search(l *workload.Layer, opts Options) (*Best, error) {
 // SearchObjectives finds the best mapping for the layer under the options
 // once per objective in objs (opts.Objective is ignored): bests[i] is
 // bit-identical to Search with Objective objs[i], Stats included. The
-// objectives share one exploration (seeds, warm starts and random draws
+// objectives share one exploration (seeds and random draws
 // are staged once), then each hill-climbs from its own incumbent. With a
 // Cache, each objective is its own key, as in a separate search, and the
 // bests are the cache's, shared read-only (Result.Layer names the layer
@@ -499,15 +486,6 @@ func (s *Session) search(l *workload.Layer, o Options, objs []Objective) ([]*Bes
 		return nil, err
 	}
 
-	// Keep only warm starts that actually apply to this (arch, layer):
-	// they come from neighboring searches and may not transfer.
-	var warm []*mapping.Mapping
-	for _, w := range o.WarmStarts {
-		if w != nil && w.Valid(s.a, l) {
-			warm = append(warm, w)
-		}
-	}
-
 	// Lane w's objective states are states[w*len(objs):][:len(objs)]. The
 	// lanes run on min(lanes, GOMAXPROCS) goroutines, each with one
 	// worker state running its lanes one after another: searchWorker
@@ -531,7 +509,7 @@ func (s *Session) search(l *workload.Layer, o Options, objs []Objective) ([]*Bes
 			defer wg.Done()
 			for w := g; w < lanes; w += len(wss) {
 				seed := uint64(o.Seed + int64(w)*7919)
-				s.searchWorker(wss[g], c, l, o, seed, budgets[w], seeds, warm, states[w*len(objs):][:len(objs)])
+				s.searchWorker(wss[g], c, l, o, seed, budgets[w], seeds, states[w*len(objs):][:len(objs)])
 			}
 		}()
 	}
@@ -564,7 +542,7 @@ func (s *Session) search(l *workload.Layer, o Options, objs []Objective) ([]*Bes
 		if best == nil {
 			return nil, fmt.Errorf("mapper: no valid mapping found for %s on %s", l.Name, s.a.Name)
 		}
-		best.Evaluations = evals + stats.WarmStartEvals
+		best.Evaluations = evals
 		best.Stats = stats
 		full := &model.Result{}
 		if err := c.EvaluateInto(wss[0].scratch, best.Mapping, full, fullOpts); err != nil {
@@ -871,7 +849,7 @@ type funnel struct {
 // spatialKey identifies last's spatial configuration: the assignment index
 // for mappings built from one (all-outer mappings, random draws), the
 // climb's sentinel for hill-climb neighbors, -1 for mappings of unknown
-// provenance (seeds, warm starts). Two mappings built from the same
+// provenance (seeds). Two mappings built from the same
 // assignment have bit-identical spatial configurations (FreeSpatial is
 // Ones, choices copy the assignment), so a key match lets Stage skip the
 // spatial-factor, spatial-memo and instance resolution outright.
@@ -904,7 +882,7 @@ func (p *pingPong) next(last *mapping.Mapping) (*mapping.Mapping, *int32) {
 func (p *pingPong) reset() { p.assign = [2]int32{-1, -1} }
 
 // searchWorker runs one lane's slice of the search for every objective
-// in states: seeds, warm starts and the (reordered) random exploration
+// in states: seeds and the (reordered) random exploration
 // once for all of them, then one hill climb per objective. Each
 // objective's outcome is bit-identical to a naive single-objective worker
 // that validates and fully evaluates every candidate in draw order for the
@@ -914,7 +892,7 @@ func (p *pingPong) reset() { p.assign = [2]int32{-1, -1} }
 // equivalence tests). Sharing the exploration is exact: only pruning and
 // retention depend on the objective, and until the first retention
 // nothing prunes, so whether an incumbent exists is shared too.
-func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.Layer, o Options, seed uint64, budget int, seeds, warm []*mapping.Mapping, states []objState) {
+func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.Layer, o Options, seed uint64, budget int, seeds []*mapping.Mapping, states []objState) {
 	if budget <= 0 {
 		return
 	}
@@ -926,17 +904,9 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 		validate: !o.Eval.SkipValidate, chain: deltaChain{spatialKey: -1}}
 
 	// Seeds are offered in place: nothing mutates a candidate, and retain
-	// clones. Warm starts were validated in search() and are not charged.
+	// clones.
 	for _, m := range seeds {
-		f.offer(states, m, true, -1)
-	}
-	for _, w := range warm {
-		f.offer(states, w, false, -1)
-		tally(states, func(ob *objState) {
-			if ob.scored {
-				ob.st.WarmStartEvals++
-			}
-		})
+		f.offer(states, m, -1)
 	}
 	// Without an incumbent, the all-outer mappings of the first few
 	// assignments arm the bound gate for the first random draw (a tenth of
@@ -949,7 +919,7 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 			m, tag := f.bufs.next(f.chain.last)
 			s.materialize(m, cand, *tag == cand.assign)
 			*tag = cand.assign
-			f.offer(states, m, true, int64(cand.assign))
+			f.offer(states, m, int64(cand.assign))
 		}
 	}
 	// Still without one, every assignment's all-outer mapping is offered:
@@ -974,8 +944,8 @@ func tally(active []objState, count func(*objState)) {
 
 // offer runs m through stage, finish and retain for the active objectives
 // and reports whether an incumbent changed.
-func (f *funnel) offer(active []objState, m *mapping.Mapping, charge bool, spatialKey int64) bool {
-	return f.stage(active, m, charge, spatialKey) && f.finish(active) && f.retain(active, m)
+func (f *funnel) offer(active []objState, m *mapping.Mapping, spatialKey int64) bool {
+	return f.stage(active, m, spatialKey) && f.finish(active) && f.retain(active, m)
 }
 
 // outer, when no objective has an incumbent yet, offers the trivial
@@ -992,7 +962,7 @@ func (f *funnel) outer(assignments [][]workload.Dim) {
 		m, tag := f.bufs.next(f.chain.last)
 		outerInto(f.s.a, m, f.l, assign, f.s.minLv)
 		*tag = int32(ai)
-		f.offer(f.states, m, true, int64(ai))
+		f.offer(f.states, m, int64(ai))
 	}
 }
 
@@ -1037,10 +1007,10 @@ prefilter:
 	return cands, order
 }
 
-// stage charges m against the budget (when charge is set), pre-checks the
-// level caps, dedups it, stages it (model.Compiled.Stage) and gates it on
-// each active objective's admissible bound. It reports whether some
-// objective needs the finishing passes. A schedule already fingerprinted
+// stage charges m against the budget, pre-checks the level caps, dedups
+// it, stages it (model.Compiled.Stage) and gates it on each active
+// objective's admissible bound. It reports whether some objective needs
+// the finishing passes. A schedule already fingerprinted
 // stops here: it was scored, pruned, or failed deterministically, and can
 // never beat the incumbent, so skipping it is behavior preserving.
 //
@@ -1056,15 +1026,13 @@ prefilter:
 // (up-front validation would leave it out); a later distinct schedule is
 // shadowed only by a 64-bit fingerprint collision, which the dedup already
 // accepts for valid schedules.
-func (f *funnel) stage(active []objState, m *mapping.Mapping, charge bool, spatialKey int64) bool {
+func (f *funnel) stage(active []objState, m *mapping.Mapping, spatialKey int64) bool {
 	f.owed = 0
 	tally(active, func(ob *objState) { ob.scored = false })
-	if charge {
-		if f.evals >= f.budget {
-			return false
-		}
-		f.evals++
+	if f.evals >= f.budget {
+		return false
 	}
+	f.evals++
 	if f.validate {
 		// Fast subset of Valid: hill-climb moves produce capped-level
 		// violations constantly. Rejecting before fingerprinting is
@@ -1204,7 +1172,7 @@ func (f *funnel) climb(active []objState) {
 			copyMapping(nb, ob.best.Mapping)
 			*tag = -1
 			applyEdit(nb, e)
-			if f.offer(active, nb, true, climbKey) {
+			if f.offer(active, nb, climbKey) {
 				improved = true
 				break
 			}

@@ -56,9 +56,9 @@ func randLayer(rng *rand.Rand, name string) workload.Layer {
 // objective's Best from one SearchObjectives call — mapping, full-ledger
 // Result, Evaluations and Stats — equals a separate Search for that
 // objective, on electrical, photonic and failing-finish architectures,
-// random layers, 1-3 search workers, with and without seeds and warm
-// starts, with validation on and off, and for objective subsets in any
-// order, duplicates included.
+// random layers, 1-3 search workers, with and without seeds, with
+// validation on and off, and for objective subsets in any order,
+// duplicates included.
 func TestSearchObjectivesMatchesSeparate(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	archs := []*arch.Arch{
@@ -102,7 +102,6 @@ func TestSearchObjectivesMatchesSeparate(t *testing.T) {
 							Eval: model.Options{SkipValidate: skip}}
 						if seeded {
 							opts.Seeds = seeds
-							opts.WarmStarts = []*mapping.Mapping{drawn}
 						}
 						separate := map[Objective]*Best{}
 						for _, objs := range groups {

@@ -118,7 +118,7 @@ func compareBests(t *testing.T, label string, got, want *Best) {
 // the optimized search must return a bit-identical Best to the naive
 // always-evaluate sampler (referenceSearch) for every configuration —
 // electrical and photonic architectures, all objectives, several (budget,
-// workers, seed) splits.
+// workers, seed) splits, with and without seeds.
 func TestPrunedSearchMatchesUnprunedSampler(t *testing.T) {
 	archs := map[string]*arch.Arch{
 		"electrical": testArch(t, 1<<20),
@@ -134,26 +134,39 @@ func TestPrunedSearchMatchesUnprunedSampler(t *testing.T) {
 		seed            int64
 		obj             Objective
 		skipValidate    bool
+		seeded          bool
 	}
 	cfgs := []cfg{
-		{300, 1, 1, MinEnergy, false},
-		{300, 2, 5, MinEnergy, false},
-		{250, 4, 9, MinDelay, false},
-		{320, 8, 3, MinEDP, false},
+		{300, 1, 1, MinEnergy, false, false},
+		{300, 2, 5, MinEnergy, false, false},
+		{250, 4, 9, MinDelay, false, false},
+		{320, 8, 3, MinEDP, false, false},
 		// SkipValidate trusts (and scores) every draw — the structural
 		// pre-filter must stand down exactly like the legacy sampler's
 		// skipped validation did.
-		{300, 2, 7, MinEnergy, true},
+		{300, 2, 7, MinEnergy, true, false},
+		// Seeded, as every Albireo production search is.
+		{300, 2, 5, MinEnergy, false, true},
+		{250, 4, 9, MinEDP, true, true},
 	}
 	for name, a := range archs {
 		s, err := NewSession(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range layers {
+		for li, l := range layers {
+			// Seeds: the canonical all-outer mapping and a random draw.
+			outer := mapping.New(a)
+			outerInto(a, outer, &l, s.assignments[0], s.minLv)
+			drawn := mapping.New(a)
+			cands := s.drawCandidates(new(drawArena), &l, rand.New(rand.NewSource(int64(li))), 1, a.NumLevels())
+			s.materialize(drawn, &cands[0], false)
 			for _, c := range cfgs {
 				opts := Options{Objective: c.obj, Budget: c.budget, Seed: c.seed, Workers: c.workers,
 					Eval: model.Options{SkipValidate: c.skipValidate}}
+				if c.seeded {
+					opts.Seeds = SeedList([]*mapping.Mapping{outer, drawn})
+				}
 				pruned, err := s.Search(&l, opts)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, l.Name, err)
@@ -325,60 +338,6 @@ func TestSearchReproducibleAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestWarmStartDeterministicAndApplicable covers Options.WarmStarts: warm
-// starts never worsen the pre-climb incumbent (they join the pool without
-// consuming budget), inapplicable ones are dropped silently, and the
-// warm-started search is itself deterministic.
-func TestWarmStartDeterministicAndApplicable(t *testing.T) {
-	a := photonicTestArch(t)
-	s, err := NewSession(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := workload.NewConv("warm", 1, 32, 16, 14, 14, 3, 3, 1, 1)
-	cold, err := s.Search(&l, Options{Budget: 400, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm-start a low-budget search with the high-budget best: the cheap
-	// search must do at least as well as the warm start itself.
-	warmOpts := Options{Budget: 60, Seed: 11, WarmStarts: []*mapping.Mapping{cold.Mapping}}
-	warm, err := s.Search(&l, warmOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Score(MinEnergy, warm.Result) > Score(MinEnergy, cold.Result) {
-		t.Errorf("warm-started search (%g pJ) worse than its warm start (%g pJ)",
-			warm.Result.TotalPJ, cold.Result.TotalPJ)
-	}
-	if warm.Stats.WarmStartEvals == 0 {
-		t.Error("warm start was not evaluated")
-	}
-	again, err := s.Search(&l, warmOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareBests(t, "warm repeat", again, warm)
-
-	// A warm start from an incompatible architecture is dropped, leaving
-	// the cold result untouched.
-	other := testArch(t, 1<<20)
-	foreign := mapping.New(other)
-	baseline, err := s.Search(&l, Options{Budget: 120, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropped, err := s.Search(&l, Options{Budget: 120, Seed: 11, WarmStarts: []*mapping.Mapping{foreign, nil}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareBests(t, "foreign warm start", dropped, baseline)
-	if dropped.Stats.WarmStartEvals != 0 {
-		t.Error("inapplicable warm start was evaluated")
-	}
-}
-
 // TestSearchStatsAccounting checks the stats identity: every budgeted
 // attempt lands in exactly one bucket.
 func TestSearchStatsAccounting(t *testing.T) {
@@ -390,7 +349,7 @@ func TestSearchStatsAccounting(t *testing.T) {
 	}
 	st := best.Stats
 	sum := st.Pruned + st.DeltaEvals + st.FullEvals + st.Duplicates + st.Invalid
-	if sum != best.Evaluations-st.WarmStartEvals {
+	if sum != best.Evaluations {
 		t.Fatalf("stats %+v sum to %d, evaluations %d", st, sum, best.Evaluations)
 	}
 	if st.FullEvals == 0 {

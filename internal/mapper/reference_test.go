@@ -15,16 +15,16 @@ import (
 // streams, deterministic merge and phase structure, but scores candidates
 // the obvious way: each one is validated before deduplication and fully
 // evaluated with Compiled.Evaluate, in draw order — no lower bound, no
-// delta evaluation, no staging, no reordering. It covers searches without
-// Seeds or WarmStarts (production's WarmStartEvals leaves out pruned warm
-// starts, which an always-evaluate search cannot reproduce).
+// delta evaluation, no staging, no reordering. Seeds are offered first in
+// every worker, each charged like a draw.
 func referenceSearch(t *testing.T, s *Session, l *workload.Layer, opts Options) *Best {
 	t.Helper()
 	o := opts.withDefaults()
-	if len(o.Seeds.Prints()) > 0 || len(o.WarmStarts) > 0 {
-		t.Fatal("referenceSearch: Seeds and WarmStarts are out of scope")
-	}
 	c, err := s.eng.Compile(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds, err := o.Seeds.mappings()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func referenceSearch(t *testing.T, s *Session, l *workload.Layer, opts Options) 
 	var stats SearchStats
 	for w, budget := range splitBudget(o.Budget, o.Workers) {
 		rng := rand.New(&splitmix64{x: uint64(o.Seed + int64(w)*7919)})
-		wb, we, ws := referenceWorker(s, c, l, o, rng, budget)
+		wb, we, ws := referenceWorker(s, c, l, o, rng, budget, seeds)
 		evals += we
 		stats.add(ws)
 		if wb != nil && (best == nil || better(o.Objective, wb, best)) {
@@ -54,10 +54,11 @@ func referenceSearch(t *testing.T, s *Session, l *workload.Layer, opts Options) 
 	return best
 }
 
-// referenceWorker is searchWorker without the accelerations: the all-outer
-// warmup, the random exploration stream and the hill climb, each candidate
-// charged, validated, deduplicated and fully evaluated on the spot.
-func referenceWorker(s *Session, c *model.Compiled, l *workload.Layer, o Options, rng *rand.Rand, budget int) (best *Best, evals int, st SearchStats) {
+// referenceWorker is searchWorker without the accelerations: the seeds,
+// the all-outer warmup, the random exploration stream and the hill climb,
+// each candidate charged, validated, deduplicated and fully evaluated on
+// the spot.
+func referenceWorker(s *Session, c *model.Compiled, l *workload.Layer, o Options, rng *rand.Rand, budget int, seeds []*mapping.Mapping) (best *Best, evals int, st SearchStats) {
 	if budget <= 0 {
 		return nil, 0, st
 	}
@@ -92,9 +93,16 @@ func referenceWorker(s *Session, c *model.Compiled, l *workload.Layer, o Options
 		}
 	}
 
-	// Warmup: the all-outer mapping of the first assignments, capped at a
-	// tenth of the budget.
+	for _, m := range seeds {
+		consider(m, try(m))
+	}
+
+	// Warmup, when no seed scored: the all-outer mapping of the first
+	// assignments, capped at a tenth of the budget.
 	wcap := min(budget/10, len(s.assignments))
+	if best != nil {
+		wcap = 0
+	}
 	for _, assign := range s.assignments[:wcap] {
 		if evals >= budget {
 			break

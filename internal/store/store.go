@@ -3,7 +3,7 @@
 // mapper's (architecture, layer shape, options) fingerprints. It
 // implements mapper.Persister, so a mapper.Cache backed by a Store serves
 // every search any prior process completed — restarts, resumed jobs and
-// repeated queries warm-start instead of recomputing.
+// repeated queries start warm instead of recomputing.
 //
 // Layout: one store directory holds one append-only log of checksummed
 // records (photoloop-store.log) and one pid-stamped advisory lock

@@ -52,8 +52,7 @@ func pointKeys(t *testing.T, ev *Evaluator, n int) []map[mapper.Key]bool {
 // per point is exactly the set of keys the run wrote through its
 // persister. A grid whose keys are all held has no cold point; one
 // missing key makes cold exactly the points that search it; an empty
-// store leaves every point cold. A fixed-mapping point derives no key,
-// and a warm-start spec's points all read cold.
+// store leaves every point cold. A fixed-mapping point derives no key.
 func TestEvaluatorKeysMatchSearches(t *testing.T) {
 	// fusedNet repeats one conv shape at the first and two middle
 	// positions: the first and middle copies run on different fused
@@ -171,19 +170,6 @@ func TestEvaluatorKeysMatchSearches(t *testing.T) {
 			return false
 		}) {
 			t.Error("fixed-mapping point reads cold")
-		}
-	})
-
-	t.Run("warm-start", func(t *testing.T) {
-		sp := plain
-		sp.WarmStart = true
-		ev, err := NewEvaluator(sp, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := []int64{0, 1}
-		if cold := ev.ColdPoints(idx, func(mapper.Key) bool { return true }); !slices.Equal(cold, idx) {
-			t.Errorf("warm-start spec: cold points %v, want all of %v", cold, idx)
 		}
 	})
 }

@@ -131,7 +131,7 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 		job.network.Layers = layers
 	}
 	var ps [1]Point
-	if _, err := ev.evaluate([]pointJob{job}, ps[:], nil, false); err != nil {
+	if err := ev.evaluate([]pointJob{job}, ps[:]); err != nil {
 		return nil, err
 	}
 	p := &ps[0]

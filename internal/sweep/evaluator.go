@@ -151,7 +151,7 @@ func (e *Evaluator) Eval(index int, values []any, wi, oi int) (*Point, error) {
 		return nil, err
 	}
 	var p [1]Point
-	e.evaluate([]pointJob{e.job(index, v, wi, oi)}, p[:], nil, false)
+	e.evaluate([]pointJob{e.job(index, v, wi, oi)}, p[:])
 	return &p[0], nil
 }
 
@@ -219,9 +219,7 @@ func (e *Evaluator) jobAt(idx int64, variants map[int64]*variant) (pointJob, err
 }
 
 // EvalPoint evaluates point idx of the spec's grid (see EvalPoints) and
-// returns the Point a Run produces at that index. WarmStart sweeps chain
-// searches across points, so their Run points differ from these cold
-// evaluations; sharding skips them.
+// returns the Point a Run produces at that index.
 func (e *Evaluator) EvalPoint(idx int) (*Point, error) {
 	points, err := e.EvalPoints([]int64{int64(idx)}, Options{})
 	if err != nil {
@@ -255,30 +253,18 @@ func (e *Evaluator) EvalPoints(idx []int64, opts Options) ([]Point, error) {
 		}
 	}
 
-	// The pool consumes chains of slots. Without warm starts a chain is
-	// one point group — consecutive slots whose points differ only in
-	// objective (the same idx / objectives) — and its layers are searched
-	// once for all of them. With warm starts the points of one (workload,
-	// objective) form a chain, processed point by point in idx order so
-	// each point inherits its predecessor's best mappings
-	// deterministically.
-	var chains [][]int
-	if e.spec.WarmStart {
-		perVariant := int64(len(e.networks) * len(e.objs))
-		chains = make([][]int, perVariant)
-		for k, i := range idx {
-			chains[i%perVariant] = append(chains[i%perVariant], k)
-		}
-	} else {
-		nobj := int64(len(e.objs))
-		for k, i := range idx {
-			if k > 0 && i/nobj == idx[k-1]/nobj {
-				chains[len(chains)-1] = append(chains[len(chains)-1], k)
-			} else {
-				chains = append(chains, []int{k})
-			}
+	// The pool consumes point groups: runs of consecutive slots whose
+	// points differ only in objective (the same idx / objectives), whose
+	// layers are searched once for all of them. groups[g] is the group's
+	// first slot; it ends where the next begins.
+	nobj := int64(len(e.objs))
+	var groups []int
+	for k, i := range idx {
+		if k == 0 || i/nobj != idx[k-1]/nobj {
+			groups = append(groups, k)
 		}
 	}
+	groups = append(groups, len(idx))
 
 	points := make([]Point, len(idx))
 	var mu sync.Mutex
@@ -309,57 +295,44 @@ func (e *Evaluator) EvalPoints(idx []int64, opts Options) ([]Point, error) {
 		procs := runtime.GOMAXPROCS(0)
 		workers = max(1, procs/min(lanes, procs))
 	}
-	workers = min(workers, len(chains))
+	workers = min(workers, len(groups)-1)
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	chainCh := make(chan []int)
+	groupCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for chain := range chainCh {
-				var warm warmTable
-				step := len(chain) // a point group
-				if e.spec.WarmStart {
-					step = 1
-				}
-				for c := 0; c < len(chain); c += step {
-					k0, k1 := chain[c], chain[c+step-1]+1
-					if step < len(chain) && ctx.Err() != nil {
-						// Mid-chain cancellation: successors of a chain
-						// carry the cancellation like undispatched points.
-						points[k0] = canceledPoint(&jobs[k0], ctx.Err())
-						continue
-					}
-					warm, _ = e.evaluate(jobs[k0:k1], points[k0:k1], warm, e.spec.WarmStart)
-					for k := k0; k < k1; k++ {
-						report(&points[k])
-					}
+			for g := range groupCh {
+				k0, k1 := groups[g], groups[g+1]
+				e.evaluate(jobs[k0:k1], points[k0:k1])
+				for k := k0; k < k1; k++ {
+					report(&points[k])
 				}
 			}
 		}()
 	}
 	canceled := false
 dispatch:
-	for i := range chains {
+	for g := range len(groups) - 1 {
 		// A select with both cases ready picks at random, so a canceled
-		// context could still dispatch a chain to an idle worker; check
+		// context could still dispatch a group to an idle worker; check
 		// it first.
 		if ctx.Err() != nil {
 			canceled = true
 			break
 		}
 		select {
-		case chainCh <- chains[i]:
+		case groupCh <- g:
 		case <-ctx.Done():
 			canceled = true
 			break dispatch
 		}
 	}
-	close(chainCh)
+	close(groupCh)
 	wg.Wait()
 	if !canceled {
 		return points, nil
@@ -378,13 +351,8 @@ dispatch:
 // the same per-layer sessions and search options, then
 // mapper.Session.Keys — and stops at the point's first key has lacks.
 // Whatever it cannot derive reads as cold: an index that does not
-// decode, a variant or layer session that fails to build, and every
-// point of a WarmStart spec, whose keys depend on earlier points'
-// results.
+// decode, or a variant or layer session that fails to build.
 func (e *Evaluator) ColdPoints(idx []int64, has func(mapper.Key) bool) []int64 {
-	if e.spec.WarmStart {
-		return idx
-	}
 	variants := map[int64]*variant{}
 	var cold []int64
 	for _, i := range idx {
@@ -417,7 +385,7 @@ func (e *Evaluator) served(job *pointJob, has func(mapper.Key) bool) bool {
 		if err != nil {
 			return false
 		}
-		opts := e.searchOptions(job, sess, layer, layer.ShapeFingerprint(), nil)
+		opts := e.searchOptions(job, sess, layer, layer.ShapeFingerprint())
 		for _, k := range sess.Keys(layer, opts, objs) {
 			if !has(k) {
 				return false

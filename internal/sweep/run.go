@@ -263,10 +263,6 @@ func (st *variantState) init(v *variant, fspec *fidelity.Spec, search bool) {
 	})
 }
 
-// warmTable carries one point's best mappings, keyed by layer shape
-// fingerprint, to the next point of a warm-start chain.
-type warmTable map[uint64][]*mapping.Mapping
-
 // evaluate computes a point group into points (points[j] is jobs[j]):
 // points of one variant and workload that differ only in objective, or a
 // single point. It is the one evaluation path behind EvalPoints (and so
@@ -274,10 +270,8 @@ type warmTable map[uint64][]*mapping.Mapping
 // loop, whatever the base kind and fused or not; each layer is searched
 // once for all the group's objectives. A failure lands in every point's
 // Err and is returned as an error too (a failed layer as "sweep: layer
-// <name>: ..."). warm supplies the previous chained point's best
-// mappings; when collect is set the point's own bests are returned for
-// its successor (warm chains are single points).
-func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, collect bool) (warmTable, error) {
+// <name>: ...").
+func (e *Evaluator) evaluate(jobs []pointJob, points []Point) error {
 	job := &jobs[0]
 	for j := range jobs {
 		points[j] = Point{
@@ -290,15 +284,15 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 			Objective: jobs[j].objName,
 		}
 	}
-	fail := func(err error) (warmTable, error) {
+	fail := func(err error) error {
 		for j := range points {
 			points[j].Err = err.Error()
 		}
-		return nil, err
+		return err
 	}
-	failLayer := func(layer string, err error) (warmTable, error) {
+	failLayer := func(layer string, err error) error {
 		fail(fmt.Errorf("layer %s: %v", layer, err))
-		return nil, fmt.Errorf("sweep: layer %s: %w", layer, err)
+		return fmt.Errorf("sweep: layer %s: %w", layer, err)
 	}
 	st := &job.variant.state
 	st.init(job.variant, e.spec.Fidelity, job.mapping == nil)
@@ -322,18 +316,14 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 		}
 	}
 
-	var next warmTable
-	if collect {
-		next = make(warmTable)
-	}
 	fused := map[albireo.Config]*mapper.Session{}
 	objs := make([]mapper.Objective, len(jobs))
 	for j := range jobs {
 		objs[j] = jobs[j].obj
 	}
 	// One search per distinct (session, layer shape): an outcome depends
-	// only on the layer's shape and the options (warm starts and the
-	// canonical seeds are shape properties too), so repeated blocks share
+	// only on the layer's shape and the options (the canonical seeds are
+	// shape properties too), so repeated blocks share
 	// the representative's bests — bit-identical to searching again, and
 	// cheaper than even a cache hit, which hashes the memoized seed
 	// prints. Shared bests are read-only; total names layers from the network.
@@ -362,7 +352,7 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 			}
 			bests = append(bests, best)
 		default:
-			mopts := e.searchOptions(job, sess, layer, key.shape, warm[key.shape])
+			mopts := e.searchOptions(job, sess, layer, key.shape)
 			row, err := sess.SearchObjectives(layer, mopts, objs)
 			if err != nil {
 				return failLayer(layer.Name, err)
@@ -370,14 +360,11 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point, warm warmTable, co
 			bests = append(bests, row...)
 		}
 		solved[key] = bests[start:]
-		if collect && next[key.shape] == nil {
-			next[key.shape] = []*mapping.Mapping{bests[start].Mapping}
-		}
 	}
 	for j := range points {
 		e.total(&points[j], st.fid, job.network.Layers, bests[j:], len(jobs))
 	}
-	return next, nil
+	return nil
 }
 
 // layerSession returns the mapper session layer i of the point runs on.
@@ -407,15 +394,14 @@ func (job *pointJob) layerSession(i int, fused map[albireo.Config]*mapper.Sessio
 
 // searchOptions returns the mapper options the point searches layer
 // (shape fingerprint shape) with on sess: the spec's budget, seed and
-// lanes, the evaluator's cache, the canonical Albireo seeds on an
-// Albireo base, and the warm starts a warm-start chain threads in.
-func (e *Evaluator) searchOptions(job *pointJob, sess *mapper.Session, layer *workload.Layer, shape uint64, warm []*mapping.Mapping) mapper.Options {
+// lanes, the evaluator's cache, and the canonical Albireo seeds on an
+// Albireo base.
+func (e *Evaluator) searchOptions(job *pointJob, sess *mapper.Session, layer *workload.Layer, shape uint64) mapper.Options {
 	o := mapper.Options{
-		Budget:     e.spec.Budget,
-		Seed:       e.spec.Seed,
-		Workers:    e.spec.SearchWorkers,
-		Cache:      e.cache,
-		WarmStarts: warm,
+		Budget:  e.spec.Budget,
+		Seed:    e.spec.Seed,
+		Workers: e.spec.SearchWorkers,
+		Cache:   e.cache,
 	}
 	if job.variant.albireo != nil {
 		o.Seeds = canonicalSeeds(sess, layer, shape)

@@ -60,19 +60,6 @@ type Spec struct {
 	// IncludeLayers adds per-layer outcomes to every point (larger
 	// output).
 	IncludeLayers bool `json:"include_layers,omitempty"`
-	// WarmStart threads incumbent mappings across the grid: points
-	// sharing a (workload, objective) run as a chain in variant order,
-	// each seeding its layer searches with the previous point's best
-	// mappings for the same layer shape (see mapper.Options.WarmStarts).
-	// With a good neighbor the admissible lower bound prunes most
-	// candidates from the first draw. Results remain fully deterministic
-	// but differ from (usually match or improve on) the cold sweep's,
-	// and chained points serialize — best for grids whose axes change the
-	// architecture gradually, counterproductive for grids dominated by
-	// repeated identical searches (those dedupe through the cache
-	// instead). Off by default; the fig4/fig5 presets leave it off to
-	// stay bit-identical to the paper harness.
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // Base selects the architecture a sweep starts from: exactly one of

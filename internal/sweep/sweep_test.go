@@ -448,7 +448,7 @@ func TestWriteCSVAndJSON(t *testing.T) {
 }
 
 // TestSpecJSONRoundTrip parses a sweep spec document the way the CLI and
-// server do.
+// server do, and rejects it once it sets the removed warm_start field.
 func TestSpecJSONRoundTrip(t *testing.T) {
 	doc := `{
 		"name": "fig5-style",
@@ -477,5 +477,10 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 	if variants[5].albireo.ORLanes != 5 || !variants[5].albireo.WeightReuse {
 		t.Errorf("last variant wrong: %+v", variants[5].albireo)
+	}
+	warm := strings.Replace(doc, `"seed": 1`, `"seed": 1, "warm_start": true`, 1)
+	const want = `sweep: decoding spec: json: unknown field "warm_start"`
+	if _, err := DecodeSpec(strings.NewReader(warm)); err == nil || err.Error() != want {
+		t.Errorf("warm_start spec: err %v, want %q", err, want)
 	}
 }

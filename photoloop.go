@@ -268,7 +268,7 @@ type (
 	SearchBest = mapper.Best
 	// SearchStats counts how a search dispatched its candidates:
 	// lower-bound pruned, delta evaluations, full evaluations,
-	// duplicates, invalid draws and warm-start evaluations.
+	// duplicates and invalid draws.
 	SearchStats = mapper.SearchStats
 	// Objective selects what the search minimizes.
 	Objective = mapper.Objective
