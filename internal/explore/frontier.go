@@ -2,7 +2,6 @@ package explore
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -143,9 +142,7 @@ func buildFrontier(sp *Spec, strategy string, s *space, evaluated []evalPoint, i
 // WriteJSON writes the frontier as an indented JSON document (the same
 // bytes POST /v1/explore answers).
 func (f *Frontier) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
+	return sweep.EncodeResponseJSON(w, f)
 }
 
 // paramColumns returns the axis param names appearing in the frontier,

@@ -365,42 +365,68 @@ func NewSession(a *arch.Arch) (*Session, error) {
 	return s, nil
 }
 
-// maxCachedSessions caps SessionFor's memo: a session is about 17 KB (its
+// maxCachedSessions caps the session memo: a session is about 17 KB (its
 // pooled worker states are GC-reclaimable), so the memo stays near 4.4 MB,
 // resetting rather than growing past the cap.
 const maxCachedSessions = 256
 
-// sessionCache is SessionFor's memo, keyed by the architecture fingerprint
-// (name, structure and component energies: the search Cache's Arch key).
+// sessionCache is the process-wide session memo behind SessionFor and
+// SessionForInput: one map, lock and bound for both kinds of key.
 var (
 	sessionCacheMu sync.Mutex
-	sessionCache   = map[uint64]*Session{}
+	sessionCache   = map[any]*Session{}
 )
 
+// printKey is SessionFor's key: the architecture fingerprint (name,
+// structure and component energies: the search Cache's Arch key).
+type printKey uint64
+
 // SessionFor returns the process-wide Session for the architecture,
-// building it (~100µs) on first use. Package-level Search calls and sweep
-// points share one per fingerprint: a Session is safe for concurrent
-// searches, and their outcomes depend only on the fingerprint.
+// building it (~100µs) on first use. Package-level Search calls and
+// raw-spec sweep variants share one per fingerprint: a Session is safe
+// for concurrent searches, and their outcomes depend only on the
+// fingerprint.
 func SessionFor(a *arch.Arch) (*Session, error) {
-	fp := a.Fingerprint()
+	return SessionForInput(printKey(a.Fingerprint()), func() (*arch.Arch, error) { return a, nil })
+}
+
+// SessionForInput returns the process-wide Session of the architecture
+// build makes, memoized by input: the value that architecture is a pure
+// function of, such as the configuration it is built from. input must be
+// comparable, and of a type no other caller's inputs share. A hit builds
+// and fingerprints nothing, and the session's Arch is the architecture
+// build made, so callers may share it (read-only) too. Callers racing on
+// one input all get the first session stored. Errors from build or
+// NewSession are returned unchanged and not memoized.
+func SessionForInput(input any, build func() (*arch.Arch, error)) (*Session, error) {
 	sessionCacheMu.Lock()
-	s := sessionCache[fp]
+	s := sessionCache[input]
 	sessionCacheMu.Unlock()
 	if s != nil {
 		return s, nil
 	}
-	s, err := NewSession(a)
+	a, err := build()
 	if err != nil {
 		return nil, err
 	}
-	sessionCacheMu.Lock()
-	if len(sessionCache) >= maxCachedSessions {
-		sessionCache = make(map[uint64]*Session, maxCachedSessions)
+	if s, err = NewSession(a); err != nil {
+		return nil, err
 	}
-	sessionCache[fp] = s
-	sessionCacheMu.Unlock()
+	sessionCacheMu.Lock()
+	defer sessionCacheMu.Unlock()
+	if old := sessionCache[input]; old != nil {
+		return old, nil
+	}
+	if len(sessionCache) >= maxCachedSessions {
+		sessionCache = make(map[any]*Session, maxCachedSessions)
+	}
+	sessionCache[input] = s
 	return s, nil
 }
+
+// Arch returns the architecture the session searches. Sessions are
+// shared, so it is read-only.
+func (s *Session) Arch() *arch.Arch { return s.a }
 
 // Engine returns the session's compiled evaluation engine.
 func (s *Session) Engine() *model.Engine { return s.eng }

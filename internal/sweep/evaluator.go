@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"photoloop/internal/albireo"
 	"photoloop/internal/mapper"
 	"photoloop/internal/workload"
 )
@@ -377,11 +376,10 @@ func (e *Evaluator) served(job *pointJob, has func(mapper.Key) bool) bool {
 	if st.err != nil {
 		return false
 	}
-	fused := map[albireo.Config]*mapper.Session{}
 	objs := []mapper.Objective{job.obj}
 	for i := range job.network.Layers {
 		layer := &job.network.Layers[i]
-		sess, err := job.layerSession(i, fused)
+		sess, err := job.layerSession(i)
 		if err != nil {
 			return false
 		}

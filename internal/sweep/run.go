@@ -3,14 +3,12 @@ package sweep
 import (
 	"context"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"sync"
 
-	"photoloop/internal/albireo"
 	"photoloop/internal/arch"
 	"photoloop/internal/fidelity"
 	"photoloop/internal/mapper"
@@ -249,12 +247,17 @@ type variantState struct {
 }
 
 // init builds (once) the variant's architecture and, for searched
-// points, takes its mapper session from the process-wide memo. A non-nil
-// fspec additionally compiles the variant's analog fidelity chain.
+// points, takes its mapper session from the process-wide memo. A searched
+// variant with a build input takes both from the memo, building nothing
+// on a hit. A non-nil fspec additionally compiles the variant's analog
+// fidelity chain.
 func (st *variantState) init(v *variant, fspec *fidelity.Spec, search bool) {
 	st.once.Do(func() {
-		st.a, st.err = v.build()
-		if st.err == nil && search {
+		if in := v.buildInput(); search && in != nil {
+			if st.sess, st.err = mapper.SessionForInput(in, v.build); st.err == nil {
+				st.a = st.sess.Arch()
+			}
+		} else if st.a, st.err = v.build(); st.err == nil && search {
 			st.sess, st.err = mapper.SessionFor(st.a)
 		}
 		if st.err == nil && fspec != nil {
@@ -316,7 +319,6 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point) error {
 		}
 	}
 
-	fused := map[albireo.Config]*mapper.Session{}
 	objs := make([]mapper.Objective, len(jobs))
 	for j := range jobs {
 		objs[j] = jobs[j].obj
@@ -336,7 +338,7 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point) error {
 	bests := make([]*mapper.Best, 0, len(job.network.Layers)*len(jobs))
 	for i := range job.network.Layers {
 		layer := &job.network.Layers[i]
-		sess, err := job.layerSession(i, fused)
+		sess, err := job.layerSession(i)
 		if err != nil {
 			return failLayer(layer.Name, err)
 		}
@@ -371,25 +373,13 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point) error {
 // An unfused workload runs every layer on the variant's session (its
 // state must be initialized). A fused one runs layer i on its position's
 // cfg.Fused(i) arch, of which a network has at most three (first,
-// middle, last); fused memoizes their sessions for the point.
-func (job *pointJob) layerSession(i int, fused map[albireo.Config]*mapper.Session) (*mapper.Session, error) {
+// middle, last), taking its session from the process-wide memo.
+func (job *pointJob) layerSession(i int) (*mapper.Session, error) {
 	if !job.workload.Fused {
 		return job.variant.state.sess, nil
 	}
 	cfg := job.variant.albireo.Fused(&job.network, i)
-	if s := fused[cfg]; s != nil {
-		return s, nil
-	}
-	fa, err := cfg.Build()
-	if err != nil {
-		return nil, err
-	}
-	s, err := mapper.SessionFor(fa)
-	if err != nil {
-		return nil, err
-	}
-	fused[cfg] = s
-	return s, nil
+	return mapper.SessionForInput(newAlbireoInput(cfg), cfg.Build)
 }
 
 // searchOptions returns the mapper options the point searches layer
@@ -482,9 +472,7 @@ func layerOutcome(layer string, best *mapper.Best) LayerOutcome {
 
 // WriteJSON writes the result as an indented JSON document.
 func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return EncodeResponseJSON(w, r)
 }
 
 // CSVHeader returns the column names WriteCSV emits: fixed identity and

@@ -15,12 +15,81 @@ import (
 )
 
 // EncodeResponseJSON writes a value exactly as the HTTP server encodes its
-// responses (two-space indented JSON) — `photoloop eval -json` matches
-// `POST /v1/eval` byte for byte because both go through it.
+// responses: json.Marshal's bytes, laid out as a json.Encoder with
+// SetIndent("", "  ") lays them out, in one Write. `photoloop eval -json`
+// matches `POST /v1/eval` byte for byte, and every sweep, study and
+// exploration artifact matches its served body, because all of them go
+// through it. Marshal keeps float formatting, omitempty and HTML
+// escaping; indentJSON only adds the whitespace, without re-validating.
 func EncodeResponseJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(indentJSON(b))
+	return err
+}
+
+// indentJSON lays out src, compact valid JSON as json.Marshal writes it,
+// in json.Encoder's SetIndent("", "  ") layout: a newline and indentation
+// after '{', '[' and ',' and before a closing bracket, ": " after a key,
+// empty objects and arrays on one line, and a final newline. Strings,
+// escapes included, and number and literal runs are copied whole. It
+// does not validate: other input may be laid out wrongly or panic.
+func indentJSON(src []byte) []byte {
+	// Indentation grows this package's documents by about 1.4x.
+	dst := make([]byte, 0, len(src)+len(src)/2+1)
+	depth := 0
+	for i := 0; i < len(src); {
+		switch c := src[i]; c {
+		case '"':
+			j := i + 1
+			for ; src[j] != '"'; j++ {
+				if src[j] == '\\' {
+					j++
+				}
+			}
+			dst = append(dst, src[i:j+1]...)
+			i = j + 1
+		case '{', '[':
+			if next := src[i+1]; next == '}' || next == ']' {
+				dst = append(dst, c, next)
+				i += 2
+				continue
+			}
+			depth++
+			dst = appendIndentLine(append(dst, c), depth)
+			i++
+		case '}', ']':
+			depth--
+			dst = append(appendIndentLine(dst, depth), c)
+			i++
+		case ',':
+			dst = appendIndentLine(append(dst, c), depth)
+			i++
+		case ':':
+			dst = append(dst, ':', ' ')
+			i++
+		default:
+			j := i + 1
+			for j < len(src) && src[j] != ',' && src[j] != '}' && src[j] != ']' {
+				j++
+			}
+			dst = append(dst, src[i:j]...)
+			i = j
+		}
+	}
+	return append(dst, '\n')
+}
+
+// appendIndentLine appends a newline and depth levels of two-space
+// indentation.
+func appendIndentLine(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for range depth {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // DecodeSpec parses a sweep spec document strictly (unknown fields are

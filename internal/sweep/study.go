@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -288,9 +287,7 @@ func rankRows(rows []StudyRow, workloads, objectives, presetNames []string) {
 
 // WriteJSON writes the study as an indented JSON document.
 func (r *StudyResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return EncodeResponseJSON(w, r)
 }
 
 // studyColumns are the CSV/markdown/table columns, in order.

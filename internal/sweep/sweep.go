@@ -186,6 +186,36 @@ func (v *variant) build() (*arch.Arch, error) {
 	return v.arch.Build()
 }
 
+// buildInput returns the variant's build input, the value its
+// architecture is a pure function of, as mapper.SessionForInput's key:
+// the Albireo configuration, or the non-Albireo preset's name. A raw-spec
+// base has none (nil): its document is no comparable value.
+func (v *variant) buildInput() any {
+	switch {
+	case v.albireo != nil:
+		return newAlbireoInput(*v.albireo)
+	case v.preset != nil:
+		return presetInput(v.preset.Name)
+	}
+	return nil
+}
+
+// presetInput keys a session by the name of the non-Albireo preset it is
+// built from.
+type presetInput string
+
+// albireoInput keys a session by the Albireo configuration it is built
+// from. The floats enter as bits too: 0 and -0 compare equal but build
+// architectures that fingerprint, and so cache, differently.
+type albireoInput struct {
+	cfg             albireo.Config
+	bw, laserFactor uint64
+}
+
+func newAlbireoInput(c albireo.Config) albireoInput {
+	return albireoInput{c, math.Float64bits(c.DRAMBWWordsPerCycle), math.Float64bits(c.WeightReuseLaserFactor)}
+}
+
 // base resolves the spec's base into the variant every axis assignment
 // starts from (no axis applied yet): the Albireo configuration, the
 // preset, or the raw spec document itself.

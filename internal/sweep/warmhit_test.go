@@ -2,10 +2,14 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"testing"
 
+	"photoloop/internal/arch"
 	"photoloop/internal/mapper"
 	"photoloop/internal/model"
+	"photoloop/internal/spec"
 	"photoloop/internal/workload"
 )
 
@@ -30,9 +34,12 @@ var warmHitCases = []EvalRequest{
 // just to form the cache key; with the memo it cost about 5,040, two
 // thirds of them cloning every cached best and building a fresh session
 // per request. Sharing the cached bests read-only and taking sessions
-// from the mapper's memo brought it to 1,466; the ceiling is that plus
-// 20%.
-const warmHitAllocCeiling = 1760
+// from the mapper's memo brought it to 1,466, and points that stop
+// concatenating ledgers to 1,446. Memoizing a variant's built
+// architecture with its session by build input, and indenting Marshal's
+// output in one pass instead of through json.Encoder, brought it to 744;
+// the ceiling is that plus 20%.
+const warmHitAllocCeiling = 893
 
 // TestWarmHitAllocs guards "a warm hit costs no more than a lookup": once
 // every hot request's searches are cached, answering them again must not
@@ -150,5 +157,93 @@ func TestWarmHitsShareCachedBests(t *testing.T) {
 	}
 	if !bytes.Equal(encode(warm), encode(uncached)) {
 		t.Error("warm answer differs from an uncached Eval")
+	}
+}
+
+// variantSessions initializes point idx's variant on a fresh evaluator
+// of sp, as a searched point does, and returns its architecture and the
+// session each network layer runs on.
+func variantSessions(t *testing.T, sp Spec, idx int64) (*arch.Arch, []*mapper.Session) {
+	t.Helper()
+	ev, err := NewEvaluator(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := ev.jobAt(idx, map[int64]*variant{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &job.variant.state
+	if st.init(job.variant, nil, true); st.err != nil {
+		t.Fatal(st.err)
+	}
+	sessions := make([]*mapper.Session, len(job.network.Layers))
+	for i := range sessions {
+		if sessions[i], err = job.layerSession(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st.a, sessions
+}
+
+// TestVariantSessionsShared pins the session memo's build-input index:
+// independent evaluators of variants with the same build input (an
+// Albireo configuration, fused positions included, or the electrical
+// preset's name) share one built architecture and one session, while a
+// raw-spec base is built again for each evaluator.
+func TestVariantSessionsShared(t *testing.T) {
+	var tmpl spec.ArchSpec
+	if err := json.Unmarshal([]byte(spec.Template), &tmpl); err != nil {
+		t.Fatal(err)
+	}
+	alexnet := []Workload{{Network: "alexnet"}}
+	orLanes := Spec{Base: Base{Albireo: &AlbireoBase{}}, Workloads: alexnet,
+		Axes: []Axis{{Param: "or_lanes", Values: []any{1, 3}}}}
+	cases := []struct {
+		name  string
+		sp    Spec
+		idx   int64
+		fused bool
+	}{
+		{"albireo preset", Spec{Base: Base{Preset: "albireo"}, Workloads: alexnet}, 0, false},
+		{"or_lanes=1", orLanes, 0, false},
+		{"or_lanes=3", orLanes, 1, false},
+		{"fused", Spec{Base: Base{Preset: "albireo"}, Workloads: []Workload{{Network: "alexnet", Fused: true}}}, 0, true},
+		{"electrical-baseline", Spec{Base: Base{Preset: "electrical-baseline"}, Workloads: alexnet}, 0, false},
+	}
+	for _, c := range cases {
+		a1, s1 := variantSessions(t, c.sp, c.idx)
+		a2, s2 := variantSessions(t, c.sp, c.idx)
+		if a1 != a2 {
+			t.Errorf("%s: each evaluator built its own architecture", c.name)
+		}
+		distinct := map[*mapper.Session]bool{}
+		for i := range s1 {
+			if s1[i] != s2[i] {
+				t.Errorf("%s: layer %d: each evaluator got its own session", c.name, i)
+			}
+			distinct[s1[i]] = true
+		}
+		if !c.fused && s1[0].Arch() != a1 {
+			t.Errorf("%s: the variant's architecture is not its session's", c.name)
+		}
+		if c.fused && len(distinct) != 3 {
+			t.Errorf("%s: %d distinct per-position sessions, want 3", c.name, len(distinct))
+		}
+	}
+	// 0 and -0 compare equal but fingerprint differently: their variants
+	// must not share a session, or one would take the other's cache keys.
+	signed := Spec{Base: Base{Albireo: &AlbireoBase{}}, Workloads: alexnet,
+		Axes: []Axis{{Param: "dram_bw_words_per_cycle", Values: []any{0.0, math.Copysign(0, -1)}}}}
+	_, pos := variantSessions(t, signed, 0)
+	_, neg := variantSessions(t, signed, 1)
+	if pos[0] == neg[0] || pos[0].Fingerprint() == neg[0].Fingerprint() {
+		t.Error("dram_bw_words_per_cycle 0 and -0 share a session")
+	}
+	raw := Spec{Base: Base{Arch: &tmpl}, Workloads: alexnet}
+	a1, _ := variantSessions(t, raw, 0)
+	a2, _ := variantSessions(t, raw, 0)
+	if a1 == a2 {
+		t.Error("raw-spec base: the second evaluator reused the first's architecture")
 	}
 }
