@@ -12,7 +12,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 
 	"photoloop/internal/workload"
 )
@@ -178,16 +177,6 @@ func (r *Result) EnergyOf(class, tensor string) float64 {
 		}
 	}
 	return sum
-}
-
-// SortedKeys returns the keys of an energy grouping, sorted.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // String summarizes the result in one line.

@@ -19,15 +19,18 @@ const maxUploadBytes = 64 << 20
 //
 //	POST /v1/jobs/{id}/results            upload a frame batch (store.EncodeFrames body)
 //	GET  /v1/jobs/{id}/keys               warm-key bloom digest (store.KeyDigest body)
-//	GET  /v1/jobs/{id}/results/{key}      fetch one result (raw store.EncodeBest body; 404: absent)
+//	GET  /v1/jobs/{id}/results/{key}      fetch one result (its stored EncodeBest payload; 404: absent)
 //
 // Records are content-addressed, so the store is job-agnostic: the {id}
 // path segment keeps the routes under the job tree, but an upload is
 // valid whatever job produced it, and duplicate or out-of-order uploads
-// deduplicate first-write-wins in the coordinator's single log. A
-// batch that fails to decode whole — bad magic, torn record, CRC
-// mismatch, non-canonical payload, trailing bytes — is rejected with 400
-// and nothing is appended: a truncated POST can never land partially.
+// deduplicate first-write-wins in the coordinator's single log. An
+// upload is verified whole, then its records are appended and later
+// served as the bytes the computing process encoded; the coordinator
+// never re-encodes a result. A batch that fails to decode whole — bad
+// magic, torn record, CRC mismatch, non-canonical payload, trailing
+// bytes — is rejected with 400 and nothing is appended: a truncated POST
+// can never land partially.
 func AttachResults(mount func(pattern string, h http.Handler), st *store.Store) {
 	fail := func(w http.ResponseWriter, code int, err error) {
 		w.Header().Set("Content-Type", "application/json")
@@ -49,15 +52,12 @@ func AttachResults(mount func(pattern string, h http.Handler), st *store.Store) 
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		for _, rec := range recs {
-			// First-write-wins: a key already present is a no-op, so the
-			// retried upload after a lost 200 appends nothing twice.
-			if err := st.Store(rec.Key, rec.Best); err != nil {
-				// A disk failure mid-batch leaves a prefix appended; the
-				// client retries the whole batch and the prefix dedupes.
-				fail(w, http.StatusInternalServerError, err)
-				return
-			}
+		// First-write-wins: a key already present is a no-op, so the
+		// retried upload after a lost 200 appends nothing twice, and a disk
+		// failure mid-batch leaves a prefix that the retry dedupes.
+		if err := st.Append(recs...); err != nil {
+			fail(w, http.StatusInternalServerError, err)
+			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]int{"accepted": len(recs)})
@@ -72,13 +72,13 @@ func AttachResults(mount func(pattern string, h http.Handler), st *store.Store) 
 			fail(w, http.StatusBadRequest, fmt.Errorf("shard: malformed result key %q", r.PathValue("key")))
 			return
 		}
-		b, ok := st.Load(k)
+		payload, ok := st.Payload(k)
 		if !ok {
 			// A bloom false positive in the worker's digest: it recomputes.
 			fail(w, http.StatusNotFound, fmt.Errorf("shard: result %s not in store", r.PathValue("key")))
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(store.EncodeBest(b))
+		w.Write(payload)
 	}))
 }

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -37,6 +39,12 @@ func testBest(rng *rand.Rand) *mapper.Best {
 
 func testKey(rng *rand.Rand) mapper.Key {
 	return mapper.Key{Arch: rng.Uint64(), Layer: rng.Uint64(), Opts: rng.Uint64()}
+}
+
+// testRecord fabricates one wire record: a random key and the payload of
+// a testBest.
+func testRecord(rng *rand.Rand) store.Record {
+	return store.Record{Key: testKey(rng), Payload: store.EncodeBest(testBest(rng))}
 }
 
 // resultServer opens a coordinator-side store and serves the result
@@ -84,7 +92,7 @@ func TestResultUploadIdempotent(t *testing.T) {
 
 	recs := make([]store.Record, 6)
 	for i := range recs {
-		recs[i] = store.Record{Key: testKey(rng), Best: testBest(rng)}
+		recs[i] = testRecord(rng)
 	}
 	first := store.EncodeFrames(recs[:4])
 	second := store.EncodeFrames(recs[4:])
@@ -97,12 +105,13 @@ func TestResultUploadIdempotent(t *testing.T) {
 	}
 	snapshot := func() map[mapper.Key][]byte {
 		out := map[mapper.Key][]byte{}
-		for _, k := range st.Keys() {
-			b, ok := st.Load(k)
-			if !ok {
-				t.Fatalf("indexed key failed to load")
+		for _, rec := range recs {
+			if p, ok := st.Payload(rec.Key); ok {
+				out[rec.Key] = p
 			}
-			out[k] = store.EncodeBest(b)
+		}
+		if len(out) != st.Len() {
+			t.Fatalf("%d of %d indexed keys served", len(out), st.Len())
 		}
 		return out
 	}
@@ -147,11 +156,7 @@ func TestResultUploadTornRejectedWhole(t *testing.T) {
 	st, srv := resultServer(t)
 	url := srv.URL + "/v1/jobs/j1/results"
 
-	body := store.EncodeFrames([]store.Record{
-		{Key: testKey(rng), Best: testBest(rng)},
-		{Key: testKey(rng), Best: testBest(rng)},
-		{Key: testKey(rng), Best: testBest(rng)},
-	})
+	body := store.EncodeFrames([]store.Record{testRecord(rng), testRecord(rng), testRecord(rng)})
 	// Sample cut points densely enough to cross magic, count, header and
 	// payload boundaries.
 	for cut := 0; cut < len(body); cut += 7 {
@@ -391,5 +396,116 @@ func TestResultFetchEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed key: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestUploadedLogMatchesLocalStore pins the one record codec: results
+// uploaded through POST /v1/jobs/{id}/results land in the coordinator's
+// log as the same bytes a local Store.Store of the same bests in the same
+// order writes, a fetch serves back exactly the uploaded payload, and
+// both logs reopen clean. A reader polls the coordinator's store while
+// the uploads append, so -race sees Append against Payload and Load.
+func TestUploadedLogMatchesLocalStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a, err := store.Open(dirA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := store.Open(dirB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	AttachResults(mux.Handle, a)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	// More records than one upload batch holds, so Store crosses a
+	// mid-run flush and Flush sends the partial rest.
+	keys := make([]mapper.Key, 70)
+	bests := make([]*mapper.Best, len(keys))
+	for i := range keys {
+		keys[i], bests[i] = testKey(rng), testBest(rng)
+	}
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, k := range keys {
+				if p, ok := a.Payload(k); ok {
+					if _, ok := a.Load(k); !ok || len(p) == 0 {
+						t.Error("indexed record failed to load")
+					}
+				}
+			}
+		}
+	}()
+	up := store.NewRemotePersister(srv.URL, nil)
+	if err := up.Begin(context.Background(), "j1"); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if err := up.Store(k, bests[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Store(k, bests[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := up.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-polled
+	if s := up.Stats(); s.Uploaded != len(keys) || s.Flushes < 2 {
+		t.Fatalf("uploader stats = %+v, want %d records over at least 2 POSTs", s, len(keys))
+	}
+
+	for i, k := range keys {
+		resp, err := http.Get(srv.URL + "/v1/jobs/j1/results/" + fmt.Sprintf("%016x%016x%016x", k.Arch, k.Layer, k.Opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(buf.Bytes(), store.EncodeBest(bests[i])) {
+			t.Fatalf("fetch of record %d: status %d, payload not the uploaded bytes", i, resp.StatusCode)
+		}
+	}
+
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logA, err := os.ReadFile(filepath.Join(dirA, "photoloop-store.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logB, err := os.ReadFile(filepath.Join(dirB, "photoloop-store.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(logA, logB) {
+		t.Fatalf("uploaded log (%d bytes) differs from the locally stored log (%d bytes)", len(logA), len(logB))
+	}
+	for _, dir := range []string{dirA, dirB} {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Recovered() != 0 || st.Len() != len(keys) {
+			t.Errorf("%s reopened with %d recovered bytes and %d keys, want 0 and %d", dir, st.Recovered(), st.Len(), len(keys))
+		}
+		st.Close()
 	}
 }

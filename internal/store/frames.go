@@ -11,10 +11,10 @@ import (
 // This file is the wire format of results-over-the-wire sharding: the
 // frame batch a remote worker POSTs to the coordinator, and the bloom key
 // digest the coordinator serves so remote workers skip already-solved
-// searches. Both reuse the store's own invariants — records are the same
-// CRC-framed (key, EncodeBest payload) tuples the log holds, so a frame
-// the coordinator accepts appends through the ordinary Store path, byte
-// for byte what a single-process run would have written.
+// searches. A frame batch is a count of the log's own records
+// (appendRecord), so the coordinator verifies a batch whole, then appends
+// and serves each record as the bytes the computing process encoded —
+// byte for byte what a single-process run would have written.
 
 // frameMagic opens every result-upload frame batch. Versioned like the
 // log header: a future format bumps the digit and old coordinators
@@ -26,54 +26,39 @@ var frameMagic = []byte("PHLFRAME1\n")
 // allocation.
 const maxFrameRecords = 1 << 16
 
-// Record is one search result on the wire: a content-address key and its
-// decoded best. Equal keys always carry bit-identical payloads (the store
-// invariant), which is what makes duplicate uploads harmless no-ops.
+// Record is one search result as the log, an upload and a fetch carry
+// it: a content-address key and its EncodeBest payload. Equal keys always
+// carry bit-identical payloads (the store invariant), which is what makes
+// duplicate uploads harmless no-ops.
 type Record struct {
 	// Key is the search's content address.
 	Key mapper.Key
-	// Best is the search result the payload encodes.
-	Best *mapper.Best
+	// Payload is the search result's EncodeBest bytes.
+	Payload []byte
 }
 
 // EncodeFrames serializes a batch of records into one upload body:
-// magic, record count, then per record the same key/length/CRC framing
-// the log uses around an EncodeBest payload.
+// magic, record count, then each record framed as in the log.
 func EncodeFrames(recs []Record) []byte {
-	buf := frameHeader(len(recs), len(recs)*512)
+	size := len(frameMagic) + 4
 	for i := range recs {
-		buf = appendFrame(buf, recs[i].Key, EncodeBest(recs[i].Best))
+		size += recordHeaderLen + len(recs[i].Payload)
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, frameMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
+	for i := range recs {
+		buf = appendRecord(buf, recs[i])
 	}
 	return buf
 }
 
-// frameHeader starts an upload body: magic plus record count, with room
-// reserved for sizeHint payload bytes.
-func frameHeader(count, sizeHint int) []byte {
-	buf := make([]byte, 0, len(frameMagic)+4+count*recordHeaderLen+sizeHint)
-	buf = append(buf, frameMagic...)
-	return binary.LittleEndian.AppendUint32(buf, uint32(count))
-}
-
-// appendFrame appends one framed record (key, length, CRC, payload) to an
-// upload body under construction.
-func appendFrame(buf []byte, k mapper.Key, payload []byte) []byte {
-	var hdr [recordHeaderLen]byte
-	binary.LittleEndian.PutUint64(hdr[0:], k.Arch)
-	binary.LittleEndian.PutUint64(hdr[8:], k.Layer)
-	binary.LittleEndian.PutUint64(hdr[16:], k.Opts)
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[28:], recordCRC(hdr[:28], payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
-
 // DecodeFrames parses an upload body. It is all-or-nothing: a bad magic,
-// a torn record, a CRC mismatch, a payload DecodeBest rejects, or
-// trailing bytes fail the whole batch with nothing accepted — a truncated
-// POST body must never append a partial batch. It never panics on
-// malformed input (fuzz-tested), and every accepted payload is canonical:
-// re-encoding the decoded best reproduces the payload bytes exactly.
+// an over-cap count, a torn record, a CRC mismatch, a payload DecodeBest
+// rejects, or trailing bytes fail the whole batch with nothing accepted —
+// a truncated POST body must never append a partial batch. It never
+// panics on malformed input (fuzz-tested). The returned payloads alias
+// body, and every one is canonical: EncodeBest(DecodeBest(p)) is p.
 func DecodeFrames(body []byte) ([]Record, error) {
 	if len(body) < len(frameMagic)+4 || string(body[:len(frameMagic)]) != string(frameMagic) {
 		return nil, fmt.Errorf("store: result frame batch missing magic")
@@ -90,25 +75,18 @@ func DecodeFrames(body []byte) ([]Record, error) {
 			return nil, fmt.Errorf("store: frame batch truncated in record %d header", i)
 		}
 		hdr := body[off : off+recordHeaderLen]
-		key := mapper.Key{
-			Arch:  binary.LittleEndian.Uint64(hdr[0:]),
-			Layer: binary.LittleEndian.Uint64(hdr[8:]),
-			Opts:  binary.LittleEndian.Uint64(hdr[16:]),
-		}
-		plen := binary.LittleEndian.Uint32(hdr[24:])
-		want := binary.LittleEndian.Uint32(hdr[28:])
+		key, plen, crc := parseRecordHeader(hdr)
 		if plen > maxPayloadLen || int64(plen) > int64(len(body)-off-recordHeaderLen) {
 			return nil, fmt.Errorf("store: frame batch truncated in record %d payload", i)
 		}
 		payload := body[off+recordHeaderLen : off+recordHeaderLen+int(plen)]
-		if recordCRC(hdr[:28], payload) != want {
+		if recordCRC(hdr, payload) != crc {
 			return nil, fmt.Errorf("store: frame batch record %d failed CRC", i)
 		}
-		best, err := DecodeBest(payload)
-		if err != nil {
+		if _, err := DecodeBest(payload); err != nil {
 			return nil, fmt.Errorf("store: frame batch record %d payload: %w", i, err)
 		}
-		recs = append(recs, Record{Key: key, Best: best})
+		recs = append(recs, Record{Key: key, Payload: payload})
 		off += recordHeaderLen + int(plen)
 	}
 	if off != len(body) {

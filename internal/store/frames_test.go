@@ -12,7 +12,7 @@ import (
 func randomRecords(rng *rand.Rand, n int) []Record {
 	recs := make([]Record, n)
 	for i := range recs {
-		recs[i] = Record{Key: mapperKey(rng), Best: randomBest(rng)}
+		recs[i] = Record{Key: mapperKey(rng), Payload: EncodeBest(randomBest(rng))}
 	}
 	return recs
 }
@@ -33,7 +33,7 @@ func TestFramesRoundTrip(t *testing.T) {
 			if got[i].Key != recs[i].Key {
 				t.Fatalf("record %d key changed in transit", i)
 			}
-			if !bytes.Equal(EncodeBest(got[i].Best), EncodeBest(recs[i].Best)) {
+			if !bytes.Equal(got[i].Payload, recs[i].Payload) {
 				t.Fatalf("record %d payload not bit-identical through the frame codec", i)
 			}
 		}
@@ -183,8 +183,8 @@ func TestStoreKeysHasDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(st.Keys()); got != len(keys) {
-		t.Fatalf("Keys returned %d, want %d", got, len(keys))
+	if got := st.Len(); got != len(keys) {
+		t.Fatalf("Len returned %d, want %d", got, len(keys))
 	}
 	d := st.Digest()
 	for i, k := range keys {
@@ -203,9 +203,11 @@ func TestStoreKeysHasDigest(t *testing.T) {
 // FuzzResultUploadFrame drives arbitrary bytes through the upload-frame
 // decoder and, when accepted, through a real coordinator-side store
 // append. The decoder must never panic; every accepted batch must
-// re-encode byte-identical (one canonical wire form); and appending the
-// decoded records must leave the store fully consistent — malformed
-// input can cost a rejected upload, never a corrupted segment.
+// re-encode byte-identical (one canonical wire form); every accepted
+// payload must be canonical, EncodeBest(DecodeBest(p)) == p, since the
+// store appends and serves it without re-encoding; and a key new to the
+// store must be served back as exactly the uploaded bytes — malformed
+// input can cost a rejected upload, never a corrupted log.
 //
 // Seed corpus: testdata/fuzz/FuzzResultUploadFrame (regenerated by
 // TestWriteFrameFuzzCorpus with UPDATE_FUZZ_CORPUS=1) plus the inline
@@ -232,15 +234,26 @@ func FuzzResultUploadFrame(f *testing.F) {
 			t.Fatalf("accepted non-canonical frame batch: %d bytes in, %d re-encoded", len(data), len(again))
 		}
 		for _, rec := range recs {
-			if err := st.Store(rec.Key, rec.Best); err != nil {
+			b, err := DecodeBest(rec.Payload)
+			if err != nil {
+				t.Fatalf("accepted payload does not decode: %v", err)
+			}
+			if !bytes.Equal(EncodeBest(b), rec.Payload) {
+				t.Fatal("accepted non-canonical payload")
+			}
+			fresh := !st.Has(rec.Key)
+			if err := st.Append(rec); err != nil {
 				t.Fatalf("appending accepted record: %v", err)
 			}
-			b, ok := st.Load(rec.Key)
+			p, ok := st.Payload(rec.Key)
 			if !ok {
 				t.Fatal("accepted record not served back")
 			}
-			if !bytes.Equal(EncodeBest(b), EncodeBest(rec.Best)) {
+			if fresh && !bytes.Equal(p, rec.Payload) {
 				t.Fatal("record mutated through the store")
+			}
+			if _, ok := st.Load(rec.Key); !ok {
+				t.Fatal("accepted record does not load")
 			}
 		}
 	})

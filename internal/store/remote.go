@@ -18,9 +18,10 @@ import (
 // RemotePersister is the shared-nothing result channel of a remote shard
 // worker: a mapper.Persister that holds no filesystem store. Completed
 // searches batch up and POST back to the coordinator as CRC-framed
-// records (EncodeFrames); the coordinator decodes and appends them to
-// its store, so the artifact-assembly path reads byte-for-byte what a
-// single-process run would have written. Loads consult a
+// records (EncodeFrames); the coordinator verifies each batch whole, then
+// appends and serves the records as the bytes this process encoded, so
+// the artifact-assembly path reads byte-for-byte what a single-process
+// run would have written. Loads consult a
 // bloom digest of the coordinator's keys (pulled once per lease) and
 // fetch probable hits individually — a digest false positive costs one
 // 404 before the worker recomputes, and every network failure on the
@@ -42,7 +43,7 @@ type RemotePersister struct {
 	ctx          context.Context
 	job          string
 	digest       *KeyDigest
-	pending      []pendingRec
+	pending      []Record
 	pendingBytes int
 	// local holds the results not yet acknowledged by the coordinator
 	// (pending or mid-upload), so a worker's own fresh results serve
@@ -50,13 +51,6 @@ type RemotePersister struct {
 	// worker's memory bounded by one batch.
 	local map[mapper.Key]*mapper.Best
 	stats RemoteStats
-}
-
-// pendingRec is one not-yet-uploaded result, pre-encoded so the batch's
-// byte size is exact and Flush never re-encodes.
-type pendingRec struct {
-	key     mapper.Key
-	payload []byte
 }
 
 // RemoteStats counts a RemotePersister's traffic, by outcome.
@@ -206,7 +200,7 @@ func (r *RemotePersister) Store(k mapper.Key, b *mapper.Best) error {
 		return nil
 	}
 	r.local[k] = b
-	r.pending = append(r.pending, pendingRec{key: k, payload: payload})
+	r.pending = append(r.pending, Record{Key: k, Payload: payload})
 	r.pendingBytes += len(payload)
 	full := len(r.pending) >= remoteBatchRecords || r.pendingBytes >= remoteBatchBytes
 	ctx := r.ctx
@@ -241,11 +235,7 @@ func (r *RemotePersister) Flush(ctx context.Context) error {
 	if delay, _ := time.ParseDuration(os.Getenv(uploadDelayEnv)); delay > 0 {
 		time.Sleep(delay)
 	}
-	body := frameHeader(len(batch), batchBytes)
-	for i := range batch {
-		body = appendFrame(body, batch[i].key, batch[i].payload)
-	}
-	_, status, err := r.do(ctx, http.MethodPost, "/v1/jobs/"+job+"/results", body)
+	_, status, err := r.do(ctx, http.MethodPost, "/v1/jobs/"+job+"/results", EncodeFrames(batch))
 	if err != nil || status != http.StatusOK {
 		r.mu.Lock()
 		r.pending = append(batch, r.pending...)
@@ -260,7 +250,7 @@ func (r *RemotePersister) Flush(ctx context.Context) error {
 	r.stats.Flushes++
 	r.stats.Uploaded += len(batch)
 	for i := range batch {
-		delete(r.local, batch[i].key)
+		delete(r.local, batch[i].Key)
 	}
 	r.mu.Unlock()
 	return nil

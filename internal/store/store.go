@@ -11,7 +11,8 @@
 // store's only writer and reader: a second live Open fails naming the
 // holder's pid, while a lock whose owner died is stale and reclaimed.
 // Shard workers never open the directory — their results reach the
-// coordinator over HTTP and append through its handle.
+// coordinator over HTTP as framed records, which it verifies, then
+// appends and serves as the bytes the worker encoded (Append, Payload).
 //
 // Each record frames a key (three fingerprints) and a versioned binary
 // payload (EncodeBest) behind a CRC32; records are never rewritten. Open
@@ -37,6 +38,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -75,7 +77,6 @@ type Store struct {
 	index  map[mapper.Key]recordRef
 
 	recovered int64 // bytes truncated from the log tail on Open
-	loadFails int64 // records that failed to decode on Load
 }
 
 // recordRef locates one record's payload in the log.
@@ -159,13 +160,7 @@ func (s *Store) scan() error {
 		if _, err := io.ReadFull(br, hdr); err != nil {
 			break // clean EOF or torn header
 		}
-		key := mapper.Key{
-			Arch:  binary.LittleEndian.Uint64(hdr[0:]),
-			Layer: binary.LittleEndian.Uint64(hdr[8:]),
-			Opts:  binary.LittleEndian.Uint64(hdr[16:]),
-		}
-		plen := binary.LittleEndian.Uint32(hdr[24:])
-		want := binary.LittleEndian.Uint32(hdr[28:])
+		key, plen, crc := parseRecordHeader(hdr)
 		if plen > maxPayloadLen {
 			break
 		}
@@ -176,7 +171,7 @@ func (s *Store) scan() error {
 		if _, err := io.ReadFull(br, payload); err != nil {
 			break
 		}
-		if recordCRC(hdr[:28], payload) != want {
+		if recordCRC(hdr, payload) != crc {
 			break
 		}
 		off += recordHeaderLen + int64(plen)
@@ -195,11 +190,37 @@ func (s *Store) scan() error {
 	return nil
 }
 
+// appendRecord appends one framed record to buf: the key's three
+// fingerprints, the payload length, a CRC32 over those 28 bytes and the
+// payload, then the payload itself. It is the only writer of a record
+// header, for the log and the upload body alike.
+func appendRecord(buf []byte, r Record) []byte {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, r.Key.Arch)
+	buf = binary.LittleEndian.AppendUint64(buf, r.Key.Layer)
+	buf = binary.LittleEndian.AppendUint64(buf, r.Key.Opts)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, recordCRC(buf[start:], r.Payload))
+	return append(buf, r.Payload...)
+}
+
+// parseRecordHeader reads a record header written by appendRecord: the
+// key, the payload length and the CRC the payload must match (see
+// recordCRC). It is the only reader of a record header.
+func parseRecordHeader(hdr []byte) (k mapper.Key, plen, crc uint32) {
+	k = mapper.Key{
+		Arch:  binary.LittleEndian.Uint64(hdr[0:]),
+		Layer: binary.LittleEndian.Uint64(hdr[8:]),
+		Opts:  binary.LittleEndian.Uint64(hdr[16:]),
+	}
+	return k, binary.LittleEndian.Uint32(hdr[24:]), binary.LittleEndian.Uint32(hdr[28:])
+}
+
 // recordCRC checksums a record: the header's key+length bytes plus the
 // payload, so a frame whose length or key was torn fails like a torn
 // payload.
-func recordCRC(keyAndLen, payload []byte) uint32 {
-	crc := crc32.ChecksumIEEE(keyAndLen)
+func recordCRC(hdr, payload []byte) uint32 {
+	crc := crc32.ChecksumIEEE(hdr[:recordHeaderLen-4])
 	return crc32.Update(crc, crc32.IEEETable, payload)
 }
 
@@ -244,18 +265,6 @@ func (s *Store) Has(k mapper.Key) bool {
 	return ok
 }
 
-// Keys returns a snapshot of every key in the store, in unspecified
-// order.
-func (s *Store) Keys() []mapper.Key {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]mapper.Key, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
 // Digest builds a bloom KeyDigest over the store's keys — the warm-key
 // summary a coordinator serves so remote workers skip searches any
 // worker already solved. Digest construction is order-independent,
@@ -270,10 +279,9 @@ func (s *Store) Digest() *KeyDigest {
 	return d
 }
 
-// Load implements mapper.Persister: it returns the stored best for the
-// key, or false. A record that fails to decode (impossible after a clean
-// scan unless a file was modified underneath us) is a miss.
-func (s *Store) Load(k mapper.Key) (*mapper.Best, bool) {
+// Payload returns the EncodeBest bytes stored under the key, exactly as
+// they were appended, or false.
+func (s *Store) Payload(k mapper.Key) ([]byte, bool) {
 	s.mu.Lock()
 	ref, ok := s.index[k]
 	s.mu.Unlock()
@@ -282,40 +290,56 @@ func (s *Store) Load(k mapper.Key) (*mapper.Best, bool) {
 	}
 	payload := make([]byte, ref.len)
 	if _, err := s.f.ReadAt(payload, ref.off); err != nil {
-		s.noteLoadFail()
+		return nil, false
+	}
+	return payload, true
+}
+
+// Load implements mapper.Persister: it returns the stored best for the
+// key, or false. A record that fails to read or decode (impossible after
+// a clean scan unless a file was modified underneath us) is a miss.
+func (s *Store) Load(k mapper.Key) (*mapper.Best, bool) {
+	payload, ok := s.Payload(k)
+	if !ok {
 		return nil, false
 	}
 	b, err := DecodeBest(payload)
 	if err != nil {
-		s.noteLoadFail()
 		return nil, false
 	}
 	return b, true
 }
 
-func (s *Store) noteLoadFail() {
-	s.mu.Lock()
-	s.loadFails++
-	s.mu.Unlock()
+// Store implements mapper.Persister: it appends the best under the key to
+// the log (see Append).
+func (s *Store) Store(k mapper.Key, b *mapper.Best) error {
+	return s.Append(Record{Key: k, Payload: EncodeBest(b)})
 }
 
-// Store implements mapper.Persister: it appends the best under the key to
-// the log. A key already present is left alone (the store is content
-// addressed — equal keys mean bit-identical results, so the first write
-// is as good as any).
-func (s *Store) Store(k mapper.Key, b *mapper.Best) error {
-	payload := EncodeBest(b)
-	if len(payload) > maxPayloadLen {
-		return fmt.Errorf("store: record payload %d bytes exceeds cap", len(payload))
+// Append writes each record to the log in order, first write wins: a key
+// already present (earlier in the log or in recs) is left alone. The
+// store is content addressed, so equal keys mean bit-identical results
+// and the first write is as good as any. Payloads are appended as given;
+// callers pass EncodeBest bytes (the upload handler's are verified by
+// DecodeFrames). A write error stops the append with the records before
+// it already in the log.
+func (s *Store) Append(recs ...Record) error {
+	var rec []byte
+	for _, r := range recs {
+		if len(r.Payload) > maxPayloadLen {
+			return fmt.Errorf("store: record payload %d bytes exceeds cap", len(r.Payload))
+		}
+		rec = appendRecord(slices.Grow(rec[:0], recordHeaderLen+len(r.Payload)), r)
+		if err := s.append(r.Key, rec); err != nil {
+			return err
+		}
 	}
-	rec := make([]byte, recordHeaderLen, recordHeaderLen+len(payload))
-	binary.LittleEndian.PutUint64(rec[0:], k.Arch)
-	binary.LittleEndian.PutUint64(rec[8:], k.Layer)
-	binary.LittleEndian.PutUint64(rec[16:], k.Opts)
-	binary.LittleEndian.PutUint32(rec[24:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[28:], recordCRC(rec[:28], payload))
-	rec = append(rec, payload...)
+	return nil
+}
 
+// append writes one framed record at the end of the log unless its key is
+// already indexed.
+func (s *Store) append(k mapper.Key, rec []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.index[k]; ok {
@@ -324,7 +348,7 @@ func (s *Store) Store(k mapper.Key, b *mapper.Best) error {
 	if _, err := s.f.WriteAt(rec, s.end); err != nil {
 		return fmt.Errorf("store: appending record: %w", err)
 	}
-	s.index[k] = recordRef{off: s.end + recordHeaderLen, len: int32(len(payload))}
+	s.index[k] = recordRef{off: s.end + recordHeaderLen, len: int32(len(rec) - recordHeaderLen)}
 	s.end += int64(len(rec))
 	return nil
 }
