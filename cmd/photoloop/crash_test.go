@@ -63,7 +63,6 @@ func crashExploreSpec() explore.Spec {
 		Base:          sweep.Base{Albireo: &sweep.AlbireoBase{}},
 		Axes:          []explore.Axis{{Param: "output_lanes", Values: []any{3, 5, 7, 9}}},
 		Workload:      sweep.Workload{Inline: crashNet()},
-		Strategy:      explore.StrategyGrid,
 		MapperBudget:  60,
 		Seed:          1,
 		SearchWorkers: 2,

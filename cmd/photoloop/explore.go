@@ -92,8 +92,7 @@ func cmdExplore(args []string) error {
 	var axes axisFlags
 	fs.Var(&axes, "axis", "search axis, repeatable: param=v1,v2,... or param=min..max[:step] (default: the Albireo lever space)")
 	objectives := fs.String("objectives", "energy,area", "comma-separated frontier objectives (energy, pj_per_mac, delay, area, edp, accuracy), all minimized")
-	strategy := fs.String("strategy", "auto", "search strategy: auto, grid or adaptive")
-	budget := fs.Int("budget", 0, "max design points the adaptive strategy evaluates (default 128)")
+	budget := fs.Int("budget", 0, "max design points evaluated (default 128); a space that fits is evaluated whole")
 	mapperObjective := fs.String("mapper-objective", "energy", "what the mapper minimizes per candidate schedule")
 	mapperBudget := fs.Int("mapper-budget", 500, "mapper evaluation budget per layer")
 	seed := fs.Int64("seed", 1, "explorer + mapper seed")
@@ -130,7 +129,6 @@ func cmdExplore(args []string) error {
 			Axes:            axes,
 			Workload:        sweep.Workload{Network: *network, Batch: *batch},
 			Objectives:      splitList(*objectives),
-			Strategy:        *strategy,
 			Budget:          *budget,
 			MapperObjective: *mapperObjective,
 			MapperBudget:    *mapperBudget,

@@ -36,7 +36,6 @@ func TestCLIMatchesHTTP(t *testing.T) {
   ],
   "workload": {"network": "alexnet"},
   "objectives": ["energy", "area"],
-  "strategy": "grid",
   "mapper_budget": 40,
   "seed": 1,
   "search_workers": 1

@@ -8,7 +8,7 @@
 //
 //	photoloop eval (-arch a.json | -preset name) -network vgg16 [-layer name] [-mapping m.json] [-json] ...
 //	photoloop sweep (-spec sweep.json | -preset fig4|fig5) [-format json|csv] [-out file] ...
-//	photoloop explore (-spec explore.json | -preset name [-axis p=...]) [-budget N] [-strategy auto|grid|adaptive] ...
+//	photoloop explore (-spec explore.json | -preset name [-axis p=...]) [-budget N] ...
 //	photoloop study [-presets all] [-workloads all] [-objectives energy] [-format table|markdown|json|csv] ...
 //	photoloop jobs submit -store DIR (-sweep s.json | -explore e.json) ...
 //	photoloop jobs (resume|status|result) -store DIR [-id ID] ...
@@ -124,17 +124,17 @@ func usage(w io.Writer) {
       objectives) on a concurrent worker pool with search deduplication.
   photoloop explore (-spec explore.json | -preset name [-axis param=...])
                     [-network vgg16] [-objectives energy,area] [-budget N]
-                    [-strategy auto|grid|adaptive] [-mapper-budget N] [-seed N]
-                    [-search-workers N] [-format markdown|json|csv] [-out file]
+                    [-mapper-budget N] [-seed N] [-search-workers N]
+                    [-format markdown|json|csv] [-out file]
       Search a declared parameter space for its Pareto frontier over the
       given objectives (all minimized; "accuracy" trades pJ/MAC against
       analog effective bits via the fidelity rollup). -axis is repeatable
       and accepts
       explicit grids (param=1,3,5) or ranges (param=2..16:2); with no
-      axes, the stock Albireo lever space is searched. The grid strategy
-      exhausts small spaces bit-identically to 'photoloop sweep'; the
-      adaptive strategy evaluates at most -budget points of spaces too
-      large to enumerate. See docs/EXPLORATION.md.
+      axes, the stock Albireo lever space is searched. A space of at most
+      -budget points is exhausted bit-identically to 'photoloop sweep';
+      a larger one gets an adaptive search of -budget evaluations. See
+      docs/EXPLORATION.md.
   photoloop study [-presets all|a,b,...] [-workloads all|a,b,...]
                   [-objectives energy,delay,edp] [-batch N] [-budget N]
                   [-seed N] [-search-workers N] [-workers N]

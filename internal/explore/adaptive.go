@@ -71,10 +71,9 @@ type adaptive struct {
 // runAdaptive is the budgeted evolutionary search: seed the lattice
 // corners plus uniform draws, then repeatedly mutate non-dominated
 // incumbents (with occasional uniform jumps), evaluating each generation
-// as one Evaluator.EvalPoints call over its lattice indices. When the
-// whole space fits the budget it degenerates to exhaustive enumeration in
-// lattice order — the same point set, and therefore the same frontier, as
-// the grid strategy (test-pinned).
+// as one Evaluator.EvalPoints call over its lattice indices. Run calls it
+// only for a space larger than the budget, so it evaluates exactly Budget
+// points.
 func runAdaptive(sp *Spec, s *space, opts Options) (*Frontier, error) {
 	ev, err := sweep.NewEvaluator(sp.sweepSpec(s), opts)
 	if err != nil {
@@ -93,10 +92,13 @@ func runAdaptive(sp *Spec, s *space, opts Options) (*Frontier, error) {
 		ctx = context.Background()
 	}
 	x := &adaptive{sp: sp, space: s, rng: rand.New(rand.NewSource(sp.Seed)), visited: map[int64]struct{}{}}
-	total := sp.Budget
-	exhaustive := s.size <= int64(sp.Budget)
-	if exhaustive {
-		total = int(s.size)
+	// The ranked search synchronizes twice as often as the reference
+	// stream: fresher archives make better predictions, and the surrogate
+	// arms after one generation instead of two. Generation pacing is part
+	// of the (Spec, Seed)-deterministic proposal schedule either way.
+	gen := surrogateGenerationSize
+	if sp.noSurrogate {
+		gen = generationSize
 	}
 
 	// The pool labels each point with its lattice index; relabel it to
@@ -111,7 +113,7 @@ func runAdaptive(sp *Spec, s *space, opts Options) (*Frontier, error) {
 		}
 	}
 	if opts.Progress != nil {
-		genOpts.Progress = func(done, _ int) { opts.Progress(evals+done, total) }
+		genOpts.Progress = func(done, _ int) { opts.Progress(evals+done, sp.Budget) }
 	}
 
 	finish := func(runErr error) (*Frontier, error) {
@@ -128,32 +130,11 @@ func runAdaptive(sp *Spec, s *space, opts Options) (*Frontier, error) {
 		return f, nil
 	}
 
-	for evals < total {
+	for evals < sp.Budget {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
-		gen := generationSize
-		if !exhaustive && !sp.noSurrogate {
-			// The ranked search synchronizes twice as often: fresher
-			// archives make better predictions, and the surrogate arms
-			// after one generation instead of two. Generation pacing is
-			// part of the (Spec, Seed)-deterministic proposal schedule
-			// either way.
-			gen = surrogateGenerationSize
-		}
-		want := min(total-evals, gen)
-		var batch []int64
-		if exhaustive {
-			// Lattice order, exactly the grid strategy's point order.
-			for k := 0; k < want; k++ {
-				batch = append(batch, int64(evals+k))
-			}
-		} else {
-			batch = x.propose(want)
-		}
-		if len(batch) == 0 {
-			break // space exhausted below budget
-		}
+		batch := x.propose(min(sp.Budget-evals, gen))
 		clear(order)
 		for k, lat := range batch {
 			order[lat] = evals + k

@@ -4,18 +4,18 @@
 // for the Pareto frontier over configurable objectives (energy, energy
 // per MAC, delay, area, EDP).
 //
-// Two strategies hide behind one interface. The exhaustive "grid"
-// strategy evaluates the space through sweep.Run — bit-identical to running
-// the equivalent sweep and dominance-filtering its points, which tests
-// pin. The "adaptive" strategy is a seeded evolutionary archive search
-// (mutate non-dominated incumbents, occasionally jump) that evaluates at
-// most Budget points of spaces far too large to enumerate — millions of
+// The budget picks the search. A space that fits it is evaluated whole
+// through sweep.Run ("grid") — bit-identical to running the equivalent
+// sweep and dominance-filtering its points, which tests pin. A larger
+// space gets a seeded evolutionary archive search ("adaptive": mutate
+// non-dominated incumbents, occasionally jump) that evaluates exactly
+// Budget points of spaces far too large to enumerate — millions of
 // lattice points — while remaining exactly reproducible for a fixed
 // (Seed, SearchWorkers) pair regardless of the evaluation pool size. Both
-// strategies evaluate points through the sweep engine's evaluator over
-// the spec's canonical sweep equivalent (SweepSpec, whose point index is
-// the lattice index) and the shared mapper.Cache, so repeated
-// (architecture, layer shape, objective) searches are never recomputed.
+// evaluate points through the sweep engine's evaluator over the spec's
+// canonical sweep equivalent (SweepSpec, whose point index is the
+// lattice index) and the shared mapper.Cache, so repeated (architecture,
+// layer shape, objective) searches are never recomputed.
 // A sharded job publishes that same sweep spec, so a lease is a range of
 // point indices of the coordinator-resolved sweep spec.
 //
@@ -59,14 +59,10 @@ type Spec struct {
 	// a closed-form post-pass: energy/delay/area are bit-identical with or
 	// without it.
 	Fidelity *fidelity.Spec `json:"fidelity,omitempty"`
-	// Strategy selects the search: "grid" (exhaustive, bit-identical to
-	// sweep.Run + dominance filter), "adaptive" (budgeted evolutionary
-	// search), or "auto"/"" (grid when the space fits the budget,
-	// adaptive otherwise).
-	Strategy string `json:"strategy,omitempty"`
-	// Budget caps how many design points the adaptive strategy evaluates
-	// (default 128). The grid strategy ignores it and evaluates the whole
-	// space.
+	// Budget caps how many design points are evaluated (default 128). A
+	// space of at most Budget points is evaluated whole, so its frontier
+	// is exact; a larger one gets the adaptive search, which evaluates
+	// exactly Budget points.
 	Budget int `json:"budget,omitempty"`
 	// MapperObjective is what the mapper minimizes when scheduling each
 	// candidate (default "energy"). It is deliberately separate from
@@ -77,14 +73,14 @@ type Spec struct {
 	// default).
 	MapperBudget int `json:"mapper_budget,omitempty"`
 	// Seed fixes both the mapper's randomness and the adaptive
-	// strategy's proposal stream (0 = 1).
+	// search's proposal stream (0 = 1).
 	Seed int64 `json:"seed,omitempty"`
 	// SearchWorkers is the per-layer search's lane count: semantic,
 	// default mapper.DefaultLanes (0); run on min(lanes, GOMAXPROCS)
 	// goroutines.
 	SearchWorkers int `json:"search_workers,omitempty"`
 
-	// noSurrogate disables the adaptive strategy's surrogate proposal
+	// noSurrogate disables the adaptive search's surrogate proposal
 	// ranking, restoring the plain mutate-and-jump proposal stream. It is
 	// the reference mode the surrogate's tests compare against and is
 	// deliberately unexported: external callers always get the ranked
@@ -296,8 +292,8 @@ func dominates(a, b []float64) bool {
 
 // Options tunes a Run without changing the frontier it finds (for a fixed
 // Spec, results are independent of Workers and Cache). They are the sweep
-// engine's options: the grid strategy passes them to sweep.Run, and the
-// adaptive strategy to one Evaluator.EvalPoints call per generation, so
+// engine's options: the grid passes them to sweep.Run, and the adaptive
+// search to one Evaluator.EvalPoints call per generation, so
 // Context cancels between points, OnPoint streams every evaluated
 // candidate with its evaluation-order Index, Progress reports against
 // the planned total, and PreEvaluate sees the lattice indices — the whole
@@ -305,11 +301,11 @@ func dominates(a, b []float64) bool {
 // search, whose proposals it cannot change.
 type Options = sweep.Options
 
-// defaultBudget caps adaptive evaluations when the spec names none.
+// defaultBudget is the budget of a spec that names none.
 const defaultBudget = 128
 
-// withDefaults canonicalizes the spec: objectives, strategy, budget,
-// seed, mapper objective.
+// withDefaults canonicalizes the spec: objectives, budget, seed, mapper
+// objective.
 func (sp Spec) withDefaults() (Spec, error) {
 	if len(sp.Objectives) == 0 {
 		sp.Objectives = []string{objEnergy, objArea}
@@ -345,22 +341,14 @@ func (sp Spec) withDefaults() (Spec, error) {
 	if sp.Seed == 0 {
 		sp.Seed = 1
 	}
-	switch sp.Strategy {
-	case "", StrategyAuto, StrategyGrid, StrategyAdaptive:
-	default:
-		return sp, fmt.Errorf("explore: unknown strategy %q (want auto, grid or adaptive)", sp.Strategy)
-	}
 	return sp, nil
 }
 
-// Search strategies.
+// The searches Frontier.Strategy reports.
 const (
-	// StrategyAuto picks grid when the space fits the budget, adaptive
-	// otherwise.
-	StrategyAuto = "auto"
-	// StrategyGrid evaluates the whole space through sweep.Run.
+	// StrategyGrid evaluated the whole space through sweep.Run.
 	StrategyGrid = "grid"
-	// StrategyAdaptive runs the budgeted evolutionary search.
+	// StrategyAdaptive ran the budgeted evolutionary search.
 	StrategyAdaptive = "adaptive"
 )
 
@@ -403,7 +391,8 @@ func (sp Spec) SweepSpec() (sweep.Spec, error) {
 	return sp.sweepSpec(s), nil
 }
 
-// Run searches the spec's parameter space for its Pareto frontier.
+// Run searches the spec's parameter space for its Pareto frontier: the
+// grid when the space fits the budget, the adaptive search otherwise.
 func Run(sp Spec, opts Options) (*Frontier, error) {
 	sp, err := sp.withDefaults()
 	if err != nil {
@@ -413,15 +402,7 @@ func Run(sp Spec, opts Options) (*Frontier, error) {
 	if err != nil {
 		return nil, err
 	}
-	strategy := sp.Strategy
-	if strategy == "" || strategy == StrategyAuto {
-		if s.size <= int64(sp.Budget) {
-			strategy = StrategyGrid
-		} else {
-			strategy = StrategyAdaptive
-		}
-	}
-	if strategy == StrategyGrid {
+	if s.size <= int64(sp.Budget) {
 		return runGrid(&sp, s, opts)
 	}
 	return runAdaptive(&sp, s, opts)
@@ -449,7 +430,7 @@ func objsOf(objectives []string, p *sweep.Point) []float64 {
 // On a run error (a failed point or a canceled context) the frontier of
 // the successfully evaluated points is returned alongside the error, with
 // the failed points counted as Infeasible — the same partial-result
-// contract the adaptive strategy keeps.
+// contract the adaptive search keeps.
 func runGrid(sp *Spec, s *space, opts Options) (*Frontier, error) {
 	res, err := sweep.Run(sp.sweepSpec(s), opts)
 	if res == nil {

@@ -67,7 +67,6 @@ func testMetric(name string, p *sweep.Point) float64 {
 // all-pairs dominance filter.
 func TestGridFrontierMatchesBruteForceSweep(t *testing.T) {
 	sp := smallSpec()
-	sp.Strategy = StrategyGrid
 	f, err := Run(sp, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -152,36 +151,8 @@ func TestGridFrontierMatchesBruteForceSweep(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMatchesGridOnSmallSpace pins the strategy contract: when
-// the space fits the budget, the adaptive strategy enumerates it and must
-// find the exact grid frontier, bit for bit.
-func TestAdaptiveMatchesGridOnSmallSpace(t *testing.T) {
-	grid := smallSpec()
-	grid.Strategy = StrategyGrid
-	fg, err := Run(grid, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive := smallSpec()
-	adaptive.Strategy = StrategyAdaptive
-	adaptive.Budget = 18 // == space size
-	fa, err := Run(adaptive, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fa.Strategy != StrategyAdaptive {
-		t.Fatalf("strategy = %q, want adaptive", fa.Strategy)
-	}
-	if fa.Evals != fg.Evals || fa.Dominated != fg.Dominated {
-		t.Errorf("adaptive evals/dominated = %d/%d, grid %d/%d", fa.Evals, fa.Dominated, fg.Evals, fg.Dominated)
-	}
-	if !reflect.DeepEqual(fa.Points, fg.Points) {
-		t.Errorf("adaptive frontier differs from grid:\n%+v\nvs\n%+v", fa.Points, fg.Points)
-	}
-}
-
-// TestAutoStrategySelection pins the auto rule: grid when the space fits
-// the budget, adaptive otherwise.
+// TestAutoStrategySelection pins the budget rule: grid when the space
+// fits the budget, adaptive otherwise.
 func TestAutoStrategySelection(t *testing.T) {
 	sp := smallSpec()
 	sp.Budget = 18
@@ -360,7 +331,6 @@ func TestSpecValidation(t *testing.T) {
 		"unknown objective":    func(sp *Spec) { sp.Objectives = []string{"throughput"} },
 		"duplicate objective":  func(sp *Spec) { sp.Objectives = []string{"energy", "total_pj"} },
 		"bad mapper objective": func(sp *Spec) { sp.MapperObjective = "speed" },
-		"bad strategy":         func(sp *Spec) { sp.Strategy = "random" },
 		"unknown axis param":   func(sp *Spec) { sp.Axes[0].Param = "warp_cores" },
 		"no workload":          func(sp *Spec) { sp.Workload = sweep.Workload{} },
 	} {
@@ -384,9 +354,7 @@ func TestContextCancellation(t *testing.T) {
 	if f == nil {
 		t.Fatal("canceled adaptive run returned a nil frontier")
 	}
-	grid := smallSpec()
-	grid.Strategy = StrategyGrid
-	f, err = Run(grid, Options{Context: ctx})
+	f, err = Run(smallSpec(), Options{Context: ctx})
 	if err == nil {
 		t.Fatal("canceled grid run returned no error")
 	}
@@ -463,15 +431,13 @@ func TestFrontierCSVAndJSON(t *testing.T) {
 // lattice in one call for the grid, one call per generation for the
 // adaptive search.
 func TestExploreCallbacksContract(t *testing.T) {
-	grid := smallSpec()
-	grid.Strategy = StrategyGrid
 	for _, tc := range []struct {
 		name    string
 		sp      Spec
 		planned int // Progress's total
 		calls   int // PreEvaluate calls
 	}{
-		{"grid", grid, 18, 1},
+		{"grid", smallSpec(), 18, 1},
 		{"adaptive", bigSpec(), bigSpec().Budget, (bigSpec().Budget + surrogateGenerationSize - 1) / surrogateGenerationSize},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -538,7 +504,7 @@ func TestExploreCallbacksContract(t *testing.T) {
 			if len(order) != f.Evals {
 				t.Fatalf("PreEvaluate saw %d indices, want Evals = %d", len(order), f.Evals)
 			}
-			if tc.sp.Strategy == StrategyGrid {
+			if tc.name == "grid" {
 				for i, lat := range order {
 					if lat != int64(i) {
 						t.Fatalf("grid offered lattice %d at position %d", lat, i)

@@ -72,8 +72,7 @@ type Frontier struct {
 	SurrogateKept   int `json:"surrogate_kept,omitempty"`
 	// Points is the Pareto frontier, sorted by objective vector
 	// (lexicographically ascending, ties by lattice index) — so equal
-	// specs produce byte-equal frontiers regardless of strategy or
-	// worker count.
+	// specs produce byte-equal frontiers regardless of worker count.
 	Points []FrontierPoint `json:"points"`
 }
 

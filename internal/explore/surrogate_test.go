@@ -122,9 +122,7 @@ func TestSurrogateDeterministicAcrossWorkers(t *testing.T) {
 // counters must sum to something visible (the whole point of reporting
 // them), on both strategies.
 func TestFrontierAggregatesSearchFunnel(t *testing.T) {
-	grid := smallSpec()
-	grid.Strategy = StrategyGrid
-	fg, err := Run(grid, Options{})
+	fg, err := Run(smallSpec(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,6 @@ func exploreJob() Spec {
 		Base:          sweep.Base{Albireo: &sweep.AlbireoBase{}},
 		Axes:          []explore.Axis{{Param: "output_lanes", Values: []any{3, 9}}},
 		Workload:      sweep.Workload{Inline: tinyNet()},
-		Strategy:      explore.StrategyGrid,
 		MapperBudget:  60,
 		Seed:          1,
 		SearchWorkers: 2,

@@ -168,24 +168,31 @@ func TestJobHTTPErrors(t *testing.T) {
 
 // TestServeDecodeErrorEnvelopes pins the 400 body every POST route of a
 // full server answers for an undecodable request: a strict-decoding
-// rejection and a body past the 8 MiB request cap. A sweep that sets the
-// removed warm_start field, bare or inside a job, is such a rejection.
+// rejection and a body past the 8 MiB request cap. A spec that sets a
+// removed field — a sweep's warm_start or an exploration's strategy, bare
+// or inside a job — is such a rejection, and explore.DecodeSpec (the
+// CLI's -spec reader) rejects the strategy field the same way.
 func TestServeDecodeErrorEnvelopes(t *testing.T) {
 	srv, _ := newJobServer(t)
 	explore.Attach(srv)
 	oversized := `{"name":"` + strings.Repeat("a", 8<<20) + `"}`
-	warmStart := `{"error":"decoding request: json: unknown field \"warm_start\""}` + "\n"
-	removed := map[string]string{
-		"/v1/sweep": `{"name":"w","budget":50,"warm_start":true}`,
-		"/v1/jobs":  `{"sweep":{"name":"w","budget":50,"warm_start":true}}`,
+	unknown := func(field string) string {
+		return `{"error":"decoding request: json: unknown field \"` + field + `\""}` + "\n"
+	}
+	const strategy = `{"name":"s","budget":50,"strategy":"grid"}`
+	const warmStart = `{"name":"w","budget":50,"warm_start":true}`
+	removed := map[string][]struct{ body, field string }{
+		"/v1/sweep":   {{warmStart, "warm_start"}},
+		"/v1/explore": {{strategy, "strategy"}},
+		"/v1/jobs":    {{`{"sweep":` + warmStart + `}`, "warm_start"}, {`{"explore":` + strategy + `}`, "strategy"}},
 	}
 	for _, route := range []string{"/v1/sweep", "/v1/study", "/v1/explore", "/v1/jobs"} {
 		cases := []struct{ body, want string }{
-			{`{"bogus": 1}`, `{"error":"decoding request: json: unknown field \"bogus\""}` + "\n"},
+			{`{"bogus": 1}`, unknown("bogus")},
 			{oversized, `{"error":"decoding request: http: request body too large"}` + "\n"},
 		}
-		if body, ok := removed[route]; ok {
-			cases = append(cases, struct{ body, want string }{body, warmStart})
+		for _, r := range removed[route] {
+			cases = append(cases, struct{ body, want string }{r.body, unknown(r.field)})
 		}
 		for _, c := range cases {
 			rec := httptest.NewRecorder()
@@ -197,6 +204,10 @@ func TestServeDecodeErrorEnvelopes(t *testing.T) {
 				t.Errorf("%s: content type %q", route, ct)
 			}
 		}
+	}
+	const want = `explore: decoding spec: json: unknown field "strategy"`
+	if _, err := explore.DecodeSpec(strings.NewReader(strategy)); err == nil || err.Error() != want {
+		t.Errorf("explore.DecodeSpec: err %v, want %q", err, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,7 +138,9 @@ func TestShardedRemoteNoSharedDir(t *testing.T) {
 
 // TestShardedRemoteExploreNoSharedDir runs the multi-generation adaptive
 // explore path shared-nothing: every generation's results cross the wire
-// and the frontier must still match the single-process bytes.
+// and the frontier must still match the single-process bytes. A lease of
+// a later generation must reach a worker, or the search never left its
+// first generation.
 func TestShardedRemoteExploreNoSharedDir(t *testing.T) {
 	plain := openManager(t, t.TempDir())
 	_, want := runJob(t, plain, adaptiveExploreJob())
@@ -150,12 +153,20 @@ func TestShardedRemoteExploreNoSharedDir(t *testing.T) {
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 
-	_, stop := remoteWorkerPool(t, hs.URL, 2)
+	var laterGen atomic.Bool
+	_, stop := remoteWorkers(t, hs.URL, 2, func(l *shard.Lease) {
+		if l.Gen >= 1 {
+			laterGen.Store(true)
+		}
+	})
 	st, got := runJob(t, m, adaptiveExploreJob())
 	stop()
 
 	if !bytes.Equal(got, want) {
 		t.Error("shared-nothing adaptive frontier differs from single-process artifact")
+	}
+	if !laterGen.Load() {
+		t.Error("no lease with Gen >= 1 reached a worker")
 	}
 	if st.Store == nil || st.Store.Misses != 0 {
 		t.Errorf("coordinator recomputed searches: %+v", st.Store)
@@ -241,7 +252,6 @@ func TestShardedExploreBeyondVariantCap(t *testing.T) {
 		},
 		Workload:      sweep.Workload{Inline: tinyNet()},
 		Objectives:    []string{"pj_per_mac", "area"},
-		Strategy:      explore.StrategyAdaptive,
 		Budget:        12,
 		MapperBudget:  40,
 		Seed:          7,
@@ -251,12 +261,8 @@ func TestShardedExploreBeyondVariantCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := sweep.NewEvaluator(ssp, sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := ev.NumPoints(); n != 0 {
-		t.Fatalf("NumPoints = %d; the fixture must exceed the variant cap", n)
+	if _, err := sweep.Run(ssp, sweep.Options{}); err == nil || !strings.Contains(err.Error(), "axis grid exceeds 100000 variants") {
+		t.Fatalf("sweep.Run err = %v; the fixture must exceed the variant cap", err)
 	}
 	plain := openManager(t, t.TempDir())
 	_, want := runJob(t, plain, spec)

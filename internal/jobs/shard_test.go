@@ -36,13 +36,15 @@ func runJob(t *testing.T, m *Manager, sp Spec) (*Status, []byte) {
 	return st, buf
 }
 
-// adaptiveExploreJob exercises the multi-generation PreEvaluate path: the
-// adaptive strategy offers one shard generation per candidate batch.
+// adaptiveExploreJob exercises the multi-generation PreEvaluate path: its
+// 12-point space exceeds its budget, so the adaptive search runs, and the
+// budget of 10 spans two adaptive generations (8 points, then 2), each
+// offered as its own shard generation.
 func adaptiveExploreJob() Spec {
 	sp := exploreJob()
 	sp.Explore.Name = "job-explore-adaptive"
-	sp.Explore.Strategy = explore.StrategyAdaptive
-	sp.Explore.Budget = 6
+	sp.Explore.Axes = []explore.Axis{{Param: "output_lanes", Min: ptr(2), Max: ptr(13)}}
+	sp.Explore.Budget = 10
 	return sp
 }
 
@@ -190,7 +192,7 @@ func TestShardedGridOverVariantCapRejectedBeforeOffer(t *testing.T) {
 			{Param: "clusters", Min: ptr(1), Max: ptr(51)},
 		},
 		Workload:      sweep.Workload{Inline: tinyNet()},
-		Strategy:      explore.StrategyGrid,
+		Budget:        102000,
 		SearchWorkers: 1,
 	}}
 	m := openManager(t, t.TempDir())

@@ -1,8 +1,6 @@
 package model
 
 import (
-	"fmt"
-
 	"photoloop/internal/arch"
 	"photoloop/internal/mapping"
 	"photoloop/internal/workload"
@@ -178,14 +176,4 @@ func (an *analysis) accumulateStaticSites(statics []int64) {
 	for _, site := range eng.perMACStatic {
 		statics[site.idx] += site.n * perMACCopies
 	}
-}
-
-// EvaluateChecked is Evaluate plus domain-gap diagnostics: it fails if the
-// architecture moves tensors across domains without converters, which
-// almost always indicates a specification bug.
-func EvaluateChecked(a *arch.Arch, l *workload.Layer, m *mapping.Mapping, opts Options) (*Result, error) {
-	if gaps := a.DomainGaps(); len(gaps) > 0 {
-		return nil, fmt.Errorf("model: architecture %s has unconverted domain crossings: %v", a.Name, gaps)
-	}
-	return Evaluate(a, l, m, opts)
 }

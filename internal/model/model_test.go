@@ -362,29 +362,6 @@ func TestPaddedUtilization(t *testing.T) {
 	}
 }
 
-func TestEvaluateCheckedRejectsDomainGaps(t *testing.T) {
-	lib := freeLib(t)
-	a := &arch.Arch{
-		Name: "gap", Lib: lib, ClockGHz: 1, DefaultWordBits: 8,
-		Levels: []arch.Level{
-			{Name: "DRAM", Domain: arch.DE, Keeps: workload.AllTensorSet(), AccessComponent: "DRAM"},
-			{Name: "Ring", Domain: arch.AO, Keeps: workload.AllTensorSet(), AccessComponent: "Reg"},
-		},
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	l := handLayer()
-	m := mapping.New(a)
-	setTemporal(m, 0, map[workload.Dim]int{workload.DimK: 2, workload.DimC: 2, workload.DimP: 2, workload.DimQ: 2}, nil)
-	if _, err := EvaluateChecked(a, &l, m, Options{}); err == nil {
-		t.Error("EvaluateChecked accepted a DE->AO edge with no converters")
-	}
-	if _, err := Evaluate(a, &l, m, Options{}); err != nil {
-		t.Errorf("plain Evaluate should tolerate gaps: %v", err)
-	}
-}
-
 func TestStaticPowerCharging(t *testing.T) {
 	lib := freeLib(t)
 	heater, err := components.Build("mrr", "Heater", components.Params{"program_pj": 1, "heater_mw": 2})

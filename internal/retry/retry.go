@@ -58,12 +58,6 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err was marked with Permanent.
-func IsPermanent(err error) bool {
-	var p *permanentError
-	return errors.As(err, &p)
-}
-
 // Do runs f until it succeeds, returns a Permanent error, exhausts the
 // policy's attempts, or the context ends. The returned error is the last
 // attempt's, unwrapped from any Permanent marker; a context cancellation

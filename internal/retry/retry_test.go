@@ -67,32 +67,19 @@ func TestDoStopsOnPermanent(t *testing.T) {
 		calls++
 		return Permanent(bad)
 	})
-	if !errors.Is(err, bad) {
-		t.Fatalf("err = %v, want %v", err, bad)
-	}
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1", calls)
 	}
 	// The permanent marker is stripped on return: callers compare against
 	// their own sentinel errors, not the wrapper.
-	if IsPermanent(err) {
-		t.Fatalf("returned error still carries the permanent marker")
+	if err != bad {
+		t.Fatalf("err = %#v, want the unwrapped %v", err, bad)
 	}
 }
 
 func TestPermanentNilIsNil(t *testing.T) {
 	if Permanent(nil) != nil {
 		t.Fatalf("Permanent(nil) != nil")
-	}
-}
-
-func TestIsPermanentSeesWrapped(t *testing.T) {
-	err := Permanent(errors.New("no"))
-	if !IsPermanent(err) {
-		t.Fatalf("IsPermanent(Permanent(err)) = false")
-	}
-	if IsPermanent(errors.New("transient")) {
-		t.Fatalf("IsPermanent(plain error) = true")
 	}
 }
 

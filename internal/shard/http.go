@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"photoloop/internal/retry"
+	"photoloop/internal/sweep"
 )
 
 // AttachHTTP mounts the coordinator's worker-facing endpoints through the
@@ -31,13 +32,10 @@ func AttachHTTP(mount func(pattern string, h http.Handler), c *Coordinator) {
 		w.WriteHeader(code)
 		json.NewEncoder(w).Encode(v)
 	}
-	fail := func(w http.ResponseWriter, code int, err error) {
-		writeJSON(w, code, map[string]string{"error": err.Error()})
-	}
 	lease := func(w http.ResponseWriter, job string) {
 		l, err := c.Lease(job)
 		if err != nil {
-			fail(w, http.StatusNotFound, err)
+			sweep.WriteHTTPError(w, http.StatusNotFound, err)
 			return
 		}
 		if l == nil {
@@ -54,14 +52,14 @@ func AttachHTTP(mount func(pattern string, h http.Handler), c *Coordinator) {
 	}))
 	mount("POST /v1/jobs/{id}/lease/{lease}/heartbeat", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if err := c.Heartbeat(r.PathValue("id"), r.PathValue("lease")); err != nil {
-			fail(w, http.StatusConflict, err)
+			sweep.WriteHTTPError(w, http.StatusConflict, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	}))
 	mount("POST /v1/jobs/{id}/lease/{lease}/complete", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if err := c.Complete(r.PathValue("id"), r.PathValue("lease")); err != nil {
-			fail(w, http.StatusInternalServerError, err)
+			sweep.WriteHTTPError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -72,7 +70,7 @@ func AttachHTTP(mount func(pattern string, h http.Handler), c *Coordinator) {
 		}
 		json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&body)
 		if err := c.Fail(r.PathValue("id"), r.PathValue("lease"), body.Error); err != nil {
-			fail(w, http.StatusInternalServerError, err)
+			sweep.WriteHTTPError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -80,7 +78,7 @@ func AttachHTTP(mount func(pattern string, h http.Handler), c *Coordinator) {
 	mount("GET /v1/jobs/{id}/shards", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		p, ok := c.Progress(r.PathValue("id"))
 		if !ok {
-			fail(w, http.StatusNotFound, fmt.Errorf("shard: job %s not published", r.PathValue("id")))
+			sweep.WriteHTTPError(w, http.StatusNotFound, fmt.Errorf("shard: job %s not published", r.PathValue("id")))
 			return
 		}
 		writeJSON(w, http.StatusOK, p)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"photoloop/internal/store"
+	"photoloop/internal/sweep"
 )
 
 // maxUploadBytes bounds one result-upload POST body. The persister's
@@ -32,31 +33,26 @@ const maxUploadBytes = 64 << 20
 // bytes — is rejected with 400 and nothing is appended: a truncated POST
 // can never land partially.
 func AttachResults(mount func(pattern string, h http.Handler), st *store.Store) {
-	fail := func(w http.ResponseWriter, code int, err error) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-	}
 	mount("POST /v1/jobs/{id}/results", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes+1))
 		if err != nil {
-			fail(w, http.StatusBadRequest, fmt.Errorf("shard: reading upload: %w", err))
+			sweep.WriteHTTPError(w, http.StatusBadRequest, fmt.Errorf("shard: reading upload: %w", err))
 			return
 		}
 		if len(body) > maxUploadBytes {
-			fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("shard: upload exceeds %d bytes", maxUploadBytes))
+			sweep.WriteHTTPError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("shard: upload exceeds %d bytes", maxUploadBytes))
 			return
 		}
 		recs, err := store.DecodeFrames(body)
 		if err != nil {
-			fail(w, http.StatusBadRequest, err)
+			sweep.WriteHTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 		// First-write-wins: a key already present is a no-op, so the
 		// retried upload after a lost 200 appends nothing twice, and a disk
 		// failure mid-batch leaves a prefix that the retry dedupes.
 		if err := st.Append(recs...); err != nil {
-			fail(w, http.StatusInternalServerError, err)
+			sweep.WriteHTTPError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -69,13 +65,13 @@ func AttachResults(mount func(pattern string, h http.Handler), st *store.Store) 
 	mount("GET /v1/jobs/{id}/results/{key}", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		k, ok := store.ParseKeyHex(r.PathValue("key"))
 		if !ok {
-			fail(w, http.StatusBadRequest, fmt.Errorf("shard: malformed result key %q", r.PathValue("key")))
+			sweep.WriteHTTPError(w, http.StatusBadRequest, fmt.Errorf("shard: malformed result key %q", r.PathValue("key")))
 			return
 		}
 		payload, ok := st.Payload(k)
 		if !ok {
 			// A bloom false positive in the worker's digest: it recomputes.
-			fail(w, http.StatusNotFound, fmt.Errorf("shard: result %s not in store", r.PathValue("key")))
+			sweep.WriteHTTPError(w, http.StatusNotFound, fmt.Errorf("shard: result %s not in store", r.PathValue("key")))
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")

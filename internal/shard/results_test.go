@@ -393,9 +393,13 @@ func TestResultFetchEndpoints(t *testing.T) {
 	if resp, err = http.Get(srv.URL + "/v1/jobs/j1/results/nothex"); err != nil {
 		t.Fatal(err)
 	}
+	buf.Reset()
+	buf.ReadFrom(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed key: %d, want 400", resp.StatusCode)
+	// The server's one error envelope, as every sweep route writes it.
+	const malformed = `{"error":"shard: malformed result key \"nothex\""}` + "\n"
+	if resp.StatusCode != http.StatusBadRequest || buf.String() != malformed || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("malformed key: %d %q (%s), want 400 %q", resp.StatusCode, buf.String(), resp.Header.Get("Content-Type"), malformed)
 	}
 }
 

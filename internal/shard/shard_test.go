@@ -2,6 +2,8 @@ package shard
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -114,10 +116,16 @@ func TestCoordinatorExpiryReassigns(t *testing.T) {
 	if l2.ID == l1.ID {
 		t.Fatal("reassigned lease kept the dead lease's id")
 	}
-	// The dead worker's late messages are harmless: heartbeat errors
-	// (it must stop), complete is a no-op.
-	if err := c.Heartbeat(l1.Job, l1.ID); err == nil {
-		t.Fatal("stale heartbeat accepted")
+	// The dead worker's late messages are harmless: heartbeat is a 409
+	// in the server's error envelope (the worker must stop), complete is
+	// a no-op.
+	mux := http.NewServeMux()
+	AttachHTTP(mux.Handle, c)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs/j1/lease/"+l1.ID+"/heartbeat", nil))
+	stale := `{"error":"shard: lease ` + l1.ID + ` is not live"}` + "\n"
+	if rec.Code != http.StatusConflict || rec.Body.String() != stale || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("stale heartbeat: %d %q (%s), want 409 %q", rec.Code, rec.Body.String(), rec.Header().Get("Content-Type"), stale)
 	}
 	if err := c.Complete(l1.Job, l1.ID); err != nil {
 		t.Fatal(err)

@@ -94,14 +94,15 @@ func TestEvaluatorKeysMatchSearches(t *testing.T) {
 			rec := &keyRecorder{keys: map[mapper.Key]bool{}}
 			cache := mapper.NewCache()
 			cache.SetPersister(rec)
-			if _, err := Run(sp, Options{Cache: cache}); err != nil {
+			res, err := Run(sp, Options{Cache: cache})
+			if err != nil {
 				t.Fatal(err)
 			}
 			ev, err := NewEvaluator(sp, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := ev.NumPoints()
+			n := len(res.Points)
 			idx := make([]int64, n)
 			for i := range idx {
 				idx[i] = int64(i)

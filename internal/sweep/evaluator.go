@@ -12,11 +12,10 @@ import (
 
 // Evaluator is the sweep engine's one point evaluator. EvalPoints runs
 // any set of point indices of the spec's grid on one worker pool — Run
-// is EvalPoints over every index — and Eval evaluates a variant from
-// explicit axis values, producing the same Point a Run of an equivalent
-// grid would for that combination (same variant construction, same
-// evaluation path, same shared mapper.Cache — bit-identical, which
-// evaluator_test.go pins).
+// is EvalPoints over every index — so a point evaluated alone is the
+// same Point a whole Run produces at its index (same variant
+// construction, same evaluation path, same shared mapper.Cache —
+// bit-identical, which evaluator_test.go pins).
 //
 // Indices decode against the axes' own value counts, so a grid far past
 // Run's maxVariants typo guard (an explore lattice) still evaluates
@@ -134,26 +133,6 @@ func (e *Evaluator) job(index int, v *variant, wi, oi int) pointJob {
 	}
 }
 
-// Eval evaluates one point: the variant with the given axis values,
-// against workload wi and objective oi (spec indices). index labels the
-// returned Point (Point.Index); failures land in Point.Err, exactly as in
-// a Run.
-func (e *Evaluator) Eval(index int, values []any, wi, oi int) (*Point, error) {
-	if wi < 0 || wi >= len(e.networks) {
-		return nil, fmt.Errorf("sweep: workload index %d out of range", wi)
-	}
-	if oi < 0 || oi >= len(e.objs) {
-		return nil, fmt.Errorf("sweep: objective index %d out of range", oi)
-	}
-	v, err := e.spec.variantWith(e.base, values)
-	if err != nil {
-		return nil, err
-	}
-	var p [1]Point
-	e.evaluate([]pointJob{e.job(index, v, wi, oi)}, p[:])
-	return &p[0], nil
-}
-
 // numVariants sizes the axis grid a Run evaluates, or rejects it: an axis
 // without values, or more than maxVariants variants.
 func (e *Evaluator) numVariants() (int, error) {
@@ -168,17 +147,6 @@ func (e *Evaluator) numVariants() (int, error) {
 		n *= len(ax.Values)
 	}
 	return n, nil
-}
-
-// NumPoints is the number of points a Run of the spec evaluates:
-// variants × workloads × objectives. It is 0 when Run rejects the grid
-// (an axis without values, or more than maxVariants variants).
-func (e *Evaluator) NumPoints() int {
-	n, err := e.numVariants()
-	if err != nil {
-		return 0
-	}
-	return n * len(e.networks) * len(e.objs)
 }
 
 // jobAt decodes point idx of the grid in Run's index order — idx =
@@ -215,16 +183,6 @@ func (e *Evaluator) jobAt(idx int64, variants map[int64]*variant) (pointJob, err
 		variants[vi] = v
 	}
 	return e.job(int(idx), v, wo/len(e.objs), wo%len(e.objs)), nil
-}
-
-// EvalPoint evaluates point idx of the spec's grid (see EvalPoints) and
-// returns the Point a Run produces at that index.
-func (e *Evaluator) EvalPoint(idx int) (*Point, error) {
-	points, err := e.EvalPoints([]int64{int64(idx)}, Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &points[0], nil
 }
 
 // EvalPoints evaluates the grid points idx in Run's index order on one

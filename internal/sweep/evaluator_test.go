@@ -2,13 +2,24 @@ package sweep
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
+// evalPoint evaluates grid point idx alone: a one-index EvalPoints.
+func evalPoint(ev *Evaluator, idx int64) (*Point, error) {
+	points, err := ev.EvalPoints([]int64{idx}, Options{})
+	if err != nil {
+		return nil, err
+	}
+	return &points[0], nil
+}
+
 // TestEvaluatorMatchesRunPoints is the on-demand evaluator's equivalence
-// anchor: for every grid point of a spec, Evaluator.Eval with that
-// point's axis values must reproduce the corresponding Run point bit for
-// bit — same variant construction, same evaluation path.
+// anchor: every grid point of a spec, evaluated alone through a
+// one-index EvalPoints, must reproduce the corresponding Run point bit
+// for bit — same index arithmetic, same variant construction, same
+// evaluation path, ledger included.
 func TestEvaluatorMatchesRunPoints(t *testing.T) {
 	sp := Spec{
 		Name: "evaluator-equiv",
@@ -32,35 +43,17 @@ func TestEvaluatorMatchesRunPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range res.Points {
-		p := &res.Points[i]
-		values := []any{p.Params["or_lanes"], p.Params["weight_reuse"]}
-		oi := 0
-		if p.Objective == "delay" {
-			oi = 1
-		}
-		got, err := ev.Eval(p.Index, values, 0, oi)
+		got, err := evalPoint(ev, int64(i))
 		if err != nil {
 			t.Fatalf("point %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, p) {
-			t.Errorf("point %d differs:\n got %+v\nwant %+v", i, *got, *p)
-		}
-		// EvalPoint owns Run's index arithmetic: the whole point,
-		// ledger included, must match.
-		byIndex, err := ev.EvalPoint(i)
-		if err != nil {
-			t.Fatalf("EvalPoint(%d): %v", i, err)
-		}
-		if !reflect.DeepEqual(byIndex, p) {
-			t.Errorf("EvalPoint(%d) differs from Run point %d:\n got %+v\nwant %+v", i, i, *byIndex, *p)
+		if !reflect.DeepEqual(got, &res.Points[i]) {
+			t.Errorf("point %d alone differs from Run point %d:\n got %+v\nwant %+v", i, i, *got, res.Points[i])
 		}
 	}
-	if n := ev.NumPoints(); n != len(res.Points) {
-		t.Errorf("NumPoints = %d, want %d", n, len(res.Points))
-	}
-	for _, idx := range []int{-1, len(res.Points)} {
-		if _, err := ev.EvalPoint(idx); err == nil {
-			t.Errorf("EvalPoint(%d) out of range accepted", idx)
+	for _, idx := range []int64{-1, int64(len(res.Points))} {
+		if _, err := evalPoint(ev, idx); err == nil {
+			t.Errorf("point %d out of range accepted", idx)
 		}
 	}
 }
@@ -86,12 +79,6 @@ func TestEvaluatorValidate(t *testing.T) {
 	if err := ev.Validate([]any{1, 2}); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	if _, err := ev.Eval(0, []any{3}, 1, 0); err == nil {
-		t.Error("workload index out of range accepted")
-	}
-	if _, err := ev.Eval(0, []any{3}, 0, 5); err == nil {
-		t.Error("objective index out of range accepted")
-	}
 
 	bad := sp
 	bad.Base = Base{}
@@ -106,9 +93,9 @@ func TestEvaluatorValidate(t *testing.T) {
 	}
 }
 
-// TestEvalPointIndexOrder pins EvalPoint's decoding on a grid with more
-// than one workload and objective: every index lands on the variant,
-// workload and objective of Run's point at that index.
+// TestEvalPointIndexOrder pins EvalPoints' decoding on a grid with more
+// than one workload and objective: every index, evaluated alone, lands on
+// the variant, workload and objective of Run's point at that index.
 func TestEvalPointIndexOrder(t *testing.T) {
 	other := tinyNet()
 	other.Name = "tiny-b"
@@ -132,37 +119,34 @@ func TestEvalPointIndexOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := ev.NumPoints(); n != 3*2*2*2 || n != len(res.Points) {
-		t.Fatalf("NumPoints = %d, Run produced %d, want 24", n, len(res.Points))
+	if n := len(res.Points); n != 3*2*2*2 {
+		t.Fatalf("Run produced %d points, want 24", n)
 	}
 	for i := range res.Points {
-		got, err := ev.EvalPoint(i)
+		got, err := evalPoint(ev, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := &res.Points[i]
 		if got.Variant != want.Variant || got.Network != want.Network ||
 			got.Batch != want.Batch || got.Objective != want.Objective || got.TotalPJ != want.TotalPJ {
-			t.Errorf("index %d: EvalPoint (%s %s/%d %s) != Run (%s %s/%d %s)", i,
+			t.Errorf("index %d: alone (%s %s/%d %s) != Run (%s %s/%d %s)", i,
 				got.Variant, got.Network, got.Batch, got.Objective,
 				want.Variant, want.Network, want.Batch, want.Objective)
 		}
 	}
 	empty := sp
 	empty.Axes = []Axis{{Param: "or_lanes"}}
-	ev, err = NewEvaluator(empty, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := ev.NumPoints(); n != 0 {
-		t.Errorf("axis without values: NumPoints = %d, want 0 (Run rejects the grid)", n)
+	if _, err := Run(empty, Options{}); err == nil {
+		t.Error("Run accepted an axis without values")
 	}
 }
 
-// TestEvalPointPastVariantCap: EvalPoint decodes an index against the
+// TestEvalPointPastVariantCap: EvalPoints decodes an index against the
 // axes' own value counts, so a grid above Run's maxVariants guard still
-// evaluates point by point, while an empty axis or an index past the
-// last point is rejected.
+// evaluates point by point — its last point is the one-variant sweep of
+// the last values — while an empty axis or an index past the last point
+// is rejected.
 func TestEvalPointPastVariantCap(t *testing.T) {
 	lanes := make([]any, 50)
 	for i := range lanes {
@@ -180,28 +164,36 @@ func TestEvalPointPastVariantCap(t *testing.T) {
 		Seed:          1,
 		SearchWorkers: 1,
 	}
+	if _, err := Run(sp, Options{}); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("Run err = %v, want the %d-variant cap", err, maxVariants)
+	}
 	ev, err := NewEvaluator(sp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := ev.NumPoints(); n != 0 {
-		t.Fatalf("NumPoints = %d, want 0 past the %d-variant cap", n, maxVariants)
-	}
-	last := 50*50*50 - 1
-	got, err := ev.EvalPoint(last)
+	last := int64(50*50*50 - 1)
+	got, err := evalPoint(ev, last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ev.Eval(last, []any{50, 50, 50}, 0, 0)
+	one := sp
+	one.Axes = []Axis{
+		{Param: "output_lanes", Values: []any{50}},
+		{Param: "or_lanes", Values: []any{50}},
+		{Param: "clusters", Values: []any{50}},
+	}
+	res, err := Run(one, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("EvalPoint(%d) differs from Eval of the last variant:\n got %+v\nwant %+v", last, *got, *want)
+	want := res.Points[0]
+	want.Index = int(last)
+	if !reflect.DeepEqual(*got, want) {
+		t.Errorf("point %d differs from the one-variant sweep of its values:\n got %+v\nwant %+v", last, *got, want)
 	}
-	for _, idx := range []int{-1, last + 1} {
-		if _, err := ev.EvalPoint(idx); err == nil {
-			t.Errorf("EvalPoint(%d) out of range accepted", idx)
+	for _, idx := range []int64{-1, last + 1} {
+		if _, err := evalPoint(ev, idx); err == nil {
+			t.Errorf("point %d out of range accepted", idx)
 		}
 	}
 	empty := sp
@@ -209,7 +201,7 @@ func TestEvalPointPastVariantCap(t *testing.T) {
 	if ev, err = NewEvaluator(empty, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.EvalPoint(0); err == nil {
-		t.Error("EvalPoint on an axis without values accepted")
+	if _, err := evalPoint(ev, 0); err == nil {
+		t.Error("a point of an axis without values accepted")
 	}
 }

@@ -471,12 +471,12 @@ func OpenResultStore(dir string) (*ResultStore, error) { return store.Open(dir) 
 func AttachJobs(s *SweepServer, m *JobManager) { jobs.Attach(s, m) }
 
 // Design-space explorer types: a multi-objective Pareto-frontier search
-// over the sweep axes plus ranges, behind two strategies (exhaustive grid
-// and budgeted adaptive search). `photoloop explore` and `POST
+// over the sweep axes plus ranges: an exhaustive grid when the space fits
+// the budget, a budgeted adaptive search otherwise. `photoloop explore` and `POST
 // /v1/explore` run the same engine.
 type (
 	// ExploreSpec declares an exploration: base × axes (values or
-	// ranges) × one workload, frontier objectives, strategy and budget.
+	// ranges) × one workload, frontier objectives and budget.
 	ExploreSpec = explore.Spec
 	// ExploreAxis is one search dimension: an explicit value grid or an
 	// inclusive min/max/step range.
@@ -492,15 +492,12 @@ type (
 	FrontierPoint = explore.FrontierPoint
 )
 
-// Exploration strategies.
+// The searches Frontier.Strategy reports.
 const (
-	// ExploreAuto picks grid when the space fits the budget, adaptive
-	// otherwise.
-	ExploreAuto = explore.StrategyAuto
-	// ExploreGrid exhausts the space, bit-identical to Sweep plus a
+	// ExploreGrid exhausted the space, bit-identical to Sweep plus a
 	// dominance filter.
 	ExploreGrid = explore.StrategyGrid
-	// ExploreAdaptive runs the budgeted evolutionary search.
+	// ExploreAdaptive ran the budgeted evolutionary search.
 	ExploreAdaptive = explore.StrategyAdaptive
 )
 
