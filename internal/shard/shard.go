@@ -94,6 +94,9 @@ type taskRange struct {
 	leaseID  string
 	expires  time.Time
 	attempts int
+	// expired and failed count the attempts that ended in lease expiry
+	// and in a reported failure, for the abandonment error.
+	expired, failed int
 }
 
 // generation is one offered batch of tasks: a whole sweep, or one
@@ -263,13 +266,14 @@ func (c *Coordinator) Lease(id string) (*Lease, error) {
 				// is recomputed by the next holder.
 				r.state = rangePending
 				r.leaseID = ""
+				r.expired++
 				js.reassigned++
 			}
 			if r.state != rangePending {
 				continue
 			}
 			if r.attempts >= maxAttempts {
-				c.failGenerationLocked(js, fmt.Errorf("shard: range abandoned after %d attempts", r.attempts))
+				c.failGenerationLocked(js, fmt.Errorf("shard: range abandoned after %d attempts (%d expired, %d failed)", r.attempts, r.expired, r.failed))
 				break
 			}
 			r.attempts++
@@ -356,6 +360,7 @@ func (c *Coordinator) Fail(job, lease, msg string) error {
 	}
 	r.state = rangePending
 	r.leaseID = ""
+	r.failed++
 	js.reassigned++
 	if r.attempts >= maxAttempts {
 		c.failGenerationLocked(js, fmt.Errorf("shard: range failed %d times (last: %s)", r.attempts, msg))

@@ -171,6 +171,34 @@ func TestCoordinatorPoisonRangeFailsGeneration(t *testing.T) {
 	}
 }
 
+// TestCoordinatorAbandonmentCountsExpiries: a range whose every holder
+// goes silent is abandoned after maxAttempts leases, and the error says
+// how its attempts ended.
+func TestCoordinatorAbandonmentCountsExpiries(t *testing.T) {
+	c, fc := newTestCoordinator()
+	c.Ranges = 1
+	c.Publish("j1", json.RawMessage(`{}`))
+	done, _ := c.Offer("j1", 0, tasks(2))
+	for i := 0; i < maxAttempts; i++ {
+		if l, err := c.Lease("j1"); err != nil || l == nil {
+			t.Fatalf("attempt %d: %v %v", i, l, err)
+		}
+		fc.advance(c.ttl() + time.Second)
+	}
+	if l, err := c.Lease("j1"); err != nil || l != nil {
+		t.Fatalf("abandoned range leased again: %v %v", l, err)
+	}
+	select {
+	case <-done:
+	default:
+		t.Fatal("silent holders did not fail the generation")
+	}
+	const want = "shard: range abandoned after 5 attempts (5 expired, 0 failed)"
+	if err := c.Err("j1"); err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
 func TestCoordinatorOfferReplacesGeneration(t *testing.T) {
 	c, _ := newTestCoordinator()
 	c.Publish("j1", json.RawMessage(`{}`))

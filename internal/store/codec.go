@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"photoloop/internal/mapper"
 	"photoloop/internal/mapping"
@@ -22,6 +23,15 @@ const codecVersion = 1
 const (
 	maxStringLen = 1 << 16
 	maxSliceLen  = 1 << 20
+)
+
+// Decoder sizing guesses: the Dim slots reserved per mapping level (a
+// full permutation plus a few spatial choices) and the string slab's
+// first size (a record's distinct names). A record that needs more grows
+// them; they never bound what decodes.
+const (
+	dimsPerLevel = int(workload.NumDims) + 2
+	slabLen      = 512
 )
 
 // EncodeBest serializes a search result into the store's versioned binary
@@ -46,14 +56,24 @@ func EncodeBest(b *mapper.Best) []byte {
 // DecodeBest parses a payload written by EncodeBest. It never panics on
 // malformed input (fuzz-tested): any framing violation, length overflow or
 // trailing garbage returns an error, which the cache treats as a miss.
+//
+// The decoded best shares no memory with buf, so callers may reuse buf.
+// It is built from a few backing stores per record rather than one
+// object per field: one allocation holds the best, its mapping and its
+// result; every level's Perm and SpatialChoice are cut from one Dim
+// slice; Usage and Energy are filled in place; and every string is a
+// piece of one per-record slab, a name repeated in the record sharing
+// its first copy.
 func DecodeBest(buf []byte) (*mapper.Best, error) {
 	d := &decoder{buf: buf}
 	if v := d.byte(); d.err == nil && v != codecVersion {
 		return nil, fmt.Errorf("store: unknown codec version %d (want %d)", v, codecVersion)
 	}
-	b := &mapper.Best{}
-	b.Mapping = d.mapping()
-	b.Result = d.result()
+	rec := &decoded{}
+	b := &rec.best
+	b.Mapping, b.Result = &rec.mapping, &rec.result
+	d.mapping(b.Mapping)
+	d.result(b.Result)
 	b.Evaluations = int(d.i64())
 	b.Stats.Pruned = int(d.i64())
 	b.Stats.DeltaEvals = int(d.i64())
@@ -161,6 +181,13 @@ func (e *encoder) result(r *model.Result) {
 	e.f64(r.AreaUM2)
 }
 
+// decoded is one record's fixed-size part, allocated as a unit.
+type decoded struct {
+	best    mapper.Best
+	mapping mapping.Mapping
+	result  model.Result
+}
+
 // decoder reads little-endian primitives with sticky error handling:
 // after the first framing violation every further read returns zero
 // values and the error survives to the caller.
@@ -168,6 +195,17 @@ type decoder struct {
 	buf []byte
 	off int
 	err error
+
+	// dimBuf backs every level's Perm and SpatialChoice.
+	dimBuf []workload.Dim
+	// slab holds the record's strings. The first nseen of them are in
+	// seen, found by hash through names (slot value = index in seen + 1),
+	// so a name repeated in the record is stored once; names past
+	// len(seen) are copied without lookup.
+	slab  strings.Builder
+	seen  [64]string
+	nseen int
+	names [128]uint8
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -177,16 +215,18 @@ func (d *decoder) fail(format string, args ...any) {
 }
 
 func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.buf)-d.off < n {
-		d.fail("record truncated at offset %d (need %d bytes)", d.off, n)
+	if d.err != nil || n < 0 || len(d.buf)-d.off < n {
+		d.short(n)
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
 	return b
+}
+
+// short records a read past the end of the record.
+func (d *decoder) short(n int) {
+	d.fail("record truncated at offset %d (need %d bytes)", d.off, n)
 }
 
 func (d *decoder) byte() byte {
@@ -205,25 +245,56 @@ func (d *decoder) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
+// u64 reads the record's most common field in place rather than through
+// take, which is most of a decode's per-field cost.
 func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
+	if len(d.buf)-d.off < 8 || d.err != nil {
+		d.short(8)
 		return 0
 	}
-	return binary.LittleEndian.Uint64(b)
+	v := binary.LittleEndian.Uint64(d.buf[d.off:])
+	d.off += 8
+	return v
 }
 
 func (d *decoder) i64() int64 { return int64(d.u64()) }
 
 func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
+// str returns the next string as a piece of the record's slab, reusing
+// an earlier copy of the same bytes.
 func (d *decoder) str() string {
 	n := d.u32()
 	if n > maxStringLen {
 		d.fail("string length %d exceeds cap %d", n, maxStringLen)
 		return ""
 	}
-	return string(d.take(int(n)))
+	b := d.take(int(n))
+	if len(b) == 0 {
+		return ""
+	}
+	// The hash reads the length and three bytes: names differ there far
+	// more often than not, and a collision costs one comparison.
+	h := uint32(len(b))<<24 ^ uint32(b[0])<<16 ^ uint32(b[len(b)/2])<<8 ^ uint32(b[len(b)-1])
+	mask := uint32(len(d.names) - 1)
+	slot := h * 0x9E3779B1 >> 25 & mask // the top 7 bits index names
+	for ; d.names[slot] != 0; slot = (slot + 1) & mask {
+		if s := d.seen[d.names[slot]-1]; s == string(b) {
+			return s
+		}
+	}
+	if d.slab.Cap() == 0 {
+		d.slab.Grow(slabLen)
+	}
+	start := d.slab.Len()
+	d.slab.Write(b)
+	s := d.slab.String()[start:]
+	if d.nseen < len(d.seen) {
+		d.seen[d.nseen] = s
+		d.nseen++
+		d.names[slot] = uint8(d.nseen)
+	}
+	return s
 }
 
 // sliceLen validates an element count against both the cap and the bytes
@@ -248,35 +319,36 @@ func (d *decoder) point() workload.Point {
 	return p
 }
 
+// dims returns the next Dim slice, cut from d.dimBuf with a full-slice
+// expression so no later append can reach it. nil decodes to nil and
+// empty to empty (d.dimBuf is never nil while a mapping decodes).
 func (d *decoder) dims() []workload.Dim {
 	n := d.u32()
 	if n == 0 {
 		return nil
 	}
-	count := d.sliceLen(n-1, 1)
-	out := make([]workload.Dim, 0, count)
-	for i := 0; i < count; i++ {
-		out = append(out, workload.Dim(d.byte()))
+	start := len(d.dimBuf)
+	for _, v := range d.take(d.sliceLen(n-1, 1)) {
+		d.dimBuf = append(d.dimBuf, workload.Dim(v))
 	}
-	return out
+	end := len(d.dimBuf)
+	return d.dimBuf[start:end:end]
 }
 
-func (d *decoder) mapping() *mapping.Mapping {
+func (d *decoder) mapping(m *mapping.Mapping) {
 	count := d.sliceLen(d.u32(), 2*8*int(workload.NumDims))
-	m := &mapping.Mapping{Levels: make([]mapping.LevelMapping, 0, count)}
-	for i := 0; i < count; i++ {
-		lm := mapping.LevelMapping{}
+	m.Levels = make([]mapping.LevelMapping, count)
+	d.dimBuf = make([]workload.Dim, 0, count*dimsPerLevel)
+	for i := range m.Levels {
+		lm := &m.Levels[i]
 		lm.Temporal = d.point()
 		lm.Perm = d.dims()
 		lm.SpatialChoice = d.dims()
 		lm.FreeSpatial = d.point()
-		m.Levels = append(m.Levels, lm)
 	}
-	return m
 }
 
-func (d *decoder) result() *model.Result {
-	r := &model.Result{}
+func (d *decoder) result(r *model.Result) {
 	r.Layer = d.str()
 	r.MACs = d.i64()
 	r.PaddedMACs = d.i64()
@@ -286,9 +358,9 @@ func (d *decoder) result() *model.Result {
 	r.Utilization = d.f64()
 	r.MACsPerCycle = d.f64()
 	if n := d.sliceLen(d.u32(), 4+1+2*8+8*8); n > 0 {
-		r.Usage = make([]model.Usage, 0, n)
-		for i := 0; i < n; i++ {
-			u := model.Usage{}
+		r.Usage = make([]model.Usage, n)
+		for i := range r.Usage {
+			u := &r.Usage[i]
 			u.Level = d.str()
 			u.LevelIndex = int(d.i64())
 			u.Tensor = workload.Tensor(d.byte())
@@ -302,13 +374,12 @@ func (d *decoder) result() *model.Result {
 			u.Arrivals = d.f64()
 			u.Drains = d.f64()
 			u.DrainsMerged = d.f64()
-			r.Usage = append(r.Usage, u)
 		}
 	}
 	if n := d.sliceLen(d.u32(), 5*4+2*8); n > 0 {
-		r.Energy = make([]model.EnergyItem, 0, n)
-		for i := 0; i < n; i++ {
-			en := model.EnergyItem{}
+		r.Energy = make([]model.EnergyItem, n)
+		for i := range r.Energy {
+			en := &r.Energy[i]
 			en.Level = d.str()
 			en.Component = d.str()
 			en.Class = d.str()
@@ -316,10 +387,8 @@ func (d *decoder) result() *model.Result {
 			en.Tensor = d.str()
 			en.Count = d.f64()
 			en.TotalPJ = d.f64()
-			r.Energy = append(r.Energy, en)
 		}
 	}
 	r.TotalPJ = d.f64()
 	r.AreaUM2 = d.f64()
-	return r
 }

@@ -61,6 +61,11 @@ var logMagic = []byte("PHOTOLOOPSTORE1\n")
 // CRC32 over key+payload.
 const recordHeaderLen = 3*8 + 4 + 4
 
+// scanBufLen is scan's read buffer: a reopen reads the log in chunks
+// this large, a handful of reads for a job-sized log instead of one per
+// 4 KiB.
+const scanBufLen = 256 << 10
+
 // maxPayloadLen bounds one record's payload — far above any real best
 // (a few KB), low enough that a corrupted length cannot drive a huge
 // read.
@@ -155,7 +160,7 @@ func (s *Store) scan() error {
 	off := int64(len(logMagic))
 	hdr := make([]byte, recordHeaderLen)
 	var payload []byte
-	br := bufio.NewReader(io.NewSectionReader(s.f, off, info.Size()-off))
+	br := bufio.NewReaderSize(io.NewSectionReader(s.f, off, info.Size()-off), scanBufLen)
 	for {
 		if _, err := io.ReadFull(br, hdr); err != nil {
 			break // clean EOF or torn header
@@ -280,11 +285,10 @@ func (s *Store) Digest() *KeyDigest {
 }
 
 // Payload returns the EncodeBest bytes stored under the key, exactly as
-// they were appended, or false.
+// they were appended, or false. The slice is the caller's own: the shard
+// fetch handler writes it to a response after the lookup.
 func (s *Store) Payload(k mapper.Key) ([]byte, bool) {
-	s.mu.Lock()
-	ref, ok := s.index[k]
-	s.mu.Unlock()
+	ref, ok := s.ref(k)
 	if !ok {
 		return nil, false
 	}
@@ -295,19 +299,41 @@ func (s *Store) Payload(k mapper.Key) ([]byte, bool) {
 	return payload, true
 }
 
+// readBufs holds Load's read buffers. DecodeBest copies out everything it
+// keeps, so a buffer goes back to the pool as soon as its record is
+// decoded.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Load implements mapper.Persister: it returns the stored best for the
-// key, or false. A record that fails to read or decode (impossible after
-// a clean scan unless a file was modified underneath us) is a miss.
+// key, or false. It reads the record into a pooled buffer and decodes
+// from there; the returned best shares no memory with that buffer. A
+// record that fails to read or decode (impossible after a clean scan
+// unless a file was modified underneath us) is a miss.
 func (s *Store) Load(k mapper.Key) (*mapper.Best, bool) {
-	payload, ok := s.Payload(k)
+	ref, ok := s.ref(k)
 	if !ok {
 		return nil, false
 	}
-	b, err := DecodeBest(payload)
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	buf := slices.Grow((*bp)[:0], int(ref.len))[:ref.len]
+	*bp = buf
+	if _, err := s.f.ReadAt(buf, ref.off); err != nil {
+		return nil, false
+	}
+	b, err := DecodeBest(buf)
 	if err != nil {
 		return nil, false
 	}
 	return b, true
+}
+
+// ref looks up where the key's payload lies in the log.
+func (s *Store) ref(k mapper.Key) (recordRef, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ref, ok := s.index[k]
+	return ref, ok
 }
 
 // Store implements mapper.Persister: it appends the best under the key to

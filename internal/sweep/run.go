@@ -269,11 +269,11 @@ func (st *variantState) init(v *variant, fspec *fidelity.Spec, search bool) {
 // evaluate computes a point group into points (points[j] is jobs[j]):
 // points of one variant and workload that differ only in objective, or a
 // single point. It is the one evaluation path behind EvalPoints (and so
-// Run), Evaluator.Eval and Eval, and holds the one per-layer network
-// loop, whatever the base kind and fused or not; each layer is searched
-// once for all the group's objectives. A failure lands in every point's
-// Err and is returned as an error too (a failed layer as "sweep: layer
-// <name>: ...").
+// Run, explore generations and shard ranges) and Eval, and holds the one
+// per-layer network loop, whatever the base kind and fused or not; each
+// layer is searched once for all the group's objectives. A failure lands
+// in every point's Err and is returned as an error too (a failed layer as
+// "sweep: layer <name>: ...").
 func (e *Evaluator) evaluate(jobs []pointJob, points []Point) error {
 	job := &jobs[0]
 	for j := range jobs {

@@ -255,9 +255,9 @@ func (s *Spec) base() (*variant, error) {
 const maxVariants = 100000
 
 // variantWith materializes the variant for one explicit value per axis on
-// top of the resolved base. The values need not appear in the axes'
-// Values lists — Evaluator.Eval synthesizes points the declared grid
-// never enumerates.
+// top of the resolved base: a grid point's values decoded by
+// Evaluator.jobAt, or the values Evaluator.Validate checks for an
+// explorer before it spends any evaluation.
 func (s *Spec) variantWith(base *variant, values []any) (*variant, error) {
 	if len(values) != len(s.Axes) {
 		return nil, fmt.Errorf("sweep: got %d axis values for %d axes", len(values), len(s.Axes))
