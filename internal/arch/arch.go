@@ -55,9 +55,6 @@ func (a *Arch) LevelByName(name string) (*Level, int, error) {
 	return nil, -1, fmt.Errorf("arch: %s has no level %q", a.Name, name)
 }
 
-// Innermost returns the innermost storage level.
-func (a *Arch) Innermost() *Level { return &a.Levels[len(a.Levels)-1] }
-
 // KeepLevels returns the indices (outermost first) of the levels that keep
 // tensor t. The result is computed once and cached; the returned slice is
 // shared — callers must not modify it.
@@ -102,16 +99,6 @@ func (a *Arch) InstancesAtLevel(i int) int64 {
 		n *= a.Levels[j].MaxTotalFanout()
 	}
 	return n
-}
-
-// CanonicalSpatial returns the coordinate-wise product of every level's
-// canonical spatial assignment: the default spatial shape of the machine.
-func (a *Arch) CanonicalSpatial() workload.Point {
-	p := workload.Ones()
-	for i := range a.Levels {
-		p = p.Mul(a.Levels[i].CanonicalSpatial())
-	}
-	return p
 }
 
 // Area sums the area of every component instance, multiplied by its

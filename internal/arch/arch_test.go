@@ -83,12 +83,6 @@ func TestDomainParsing(t *testing.T) {
 	if _, err := ParseDomain("XY"); err == nil {
 		t.Error("ParseDomain(XY) succeeded")
 	}
-	if !AE.IsAnalog() || !AO.IsAnalog() || DE.IsAnalog() || DO.IsAnalog() {
-		t.Error("IsAnalog wrong")
-	}
-	if !AO.IsOptical() || !DO.IsOptical() || DE.IsOptical() || AE.IsOptical() {
-		t.Error("IsOptical wrong")
-	}
 	if (Crossing{DE, AE}).String() != "DE/AE" {
 		t.Error("Crossing.String wrong")
 	}
@@ -101,9 +95,6 @@ func TestTensorSet(t *testing.T) {
 	}
 	if s.Len() != 2 {
 		t.Errorf("Len = %d", s.Len())
-	}
-	if s.Without(workload.Weights).Has(workload.Weights) {
-		t.Error("Without failed")
 	}
 	if workload.AllTensorSet().Len() != 3 {
 		t.Error("AllTensorSet wrong")
@@ -121,9 +112,6 @@ func TestArchAccessors(t *testing.T) {
 	a := testArch(t)
 	if a.NumLevels() != 3 {
 		t.Fatalf("NumLevels = %d", a.NumLevels())
-	}
-	if a.Innermost().Name != "RingBank" {
-		t.Error("Innermost wrong")
 	}
 	l, i, err := a.LevelByName("GlobalBuffer")
 	if err != nil || i != 1 || l.Name != "GlobalBuffer" {
@@ -143,9 +131,6 @@ func TestArchAccessors(t *testing.T) {
 	}
 	if a.InstancesAtLevel(0) != 1 || a.InstancesAtLevel(2) != 4 {
 		t.Errorf("instances = %d %d", a.InstancesAtLevel(0), a.InstancesAtLevel(2))
-	}
-	if a.CanonicalSpatial()[workload.DimK] != 4 {
-		t.Error("CanonicalSpatial wrong")
 	}
 }
 

@@ -40,12 +40,6 @@ func ParseDomain(s string) (Domain, error) {
 	return 0, fmt.Errorf("arch: unknown domain %q", s)
 }
 
-// IsAnalog reports whether values in this domain are analog quantities.
-func (d Domain) IsAnalog() bool { return d == AE || d == AO }
-
-// IsOptical reports whether values in this domain ride optical carriers.
-func (d Domain) IsOptical() bool { return d == AO || d == DO }
-
 // Crossing describes a domain boundary X/Y in the paper's notation.
 type Crossing struct {
 	From, To Domain

@@ -100,16 +100,6 @@ func (b *Base) Actions() []string {
 	return out
 }
 
-// MustEnergy returns the energy for an action, panicking on unsupported
-// actions. For use in evaluator hot paths after validation.
-func MustEnergy(c Component, action string) float64 {
-	e, err := c.Energy(action)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Params is a flat parameter bag used by the class registry (the Accelergy
 // "attributes" analogue) for spec-driven construction.
 type Params map[string]float64

@@ -11,6 +11,17 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))+1e-12
 }
 
+// energyOf returns c's energy for action, failing the test if c does not
+// support it.
+func energyOf(t *testing.T, c Component, action string) float64 {
+	t.Helper()
+	e, err := c.Energy(action)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestDBHelpers(t *testing.T) {
 	if got := DBToLinear(0); got != 1 {
 		t.Errorf("DBToLinear(0) = %g", got)
@@ -51,22 +62,22 @@ func TestSRAMEnergyScalesWithCapacityAndWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MustEnergy(big, ActionRead) <= MustEnergy(small, ActionRead) {
+	if energyOf(t, big, ActionRead) <= energyOf(t, small, ActionRead) {
 		t.Errorf("bigger SRAM should cost more per access: %g vs %g",
-			MustEnergy(big, ActionRead), MustEnergy(small, ActionRead))
+			energyOf(t, big, ActionRead), energyOf(t, small, ActionRead))
 	}
 	wide, err := NewSRAM(SRAMSpec{Name: "w", CapacityBits: 64 * 1024 * 8, AccessBits: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(MustEnergy(wide, ActionRead), 4*MustEnergy(small, ActionRead), 1e-9) {
+	if !almostEqual(energyOf(t, wide, ActionRead), 4*energyOf(t, small, ActionRead), 1e-9) {
 		t.Errorf("4x wider access should cost 4x: %g vs %g",
-			MustEnergy(wide, ActionRead), MustEnergy(small, ActionRead))
+			energyOf(t, wide, ActionRead), energyOf(t, small, ActionRead))
 	}
-	if MustEnergy(small, ActionWrite) <= MustEnergy(small, ActionRead) {
+	if energyOf(t, small, ActionWrite) <= energyOf(t, small, ActionRead) {
 		t.Error("writes should cost more than reads")
 	}
-	if MustEnergy(small, ActionUpdate) != MustEnergy(small, ActionRead)+MustEnergy(small, ActionWrite) {
+	if energyOf(t, small, ActionUpdate) != energyOf(t, small, ActionRead)+energyOf(t, small, ActionWrite) {
 		t.Error("update = read + write")
 	}
 	if big.Area() <= small.Area() {
@@ -77,7 +88,7 @@ func TestSRAMEnergyScalesWithCapacityAndWidth(t *testing.T) {
 func TestSRAMBankingReducesEnergy(t *testing.T) {
 	mono, _ := NewSRAM(SRAMSpec{Name: "m", CapacityBits: 1 << 23, AccessBits: 64})
 	banked, _ := NewSRAM(SRAMSpec{Name: "b", CapacityBits: 1 << 23, AccessBits: 64, Banks: 8})
-	if MustEnergy(banked, ActionRead) >= MustEnergy(mono, ActionRead) {
+	if energyOf(t, banked, ActionRead) >= energyOf(t, mono, ActionRead) {
 		t.Error("banking should reduce per-access energy")
 	}
 	if banked.Area() <= mono.Area() {
@@ -100,11 +111,11 @@ func TestDRAM(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Per-word energies: 8 pJ/bit x 16-bit access.
-	if MustEnergy(d, ActionRead) != 128 {
-		t.Errorf("read = %g, want 128", MustEnergy(d, ActionRead))
+	if energyOf(t, d, ActionRead) != 128 {
+		t.Errorf("read = %g, want 128", energyOf(t, d, ActionRead))
 	}
-	if MustEnergy(d, ActionUpdate) != 256 {
-		t.Errorf("update = %g, want 256", MustEnergy(d, ActionUpdate))
+	if energyOf(t, d, ActionUpdate) != 256 {
+		t.Errorf("update = %g, want 256", energyOf(t, d, ActionUpdate))
 	}
 	if d.Area() != 0 {
 		t.Error("off-chip DRAM should not charge on-die area")
@@ -123,11 +134,11 @@ func TestADCWaldenScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 50 fJ/step * 256 steps = 12.8 pJ.
-	if got := MustEnergy(a8, ActionConvert); !almostEqual(got, 12.8, 1e-9) {
+	if got := energyOf(t, a8, ActionConvert); !almostEqual(got, 12.8, 1e-9) {
 		t.Errorf("8-bit ADC = %g pJ, want 12.8", got)
 	}
 	a10, _ := NewADC(ADCSpec{Name: "a10", Bits: 10, WaldenFJPerStep: 50})
-	if !almostEqual(MustEnergy(a10, ActionConvert), 4*MustEnergy(a8, ActionConvert), 1e-9) {
+	if !almostEqual(energyOf(t, a10, ActionConvert), 4*energyOf(t, a8, ActionConvert), 1e-9) {
 		t.Error("each extra ADC bit should double energy")
 	}
 	if _, err := NewADC(ADCSpec{Name: "bad", Bits: 0, WaldenFJPerStep: 50}); err == nil {
@@ -143,12 +154,12 @@ func TestDACLinearScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MustEnergy(d8, ActionConvert); !almostEqual(got, 0.4, 1e-9) {
+	if got := energyOf(t, d8, ActionConvert); !almostEqual(got, 0.4, 1e-9) {
 		t.Errorf("8-bit DAC = %g pJ, want 0.4", got)
 	}
 	// DAC should be much cheaper than a same-resolution ADC.
 	a8, _ := NewADC(ADCSpec{Name: "a8", Bits: 8, WaldenFJPerStep: 50})
-	if MustEnergy(d8, ActionConvert) >= MustEnergy(a8, ActionConvert) {
+	if energyOf(t, d8, ActionConvert) >= energyOf(t, a8, ActionConvert) {
 		t.Error("DAC should be cheaper than ADC at the same resolution")
 	}
 }
@@ -158,7 +169,7 @@ func TestMZMAndMRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MustEnergy(mzm, ActionModulate) != 1.2 {
+	if energyOf(t, mzm, ActionModulate) != 1.2 {
 		t.Error("MZM modulate energy wrong")
 	}
 	if mzm.StaticPower() != 0.5 {
@@ -172,7 +183,7 @@ func TestMZMAndMRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MustEnergy(mrr, ActionProgram) != 2.5 || MustEnergy(mrr, ActionTransit) != 0.01 {
+	if energyOf(t, mrr, ActionProgram) != 2.5 || energyOf(t, mrr, ActionTransit) != 0.01 {
 		t.Error("MRR energies wrong")
 	}
 	if _, err := NewMRR(MRRSpec{Name: "bad"}); err == nil {
@@ -190,7 +201,7 @@ func TestLaserLinkBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MustEnergy(l, ActionSupply); !almostEqual(got, 1, 1e-9) {
+	if got := energyOf(t, l, ActionSupply); !almostEqual(got, 1, 1e-9) {
 		t.Errorf("laser supply = %g pJ/MAC, want 1", got)
 	}
 	// 10 dB loss at 20% WPE => 50x the energy.
@@ -198,7 +209,7 @@ func TestLaserLinkBudget(t *testing.T) {
 		Name: "l2", WallPlugEfficiency: 0.2, PathLossDB: 10,
 		DetectorSensitivityMW: 1, SymbolNS: 1, MACsPerWavelengthSymbol: 1,
 	})
-	if got := MustEnergy(l2, ActionSupply); !almostEqual(got, 50, 1e-9) {
+	if got := energyOf(t, l2, ActionSupply); !almostEqual(got, 50, 1e-9) {
 		t.Errorf("laser supply = %g pJ/MAC, want 50", got)
 	}
 	// Fanning one wavelength across 9 MACs divides per-MAC energy by 9.
@@ -206,7 +217,7 @@ func TestLaserLinkBudget(t *testing.T) {
 		Name: "l3", WallPlugEfficiency: 0.2, PathLossDB: 10,
 		DetectorSensitivityMW: 1, SymbolNS: 1, MACsPerWavelengthSymbol: 9,
 	})
-	if got := MustEnergy(l3, ActionSupply); !almostEqual(got, 50.0/9, 1e-9) {
+	if got := energyOf(t, l3, ActionSupply); !almostEqual(got, 50.0/9, 1e-9) {
 		t.Errorf("laser supply = %g pJ/MAC, want %g", got, 50.0/9)
 	}
 	if _, err := NewLaser(LaserSpec{Name: "bad", WallPlugEfficiency: 1.5}); err == nil {
@@ -221,37 +232,19 @@ func TestLinkBudgetAccumulation(t *testing.T) {
 	if !almostEqual(b.TotalDB(), want, 1e-9) {
 		t.Errorf("TotalDB = %g, want %g", b.TotalDB(), want)
 	}
-	launch := b.LaunchPowerMW(0.1)
-	if !almostEqual(launch, 0.1*DBToLinear(want), 1e-9) {
-		t.Errorf("LaunchPowerMW = %g", launch)
-	}
-	if m := b.Margin(launch, 0.1); !almostEqual(m, 0, 1e-9) {
-		t.Errorf("Margin at exact launch power = %g, want 0", m)
-	}
-	if m := b.Margin(2*launch, 0.1); !almostEqual(m, LinearToDB(2), 1e-9) {
-		t.Errorf("Margin at 2x = %g, want 3dB", m)
-	}
 }
 
 func TestStarCouplerAndWaveguide(t *testing.T) {
-	sc := StarCouplerSpec{Name: "sc", Ports: 8, ExcessLossDB: 0.5}
-	c, err := NewStarCoupler(sc)
+	c, err := NewStarCoupler(StarCouplerSpec{Name: "sc", Ports: 8, ExcessLossDB: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MustEnergy(c, ActionTransit) != 0 {
+	if energyOf(t, c, ActionTransit) != 0 {
 		t.Error("star coupler transit should be free")
 	}
-	if !almostEqual(sc.TotalLossDB(), SplitLossDB(8)+0.5, 1e-9) {
-		t.Errorf("coupler loss = %g", sc.TotalLossDB())
-	}
-	wg := WaveguideSpec{Name: "wg", LengthMM: 5, LossDBPerMM: 0.2}
-	w, err := NewWaveguide(wg)
+	w, err := NewWaveguide(WaveguideSpec{Name: "wg", LengthMM: 5, LossDBPerMM: 0.2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !almostEqual(wg.LossDB(), 1.0, 1e-9) {
-		t.Errorf("waveguide loss = %g, want 1", wg.LossDB())
 	}
 	if w.Area() <= 0 {
 		t.Error("waveguide should occupy area")
@@ -264,7 +257,7 @@ func TestDigitalMACQuadraticScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	m16, _ := NewDigitalMAC(DigitalMACSpec{Name: "m16", Bits: 16, PJAt8Bit: 0.25})
-	if !almostEqual(MustEnergy(m16, ActionMAC), 4*MustEnergy(m8, ActionMAC), 1e-9) {
+	if !almostEqual(energyOf(t, m16, ActionMAC), 4*energyOf(t, m8, ActionMAC), 1e-9) {
 		t.Error("16-bit MAC should cost 4x an 8-bit MAC")
 	}
 }
@@ -274,7 +267,7 @@ func TestWireEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MustEnergy(w, ActionTransfer); !almostEqual(got, 3.2, 1e-9) {
+	if got := energyOf(t, w, ActionTransfer); !almostEqual(got, 3.2, 1e-9) {
 		t.Errorf("wire transfer = %g, want 3.2", got)
 	}
 }
@@ -359,9 +352,6 @@ func TestLibrary(t *testing.T) {
 	}
 	if _, err := lib.Get("nope"); err == nil {
 		t.Error("Get(nope) succeeded")
-	}
-	if !lib.Has("DRAM") || lib.Has("nope") {
-		t.Error("Has wrong")
 	}
 	if lib.Len() != 1 || len(lib.Names()) != 1 {
 		t.Error("Len/Names wrong")

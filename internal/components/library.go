@@ -44,12 +44,6 @@ func (l *Library) Get(name string) (Component, error) {
 	return c, nil
 }
 
-// Has reports whether the library contains the named component.
-func (l *Library) Has(name string) bool {
-	_, ok := l.byName[name]
-	return ok
-}
-
 // Names returns the component names, sorted.
 func (l *Library) Names() []string {
 	out := make([]string, 0, len(l.byName))

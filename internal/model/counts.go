@@ -173,8 +173,8 @@ func (an *analysis) resetCore(c *Compiled, m *mapping.Mapping, shared, sfShared 
 		an.instTotal = inst
 	}
 	// padded MACs factor exactly into temporal iterations times total
-	// spatial instances, so one integer division replaces the per-level
-	// trip-count products of m.TemporalIterations().
+	// spatial instances, so one integer division replaces the product of
+	// every level's temporal trip counts.
 	an.cycles = an.paddedMACs / an.instTotal
 	return shared
 }

@@ -294,12 +294,12 @@ func TestEnergyLedgerArithmetic(t *testing.T) {
 		t.Error("PJPerMAC should be positive")
 	}
 	// Grouping helpers agree with the total.
-	var byClass float64
-	for _, v := range res.EnergyByClass() {
-		byClass += v
+	var byComponent float64
+	for _, v := range res.EnergyByComponent() {
+		byComponent += v
 	}
-	if math.Abs(byClass-res.TotalPJ) > 1e-9 {
-		t.Errorf("EnergyByClass sum %g != %g", byClass, res.TotalPJ)
+	if math.Abs(byComponent-res.TotalPJ) > 1e-9 {
+		t.Errorf("EnergyByComponent sum %g != %g", byComponent, res.TotalPJ)
 	}
 }
 

@@ -161,11 +161,6 @@ func (r *Result) EnergyByComponent() map[string]float64 {
 	return r.EnergyBy(func(e *EnergyItem) string { return e.Component })
 }
 
-// EnergyByClass sums pJ per component class.
-func (r *Result) EnergyByClass() map[string]float64 {
-	return r.EnergyBy(func(e *EnergyItem) string { return e.Class })
-}
-
 // EnergyOf sums pJ for a specific (class, tensor) pair; tensor "" matches
 // any.
 func (r *Result) EnergyOf(class, tensor string) float64 {

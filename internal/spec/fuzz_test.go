@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -89,7 +88,7 @@ func FuzzParseMappingSpec(f *testing.F) {
 	for _, s := range mappingSeeds() {
 		f.Add(s)
 	}
-	a, err := DecodeArch(strings.NewReader(Template))
+	a, err := buildArch(Template)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -88,15 +88,6 @@ func ParseArchSpec(r io.Reader) (*ArchSpec, error) {
 	return &s, nil
 }
 
-// DecodeArch reads and builds an architecture from JSON.
-func DecodeArch(r io.Reader) (*arch.Arch, error) {
-	s, err := ParseArchSpec(r)
-	if err != nil {
-		return nil, err
-	}
-	return s.Build()
-}
-
 // Build constructs the architecture described by the spec. Errors name
 // the offending JSON path (e.g. "levels[2].spatial[0]").
 func (s *ArchSpec) Build() (*arch.Arch, error) {
@@ -280,15 +271,6 @@ func ParseMappingSpec(r io.Reader) (*MappingSpec, error) {
 		return nil, fmt.Errorf("spec: decoding mapping: %w", err)
 	}
 	return &s, nil
-}
-
-// DecodeMapping reads a mapping for an architecture from JSON.
-func DecodeMapping(r io.Reader, a *arch.Arch) (*mapping.Mapping, error) {
-	s, err := ParseMappingSpec(r)
-	if err != nil {
-		return nil, err
-	}
-	return s.Build(a)
 }
 
 // Build constructs the mapping described by the spec.

@@ -7,12 +7,33 @@ import (
 	"strings"
 	"testing"
 
+	"photoloop/internal/arch"
+	"photoloop/internal/mapping"
 	"photoloop/internal/model"
 	"photoloop/internal/workload"
 )
 
+// buildArch parses and builds an architecture document the way the CLI
+// does: ParseArchSpec, then Build.
+func buildArch(doc string) (*arch.Arch, error) {
+	s, err := ParseArchSpec(strings.NewReader(doc))
+	if err != nil {
+		return nil, err
+	}
+	return s.Build()
+}
+
+// buildMapping parses a mapping document and builds it for a.
+func buildMapping(doc string, a *arch.Arch) (*mapping.Mapping, error) {
+	s, err := ParseMappingSpec(strings.NewReader(doc))
+	if err != nil {
+		return nil, err
+	}
+	return s.Build(a)
+}
+
 func TestTemplateBuilds(t *testing.T) {
-	a, err := DecodeArch(strings.NewReader(Template))
+	a, err := buildArch(Template)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +52,7 @@ func TestTemplateBuilds(t *testing.T) {
 }
 
 func TestTemplateEvaluates(t *testing.T) {
-	a, err := DecodeArch(strings.NewReader(Template))
+	a, err := buildArch(Template)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +135,7 @@ func TestMappingSpecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("mapping round trip changed the document")
 	}
-	a, err := DecodeArch(strings.NewReader(Template))
+	a, err := buildArch(Template)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +195,7 @@ func TestErrorsNameJSONPath(t *testing.T) {
 		}`, `compute.domain`},
 	}
 	for _, c := range cases {
-		_, err := DecodeArch(strings.NewReader(c.doc))
+		_, err := buildArch(c.doc)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue
@@ -184,11 +205,11 @@ func TestErrorsNameJSONPath(t *testing.T) {
 		}
 	}
 
-	a, err := DecodeArch(strings.NewReader(Template))
+	a, err := buildArch(Template)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = DecodeMapping(strings.NewReader(`{"levels":[{},{"temporal":{"Z":2}},{},{},{}]}`), a)
+	_, err = buildMapping(`{"levels":[{},{"temporal":{"Z":2}},{},{},{}]}`, a)
 	if err == nil || !strings.Contains(err.Error(), "levels[1].temporal") {
 		t.Errorf("mapping error %q does not name levels[1].temporal", err)
 	}
@@ -234,24 +255,24 @@ func TestDecodeArchRejectsBadSpecs(t *testing.T) {
 		}`},
 	}
 	for _, c := range cases {
-		if _, err := DecodeArch(strings.NewReader(c.doc)); err == nil {
+		if _, err := buildArch(c.doc); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
 }
 
 func TestDecodeMappingErrors(t *testing.T) {
-	a, err := DecodeArch(strings.NewReader(Template))
+	a, err := buildArch(Template)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeMapping(strings.NewReader(`{"levels":[{}]}`), a); err == nil {
+	if _, err := buildMapping(`{"levels":[{}]}`, a); err == nil {
 		t.Error("wrong level count accepted")
 	}
-	if _, err := DecodeMapping(strings.NewReader(`{"levels":[{"temporal":{"Z":2}},{},{},{},{}]}`), a); err == nil {
+	if _, err := buildMapping(`{"levels":[{"temporal":{"Z":2}},{},{},{},{}]}`, a); err == nil {
 		t.Error("unknown dim accepted")
 	}
-	if _, err := DecodeMapping(strings.NewReader(`not json`), a); err == nil {
+	if _, err := buildMapping(`not json`, a); err == nil {
 		t.Error("garbage accepted")
 	}
 }

@@ -119,25 +119,10 @@ var relevance = [NumTensors][NumDims]bool{
 // Relevant reports whether dimension d addresses tensor t.
 func Relevant(t Tensor, d Dim) bool { return relevance[t][d] }
 
-// RelevantDims returns the dimensions that address tensor t, in canonical
-// order.
-func RelevantDims(t Tensor) []Dim {
-	var out []Dim
-	for _, d := range AllDims() {
-		if relevance[t][d] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // ReductionDims returns the dimensions that are reduced away when forming
 // the output (C, R, S): iterating them accumulates into the same output
 // element.
 func ReductionDims() []Dim { return []Dim{DimC, DimR, DimS} }
-
-// IsReduction reports whether d is a reduction dimension.
-func IsReduction(d Dim) bool { return d == DimC || d == DimR || d == DimS }
 
 // Point is a vector indexed by Dim, used for bounds, tile extents and loop
 // trip counts.
@@ -166,18 +151,6 @@ func (p Point) Mul(q Point) Point {
 	var out Point
 	for i := range p {
 		out[i] = p[i] * q[i]
-	}
-	return out
-}
-
-// Max returns the coordinate-wise maximum of p and q.
-func (p Point) Max(q Point) Point {
-	var out Point
-	for i := range p {
-		out[i] = p[i]
-		if q[i] > out[i] {
-			out[i] = q[i]
-		}
 	}
 	return out
 }

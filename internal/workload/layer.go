@@ -201,24 +201,6 @@ func (l *Layer) TensorElems(t Tensor) int64 {
 	panic("workload: unknown tensor")
 }
 
-// TensorBits returns the tensor's precision in bits, falling back to def
-// when the layer does not specify one.
-func (l *Layer) TensorBits(t Tensor, def int) int {
-	var b int
-	switch t {
-	case Weights:
-		b = l.WeightBits
-	case Inputs:
-		b = l.InputBits
-	case Outputs:
-		b = l.OutputBits
-	}
-	if b <= 0 {
-		return def
-	}
-	return b
-}
-
 // TileElems returns the number of elements of tensor t covered by a tile
 // whose per-dimension extents are ext. Input tiles use the sliding-window
 // halo formula.
@@ -235,13 +217,6 @@ func (l *Layer) TileElems(t Tensor, ext Point) int64 {
 	}
 	panic("workload: unknown tensor")
 }
-
-// IsStrided reports whether the layer uses a stride greater than one in
-// either spatial axis.
-func (l *Layer) IsStrided() bool { return l.StrideH > 1 || l.StrideW > 1 }
-
-// IsPointwise reports whether the filter is 1x1.
-func (l *Layer) IsPointwise() bool { return l.R == 1 && l.S == 1 }
 
 // WithBatch returns a copy of the layer at batch size n: N becomes
 // n x NPerBatch, so layers that fold sequence positions or channel groups

@@ -63,28 +63,6 @@ func (n Network) WithBatch(b int) Network {
 	return n
 }
 
-// MaxActivationElems returns the largest single-layer activation tensor
-// (input or output) in elements — a lower bound on the buffer needed to
-// keep activations on chip between layers.
-func (n *Network) MaxActivationElems() int64 {
-	var max int64
-	for i := range n.Layers {
-		for _, t := range []Tensor{Inputs, Outputs} {
-			if e := n.Layers[i].TensorElems(t); e > max {
-				max = e
-			}
-		}
-	}
-	return max
-}
-
-// EncodeJSON writes the network as indented JSON.
-func (n *Network) EncodeJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(n)
-}
-
 // DecodeNetworkJSON reads a network from JSON and validates it.
 func DecodeNetworkJSON(r io.Reader) (*Network, error) {
 	var n Network

@@ -21,9 +21,6 @@ func AllTensorSet() TensorSet { return NewTensorSet(Weights, Inputs, Outputs) }
 // With returns the set with t added.
 func (s TensorSet) With(t Tensor) TensorSet { return s | 1<<t }
 
-// Without returns the set with t removed.
-func (s TensorSet) Without(t Tensor) TensorSet { return s &^ (1 << t) }
-
 // Has reports whether t is in the set.
 func (s TensorSet) Has(t Tensor) bool { return s&(1<<t) != 0 }
 

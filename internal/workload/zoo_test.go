@@ -58,9 +58,6 @@ func TestAlexNetShape(t *testing.T) {
 	if c1.R != 11 || c1.StrideH != 4 || c1.K != 96 {
 		t.Errorf("conv1 = %v, want 11x11 stride 4, K=96", c1.String())
 	}
-	if !c1.IsStrided() {
-		t.Error("conv1 should be strided")
-	}
 	// The last three layers are the large FC layers that under-utilize
 	// window-parallel photonic hardware (the Fig. 3 phenomenon).
 	for _, l := range n.Layers[5:] {
@@ -88,9 +85,9 @@ func TestResNet18Shape(t *testing.T) {
 	}
 	downsamples := 0
 	for i := range n.Layers {
-		if n.Layers[i].IsPointwise() && n.Layers[i].Type == Conv {
+		if l := &n.Layers[i]; l.R == 1 && l.S == 1 && l.Type == Conv {
 			downsamples++
-			if !n.Layers[i].IsStrided() {
+			if l.StrideH < 2 && l.StrideW < 2 {
 				t.Errorf("%s: downsample convs are stride 2", n.Layers[i].Name)
 			}
 		}
@@ -134,16 +131,6 @@ func TestWithBatchScalesMACsLinearly(t *testing.T) {
 	}
 }
 
-func TestMaxActivationElems(t *testing.T) {
-	n := ResNet18(1)
-	// The largest activation in ResNet18 at batch 1 is conv1's output
-	// 64x112x112 = 802816 elements (its input is 3x229x229 ~ 157k).
-	got := n.MaxActivationElems()
-	if got != 64*112*112 {
-		t.Errorf("MaxActivationElems = %d, want %d", got, 64*112*112)
-	}
-}
-
 func TestResNet50Shape(t *testing.T) {
 	n := ResNet50(1)
 	if err := n.Validate(); err != nil {
@@ -155,7 +142,7 @@ func TestResNet50Shape(t *testing.T) {
 	}
 	pointwise := 0
 	for i := range n.Layers {
-		if n.Layers[i].Type == Conv && n.Layers[i].IsPointwise() {
+		if l := &n.Layers[i]; l.Type == Conv && l.R == 1 && l.S == 1 {
 			pointwise++
 		}
 	}
