@@ -253,12 +253,15 @@ func TestLowerBoundAndPartialZeroAllocs(t *testing.T) {
 			if i > 0 {
 				shared = 1
 			}
-			if err := c.EvaluatePartial(scratch, m, res, opts, shared); err != nil {
+			if _, err := c.Stage(scratch, m, opts, shared, shared, math.Inf(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.FinishStaged(scratch, res, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}); allocs != 0 {
-		t.Errorf("EvaluatePartial allocated %.1f times per run, want 0", allocs)
+		t.Errorf("Stage+FinishStaged allocated %.1f times per run, want 0", allocs)
 	}
 }
 

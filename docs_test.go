@@ -6,7 +6,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -425,94 +424,6 @@ func TestREADMESubcommandsDocumented(t *testing.T) {
 	} {
 		if !bytes.Contains(main, []byte(sub)) {
 			t.Errorf("cmd/photoloop usage does not mention %q", sub)
-		}
-	}
-}
-
-// exportAllowlist names the exports under internal/ that no non-test code
-// names but that stay, each with the reason it stays. A key is the
-// package's directory under internal/, then the receiver type for a
-// method, then the name.
-var exportAllowlist = map[string]string{
-	"arch.Arch.DomainGaps":                 "the lint the preset, spec, baseline and albireo tests run over every architecture they build",
-	"arch.Fixed":                           "builds the rigid spatial factors of the tests' hand-written architectures, beside Choice",
-	"mapping.FactorSplits":                 "the exhaustive reference mapper the search is tested against enumerates with it",
-	"model.Result.UsageOf":                 "the refsim and albireo tests read one level's counts through it",
-	"store.RemotePersister.SetRetryPolicy": "the shard tests' seam for a fast retry schedule",
-	"store.Store.Recovered":                "the store fuzz and shard tests check through it how many torn tail bytes Open truncated",
-	"mapper.splitmix64.Int63":              "satisfies rand.Source, which math/rand calls",
-	"retry.permanentError.Unwrap":          "errors.Is and errors.As call it",
-	"sweep.specError.Unwrap":               "errors.Is and errors.As call it",
-}
-
-// TestInternalExportsHaveProductionCallers keeps the packages' APIs to
-// what the program uses: every exported func or method declared under
-// internal/ (internal/testutil aside) must be named in some non-test file
-// of this module or of perfbench/ other than at a declaration, or be on
-// exportAllowlist. Names are matched without their package or receiver,
-// so a caller of a same-named function elsewhere hides an uncalled one.
-func TestInternalExportsHaveProductionCallers(t *testing.T) {
-	type decl struct{ key, name, pos string }
-	var decls []decl
-	used := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, e os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if e.IsDir() {
-			if name := e.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		pkgDir, inInternal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
-		declared := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fd.Name] = true
-			if !inInternal || pkgDir == "testutil" || !fd.Name.IsExported() {
-				continue
-			}
-			key := pkgDir + "."
-			if fd.Recv != nil {
-				key += strings.TrimPrefix(types.ExprString(fd.Recv.List[0].Type), "*") + "."
-			}
-			decls = append(decls, decl{key + fd.Name.Name, fd.Name.Name, fset.Position(fd.Pos()).String()})
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, d := range decls {
-		seen[d.key] = true
-		if !used[d.name] && exportAllowlist[d.key] == "" {
-			t.Errorf("%s: %s is an export only tests call: delete it, or add it to exportAllowlist with the reason it stays", d.pos, d.key)
-		}
-	}
-	for key := range exportAllowlist {
-		if !seen[key] {
-			t.Errorf("exportAllowlist names %s, which internal/ no longer declares", key)
-		} else if used[key[strings.LastIndex(key, ".")+1:]] {
-			t.Errorf("exportAllowlist names %s, which non-test code now names: drop the entry", key)
 		}
 	}
 }

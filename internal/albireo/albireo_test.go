@@ -54,8 +54,12 @@ func TestDefaultConfig(t *testing.T) {
 	if c.IR() != 9 || c.OR() != 3 {
 		t.Errorf("default IR=%d OR=%d, want 9 and 3", c.IR(), c.OR())
 	}
-	if c.PeakMACsPerCycle() != 6912 {
-		t.Errorf("peak = %d, want 6912 (8 clusters x 32 lanes x 3 K x 9 slots)", c.PeakMACsPerCycle())
+	a, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.PeakMACsPerCycle() != 6912 {
+		t.Errorf("peak = %d, want 6912 (8 clusters x 32 lanes x 3 K x 9 slots)", a.PeakMACsPerCycle())
 	}
 }
 
@@ -74,9 +78,10 @@ func TestBuildValidatesArch(t *testing.T) {
 			if gaps := a.DomainGaps(); len(gaps) != 0 {
 				t.Errorf("%s wr=%v: domain gaps: %v", s, wr, gaps)
 			}
-			if a.PeakMACsPerCycle() != c.PeakMACsPerCycle() {
+			want := int64(c.Clusters) * int64(c.PixelLanes) * int64(c.OutputLanes) * 9 * int64(c.ORLanes)
+			if a.PeakMACsPerCycle() != want {
 				t.Errorf("%s wr=%v: arch peak %d != config peak %d",
-					s, wr, a.PeakMACsPerCycle(), c.PeakMACsPerCycle())
+					s, wr, a.PeakMACsPerCycle(), want)
 			}
 			if area, err := a.Area(); err != nil || area <= 0 {
 				t.Errorf("%s wr=%v: area %g, %v", s, wr, area, err)
@@ -438,14 +443,14 @@ func TestLaserFromBudget(t *testing.T) {
 
 func TestLinkBudgetComposition(t *testing.T) {
 	c := Default(Conservative)
-	b := LinkBudget(c)
+	db := LinkBudget(c)
 	// Fixed losses (6.5 dB) plus the 9-way split (~9.5 dB).
 	want := 6.5 + 10*math.Log10(9)
-	if math.Abs(b.TotalDB()-want) > 1e-9 {
-		t.Errorf("budget = %.2f dB, want %.2f", b.TotalDB(), want)
+	if math.Abs(db-want) > 1e-9 {
+		t.Errorf("budget = %.2f dB, want %.2f", db, want)
 	}
 	c.WeightReuse = true
-	if LinkBudget(c).TotalDB() <= b.TotalDB() {
+	if LinkBudget(c) <= db {
 		t.Error("weight-reuse budget should add loss")
 	}
 }

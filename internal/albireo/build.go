@@ -80,11 +80,6 @@ func (c Config) IR() int { return 3 * c.OutputLanes }
 // analog partial sums merged per ADC sample).
 func (c Config) OR() int { return 3 * c.ORLanes }
 
-// PeakMACsPerCycle returns the compute width of the configuration.
-func (c Config) PeakMACsPerCycle() int64 {
-	return int64(c.Clusters) * int64(c.PixelLanes) * int64(c.OutputLanes) * 9 * int64(c.ORLanes)
-}
-
 func (c Config) validate() error {
 	if c.Clusters < 1 || c.PixelLanes < 1 || c.OutputLanes < 1 || c.ORLanes < 1 {
 		return fmt.Errorf("albireo: cluster/lane counts must be >= 1: %+v", c)
@@ -288,31 +283,29 @@ func (c Config) buildLaser(p Params) (components.Component, error) {
 	// one ring pass, and on-chip routing, into the photodiode's
 	// sensitivity floor, at the symbol rate, amortized over the IR
 	// multipliers one carrier feeds.
-	budget := LinkBudget(c)
 	return components.NewLaser(components.LaserSpec{
 		Name:                    "CombLaser",
 		WallPlugEfficiency:      0.20,
-		PathLossDB:              budget.TotalDB(),
+		PathLossDB:              LinkBudget(c),
 		DetectorSensitivityMW:   detectorSensitivityMW,
 		SymbolNS:                1 / p.ClockGHz,
 		MACsPerWavelengthSymbol: float64(c.IR()) / wrFactor,
 	})
 }
 
-// LinkBudget returns the laser-to-detector optical loss budget of a
-// configuration.
-func LinkBudget(c Config) *components.LinkBudget {
-	var b components.LinkBudget
-	b.Add("fiber coupling", 1.5)
-	b.Add("input MZM insertion", 3.0)
-	b.Add("star coupler split", components.SplitLossDB(c.IR()))
-	b.Add("star coupler excess", 0.5)
-	b.Add("ring through", 0.5)
-	b.Add("waveguide routing", 1.0)
+// LinkBudget returns the laser-to-detector optical path loss of a
+// configuration in dB, its terms summed in path order.
+func LinkBudget(c Config) float64 {
+	db := 1.5                            // fiber coupling
+	db += 3.0                            // input MZM insertion
+	db += components.SplitLossDB(c.IR()) // star coupler split
+	db += 0.5                            // star coupler excess
+	db += 0.5                            // ring through
+	db += 1.0                            // waveguide routing
 	if c.WeightReuse {
-		b.Add("ring-output distribution", 2.0)
+		db += 2.0 // ring-output distribution
 	}
-	return &b
+	return db
 }
 
 func errFirst(errs ...error) error {

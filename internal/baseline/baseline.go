@@ -50,9 +50,6 @@ func Default() Config {
 	}
 }
 
-// PeakMACsPerCycle returns the array width.
-func (c Config) PeakMACsPerCycle() int64 { return int64(c.Rows) * int64(c.Cols) }
-
 // Build constructs the architecture: DRAM -> GLB (DE) -> PE register files
 // (DE, weights+psums stationary) over a digital MAC array. Rows map input
 // channels (spatial reduction via the column adder chains), columns map

@@ -10,8 +10,8 @@ import (
 
 func TestDefaultMatchesAlbireoPeak(t *testing.T) {
 	c := Default()
-	if c.PeakMACsPerCycle() != 6912 {
-		t.Errorf("peak = %d, want 6912", c.PeakMACsPerCycle())
+	if c.Rows*c.Cols != 6912 {
+		t.Errorf("peak = %d, want 6912", c.Rows*c.Cols)
 	}
 	a, err := c.Build()
 	if err != nil {

@@ -225,15 +225,6 @@ func TestLaserLinkBudget(t *testing.T) {
 	}
 }
 
-func TestLinkBudgetAccumulation(t *testing.T) {
-	var b LinkBudget
-	b.Add("coupler", 1.5).Add("mzm", 3).Add("star", SplitLossDB(8)).Add("ring", 0.5)
-	want := 1.5 + 3 + SplitLossDB(8) + 0.5
-	if !almostEqual(b.TotalDB(), want, 1e-9) {
-		t.Errorf("TotalDB = %g, want %g", b.TotalDB(), want)
-	}
-}
-
 func TestStarCouplerAndWaveguide(t *testing.T) {
 	c, err := NewStarCoupler(StarCouplerSpec{Name: "sc", Ports: 8, ExcessLossDB: 0.5})
 	if err != nil {
@@ -353,8 +344,8 @@ func TestLibrary(t *testing.T) {
 	if _, err := lib.Get("nope"); err == nil {
 		t.Error("Get(nope) succeeded")
 	}
-	if lib.Len() != 1 || len(lib.Names()) != 1 {
-		t.Error("Len/Names wrong")
+	if len(lib.Names()) != 1 {
+		t.Error("Names wrong")
 	}
 }
 

@@ -53,6 +53,3 @@ func (l *Library) Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Len returns the number of components.
-func (l *Library) Len() int { return len(l.byName) }

@@ -11,8 +11,6 @@ type MZMSpec struct {
 	// driver energy). Conservative silicon MZMs are ~1 pJ/symbol;
 	// aggressive projections reach tens of fJ.
 	ModulatePJ float64
-	// InsertionLossDB is charged to the optical link budget.
-	InsertionLossDB float64
 	// BiasMW is static bias/thermal power.
 	BiasMW float64
 	// UM2 is device area; MZMs are long devices (~1e4-1e5 um2).
@@ -43,8 +41,6 @@ type MRRSpec struct {
 	ProgramPJ float64
 	// TransitPJ is the marginal per-pass energy (usually tiny).
 	TransitPJ float64
-	// ThroughLossDB is the per-ring insertion loss for the link budget.
-	ThroughLossDB float64
 	// HeaterMW is the static thermal-stabilization power per ring.
 	HeaterMW float64
 	// UM2 is the ring footprint (~100-400 um2 with drivers).
@@ -229,33 +225,6 @@ func NewWaveguide(s WaveguideSpec) (Component, error) {
 	return NewBase(s.Name, "waveguide", map[string]float64{
 		ActionTransit: 0,
 	}, s.UM2PerMM*s.LengthMM, 0), nil
-}
-
-// LinkBudget accumulates optical losses along a laser-to-detector path;
-// its total sizes the laser (albireo.LinkBudget).
-type LinkBudget struct {
-	items []struct {
-		name string
-		db   float64
-	}
-}
-
-// Add appends a named loss contribution in dB.
-func (b *LinkBudget) Add(name string, db float64) *LinkBudget {
-	b.items = append(b.items, struct {
-		name string
-		db   float64
-	}{name, db})
-	return b
-}
-
-// TotalDB returns the summed path loss.
-func (b *LinkBudget) TotalDB() float64 {
-	var total float64
-	for _, it := range b.items {
-		total += it.db
-	}
-	return total
 }
 
 func init() {

@@ -229,13 +229,6 @@ const (
 	objAccuracy = "accuracy"
 )
 
-// Objectives returns the canonical frontier objective names, in
-// documentation order — the vocabulary canonicalObjective accepts (plus
-// aliases).
-func Objectives() []string {
-	return []string{objEnergy, objPJPerMAC, objDelay, objArea, objEDP, objAccuracy}
-}
-
 // canonicalObjective maps accepted spellings to the canonical objective
 // name.
 func canonicalObjective(name string) (string, error) {

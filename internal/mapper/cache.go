@@ -257,23 +257,14 @@ func (o *Options) fingerprint() uint64 {
 	h.Mix(uint64(o.Budget))
 	h.Mix(uint64(o.Seed))
 	h.Mix(uint64(o.Workers))
-	flags := uint64(0)
-	if o.Eval.ChargeStatic {
-		flags |= 1
-	}
-	if o.Eval.SkipValidate {
-		flags |= 2
-	}
-	if o.Eval.FullLedger {
-		flags |= 4
-	}
-	h.Mix(flags)
+	// Once the flag word of the removed evaluation options (always 0
+	// now); existing stores are addressed by keys that mix it.
+	h.Mix(0)
 	h.Mix(uint64(len(o.Seeds.prints)))
 	for _, p := range o.Seeds.prints {
 		h.Mix(p)
 	}
-	// Once the count of a removed option (always 0 now); existing stores
-	// are addressed by keys that mix it.
+	// Once the count of a removed option (always 0 now); likewise.
 	h.Mix(0)
 	return h.Sum()
 }

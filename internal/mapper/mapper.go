@@ -97,11 +97,6 @@ type Options struct {
 	// candidate set itself depends on the split. How many goroutines run
 	// the lanes never changes a result.
 	Workers int
-	// Eval forwards evaluation options to the model. ChargeStatic changes
-	// what candidate schedules are scored on; SkipValidate skips the
-	// structural validation of candidate mappings (set it only when every
-	// seed and random draw is known valid — the search trusts it).
-	Eval model.Options
 	// Seeds are mappings evaluated before random exploration (e.g. an
 	// architecture's canonical schedules); the hill climber starts from
 	// the best of seeds and random samples. Build them with SeedList or
@@ -156,8 +151,8 @@ type SearchStats struct {
 	// incumbent; they were never fully evaluated.
 	Pruned int
 	// DeltaEvals counts full evaluations that reused shared-prefix state
-	// from the previous evaluation (model.Compiled.EvaluatePartial with a
-	// non-zero shared level count).
+	// from the previous evaluation (model.Compiled.Stage with a non-zero
+	// shared level count).
 	DeltaEvals int
 	// FullEvals counts evaluations computed from scratch.
 	FullEvals int
@@ -535,7 +530,7 @@ func (s *Session) search(l *workload.Layer, o Options, objs []Objective) ([]*Bes
 			defer wg.Done()
 			for w := g; w < lanes; w += len(wss) {
 				seed := uint64(o.Seed + int64(w)*7919)
-				s.searchWorker(wss[g], c, l, o, seed, budgets[w], seeds, states[w*len(objs):][:len(objs)])
+				s.searchWorker(wss[g], c, l, seed, budgets[w], seeds, states[w*len(objs):][:len(objs)])
 			}
 		}()
 	}
@@ -549,9 +544,6 @@ func (s *Session) search(l *workload.Layer, o Options, objs []Objective) ([]*Bes
 	// The lanes score candidates without the itemized energy ledger;
 	// re-evaluate each winner once in full, on a worker's scratch, so
 	// callers can inspect it.
-	fullOpts := o.Eval
-	fullOpts.SkipValidate = true
-	fullOpts.FullLedger = true
 	bests := make([]*Best, len(objs))
 	for j, obj := range objs {
 		var best *Best
@@ -571,7 +563,7 @@ func (s *Session) search(l *workload.Layer, o Options, objs []Objective) ([]*Bes
 		best.Evaluations = evals
 		best.Stats = stats
 		full := &model.Result{}
-		if err := c.EvaluateInto(wss[0].scratch, best.Mapping, full, fullOpts); err != nil {
+		if err := c.EvaluateInto(wss[0].scratch, best.Mapping, full, model.Options{SkipValidate: true, FullLedger: true}); err != nil {
 			return nil, err
 		}
 		best.Result = full
@@ -824,7 +816,7 @@ func levelConfigEqual(a, b *mapping.LevelMapping) bool {
 }
 
 // levelsShared counts the leading storage levels on which two mappings are
-// configured identically — the delta EvaluatePartial may reuse.
+// configured identically — the delta Stage may reuse.
 func levelsShared(prev, m *mapping.Mapping) int {
 	if prev == nil || len(prev.Levels) != len(m.Levels) {
 		return 0
@@ -837,33 +829,29 @@ func levelsShared(prev, m *mapping.Mapping) int {
 	return len(m.Levels)
 }
 
+// scoreOpts are the model options every candidate is scored with: the
+// funnel validates on its own (the level caps up front, the rest in
+// retain), and the winner alone is re-evaluated with the full ledger.
+var scoreOpts = model.Options{SkipValidate: true}
+
 // funnel is one search worker's state for one search, on top of its
 // pooled workerState: a method per stage every candidate goes through
 // (draw, stage, finish, retain) and the hill climb built on them.
 type funnel struct {
 	*workerState
-	s        *Session
-	c        *model.Compiled
-	l        *workload.Layer
-	states   []objState
-	evalOpts model.Options
-	validate bool
-	evals    int // budget charged so far
-	budget   int
-	chain    deltaChain
+	s      *Session
+	c      *model.Compiled
+	l      *workload.Layer
+	states []objState
+	evals  int // budget charged so far
+	budget int
+	chain  deltaChain
 	// start is the exploration's end state (see snapshot).
 	start struct {
 		evals int
 		rng   uint64
 		last  *mapping.Mapping
 	}
-	// owed marks the last finished candidate as still owing its full
-	// validation (1; -1 once it failed). stage defers m.Valid to retain:
-	// Valid rejects almost nothing (~2 of 360 candidates in
-	// BenchmarkMapperSearchSeeded's search) yet walking every candidate
-	// through it cost ~11% of search. A candidate never retained never
-	// pays for it, and one retained by several objectives pays once.
-	owed int8
 }
 
 // deltaChain is the delta baseline of the next Stage. last is the last
@@ -918,7 +906,7 @@ func (p *pingPong) reset() { p.assign = [2]int32{-1, -1} }
 // equivalence tests). Sharing the exploration is exact: only pruning and
 // retention depend on the objective, and until the first retention
 // nothing prunes, so whether an incumbent exists is shared too.
-func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.Layer, o Options, seed uint64, budget int, seeds []*mapping.Mapping, states []objState) {
+func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.Layer, seed uint64, budget int, seeds []*mapping.Mapping, states []objState) {
 	if budget <= 0 {
 		return
 	}
@@ -926,8 +914,7 @@ func (s *Session) searchWorker(ws *workerState, c *model.Compiled, l *workload.L
 	ws.src.x = seed
 	ws.bufs.reset()
 	f := funnel{workerState: ws, s: s, c: c, l: l, states: states, budget: budget,
-		evalOpts: model.Options{SkipValidate: true, ChargeStatic: o.Eval.ChargeStatic},
-		validate: !o.Eval.SkipValidate, chain: deltaChain{spatialKey: -1}}
+		chain: deltaChain{spatialKey: -1}}
 
 	// Seeds are offered in place: nothing mutates a candidate, and retain
 	// clones.
@@ -1001,24 +988,20 @@ func (f *funnel) outer(assignments [][]workload.Dim) {
 // A cheap structural pre-reject on the compact form mirrors Validate's
 // MaxTemporalProduct rule exactly: a draw that puts temporal loops on a
 // capped level (an analog accumulator, a ring bank) can never validate, so
-// it is charged and dropped before fingerprinting and materialization. It
-// is gated like stage's: a SkipValidate search trusts (and fully
-// evaluates) every draw, exactly like the reference sampler. The survivors
-// are scored in (key, draw index) order so consecutive candidates share
-// evaluation state; the candidate set — and hence the outcome — is that of
-// an interleaved draw-and-score loop.
+// it is charged and dropped before fingerprinting and materialization.
+// The survivors are scored in (key, draw index) order so consecutive
+// candidates share evaluation state; the candidate set — and hence the
+// outcome — is that of an interleaved draw-and-score loop.
 func (f *funnel) draw(k int) ([]candidate, []scoredCand) {
 	cands := f.s.drawCandidates(&f.arena, f.l, f.rng, k, f.s.a.NumLevels())
 	order := f.arena.order[:0]
 prefilter:
 	for ci := range cands {
-		if f.validate {
-			for _, cl := range f.s.capped {
-				if cands[ci].temporal[cl.level].Product() > cl.tp {
-					f.evals++
-					tally(f.states, func(ob *objState) { ob.st.Invalid++ })
-					continue prefilter
-				}
+		for _, cl := range f.s.capped {
+			if cands[ci].temporal[cl.level].Product() > cl.tp {
+				f.evals++
+				tally(f.states, func(ob *objState) { ob.st.Invalid++ })
+				continue prefilter
 			}
 		}
 		order = append(order, scoredCand{key: candidateKey(&cands[ci]), ci: int32(ci)})
@@ -1045,7 +1028,7 @@ prefilter:
 // Pruned candidates therefore cost a core resolution instead of a bound
 // plus a full evaluation's worth of resolution, and they still advance the
 // delta chain. Pruning needs no validity and full validation is deferred
-// to retain (see owed), so an invalid candidate lands in Pruned or the eval
+// to retain, so an invalid candidate lands in Pruned or the eval
 // buckets unless it is retained; neither kind can become the incumbent —
 // Best is unaffected, only the stats split differs from validating up
 // front. Deferral also means an invalid schedule's fingerprint enters seen
@@ -1053,22 +1036,18 @@ prefilter:
 // shadowed only by a 64-bit fingerprint collision, which the dedup already
 // accepts for valid schedules.
 func (f *funnel) stage(active []objState, m *mapping.Mapping, spatialKey int64) bool {
-	f.owed = 0
 	tally(active, func(ob *objState) { ob.scored = false })
 	if f.evals >= f.budget {
 		return false
 	}
 	f.evals++
-	if f.validate {
-		// Fast subset of Valid: hill-climb moves produce capped-level
-		// violations constantly. Rejecting before fingerprinting is
-		// behavior preserving — invalid candidates are never recorded
-		// either way.
-		for _, cl := range f.s.capped {
-			if m.Levels[cl.level].Temporal.Product() > cl.tp {
-				tally(active, func(ob *objState) { ob.st.Invalid++ })
-				return false
-			}
+	// Fast subset of Valid: hill-climb moves produce capped-level
+	// violations constantly. Rejecting before fingerprinting is behavior
+	// preserving — invalid candidates are never recorded either way.
+	for _, cl := range f.s.capped {
+		if m.Levels[cl.level].Temporal.Product() > cl.tp {
+			tally(active, func(ob *objState) { ob.st.Invalid++ })
+			return false
 		}
 	}
 	fp := m.Fingerprint()
@@ -1095,7 +1074,7 @@ func (f *funnel) stage(active []objState, m *mapping.Mapping, spatialKey int64) 
 	if len(active) == 1 && active[0].obj == MinEnergy && active[0].cutoff != nil {
 		limitPJ = active[0].cutoff.TotalPJ
 	}
-	bound, err := f.c.Stage(f.scratch, m, f.evalOpts, stageShared, sfShared, limitPJ)
+	bound, err := f.c.Stage(f.scratch, m, scoreOpts, stageShared, sfShared, limitPJ)
 	if err != nil {
 		f.chain.reset(nil)
 		return false
@@ -1126,7 +1105,7 @@ func (f *funnel) stage(active []objState, m *mapping.Mapping, spatialKey int64) 
 // classifies each scored objective's evaluation as delta or full. A
 // failure unscores those objectives and breaks their delta chains.
 func (f *funnel) finish(active []objState) bool {
-	if err := f.c.FinishStaged(f.scratch, f.res, f.evalOpts); err != nil {
+	if err := f.c.FinishStaged(f.scratch, f.res, scoreOpts); err != nil {
 		f.chain.reset(f.chain.last)
 		tally(active, func(ob *objState) { ob.scored, ob.chain = false, ob.chain && !ob.scored })
 		return false
@@ -1140,32 +1119,33 @@ func (f *funnel) finish(active []objState) bool {
 			ob.st.FullEvals++
 		}
 	})
-	if f.validate {
-		f.owed = 1
-	}
 	return true
 }
 
 // retain makes the finished m the incumbent of each scored objective it
-// beats, once it passes the deferred full validation (see owed). A
-// rejection moves the objective's charged evaluation of m from the bucket
-// its delta flag names to Invalid — it was scored, but it may not win —
-// keeping the identity Pruned + DeltaEvals + FullEvals + Duplicates +
-// Invalid == charged attempts.
+// beats, once it passes the full validation stage deferred. Valid rejects
+// almost nothing (~2 of 360 candidates in BenchmarkMapperSearchSeeded's
+// search) yet walking every candidate through it cost ~11% of search: a
+// candidate never retained never pays for it, and one retained by several
+// objectives pays once. A rejection moves the objective's charged
+// evaluation of m from the bucket its delta flag names to Invalid — it was
+// scored, but it may not win — keeping the identity Pruned + DeltaEvals +
+// FullEvals + Duplicates + Invalid == charged attempts.
 func (f *funnel) retain(active []objState, m *mapping.Mapping) bool {
 	improved := false
+	valid := 0 // 1 or -1 once m.Valid ran
 	for i := range active {
 		ob := &active[i]
 		if !ob.scored || (ob.best != nil && !betterEval(ob.obj, f.res, m, ob.best)) {
 			continue
 		}
-		if f.owed > 0 {
-			f.owed = 0
+		if valid == 0 {
+			valid = 1
 			if !m.Valid(f.s.a, f.l) {
-				f.owed = -1
+				valid = -1
 			}
 		}
-		if f.owed < 0 {
+		if valid < 0 {
 			if ob.delta {
 				ob.st.DeltaEvals--
 			} else {

@@ -182,67 +182,6 @@ func TestEnumerateSpatialAssignments(t *testing.T) {
 	}
 }
 
-// TestOptionsEvalForwarded guards the withDefaults fix: caller-set Eval
-// options must survive defaulting (SkipValidate used to be clobbered).
-func TestOptionsEvalForwarded(t *testing.T) {
-	o := Options{Eval: model.Options{SkipValidate: true, ChargeStatic: true}}
-	d := o.withDefaults()
-	if !d.Eval.SkipValidate {
-		t.Error("withDefaults clobbered Eval.SkipValidate")
-	}
-	if !d.Eval.ChargeStatic {
-		t.Error("withDefaults clobbered Eval.ChargeStatic")
-	}
-	if d.Budget != 1000 || d.Seed != 1 || d.Workers < 1 {
-		t.Errorf("defaults wrong: %+v", d)
-	}
-}
-
-// TestSearchWithSkipValidate checks that a trusted search (validation
-// skipped) still completes and matches the validated search on an
-// architecture where every generated candidate is valid anyway — here one
-// with no capacity limits, the only constraint the generators can violate.
-func TestSearchWithSkipValidate(t *testing.T) {
-	lib := components.NewLibrary()
-	mk := func(class, name string, p components.Params) {
-		c, err := components.Build(class, name, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lib.MustAdd(c)
-	}
-	mk("dram", "DRAM", components.Params{"pj_per_bit": 8})
-	mk("sram", "Buf", components.Params{"capacity_bits": 1 << 22, "access_bits": 8})
-	mk("regfile", "Reg", components.Params{"access_bits": 8})
-	a := &arch.Arch{
-		Name: "uncapped", Lib: lib, ClockGHz: 1, DefaultWordBits: 8,
-		Levels: []arch.Level{
-			{Name: "DRAM", Keeps: workload.AllTensorSet(), AccessComponent: "DRAM"},
-			{
-				Name: "Buf", Keeps: workload.AllTensorSet(), AccessComponent: "Buf",
-				Spatial: []arch.SpatialFactor{arch.Choice(4, workload.DimK, workload.DimC)},
-			},
-			{Name: "Reg", Keeps: workload.AllTensorSet(), AccessComponent: "Reg"},
-		},
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	l := workload.NewConv("l", 1, 16, 8, 8, 8, 3, 3, 1, 1)
-	checked, err := Search(a, &l, Options{Budget: 300, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trusted, err := Search(a, &l, Options{Budget: 300, Seed: 11,
-		Eval: model.Options{SkipValidate: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if checked.Result.TotalPJ != trusted.Result.TotalPJ {
-		t.Errorf("trusted search diverged: %g vs %g pJ", trusted.Result.TotalPJ, checked.Result.TotalPJ)
-	}
-}
-
 // TestMalformedSeedDoesNotShadow guards the fingerprint-dedup fix: an
 // invalid seed (short permutation) must not block later valid schedules
 // that hash to the same fingerprint (only trip>1 loops are hashed), so a

@@ -97,31 +97,28 @@ func TestSearchObjectivesMatchesSeparate(t *testing.T) {
 			seeds := SeedList([]*mapping.Mapping{outer, drawn})
 			for _, workers := range []int{1, 2, 3} {
 				for _, seeded := range []bool{false, true} {
-					for _, skip := range []bool{false, true} {
-						opts := Options{Budget: 240 + 40*li, Seed: int64(3 + workers), Workers: workers,
-							Eval: model.Options{SkipValidate: skip}}
-						if seeded {
-							opts.Seeds = seeds
+					opts := Options{Budget: 240 + 40*li, Seed: int64(3 + workers), Workers: workers}
+					if seeded {
+						opts.Seeds = seeds
+					}
+					separate := map[Objective]*Best{}
+					for _, objs := range groups {
+						label := fmt.Sprintf("%s/%s/w%d/seeded=%v/%v", a.Name, l.Name, workers, seeded, objs)
+						got, err := s.SearchObjectives(&l, opts, objs)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
 						}
-						separate := map[Objective]*Best{}
-						for _, objs := range groups {
-							label := fmt.Sprintf("%s/%s/w%d/seeded=%v/skip=%v/%v", a.Name, l.Name, workers, seeded, skip, objs)
-							got, err := s.SearchObjectives(&l, opts, objs)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							for i, obj := range objs {
-								want := separate[obj]
-								if want == nil {
-									one := opts
-									one.Objective = obj
-									if want, err = s.Search(&l, one); err != nil {
-										t.Fatalf("%s: %v", label, err)
-									}
-									separate[obj] = want
+						for i, obj := range objs {
+							want := separate[obj]
+							if want == nil {
+								one := opts
+								one.Objective = obj
+								if want, err = s.Search(&l, one); err != nil {
+									t.Fatalf("%s: %v", label, err)
 								}
-								sameBest(t, fmt.Sprintf("%s[%d]", label, i), got[i], want)
+								separate[obj] = want
 							}
+							sameBest(t, fmt.Sprintf("%s[%d]", label, i), got[i], want)
 						}
 					}
 				}

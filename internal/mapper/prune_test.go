@@ -8,7 +8,6 @@ import (
 	"photoloop/internal/arch"
 	"photoloop/internal/components"
 	"photoloop/internal/mapping"
-	"photoloop/internal/model"
 	"photoloop/internal/workload"
 )
 
@@ -133,21 +132,16 @@ func TestPrunedSearchMatchesUnprunedSampler(t *testing.T) {
 		budget, workers int
 		seed            int64
 		obj             Objective
-		skipValidate    bool
 		seeded          bool
 	}
 	cfgs := []cfg{
-		{300, 1, 1, MinEnergy, false, false},
-		{300, 2, 5, MinEnergy, false, false},
-		{250, 4, 9, MinDelay, false, false},
-		{320, 8, 3, MinEDP, false, false},
-		// SkipValidate trusts (and scores) every draw — the structural
-		// pre-filter must stand down exactly like the legacy sampler's
-		// skipped validation did.
-		{300, 2, 7, MinEnergy, true, false},
+		{300, 1, 1, MinEnergy, false},
+		{300, 2, 5, MinEnergy, false},
+		{250, 4, 9, MinDelay, false},
+		{320, 8, 3, MinEDP, false},
 		// Seeded, as every Albireo production search is.
-		{300, 2, 5, MinEnergy, false, true},
-		{250, 4, 9, MinEDP, true, true},
+		{300, 2, 5, MinEnergy, true},
+		{250, 4, 9, MinEDP, true},
 	}
 	for name, a := range archs {
 		s, err := NewSession(a)
@@ -162,8 +156,7 @@ func TestPrunedSearchMatchesUnprunedSampler(t *testing.T) {
 			cands := s.drawCandidates(new(drawArena), &l, rand.New(rand.NewSource(int64(li))), 1, a.NumLevels())
 			s.materialize(drawn, &cands[0], false)
 			for _, c := range cfgs {
-				opts := Options{Objective: c.obj, Budget: c.budget, Seed: c.seed, Workers: c.workers,
-					Eval: model.Options{SkipValidate: c.skipValidate}}
+				opts := Options{Objective: c.obj, Budget: c.budget, Seed: c.seed, Workers: c.workers}
 				if c.seeded {
 					opts.Seeds = SeedList([]*mapping.Mapping{outer, drawn})
 				}

@@ -43,10 +43,7 @@ func referenceSearch(t *testing.T, s *Session, l *workload.Layer, opts Options) 
 	if best == nil {
 		t.Fatalf("referenceSearch: no valid mapping for %s on %s", l.Name, s.a.Name)
 	}
-	fullOpts := o.Eval
-	fullOpts.SkipValidate = true
-	fullOpts.FullLedger = true
-	if best.Result, err = c.Evaluate(best.Mapping, fullOpts); err != nil {
+	if best.Result, err = c.Evaluate(best.Mapping, model.Options{SkipValidate: true, FullLedger: true}); err != nil {
 		t.Fatal(err)
 	}
 	best.Evaluations = evals
@@ -63,14 +60,13 @@ func referenceWorker(s *Session, c *model.Compiled, l *workload.Layer, o Options
 		return nil, 0, st
 	}
 	a := s.a
-	evalOpts := model.Options{SkipValidate: true, ChargeStatic: o.Eval.ChargeStatic}
 	seen := map[uint64]bool{}
 	try := func(m *mapping.Mapping) *model.Result {
 		if evals >= budget {
 			return nil
 		}
 		evals++
-		if !o.Eval.SkipValidate && !m.Valid(a, l) {
+		if !m.Valid(a, l) {
 			st.Invalid++
 			return nil
 		}
@@ -80,7 +76,7 @@ func referenceWorker(s *Session, c *model.Compiled, l *workload.Layer, o Options
 			return nil
 		}
 		seen[fp] = true
-		r, err := c.Evaluate(m, evalOpts)
+		r, err := c.Evaluate(m, model.Options{SkipValidate: true})
 		if err != nil {
 			return nil
 		}

@@ -116,6 +116,10 @@ func (e *Engine) buildBoundTables() {
 // least once. Schedules lose energy to refetch above those floors, never
 // below them.
 //
+// The bound counts dynamic energy only, whatever opts says: static energy
+// is never negative, so for an opts.ChargeStatic evaluation the bound
+// stays admissible, only looser.
+//
 // For mappings whose full evaluation would fail, the returned bound is
 // meaningless — the mapper rejects those candidates either way.
 // Admissibility is guarded by the randomized property test
@@ -123,7 +127,7 @@ func (e *Engine) buildBoundTables() {
 func (c *Compiled) LowerBound(s *Scratch, m *mapping.Mapping, opts Options) Bound {
 	an := &s.lb
 	an.resetCore(c, m, 0, 0)
-	return c.boundFromCoreLimited(an, opts, s.statics, math.Inf(1))
+	return c.boundFromCoreLimited(an, math.Inf(1))
 }
 
 // boundFromCoreLimited derives the admissible bound from an analysis whose
@@ -137,7 +141,7 @@ func (c *Compiled) LowerBound(s *Scratch, m *mapping.Mapping, opts Options) Boun
 // returned. Every term is non-negative, so the partial sum is itself
 // admissible and any "bound > limitPJ" comparison decides identically to
 // the full bound. math.Inf(1) disables the exit and yields the exact bound.
-func (c *Compiled) boundFromCoreLimited(an *analysis, opts Options, statics []int64, limitPJ float64) Bound {
+func (c *Compiled) boundFromCoreLimited(an *analysis, limitPJ float64) Bound {
 	eng := c.eng
 	a := eng.a
 	n := a.NumLevels()
@@ -267,31 +271,5 @@ func (c *Compiled) boundFromCoreLimited(an *analysis, opts Options, statics []in
 		}
 	}
 
-	if opts.ChargeStatic && !(pj*lbSafety > limitPJ) {
-		pj += an.staticFloorPJ(statics)
-	}
 	return Bound{EnergyPJ: pj * lbSafety, Cycles: float64(an.cycles)}
-}
-
-// staticFloorPJ computes the schedule's static energy — exact, since it
-// depends only on core quantities — skipping unresolvable components
-// (evaluations charging those fail, so skipping keeps the bound
-// admissible). statics is the scratch counter array; an undersized array
-// (zero-value Scratch) yields the trivial floor 0.
-func (an *analysis) staticFloorPJ(statics []int64) float64 {
-	eng := an.c.eng
-	if len(statics) < len(eng.statics) {
-		return 0
-	}
-	ns := float64(an.cycles) / an.a.ClockGHz
-	an.accumulateStaticSites(statics)
-	total := 0.0
-	for idx := range eng.statics {
-		st := &eng.statics[idx]
-		if statics[idx] == 0 || st.err != nil || st.mw <= 0 {
-			continue
-		}
-		total += st.mw * ns * float64(statics[idx])
-	}
-	return total
 }

@@ -229,12 +229,12 @@ func TestLowerBoundTight(t *testing.T) {
 	}
 }
 
-// TestEvaluatePartialMatchesEvaluateInto is the delta-evaluation
-// equivalence property: for randomized mapping sequences with shared
-// outer-level prefixes, EvaluatePartial through one long-lived scratch is
+// TestStageFinishMatchesEvaluateInto is the delta-evaluation equivalence
+// property: for randomized mapping sequences with shared outer-level
+// prefixes, Stage then FinishStaged through one long-lived scratch is
 // bit-identical (every field, full ledger included) to a fresh
 // EvaluateInto.
-func TestEvaluatePartialMatchesEvaluateInto(t *testing.T) {
+func TestStageFinishMatchesEvaluateInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for archTrial := 0; archTrial < 8; archTrial++ {
 		var a *arch.Arch
@@ -271,7 +271,7 @@ func TestEvaluatePartialMatchesEvaluateInto(t *testing.T) {
 			if m.Validate(a, &l) != nil {
 				continue
 			}
-			errDelta := c.EvaluatePartial(delta, m, got, opts, shared)
+			errDelta := stageFinish(c, delta, m, got, opts, shared)
 			errFresh := c.EvaluateInto(c.Engine().NewScratch(), m, want, opts)
 			if (errDelta == nil) != (errFresh == nil) {
 				t.Fatalf("arch %d step %d: delta err %v, fresh err %v", archTrial, step, errDelta, errFresh)
@@ -305,10 +305,19 @@ func TestEvaluatePartialMatchesEvaluateInto(t *testing.T) {
 	}
 }
 
-// TestEvaluatePartialStaleScratch checks the guard rails: a shared prefix
-// claimed against a scratch that never evaluated (or evaluated on another
-// engine) degrades to a full evaluation instead of reading garbage.
-func TestEvaluatePartialStaleScratch(t *testing.T) {
+// stageFinish is a delta evaluation: Stage with shared as both reuse
+// counts, then FinishStaged.
+func stageFinish(c *Compiled, s *Scratch, m *mapping.Mapping, res *Result, opts Options, shared int) error {
+	if _, err := c.Stage(s, m, opts, shared, shared, math.Inf(1)); err != nil {
+		return err
+	}
+	return c.FinishStaged(s, res, opts)
+}
+
+// TestStageStaleScratch checks the guard rails: a shared prefix claimed
+// against a scratch that never evaluated (or evaluated on another engine)
+// degrades to a full evaluation instead of reading garbage.
+func TestStageStaleScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := photonicArch(t, rng)
 	l := workload.NewConv("stale", 1, 4, 4, 4, 4, 1, 1, 1, 0)
@@ -325,7 +334,7 @@ func TestEvaluatePartialStaleScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fresh scratch with a bogus shared count.
-	if err := c.EvaluatePartial(c.Engine().NewScratch(), m, got, Options{SkipValidate: true}, 3); err != nil {
+	if err := stageFinish(c, c.Engine().NewScratch(), m, got, Options{SkipValidate: true}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if got.TotalPJ != want.TotalPJ {
@@ -345,7 +354,7 @@ func TestEvaluatePartialStaleScratch(t *testing.T) {
 	if err := oc.EvaluateInto(s, om, got, Options{SkipValidate: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EvaluatePartial(s, m, got, Options{SkipValidate: true}, 2); err != nil {
+	if err := stageFinish(c, s, m, got, Options{SkipValidate: true}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got.TotalPJ != want.TotalPJ {

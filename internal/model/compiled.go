@@ -271,9 +271,8 @@ func (c *Compiled) Engine() *Engine { return c.eng }
 // across EvaluateInto calls makes the fast path allocation free.
 //
 // A Scratch also carries state between consecutive evaluations: the
-// analysis of the last staged or evaluated mapping (which Stage and
-// EvaluatePartial reuse for shared-prefix delta resolution) and the
-// LowerBound working set.
+// analysis of the last staged or evaluated mapping (which Stage reuses for
+// shared-prefix delta resolution) and the LowerBound working set.
 type Scratch struct {
 	an      analysis
 	lb      analysis // LowerBound's core-only working set (no nest walk)
@@ -298,37 +297,32 @@ var readTensors = [...]workload.Tensor{workload.Weights, workload.Inputs}
 // ledger is skipped and only the aggregate TotalPJ is produced — every
 // other Result field is identical to Evaluate's.
 func (c *Compiled) EvaluateInto(s *Scratch, m *mapping.Mapping, res *Result, opts Options) error {
-	return c.EvaluatePartial(s, m, res, opts, 0)
-}
-
-// EvaluatePartial is EvaluateInto with delta evaluation. shared declares
-// that the outermost shared storage levels of m — temporal factors,
-// permutation, rigid spatial choices and free spatial factors — are
-// configured identically to the mapping most recently staged or evaluated
-// through this scratch on this compiled engine. Those levels' spatial
-// factors, loop-nest segments and stationarity factors are reused instead
-// of recomputed; every reused value was produced by the same code on
-// identical inputs, so the result is bit-identical to EvaluateInto for any
-// truthful shared value. Pass 0 when unsure (or after an evaluation
-// error): that is exactly EvaluateInto. A stale or mismatched scratch
-// (different engine, never staged) silently degrades to a full evaluation
-// rather than misbehaving.
-func (c *Compiled) EvaluatePartial(s *Scratch, m *mapping.Mapping, res *Result, opts Options, shared int) error {
-	if _, err := c.stageCore(s, m, opts, shared, shared); err != nil {
+	if _, err := c.stageCore(s, m, opts, 0, 0); err != nil {
 		return err
 	}
 	return c.finishStaged(s, res, opts)
 }
 
-// Stage is the first half of an evaluation fused with the pruning bound:
-// it resolves mapping m's core state (spatial factors and tile extents —
-// the loop-nest build is deferred to FinishStaged, which pruned candidates
-// never pay for) into the scratch, reusing the outermost shared levels
-// exactly like EvaluatePartial, and returns the admissible lower bound
-// derived from that state, bit-identical to LowerBound's. A staged scratch
-// serves a later FinishStaged; together the pair is EvaluatePartial split
-// in two, so the mapper's bound gate and the surviving candidates' full
-// evaluations share one core resolution instead of paying for two.
+// Stage is the first half of a delta evaluation fused with the pruning
+// bound: it resolves mapping m's core state (spatial factors and tile
+// extents — the loop-nest build is deferred to FinishStaged, which pruned
+// candidates never pay for) into the scratch and returns the admissible
+// lower bound derived from that state, bit-identical to LowerBound's. A
+// staged scratch serves a later FinishStaged, so the mapper's bound gate
+// and the surviving candidates' full evaluations share one core resolution
+// instead of paying for two.
+//
+// shared declares that the outermost shared storage levels of m —
+// temporal factors, permutation, rigid spatial choices and free spatial
+// factors — are configured identically to the mapping most recently
+// staged or evaluated through this scratch on this compiled engine. Those
+// levels' spatial factors, loop-nest segments and stationarity factors are
+// reused instead of recomputed; every reused value was produced by the
+// same code on identical inputs, so Stage then FinishStaged is
+// bit-identical to EvaluateInto for any truthful shared value. Pass 0 when
+// unsure (or after an evaluation error). A stale or mismatched scratch
+// (different engine, never staged) silently degrades to a full evaluation
+// rather than misbehaving.
 //
 // sfShared extends the reuse to levels whose spatial configuration alone
 // matches the previous mapping (rigid choices and free factors, temporal
@@ -341,14 +335,14 @@ func (c *Compiled) EvaluatePartial(s *Scratch, m *mapping.Mapping, res *Result, 
 // value above limitPJ rather than the full bound, so any comparison
 // "bound > limit" is unaffected. Pass math.Inf(1) for the exact bound.
 //
-// The staged state also becomes the delta baseline for the next Stage or
-// EvaluatePartial on this scratch whether or not FinishStaged runs: a
-// pruned candidate still advances the shared-prefix chain.
+// The staged state also becomes the delta baseline for the next Stage on
+// this scratch whether or not FinishStaged runs: a pruned candidate still
+// advances the shared-prefix chain.
 func (c *Compiled) Stage(s *Scratch, m *mapping.Mapping, opts Options, shared, sfShared int, limitPJ float64) (Bound, error) {
 	if _, err := c.stageCore(s, m, opts, shared, sfShared); err != nil {
 		return Bound{}, err
 	}
-	return c.boundFromCoreLimited(&s.an, opts, s.statics, limitPJ), nil
+	return c.boundFromCoreLimited(&s.an, limitPJ), nil
 }
 
 // FinishStaged completes the evaluation a Stage call prepared, writing the

@@ -158,9 +158,7 @@ func max64(a, b int64) int64 {
 
 // accumulateStaticSites fills statics with the number of powered instances
 // of each distinct component: per-level reference sites times level
-// instances, plus per-MAC sites times the (padded) array width. Shared by
-// the exact static charging above and the lower bound's static floor —
-// the two must count identically or pruning under ChargeStatic breaks.
+// instances, plus per-MAC sites times the (padded) array width.
 func (an *analysis) accumulateStaticSites(statics []int64) {
 	eng := an.c.eng
 	for i := range statics {

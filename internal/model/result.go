@@ -103,13 +103,6 @@ type Result struct {
 	TotalPJ float64
 	// AreaUM2 is the architecture area (mapping independent).
 	AreaUM2 float64
-	// EffectiveBits, SNRDB and AccuracyLossPct carry the analog fidelity
-	// rollup (package fidelity) when the caller requested it — a
-	// closed-form post-pass over the finished mapping, never computed by
-	// the evaluator itself. All zero when fidelity modeling is off.
-	EffectiveBits   float64
-	SNRDB           float64
-	AccuracyLossPct float64
 }
 
 // reset zeroes the result for reuse, keeping the Usage and Energy backing

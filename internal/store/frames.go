@@ -167,10 +167,6 @@ func (d *KeyDigest) Has(k mapper.Key) bool {
 	return true
 }
 
-// Count returns how many keys were added (as carried on the wire — a
-// worker's hint of how warm the coordinator store is, not a set size).
-func (d *KeyDigest) Count() int { return d.n }
-
 // Encode serializes the digest: magic, key count, bit count, bitset
 // words, all little-endian.
 func (d *KeyDigest) Encode() []byte {

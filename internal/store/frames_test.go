@@ -86,8 +86,8 @@ func TestKeyDigestMembership(t *testing.T) {
 			t.Fatalf("added key %d reported absent", i)
 		}
 	}
-	if d.Count() != len(keys) {
-		t.Fatalf("Count = %d, want %d", d.Count(), len(keys))
+	if d.n != len(keys) {
+		t.Fatalf("key count = %d, want %d", d.n, len(keys))
 	}
 	falsePos := 0
 	for i := 0; i < 2000; i++ {
@@ -135,8 +135,8 @@ func TestKeyDigestEncodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeKeyDigest: %v", err)
 	}
-	if got.Count() != 64 {
-		t.Fatalf("Count = %d after round trip", got.Count())
+	if got.n != 64 {
+		t.Fatalf("key count = %d after round trip", got.n)
 	}
 	for i, k := range keys {
 		if !got.Has(k) {

@@ -168,9 +168,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// CacheStats returns the shared cache's hit/miss counters.
-func (s *Server) CacheStats() (hits, misses int64) { return s.cache.Stats() }
-
 // Mount registers an additional handler on the server's mux. Sibling
 // front ends that would otherwise create an import cycle register their
 // endpoints this way — the explore package mounts POST /v1/explore.

@@ -184,15 +184,15 @@ func TestServeSweepJSONAndCSV(t *testing.T) {
 
 	// A second identical sweep should be served largely from the shared
 	// cache.
-	if _, misses0 := srv.CacheStats(); misses0 == 0 {
+	if _, misses0 := srv.SearchCache().Stats(); misses0 == 0 {
 		t.Fatal("first sweep recorded no misses")
 	}
-	_, missesBefore := srv.CacheStats()
+	_, missesBefore := srv.SearchCache().Stats()
 	w = postJSON(t, srv, "/v1/sweep", sp)
 	if w.Code != http.StatusOK {
 		t.Fatalf("second sweep status %d", w.Code)
 	}
-	hits, missesAfter := srv.CacheStats()
+	hits, missesAfter := srv.SearchCache().Stats()
 	if missesAfter != missesBefore {
 		t.Errorf("second identical sweep recomputed searches: misses %d -> %d", missesBefore, missesAfter)
 	}

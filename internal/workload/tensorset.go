@@ -27,17 +27,6 @@ func (s TensorSet) Has(t Tensor) bool { return s&(1<<t) != 0 }
 // Empty reports whether the set is empty.
 func (s TensorSet) Empty() bool { return s == 0 }
 
-// Len returns the number of members.
-func (s TensorSet) Len() int {
-	n := 0
-	for _, t := range AllTensors() {
-		if s.Has(t) {
-			n++
-		}
-	}
-	return n
-}
-
 // Tensors lists the members in canonical order.
 func (s TensorSet) Tensors() []Tensor {
 	var out []Tensor

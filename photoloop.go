@@ -224,13 +224,14 @@ type (
 	// per architecture, share across layers and goroutines.
 	Engine = model.Engine
 	// Compiled is an engine specialized to one (architecture, layer)
-	// pair; its EvaluateInto fast path is the mapper's inner loop, its
-	// LowerBound method the admissible bound the search prunes with, and
-	// its EvaluatePartial method the shared-prefix delta evaluator.
+	// pair; its EvaluateInto method evaluates one mapping, its LowerBound
+	// method is the admissible bound the search prunes with, and its
+	// Stage and FinishStaged methods are the mapper's inner loop: the
+	// shared-prefix delta evaluator, split at the bound gate.
 	Compiled = model.Compiled
 	// EvalScratch is the reusable per-goroutine working memory of the
 	// compiled fast path; it also carries the delta-evaluation state
-	// between consecutive EvaluatePartial calls.
+	// between consecutive Stage calls.
 	EvalScratch = model.Scratch
 	// EvalBound is an admissible lower bound on a mapping's evaluation:
 	// Compiled.LowerBound guarantees EnergyPJ <= TotalPJ and Cycles <=
