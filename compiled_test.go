@@ -52,28 +52,26 @@ func TestCompiledMatchesEvaluate(t *testing.T) {
 				t.Fatalf("%v/%s: no canonical mappings", scaling, layer.Name)
 			}
 			for mi, m := range mappings {
-				for _, chargeStatic := range []bool{false, true} {
-					ref, err := photoloop.Evaluate(a, &layer, m, photoloop.EvalOptions{ChargeStatic: chargeStatic})
-					if err != nil {
-						t.Fatalf("%v/%s[%d]: Evaluate: %v", scaling, layer.Name, mi, err)
-					}
-
-					// Fast path: everything but the itemized ledger.
-					fast := &photoloop.Result{}
-					err = c.EvaluateInto(scratch, m, fast, photoloop.EvalOptions{SkipValidate: true, ChargeStatic: chargeStatic})
-					if err != nil {
-						t.Fatalf("%v/%s[%d]: EvaluateInto: %v", scaling, layer.Name, mi, err)
-					}
-					compareResults(t, ref, fast, false)
-
-					// Full-ledger path: ledger included, still identical.
-					full := &photoloop.Result{}
-					err = c.EvaluateInto(scratch, m, full, photoloop.EvalOptions{SkipValidate: true, ChargeStatic: chargeStatic, FullLedger: true})
-					if err != nil {
-						t.Fatalf("%v/%s[%d]: EvaluateInto full: %v", scaling, layer.Name, mi, err)
-					}
-					compareResults(t, ref, full, true)
+				ref, err := photoloop.Evaluate(a, &layer, m, photoloop.EvalOptions{})
+				if err != nil {
+					t.Fatalf("%v/%s[%d]: Evaluate: %v", scaling, layer.Name, mi, err)
 				}
+
+				// Fast path: everything but the itemized ledger.
+				fast := &photoloop.Result{}
+				err = c.EvaluateInto(scratch, m, fast, photoloop.EvalOptions{SkipValidate: true})
+				if err != nil {
+					t.Fatalf("%v/%s[%d]: EvaluateInto: %v", scaling, layer.Name, mi, err)
+				}
+				compareResults(t, ref, fast, false)
+
+				// Full-ledger path: ledger included, still identical.
+				full := &photoloop.Result{}
+				err = c.EvaluateInto(scratch, m, full, photoloop.EvalOptions{SkipValidate: true, FullLedger: true})
+				if err != nil {
+					t.Fatalf("%v/%s[%d]: EvaluateInto full: %v", scaling, layer.Name, mi, err)
+				}
+				compareResults(t, ref, full, true)
 			}
 		}
 	}
@@ -173,21 +171,16 @@ func TestEvaluateIntoZeroAllocs(t *testing.T) {
 	}
 	scratch := &photoloop.EvalScratch{} // zero value must self-size
 	res := &photoloop.Result{}
-	for _, opts := range []photoloop.EvalOptions{
-		{SkipValidate: true},
-		{SkipValidate: true, ChargeStatic: true},
-	} {
-		opts := opts
-		allocs := testing.AllocsPerRun(200, func() {
-			for _, m := range mappings {
-				if err := c.EvaluateInto(scratch, m, res, opts); err != nil {
-					t.Fatal(err)
-				}
+	opts := photoloop.EvalOptions{SkipValidate: true}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, m := range mappings {
+			if err := c.EvaluateInto(scratch, m, res, opts); err != nil {
+				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("EvaluateInto(opts=%+v) allocated %.1f times per run, want 0", opts, allocs)
 		}
+	})
+	if allocs != 0 {
+		t.Errorf("EvaluateInto(opts=%+v) allocated %.1f times per run, want 0", opts, allocs)
 	}
 }
 
@@ -285,20 +278,16 @@ func TestLowerBoundAdmissibleOnAlbireo(t *testing.T) {
 			scratch := c.Engine().NewScratch()
 			res := &photoloop.Result{}
 			for _, m := range photoloop.AlbireoCanonicalMappings(a, &layer) {
-				for _, opts := range []photoloop.EvalOptions{
-					{SkipValidate: true},
-					{SkipValidate: true, ChargeStatic: true},
-				} {
-					if err := c.EvaluateInto(scratch, m, res, opts); err != nil {
-						t.Fatal(err)
-					}
-					b := c.LowerBound(scratch, m, opts)
-					if b.EnergyPJ > res.TotalPJ {
-						t.Errorf("%v/%s: bound %.9g > evaluation %.9g pJ", scaling, layer.Name, b.EnergyPJ, res.TotalPJ)
-					}
-					if b.Cycles > res.Cycles {
-						t.Errorf("%v/%s: bound %g > evaluation %g cycles", scaling, layer.Name, b.Cycles, res.Cycles)
-					}
+				opts := photoloop.EvalOptions{SkipValidate: true}
+				if err := c.EvaluateInto(scratch, m, res, opts); err != nil {
+					t.Fatal(err)
+				}
+				b := c.LowerBound(scratch, m, opts)
+				if b.EnergyPJ > res.TotalPJ {
+					t.Errorf("%v/%s: bound %.9g > evaluation %.9g pJ", scaling, layer.Name, b.EnergyPJ, res.TotalPJ)
+				}
+				if b.Cycles > res.Cycles {
+					t.Errorf("%v/%s: bound %g > evaluation %g cycles", scaling, layer.Name, b.Cycles, res.Cycles)
 				}
 			}
 		}

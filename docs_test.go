@@ -154,12 +154,53 @@ var docRefPackages = map[string]string{
 	"fidelity":   "internal/fidelity",
 }
 
+// docPackage is what the doc lint knows of one package: its exported
+// top-level identifiers and each type's exported fields and methods.
+type docPackage struct {
+	names   map[string]bool
+	members map[string]map[string]bool
+}
+
+// recvTypeName returns the type a method receiver (T, *T, T[K]) names.
+func recvTypeName(x ast.Expr) string {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
+}
+
 // exportedNames parses every non-test file of a package directory and
 // returns its exported top-level identifiers (types, funcs, consts,
-// vars).
-func exportedNames(t *testing.T, dir string) map[string]bool {
+// vars) and its types' exported fields and methods.
+func exportedNames(t *testing.T, dir string) *docPackage {
 	t.Helper()
-	out := map[string]bool{}
+	p := &docPackage{names: map[string]bool{}, members: map[string]map[string]bool{}}
+	addMember := func(typ string, n *ast.Ident) {
+		if !n.IsExported() {
+			return
+		}
+		if p.members[typ] == nil {
+			p.members[typ] = map[string]bool{}
+		}
+		p.members[typ][n.Name] = true
+	}
+	addFields := func(typ string, fields *ast.FieldList) {
+		for _, f := range fields.List {
+			for _, n := range f.Names {
+				addMember(typ, n)
+			}
+		}
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -177,20 +218,30 @@ func exportedNames(t *testing.T, dir string) map[string]bool {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if d.Recv == nil && d.Name.IsExported() {
-					out[d.Name.Name] = true
+				if d.Recv == nil {
+					if d.Name.IsExported() {
+						p.names[d.Name.Name] = true
+					}
+				} else {
+					addMember(recvTypeName(d.Recv.List[0].Type), d.Name)
 				}
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					switch sp := s.(type) {
 					case *ast.TypeSpec:
 						if sp.Name.IsExported() {
-							out[sp.Name.Name] = true
+							p.names[sp.Name.Name] = true
+						}
+						switch tt := sp.Type.(type) {
+						case *ast.StructType:
+							addFields(sp.Name.Name, tt.Fields)
+						case *ast.InterfaceType:
+							addFields(sp.Name.Name, tt.Methods)
 						}
 					case *ast.ValueSpec:
 						for _, n := range sp.Names {
 							if n.IsExported() {
-								out[n.Name] = true
+								p.names[n.Name] = true
 							}
 						}
 					}
@@ -198,7 +249,7 @@ func exportedNames(t *testing.T, dir string) map[string]bool {
 			}
 		}
 	}
-	return out
+	return p
 }
 
 // TestModelingDocReferences guards the reference-heavy documents
@@ -206,10 +257,12 @@ func exportedNames(t *testing.T, dir string) map[string]bool {
 // PERFORMANCE.md and README.md) against rot: every backticked
 // `pkg.Symbol` reference whose qualifier names one of this module's
 // packages must resolve to an exported identifier that still compiles
-// there.
+// there, and a `pkg.Type.Member` reference must also resolve to an
+// exported field or method declared on that type (a member promoted
+// from an embedded type does not resolve).
 func TestModelingDocReferences(t *testing.T) {
-	refRe := regexp.MustCompile("`([a-z][a-zA-Z0-9]*)\\.([A-Z][A-Za-z0-9]*)")
-	names := map[string]map[string]bool{}
+	refRe := regexp.MustCompile("`([a-z][a-zA-Z0-9]*)\\.([A-Z][A-Za-z0-9]*)(?:\\.([A-Z][A-Za-z0-9]*))?")
+	pkgs := map[string]*docPackage{}
 	for doc, minRefs := range map[string]int{
 		"docs/MODELING.md":     30,
 		"docs/EXPLORATION.md":  8,
@@ -224,17 +277,20 @@ func TestModelingDocReferences(t *testing.T) {
 		}
 		checked := 0
 		for _, m := range refRe.FindAllStringSubmatch(string(buf), -1) {
-			pkg, sym := m[1], m[2]
+			pkg, sym, member := m[1], m[2], m[3]
 			dir, ok := docRefPackages[pkg]
 			if !ok {
 				continue
 			}
-			if names[pkg] == nil {
-				names[pkg] = exportedNames(t, dir)
+			if pkgs[pkg] == nil {
+				pkgs[pkg] = exportedNames(t, dir)
 			}
+			p := pkgs[pkg]
 			checked++
-			if !names[pkg][sym] {
+			if !p.names[sym] {
 				t.Errorf("%s references %s.%s, which %s does not export", doc, pkg, sym, dir)
+			} else if member != "" && !p.members[sym][member] {
+				t.Errorf("%s references %s.%s.%s, which is no field or method of %s.%s", doc, pkg, sym, member, pkg, sym)
 			}
 		}
 		if checked < minRefs {

@@ -67,14 +67,16 @@ func TestFingerprintStableAndDiscriminating(t *testing.T) {
 // TestFingerprintSeesComponentEnergies is what makes cross-variant dedupe
 // safe: two structurally identical architectures whose components differ
 // only in a parameter (a sweep's component override) must not collide.
+// Static power is not charged, but stored search keys hash it, so a
+// change to it must still move the fingerprint.
 func TestFingerprintSeesComponentEnergies(t *testing.T) {
-	build := func(adcFJ float64) uint64 {
+	build := func(adcFJ, dramStaticMW float64) uint64 {
 		lib := components.NewLibrary()
 		for _, c := range []struct {
 			class, name string
 			p           components.Params
 		}{
-			{"dram", "DRAM", components.Params{"pj_per_bit": 8}},
+			{"dram", "DRAM", components.Params{"pj_per_bit": 8, "static_mw": dramStaticMW}},
 			{"adc", "ADC", components.Params{"bits": 8, "walden_fj_per_step": adcFJ}},
 		} {
 			comp, err := components.Build(c.class, c.name, c.p)
@@ -94,10 +96,13 @@ func TestFingerprintSeesComponentEnergies(t *testing.T) {
 		}
 		return a.Fingerprint()
 	}
-	if build(50) == build(51) {
+	if build(50, 0) == build(51, 0) {
 		t.Error("component energy change invisible to fingerprint")
 	}
-	if build(50) != build(50) {
+	if build(50, 1) == build(50, 2) {
+		t.Error("component static power change invisible to fingerprint")
+	}
+	if build(50, 0) != build(50, 0) {
 		t.Error("equal architectures hash differently")
 	}
 }

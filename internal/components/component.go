@@ -44,7 +44,8 @@ type Component interface {
 	// Area returns the component area in square micrometers.
 	Area() float64
 	// StaticPower returns always-on power in milliwatts (e.g. laser wall
-	// plug, ring heaters); charged per cycle by the evaluator.
+	// plug, ring heaters). It is hashed into the architecture fingerprint
+	// and is not charged by the evaluator.
 	StaticPower() float64
 	// Actions lists the supported action names, sorted.
 	Actions() []string

@@ -158,9 +158,9 @@ func NewLaser(s LaserSpec) (Component, error) {
 	electricalMW := launchMW / s.WallPlugEfficiency
 	perSymbolPJ := MilliwattsToPicojoules(electricalMW, s.SymbolNS)
 	perMAC := perSymbolPJ / s.MACsPerWavelengthSymbol
-	// The laser is continuously on while the accelerator runs; expose the
-	// electrical power as static power too so utilization studies can
-	// charge idle symbols.
+	// The laser is continuously on while the accelerator runs; its
+	// electrical power is exposed as static power, which is hashed into
+	// the architecture fingerprint and is not charged.
 	return &Laser{Base: NewBase(s.Name, "laser", map[string]float64{
 		ActionSupply: perMAC,
 	}, 0, electricalMW), receivedMW: s.DetectorSensitivityMW}, nil

@@ -116,9 +116,9 @@ func (e *Engine) buildBoundTables() {
 // least once. Schedules lose energy to refetch above those floors, never
 // below them.
 //
-// The bound counts dynamic energy only, whatever opts says: static energy
-// is never negative, so for an opts.ChargeStatic evaluation the bound
-// stays admissible, only looser.
+// The bound counts the same per-action energy an evaluation charges;
+// static power is a component property hashed into the architecture
+// fingerprint, and neither the bound nor an evaluation charges it.
 //
 // For mappings whose full evaluation would fail, the returned bound is
 // meaningless — the mapper rejects those candidates either way.

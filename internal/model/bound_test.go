@@ -172,7 +172,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := c.Engine().NewScratch()
-		opts := Options{SkipValidate: true, ChargeStatic: trial%3 == 0}
+		opts := Options{SkipValidate: true}
 		res := &Result{}
 		if err := c.EvaluateInto(s, m, res, opts); err != nil {
 			continue // architecture/mapping combination the model rejects
@@ -252,7 +252,7 @@ func TestStageFinishMatchesEvaluateInto(t *testing.T) {
 		delta := c.Engine().NewScratch()
 		var prev *mapping.Mapping
 		got, want := &Result{}, &Result{}
-		opts := Options{SkipValidate: true, FullLedger: true, ChargeStatic: archTrial%3 == 0}
+		opts := Options{SkipValidate: true, FullLedger: true}
 		for step := 0; step < 60; step++ {
 			var m *mapping.Mapping
 			shared := 0
@@ -389,7 +389,7 @@ func TestStageSpatialReuseMatchesFresh(t *testing.T) {
 		}
 		n := a.NumLevels()
 		s := &Scratch{} // zero value: the first Stage sizes it
-		opts := Options{SkipValidate: true, FullLedger: true, ChargeStatic: archTrial%3 == 0}
+		opts := Options{SkipValidate: true, FullLedger: true}
 		got, want := &Result{}, &Result{}
 		var prev *mapping.Mapping
 		for step := 0; step < 120; step++ {

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 
 	"photoloop/internal/arch"
 	"photoloop/internal/components"
@@ -39,22 +38,6 @@ type levelEnergy struct {
 	drain     [workload.NumTensors][]resolvedRef
 }
 
-// staticComp is one distinct component referenced anywhere in the
-// architecture, for static-power charging.
-type staticComp struct {
-	name  string
-	class string
-	mw    float64
-	err   error
-}
-
-// staticSite counts reference sites of one static component at one level
-// (or in the compute array).
-type staticSite struct {
-	idx int   // index into Engine.statics
-	n   int64 // number of reference sites
-}
-
 // Engine caches everything about an architecture that no mapping can
 // change: the component areas, per-tensor keep chains, and per-action
 // energies resolved out of the string-keyed component library. Build one
@@ -65,12 +48,8 @@ type Engine struct {
 	area  float64
 	keeps [workload.NumTensors][]int
 
-	levels  []levelEnergy
-	perMAC  []resolvedRef
-	statics []staticComp // sorted by component name
-
-	levelStaticSites [][]staticSite
-	perMACStatic     []staticSite
+	levels []levelEnergy
+	perMAC []resolvedRef
 
 	// Lower-bound tables (see bound.go): per-level admissible energy
 	// floors per word moved, and the per-MAC compute energy.
@@ -145,86 +124,8 @@ func NewEngine(a *arch.Arch) (*Engine, error) {
 		e.perMAC[i] = resolve("compute", r.Component, r.Action, "")
 		e.perMAC[i].cnt = r.Count()
 	}
-	e.resolveStatics()
 	e.buildBoundTables()
 	return e, nil
-}
-
-// resolveStatics builds the deterministic (name-sorted) static-power
-// tables: which components are referenced where, and how many reference
-// sites each level contributes.
-func (e *Engine) resolveStatics() {
-	a := e.a
-	names := map[string]bool{}
-	siteNames := func(lv *arch.Level) map[string]int64 {
-		sites := map[string]int64{}
-		if lv.AccessComponent != "" {
-			sites[lv.AccessComponent]++
-		}
-		for _, refs := range lv.FillVia {
-			for _, r := range refs {
-				sites[r.Component]++
-			}
-		}
-		for _, refs := range lv.UpdateVia {
-			for _, r := range refs {
-				sites[r.Component]++
-			}
-		}
-		for _, refs := range lv.DrainVia {
-			for _, r := range refs {
-				sites[r.Component]++
-			}
-		}
-		return sites
-	}
-	perLevel := make([]map[string]int64, a.NumLevels())
-	for i := range a.Levels {
-		perLevel[i] = siteNames(&a.Levels[i])
-		for n := range perLevel[i] {
-			names[n] = true
-		}
-	}
-	computeSites := map[string]int64{}
-	for _, r := range a.Compute.PerMAC {
-		computeSites[r.Component]++
-		names[r.Component] = true
-	}
-
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	index := make(map[string]int, len(sorted))
-	e.statics = make([]staticComp, len(sorted))
-	for i, n := range sorted {
-		index[n] = i
-		sc := staticComp{name: n}
-		if c, err := a.Lib.Get(n); err != nil {
-			sc.err = err
-		} else {
-			sc.class = c.Class()
-			sc.mw = c.StaticPower()
-		}
-		e.statics[i] = sc
-	}
-	toSites := func(m map[string]int64) []staticSite {
-		if len(m) == 0 {
-			return nil
-		}
-		out := make([]staticSite, 0, len(m))
-		for n, cnt := range m {
-			out = append(out, staticSite{idx: index[n], n: cnt})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
-		return out
-	}
-	e.levelStaticSites = make([][]staticSite, a.NumLevels())
-	for i := range perLevel {
-		e.levelStaticSites[i] = toSites(perLevel[i])
-	}
-	e.perMACStatic = toSites(computeSites)
 }
 
 // Arch returns the architecture the engine was built for.
@@ -266,9 +167,10 @@ func (e *Engine) Compile(l *workload.Layer) (*Compiled, error) {
 func (c *Compiled) Engine() *Engine { return c.eng }
 
 // Scratch holds the reusable working memory of one evaluation: the
-// per-level analysis arrays, the flattened loop-nest buffer, and the
-// static-power counters. One Scratch serves one goroutine; reusing it
-// across EvaluateInto calls makes the fast path allocation free.
+// per-level analysis arrays and the flattened loop-nest buffer. One
+// Scratch serves one goroutine; reusing it across EvaluateInto calls makes
+// the fast path allocation free. Its buffers resize to any architecture,
+// so a zero-value Scratch (or one built for another engine) works too.
 //
 // A Scratch also carries state between consecutive evaluations: the
 // analysis of the last staged or evaluated mapping (which Stage reuses for
@@ -276,14 +178,13 @@ func (c *Compiled) Engine() *Engine { return c.eng }
 type Scratch struct {
 	an      analysis
 	lb      analysis // LowerBound's core-only working set (no nest walk)
-	statics []int64
-	anValid bool // s.an holds a fully resolved core+nest state
+	anValid bool     // s.an holds a fully resolved core+nest state
 }
 
 // NewScratch allocates working memory sized for the engine's architecture.
 func (e *Engine) NewScratch() *Scratch {
 	n := e.a.NumLevels()
-	s := &Scratch{statics: make([]int64, len(e.statics))}
+	s := &Scratch{}
 	s.an.init(n)
 	s.lb.init(n)
 	return s
@@ -393,12 +294,6 @@ func (c *Compiled) stageCore(s *Scratch, m *mapping.Mapping, opts Options, share
 	if shared < an.nestOK {
 		an.nestOK = shared
 	}
-	if len(s.statics) < len(c.eng.statics) {
-		// The analysis buffers resize to any architecture; keep the
-		// static-power counters in step so a zero-value Scratch (or one
-		// built for another engine) works too.
-		s.statics = make([]int64, len(c.eng.statics))
-	}
 	s.anValid = true
 	return shared, nil
 }
@@ -435,7 +330,7 @@ func (c *Compiled) finishStaged(s *Scratch, res *Result, opts Options) error {
 	}
 
 	// Energy: aggregate always; itemized ledger only on request.
-	if err := an.chargeEnergy(res, opts, s.statics); err != nil {
+	if err := an.chargeEnergy(res, opts); err != nil {
 		return err
 	}
 

@@ -8,9 +8,6 @@ import (
 
 // Options tunes an evaluation.
 type Options struct {
-	// ChargeStatic adds per-cycle static power (laser wall plug, ring
-	// heaters, DRAM refresh) to the ledger over the schedule length.
-	ChargeStatic bool
 	// SkipValidate trusts the mapping (mapper-internal hot path).
 	SkipValidate bool
 	// FullLedger builds the itemized Energy ledger. The package-level
@@ -36,9 +33,8 @@ func Evaluate(a *arch.Arch, l *workload.Layer, m *mapping.Mapping, opts Options)
 // chargeEnergy converts the usage table into energy: always the aggregate
 // TotalPJ, and the itemized ledger too when opts.FullLedger is set. Both
 // modes accumulate the identical sequence of terms, so the aggregate is
-// bit-identical either way. statics is the scratch counter array for
-// static-power charging (one slot per Engine.statics entry).
-func (an *analysis) chargeEnergy(res *Result, opts Options, statics []int64) error {
+// bit-identical either way.
+func (an *analysis) chargeEnergy(res *Result, opts Options) error {
 	eng := an.c.eng
 	total := 0.0
 	ledger := opts.FullLedger
@@ -117,61 +113,6 @@ func (an *analysis) chargeEnergy(res *Result, opts Options, statics []int64) err
 		}
 	}
 
-	// Optional static power over the schedule, charged per distinct
-	// component in deterministic (name-sorted) order.
-	if opts.ChargeStatic {
-		ns := float64(an.cycles) / an.a.ClockGHz
-		an.accumulateStaticSites(statics)
-		for idx := range eng.statics {
-			st := &eng.statics[idx]
-			copies := statics[idx]
-			if copies == 0 {
-				continue
-			}
-			if st.err != nil {
-				return st.err
-			}
-			if st.mw > 0 {
-				pj := st.mw * ns * float64(copies)
-				total += pj
-				if ledger {
-					res.Energy = append(res.Energy, EnergyItem{
-						Level: "static", Component: st.name, Class: st.class,
-						Action: "static", Count: float64(copies),
-						TotalPJ: pj,
-					})
-				}
-			}
-		}
-	}
-
 	res.TotalPJ = total
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// accumulateStaticSites fills statics with the number of powered instances
-// of each distinct component: per-level reference sites times level
-// instances, plus per-MAC sites times the (padded) array width.
-func (an *analysis) accumulateStaticSites(statics []int64) {
-	eng := an.c.eng
-	for i := range statics {
-		statics[i] = 0
-	}
-	for i := range eng.levelStaticSites {
-		copies := an.instances[i]
-		for _, site := range eng.levelStaticSites[i] {
-			statics[site.idx] += site.n * copies
-		}
-	}
-	perMACCopies := an.paddedMACs / max64(an.cycles, 1)
-	for _, site := range eng.perMACStatic {
-		statics[site.idx] += site.n * perMACCopies
-	}
 }

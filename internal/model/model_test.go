@@ -361,51 +361,3 @@ func TestPaddedUtilization(t *testing.T) {
 		t.Errorf("padded throughput = %g, want < 1 MAC/cycle", res.MACsPerCycle)
 	}
 }
-
-func TestStaticPowerCharging(t *testing.T) {
-	lib := freeLib(t)
-	heater, err := components.Build("mrr", "Heater", components.Params{"program_pj": 1, "heater_mw": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib.MustAdd(heater)
-	a := &arch.Arch{
-		Name: "static", Lib: lib, ClockGHz: 1, DefaultWordBits: 8,
-		Levels: []arch.Level{
-			{Name: "DRAM", Keeps: workload.AllTensorSet(), AccessComponent: "DRAM"},
-			{
-				Name: "Ring", Keeps: workload.NewTensorSet(workload.Weights),
-				FillVia: map[workload.Tensor][]arch.ActionRef{
-					workload.Weights: {{Component: "Heater", Action: "program"}},
-				},
-			},
-		},
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	l := handLayer()
-	m := mapping.New(a)
-	setTemporal(m, 0, map[workload.Dim]int{workload.DimK: 2, workload.DimC: 2, workload.DimP: 2, workload.DimQ: 2}, nil)
-	res, err := Evaluate(a, &l, m, Options{ChargeStatic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var static float64
-	for _, e := range res.Energy {
-		if e.Action == "static" {
-			static += e.TotalPJ
-		}
-	}
-	// 2 mW for 16 cycles at 1 GHz = 2 mW * 16 ns = 32 pJ.
-	if math.Abs(static-32) > 1e-9 {
-		t.Errorf("static energy = %g, want 32", static)
-	}
-	// Without the option, nothing static.
-	res2, _ := Evaluate(a, &l, m, Options{})
-	for _, e := range res2.Energy {
-		if e.Action == "static" {
-			t.Error("static charged without ChargeStatic")
-		}
-	}
-}

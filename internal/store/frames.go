@@ -117,7 +117,6 @@ const maxDigestBits = 1 << 29
 type KeyDigest struct {
 	bits []uint64
 	mask uint64 // bit-count minus one (bit count is a power of two)
-	n    int    // keys added (advisory, carried on the wire)
 }
 
 // NewKeyDigest sizes a digest for n keys: the bit count is the next power
@@ -151,7 +150,6 @@ func (d *KeyDigest) Add(k mapper.Key) {
 		bit := (h1 + i*h2) & d.mask
 		d.bits[bit/64] |= 1 << (bit % 64)
 	}
-	d.n++
 }
 
 // Has reports whether the key may be present (definitely-absent keys
@@ -167,12 +165,12 @@ func (d *KeyDigest) Has(k mapper.Key) bool {
 	return true
 }
 
-// Encode serializes the digest: magic, key count, bit count, bitset
-// words, all little-endian.
+// Encode serializes the digest: magic, a reserved zero word, bit count,
+// bitset words, all little-endian.
 func (d *KeyDigest) Encode() []byte {
 	buf := make([]byte, 0, len(digestMagic)+8+8+len(d.bits)*8)
 	buf = append(buf, digestMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.n))
+	buf = binary.LittleEndian.AppendUint64(buf, 0)        // reserved
 	buf = binary.LittleEndian.AppendUint64(buf, d.mask+1) // bit count
 	for _, w := range d.bits {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
@@ -182,22 +180,23 @@ func (d *KeyDigest) Encode() []byte {
 
 // DecodeKeyDigest parses an encoded digest, rejecting malformed input
 // (bad magic, non-power-of-two or oversized bit count, truncated or
-// oversized bitset) without panicking.
+// oversized bitset) without panicking. The reserved word is skipped
+// whatever it holds, so digests from encoders that wrote a key count
+// there still decode.
 func DecodeKeyDigest(b []byte) (*KeyDigest, error) {
 	if len(b) < len(digestMagic)+16 || string(b[:len(digestMagic)]) != string(digestMagic) {
 		return nil, fmt.Errorf("store: key digest missing magic")
 	}
-	off := len(digestMagic)
-	n := binary.LittleEndian.Uint64(b[off:])
-	mbits := binary.LittleEndian.Uint64(b[off+8:])
-	off += 16
+	off := len(digestMagic) + 8 // magic, reserved word
+	mbits := binary.LittleEndian.Uint64(b[off:])
+	off += 8
 	if mbits == 0 || mbits&(mbits-1) != 0 || mbits > maxDigestBits || mbits%64 != 0 {
 		return nil, fmt.Errorf("store: key digest bit count %d invalid", mbits)
 	}
 	if uint64(len(b)-off) != mbits/8 {
 		return nil, fmt.Errorf("store: key digest bitset is %d bytes, want %d", len(b)-off, mbits/8)
 	}
-	d := &KeyDigest{bits: make([]uint64, mbits/64), mask: mbits - 1, n: int(n)}
+	d := &KeyDigest{bits: make([]uint64, mbits/64), mask: mbits - 1}
 	for i := range d.bits {
 		d.bits[i] = binary.LittleEndian.Uint64(b[off+i*8:])
 	}

@@ -86,9 +86,6 @@ func TestKeyDigestMembership(t *testing.T) {
 			t.Fatalf("added key %d reported absent", i)
 		}
 	}
-	if d.n != len(keys) {
-		t.Fatalf("key count = %d, want %d", d.n, len(keys))
-	}
 	falsePos := 0
 	for i := 0; i < 2000; i++ {
 		if d.Has(mapperKey(rng)) {
@@ -134,9 +131,6 @@ func TestKeyDigestEncodeRoundTrip(t *testing.T) {
 	got, err := DecodeKeyDigest(enc)
 	if err != nil {
 		t.Fatalf("DecodeKeyDigest: %v", err)
-	}
-	if got.n != 64 {
-		t.Fatalf("key count = %d after round trip", got.n)
 	}
 	for i, k := range keys {
 		if !got.Has(k) {
