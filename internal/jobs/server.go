@@ -32,14 +32,13 @@ const streamPollInterval = 100 * time.Millisecond
 // spec already known (same content address) reports the existing job.
 func Attach(s *sweep.Server, m *Manager) {
 	// A sharding manager also speaks the worker protocol: lease,
-	// heartbeat, complete, fail, and per-job shard progress (package
-	// shard documents the endpoints), plus the shared-nothing result
-	// exchange — upload, warm-key digest, single-result fetch — that
-	// remote workers without a shared store directory talk through.
+	// heartbeat, complete, fail, per-job shard progress, and the
+	// shared-nothing result exchange — upload, warm-key digest,
+	// single-result fetch — that remote workers without a shared store
+	// directory talk through (package shard documents the endpoints).
 	// Jobs clients are unaffected.
 	if m.Shard != nil {
-		shard.AttachHTTP(s.Mount, m.Shard)
-		shard.AttachResults(s.Mount, m.store)
+		shard.AttachHTTP(s.Mount, m.Shard, m.store)
 	}
 	s.Mount("POST /v1/jobs", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		handleSubmit(s, m, w, r)

@@ -24,8 +24,7 @@ type shardRun struct {
 	m      *Manager
 	ctx    context.Context
 	st     *Status
-	ev     *sweep.Evaluator // the published spec's, for offer's key walk
-	gen    int
+	ev     *sweep.Evaluator   // the published spec's, for offer's key walk
 	cancel context.CancelFunc // stops the local worker, when one runs
 	done   chan struct{}      // closed when the local worker exits
 }
@@ -88,11 +87,10 @@ func (m *Manager) startShard(ctx context.Context, st *Status, sp sweep.Spec) (*s
 // sweep.Options.PreEvaluate.
 func (sr *shardRun) offer(tasks []int64) error {
 	m, id := sr.m, sr.st.ID
-	done, err := m.Shard.Offer(id, sr.gen, sr.ev.ColdPoints(tasks, m.store.Has))
+	done, err := m.Shard.Offer(id, sr.ev.ColdPoints(tasks, m.store.Has))
 	if err != nil {
 		return err
 	}
-	sr.gen++
 	t := time.NewTicker(shardProgressInterval)
 	defer t.Stop()
 wait:

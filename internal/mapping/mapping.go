@@ -67,9 +67,8 @@ func (lm *LevelMapping) SpatialPoint(l *arch.Level) workload.Point {
 
 // Loop is one temporal loop in a flattened nest.
 type Loop struct {
-	Dim   workload.Dim
-	Trip  int
-	Level int // storage level owning the loop
+	Dim  workload.Dim
+	Trip int
 }
 
 // Mapping is a complete schedule: one LevelMapping per storage level,

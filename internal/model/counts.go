@@ -228,7 +228,7 @@ func (an *analysis) resetNest(shared int) {
 		lm := &an.m.Levels[j]
 		for _, d := range lm.Perm {
 			if t := lm.Temporal[d]; t > 1 {
-				an.nestBuf = append(an.nestBuf, mapping.Loop{Dim: d, Trip: t, Level: j})
+				an.nestBuf = append(an.nestBuf, mapping.Loop{Dim: d, Trip: t})
 			}
 		}
 	}

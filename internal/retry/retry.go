@@ -1,8 +1,9 @@
-// Package retry is the bounded retry/backoff layer shared by every
-// over-the-wire leg of the shard protocol: lease acquisition, heartbeats,
-// result uploads and warm-key pulls. It exists so a coordinator blip — a
-// dropped connection, a truncated response, a transient 5xx — degrades to
-// a short retry instead of cancelling a worker's in-flight range.
+// Package retry is the one wire layer of the shard protocol: every
+// over-the-wire leg (lease acquisition, heartbeats, result uploads,
+// warm-key pulls, result fetches) is one Policy.Exchange. It exists so a
+// coordinator blip — a dropped connection, a truncated response, a
+// transient 5xx — degrades to a short retry instead of cancelling a
+// worker's in-flight range.
 //
 // The policy is deliberately small: a fixed number of attempts with
 // exponential backoff and no jitter, so tests driving a seeded fault
@@ -13,8 +14,12 @@
 package retry
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"time"
 )
 
@@ -37,9 +42,6 @@ type Policy struct {
 	Base time.Duration
 	// Max caps the per-retry backoff (default DefaultMax).
 	Max time.Duration
-	// OnRetry, when set, observes each failed attempt that will be
-	// retried — diagnostics and test counters, never control flow.
-	OnRetry func(err error)
 }
 
 // permanentError marks an error that must not be retried.
@@ -48,7 +50,7 @@ type permanentError struct{ err error }
 func (p *permanentError) Error() string { return p.err.Error() }
 func (p *permanentError) Unwrap() error { return p.err }
 
-// Permanent wraps an error so Do stops retrying and returns it (unwrapped)
+// Permanent wraps an error so Exchange stops retrying and returns it (unwrapped)
 // immediately: the failure is a fact, not a blip — a 4xx status, a
 // reassigned lease, a refused spec.
 func Permanent(err error) error {
@@ -58,11 +60,11 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// Do runs f until it succeeds, returns a Permanent error, exhausts the
+// do runs f until it succeeds, returns a Permanent error, exhausts the
 // policy's attempts, or the context ends. The returned error is the last
 // attempt's, unwrapped from any Permanent marker; a context cancellation
 // between attempts returns the context's error.
-func (p Policy) Do(ctx context.Context, f func() error) error {
+func (p Policy) do(ctx context.Context, f func() error) error {
 	tries := p.Tries
 	if tries <= 0 {
 		tries = DefaultTries
@@ -92,9 +94,6 @@ func (p Policy) Do(ctx context.Context, f func() error) error {
 		if attempt == tries-1 {
 			break
 		}
-		if p.OnRetry != nil {
-			p.OnRetry(err)
-		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -106,4 +105,52 @@ func (p Policy) Do(ctx context.Context, f func() error) error {
 		}
 	}
 	return err
+}
+
+// defaultClient serves every Exchange given no client: one transport per
+// process, with a timeout so a wedged coordinator cannot hang a call.
+var defaultClient = &http.Client{Timeout: 30 * time.Second}
+
+// Exchange makes one HTTP request under the policy and hands the answer
+// to check. Transport errors, answers cut off mid-body and 5xx statuses
+// retry. An answer longer than limit bytes fails at once, and reading
+// stops there, so an endless body costs at most limit bytes. check sees
+// every other complete answer: a nil return ends the call, a Permanent
+// error ends it with that error, and any other error (torn JSON behind a
+// proxy) retries it. A nil client is a shared one with a 30 s timeout.
+// retries counts the attempts that failed and were tried again.
+func (p Policy) Exchange(ctx context.Context, client *http.Client, method, url string, body []byte, limit int64, check func(status int, answer []byte) error) (retries int, err error) {
+	if client == nil {
+		client = defaultClient
+	}
+	attempts := 0
+	err = p.do(ctx, func() error {
+		attempts++
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		req, err := http.NewRequestWithContext(ctx, method, url, rd)
+		if err != nil {
+			return Permanent(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return err
+		}
+		// Closing an unread body drops the connection, which stops the
+		// sender of an oversized answer.
+		defer resp.Body.Close()
+		answer, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		switch {
+		case err != nil:
+			return err
+		case int64(len(answer)) > limit:
+			return Permanent(fmt.Errorf("%s %s: answer exceeds %d bytes", method, url, limit))
+		case resp.StatusCode >= 500:
+			return fmt.Errorf("%s %s: %s", method, url, resp.Status)
+		}
+		return check(resp.StatusCode, answer)
+	})
+	return max(attempts-1, 0), err
 }

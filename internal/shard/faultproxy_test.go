@@ -111,7 +111,7 @@ func TestShardedOverFlakyNetworkByteIdentical(t *testing.T) {
 			persisters := make([]*store.RemotePersister, workers)
 			for i := 0; i < workers; i++ {
 				rp := store.NewRemotePersister(psrv.URL, nil)
-				rp.SetRetryPolicy(fast)
+				rp.Retry = fast
 				cl := &shard.Client{Base: psrv.URL, Retry: fast}
 				clients[i], persisters[i] = cl, rp
 				go func() {

@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -57,7 +56,7 @@ func resultServer(t *testing.T) (*store.Store, *httptest.Server) {
 	}
 	t.Cleanup(func() { st.Close() })
 	mux := http.NewServeMux()
-	AttachResults(mux.Handle, st)
+	AttachHTTP(mux.Handle, NewCoordinator(), st)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return st, srv
@@ -242,7 +241,7 @@ func TestRemotePersisterRoundTrip(t *testing.T) {
 	if _, ok := down.Load(testKey(rng)); ok {
 		t.Fatal("absent key served")
 	}
-	if s := down.Stats(); s.Misses != 1 {
+	if s := down.Stats(); s.WarmHits != 10 {
 		t.Fatalf("stats after absent load = %+v", s)
 	}
 }
@@ -255,7 +254,7 @@ func TestRemotePersisterFlushFailureKeepsPending(t *testing.T) {
 	st, srv := resultServer(t)
 
 	rp := store.NewRemotePersister(srv.URL, nil)
-	rp.SetRetryPolicy(retry.Policy{Tries: 2, Base: time.Millisecond})
+	rp.Retry = retry.Policy{Tries: 2, Base: time.Millisecond}
 	if err := rp.Begin(context.Background(), "j1"); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +273,7 @@ func TestRemotePersisterFlushFailureKeepsPending(t *testing.T) {
 
 	// Coordinator comes back (new listener, same store).
 	mux := http.NewServeMux()
-	AttachResults(mux.Handle, st)
+	AttachHTTP(mux.Handle, NewCoordinator(), st)
 	srv2 := httptest.NewServer(mux)
 	defer srv2.Close()
 	rp2 := store.NewRemotePersister(srv2.URL, nil)
@@ -330,9 +329,8 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	if err == nil {
 		t.Fatal("heartbeat on a lost lease succeeded")
 	}
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusConflict {
-		t.Fatalf("err = %v, want StatusError 409", err)
+	if want := "shard: /v1/jobs/j1/lease/L2/heartbeat: 409 Conflict"; err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 	if cl.Retries() != before {
 		t.Fatal("client retried a 409")
@@ -421,7 +419,7 @@ func TestUploadedLogMatchesLocalStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	AttachResults(mux.Handle, a)
+	AttachHTTP(mux.Handle, NewCoordinator(), a)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 

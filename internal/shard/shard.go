@@ -43,9 +43,9 @@ import (
 const DefaultLeaseTTL = 10 * time.Second
 
 // DefaultRanges is how many lease ranges one offered generation is split
-// into: enough slices that four workers stay busy with re-leasing slack,
-// few enough that per-lease overhead (a digest pull, an evaluator build)
-// stays amortized.
+// into (never below one task per range): enough slices that four workers
+// stay busy with re-leasing slack, few enough that per-lease overhead (a
+// digest pull, an evaluator build) stays amortized.
 const DefaultRanges = 16
 
 // maxAttempts bounds how many times one range is reassigned before the
@@ -126,9 +126,6 @@ type jobState struct {
 type Coordinator struct {
 	// LeaseTTL is the heartbeat deadline (default DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// Ranges is how many slices one generation is split into (default
-	// DefaultRanges; a generation never splits below one task per range).
-	Ranges int
 
 	mu   sync.Mutex
 	now  func() time.Time // test hook; never nil after NewCoordinator
@@ -142,7 +139,6 @@ type Coordinator struct {
 func NewCoordinator() *Coordinator {
 	return &Coordinator{
 		LeaseTTL: DefaultLeaseTTL,
-		Ranges:   DefaultRanges,
 		now:      time.Now,
 		jobs:     map[string]*jobState{},
 	}
@@ -190,30 +186,27 @@ func (c *Coordinator) Retire(id string) {
 	}
 }
 
-// Offer posts one generation of tasks for leasing and returns a channel
-// closed when every range is done (or the generation failed — check Err
-// after). Offering a new gen replaces the previous generation (whose
-// channel is closed if it wasn't already). An empty task list completes
-// immediately.
-func (c *Coordinator) Offer(id string, gen int, tasks []int64) (<-chan struct{}, error) {
+// Offer posts the job's next generation of tasks for leasing and returns
+// a channel closed when every range is done (or the generation failed —
+// check Err after). Generations are numbered from 0 per publish; a new
+// one replaces the previous generation (whose channel is closed if it
+// wasn't already). An empty task list completes immediately.
+func (c *Coordinator) Offer(id string, tasks []int64) (<-chan struct{}, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	js, ok := c.jobs[id]
 	if !ok {
 		return nil, fmt.Errorf("shard: job %s not published", id)
 	}
-	if js.cur != nil && !js.cur.closed {
-		js.cur.closed = true
-		close(js.cur.done)
+	g := &generation{done: make(chan struct{})}
+	if js.cur != nil {
+		g.gen = js.cur.gen + 1
+		if !js.cur.closed {
+			js.cur.closed = true
+			close(js.cur.done)
+		}
 	}
-	g := &generation{gen: gen, done: make(chan struct{})}
-	nr := c.Ranges
-	if nr <= 0 {
-		nr = DefaultRanges
-	}
-	if nr > len(tasks) {
-		nr = len(tasks)
-	}
+	nr := min(DefaultRanges, len(tasks))
 	for i := 0; i < nr; i++ {
 		// Contiguous slices, remainder spread over the leading ranges:
 		// consecutive sweep points share layer shapes and warm caches, so
@@ -315,11 +308,10 @@ func (c *Coordinator) findLease(job, lease string) (*jobState, *taskRange) {
 func (c *Coordinator) Heartbeat(job, lease string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	js, r := c.findLease(job, lease)
+	_, r := c.findLease(job, lease)
 	if r == nil {
 		return fmt.Errorf("shard: lease %s is not live", lease)
 	}
-	_ = js
 	r.expires = c.now().Add(c.ttl())
 	return nil
 }

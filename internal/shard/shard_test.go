@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"photoloop/internal/store"
 )
 
 // fakeClock drives lease expiry deterministically.
@@ -30,9 +32,8 @@ func tasks(n int) []int64 {
 
 func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	c, _ := newTestCoordinator()
-	c.Ranges = 4
 	c.Publish("j1", json.RawMessage(`{}`))
-	done, err := c.Offer("j1", 0, tasks(8))
+	done, err := c.Offer("j1", tasks(2*DefaultRanges))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 		}
 		leases = append(leases, l)
 	}
-	if len(leases) != 4 || len(covered) != 8 {
-		t.Fatalf("%d leases covering %d tasks, want 4 covering 8", len(leases), len(covered))
+	if len(leases) != DefaultRanges || len(covered) != 2*DefaultRanges {
+		t.Fatalf("%d leases covering %d tasks, want %d covering %d", len(leases), len(covered), DefaultRanges, 2*DefaultRanges)
 	}
 
 	for i, l := range leases {
@@ -85,9 +86,8 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 
 func TestCoordinatorExpiryReassigns(t *testing.T) {
 	c, fc := newTestCoordinator()
-	c.Ranges = 1
 	c.Publish("j1", json.RawMessage(`{}`))
-	done, _ := c.Offer("j1", 0, tasks(3))
+	done, _ := c.Offer("j1", tasks(1))
 
 	l1, err := c.Lease("j1")
 	if err != nil || l1 == nil {
@@ -119,8 +119,13 @@ func TestCoordinatorExpiryReassigns(t *testing.T) {
 	// The dead worker's late messages are harmless: heartbeat is a 409
 	// in the server's error envelope (the worker must stop), complete is
 	// a no-op.
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	mux := http.NewServeMux()
-	AttachHTTP(mux.Handle, c)
+	AttachHTTP(mux.Handle, c, st)
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs/j1/lease/"+l1.ID+"/heartbeat", nil))
 	stale := `{"error":"shard: lease ` + l1.ID + ` is not live"}` + "\n"
@@ -151,9 +156,8 @@ func TestCoordinatorExpiryReassigns(t *testing.T) {
 
 func TestCoordinatorPoisonRangeFailsGeneration(t *testing.T) {
 	c, _ := newTestCoordinator()
-	c.Ranges = 1
 	c.Publish("j1", json.RawMessage(`{}`))
-	done, _ := c.Offer("j1", 0, tasks(2))
+	done, _ := c.Offer("j1", tasks(1))
 	for i := 0; i < maxAttempts; i++ {
 		l, err := c.Lease("j1")
 		if err != nil || l == nil {
@@ -176,9 +180,8 @@ func TestCoordinatorPoisonRangeFailsGeneration(t *testing.T) {
 // how its attempts ended.
 func TestCoordinatorAbandonmentCountsExpiries(t *testing.T) {
 	c, fc := newTestCoordinator()
-	c.Ranges = 1
 	c.Publish("j1", json.RawMessage(`{}`))
-	done, _ := c.Offer("j1", 0, tasks(2))
+	done, _ := c.Offer("j1", tasks(1))
 	for i := 0; i < maxAttempts; i++ {
 		if l, err := c.Lease("j1"); err != nil || l == nil {
 			t.Fatalf("attempt %d: %v %v", i, l, err)
@@ -202,8 +205,8 @@ func TestCoordinatorAbandonmentCountsExpiries(t *testing.T) {
 func TestCoordinatorOfferReplacesGeneration(t *testing.T) {
 	c, _ := newTestCoordinator()
 	c.Publish("j1", json.RawMessage(`{}`))
-	done0, _ := c.Offer("j1", 0, tasks(4))
-	done1, _ := c.Offer("j1", 1, tasks(4))
+	done0, _ := c.Offer("j1", tasks(4))
+	done1, _ := c.Offer("j1", tasks(4))
 	select {
 	case <-done0:
 	default:

@@ -96,7 +96,7 @@ func DecodeFrames(body []byte) ([]Record, error) {
 }
 
 // digestMagic opens an encoded key digest.
-var digestMagic = []byte("PHLDIGEST1\n")
+const digestMagic = "PHLDIGEST1\n"
 
 // digestProbes is the bloom filter's hash-probe count. With the sizing
 // rule below (≥16 bits per key) six probes keep the false-positive rate
@@ -184,7 +184,7 @@ func (d *KeyDigest) Encode() []byte {
 // whatever it holds, so digests from encoders that wrote a key count
 // there still decode.
 func DecodeKeyDigest(b []byte) (*KeyDigest, error) {
-	if len(b) < len(digestMagic)+16 || string(b[:len(digestMagic)]) != string(digestMagic) {
+	if len(b) < len(digestMagic)+16 || string(b[:len(digestMagic)]) != digestMagic {
 		return nil, fmt.Errorf("store: key digest missing magic")
 	}
 	off := len(digestMagic) + 8 // magic, reserved word

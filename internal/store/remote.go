@@ -1,10 +1,8 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -33,7 +31,9 @@ import (
 type RemotePersister struct {
 	base   string
 	client *http.Client
-	policy retry.Policy
+	// Retry bounds each HTTP call's retries (zero value = retry
+	// defaults).
+	Retry retry.Policy
 
 	// OnFlush, when set, observes each upload about to happen (record
 	// count) — worker diagnostics and crash-test synchronization.
@@ -61,12 +61,6 @@ type RemoteStats struct {
 	Flushes int
 	// WarmHits is how many Loads were served by a coordinator fetch.
 	WarmHits int
-	// LocalHits is how many Loads were served from this process's
-	// not-yet-uploaded results.
-	LocalHits int
-	// Misses is how many Loads found nothing (including digest misses
-	// and fetch failures — both recompute).
-	Misses int
 	// Retries is how many individual HTTP attempts failed and were
 	// retried across every leg (digest pull, fetch, upload).
 	Retries int
@@ -81,6 +75,15 @@ const (
 	remoteBatchBytes   = 1 << 20
 )
 
+// Answer limits of the result legs, each the largest valid answer: a
+// digest of maxDigestBits behind its header, one record's payload, and an
+// upload's accepted count or error envelope.
+const (
+	maxDigestAnswer = int64(len(digestMagic)) + 16 + maxDigestBits/8
+	maxFetchAnswer  = maxPayloadLen
+	maxUploadAnswer = 64 << 10
+)
+
 // uploadDelayEnv is a test hook mirroring PHOTOLOOP_JOB_POINT_DELAY: a
 // sleep between announcing an upload (OnFlush) and POSTing it, widening
 // the mid-upload crash window so tests can SIGKILL a worker between the
@@ -88,41 +91,15 @@ const (
 const uploadDelayEnv = "PHOTOLOOP_UPLOAD_DELAY"
 
 // NewRemotePersister returns a persister that exchanges results with the
-// coordinator at base (e.g. "http://host:8080"). A nil client uses a
-// dedicated client with a 30s request timeout.
+// coordinator at base (e.g. "http://host:8080"). A nil client uses the
+// retry package's shared client, with a 30 s timeout.
 func NewRemotePersister(base string, client *http.Client) *RemotePersister {
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	r := &RemotePersister{
+	return &RemotePersister{
 		base:   strings.TrimRight(base, "/"),
 		client: client,
 		ctx:    context.Background(),
 		local:  map[mapper.Key]*mapper.Best{},
 	}
-	r.policy = retry.Policy{OnRetry: func(error) {
-		r.mu.Lock()
-		r.stats.Retries++
-		r.mu.Unlock()
-	}}
-	return r
-}
-
-// SetRetryPolicy overrides the HTTP retry policy (tests shorten the
-// backoff). The policy's OnRetry is chained into the Retries counter.
-func (r *RemotePersister) SetRetryPolicy(p retry.Policy) {
-	inner := p.OnRetry
-	p.OnRetry = func(err error) {
-		r.mu.Lock()
-		r.stats.Retries++
-		r.mu.Unlock()
-		if inner != nil {
-			inner(err)
-		}
-	}
-	r.mu.Lock()
-	r.policy = p
-	r.mu.Unlock()
 }
 
 // Begin binds the persister to a job for the duration of a lease: it
@@ -131,19 +108,17 @@ func (r *RemotePersister) SetRetryPolicy(p retry.Policy) {
 // just recomputes (and its uploads still dedupe coordinator-side); the
 // context governs this and every later request until the next Begin.
 func (r *RemotePersister) Begin(ctx context.Context, job string) error {
-	body, status, err := r.do(ctx, http.MethodGet, "/v1/jobs/"+job+"/keys", nil)
 	var digest *KeyDigest
-	if err == nil && status == http.StatusOK {
-		digest, err = DecodeKeyDigest(body)
+	body, err := r.call(ctx, http.MethodGet, "/v1/jobs/"+job+"/keys", nil, maxDigestAnswer)
+	if err == nil {
+		// A failed decode leaves digest nil: unknown warmth probes
+		// nothing and recomputes everything.
+		digest, _ = DecodeKeyDigest(body)
 	}
 	r.mu.Lock()
 	r.ctx = ctx
 	r.job = job
-	if err == nil && digest != nil {
-		r.digest = digest
-	} else {
-		r.digest = nil // unknown warmth: probe nothing, recompute everything
-	}
+	r.digest = digest
 	r.mu.Unlock()
 	return nil
 }
@@ -155,36 +130,26 @@ func (r *RemotePersister) Begin(ctx context.Context, job string) error {
 func (r *RemotePersister) Load(k mapper.Key) (*mapper.Best, bool) {
 	r.mu.Lock()
 	if b, ok := r.local[k]; ok {
-		r.stats.LocalHits++
 		r.mu.Unlock()
 		return b, true
 	}
 	ctx, job, digest := r.ctx, r.job, r.digest
 	r.mu.Unlock()
 	if job == "" || digest == nil || !digest.Has(k) {
-		r.miss()
 		return nil, false
 	}
-	body, status, err := r.do(ctx, http.MethodGet, "/v1/jobs/"+job+"/results/"+keyHex(k), nil)
-	if err != nil || status != http.StatusOK {
-		r.miss()
+	body, err := r.call(ctx, http.MethodGet, "/v1/jobs/"+job+"/results/"+keyHex(k), nil, maxFetchAnswer)
+	if err != nil {
 		return nil, false
 	}
 	b, err := DecodeBest(body)
 	if err != nil {
-		r.miss()
 		return nil, false
 	}
 	r.mu.Lock()
 	r.stats.WarmHits++
 	r.mu.Unlock()
 	return b, true
-}
-
-func (r *RemotePersister) miss() {
-	r.mu.Lock()
-	r.stats.Misses++
-	r.mu.Unlock()
 }
 
 // Store implements mapper.Persister: the result joins the pending batch,
@@ -235,15 +200,11 @@ func (r *RemotePersister) Flush(ctx context.Context) error {
 	if delay, _ := time.ParseDuration(os.Getenv(uploadDelayEnv)); delay > 0 {
 		time.Sleep(delay)
 	}
-	_, status, err := r.do(ctx, http.MethodPost, "/v1/jobs/"+job+"/results", EncodeFrames(batch))
-	if err != nil || status != http.StatusOK {
+	if _, err := r.call(ctx, http.MethodPost, "/v1/jobs/"+job+"/results", EncodeFrames(batch), maxUploadAnswer); err != nil {
 		r.mu.Lock()
 		r.pending = append(batch, r.pending...)
 		r.pendingBytes += batchBytes
 		r.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("store: result upload rejected with status %d", status)
-		}
 		return err
 	}
 	r.mu.Lock()
@@ -263,45 +224,22 @@ func (r *RemotePersister) Stats() RemoteStats {
 	return r.stats
 }
 
-// do issues one HTTP request under the retry policy: transport errors,
-// truncated bodies and 5xx responses retry with exponential backoff; any
-// other status returns immediately with its (drained) body. The returned
-// error is nil whenever a complete response was read, whatever the
-// status — callers branch on status.
-func (r *RemotePersister) do(ctx context.Context, method, path string, body []byte) ([]byte, int, error) {
-	r.mu.Lock()
-	policy := r.policy
-	r.mu.Unlock()
-	var out []byte
-	var status int
-	err := policy.Do(ctx, func() error {
-		var reader io.Reader
-		if body != nil {
-			reader = bytes.NewReader(body)
+// call makes one coordinator request (a retry.Policy.Exchange under
+// Retry), counts its retries and returns its answer. Any status but 200
+// is a permanent error: the caller recomputes or keeps its batch pending.
+func (r *RemotePersister) call(ctx context.Context, method, path string, body []byte, limit int64) ([]byte, error) {
+	var answer []byte
+	retries, err := r.Retry.Exchange(ctx, r.client, method, r.base+path, body, limit, func(status int, b []byte) error {
+		if status != http.StatusOK {
+			return retry.Permanent(fmt.Errorf("store: %s %s: status %d", method, path, status))
 		}
-		req, err := http.NewRequestWithContext(ctx, method, r.base+path, reader)
-		if err != nil {
-			return retry.Permanent(err)
-		}
-		resp, err := r.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err // truncated response: retry
-		}
-		if resp.StatusCode >= 500 {
-			return fmt.Errorf("store: %s %s: status %d", method, path, resp.StatusCode)
-		}
-		out, status = b, resp.StatusCode
+		answer = b
 		return nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, status, nil
+	r.mu.Lock()
+	r.stats.Retries += retries
+	r.mu.Unlock()
+	return answer, err
 }
 
 // keyHex renders a key as the 48-hex-digit path segment of the
