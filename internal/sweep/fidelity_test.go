@@ -5,7 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"photoloop/internal/albireo"
 	"photoloop/internal/fidelity"
+	"photoloop/internal/mapper"
+	"photoloop/internal/presets"
+	"photoloop/internal/workload"
 )
 
 // fidelitySweepSpec is the shared fixture: a two-variant albireo sweep,
@@ -222,5 +226,96 @@ func TestStudyFidelity(t *testing.T) {
 	}
 	if !strings.Contains(strings.SplitN(buf.String(), "\n", 2)[0], "effective_bits") {
 		t.Fatalf("study CSV header missing effective_bits: %s", buf.String())
+	}
+}
+
+// TestFidelityReportsMatchPerLayerChain pins the group's fidelity memo
+// (one report per distinct best, one rollup per distinct merge factor)
+// against a reference loop that searches every layer directly and calls
+// Chain.Evaluate on its best: every layer row's fidelity fields and every
+// point's MAC-weighted rollup must be bit-equal. ResNet-18's repeated
+// shapes exercise the shared bests, MobileNetV2's depthwise and pointwise
+// layers many merge factors.
+func TestFidelityReportsMatchPerLayerChain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("searches two networks per preset directly")
+	}
+	networks := []string{"resnet18", "mobilenet_v2"}
+	objectives := []string{"energy", "delay", "edp"}
+	const budget, seed = 40, 1
+	for _, preset := range []string{"albireo", "albireo-adc-lean"} {
+		sp := Spec{
+			Base:          Base{Preset: preset},
+			Objectives:    objectives,
+			Budget:        budget,
+			Seed:          seed,
+			SearchWorkers: 1,
+			IncludeLayers: true,
+			Fidelity:      &fidelity.Spec{},
+		}
+		for _, n := range networks {
+			sp.Workloads = append(sp.Workloads, Workload{Network: n})
+		}
+		res, err := Run(sp, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := presets.ByName(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := p.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, err := fidelity.Compile(a, &fidelity.Spec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for wi, name := range networks {
+			net, err := workload.ByName(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for oi, objName := range objectives {
+				obj, err := mapper.ParseObjective(objName)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pt := &res.Points[wi*len(objectives)+oi]
+				if pt.Network != name || pt.Objective != objName || len(pt.Layers) != len(net.Layers) {
+					t.Fatalf("%s point %d is %s/%s with %d layers, want %s/%s with %d",
+						preset, pt.Index, pt.Network, pt.Objective, len(pt.Layers), name, objName, len(net.Layers))
+				}
+				var macs, bits, snr, loss float64
+				for li := range net.Layers {
+					layer := &net.Layers[li]
+					best, err := mapper.Search(a, layer, mapper.Options{
+						Objective: obj, Budget: budget, Seed: seed, Workers: 1,
+						Seeds: mapper.SeedList(albireo.CanonicalMappings(a, layer)),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep := chain.Evaluate(best.Mapping)
+					lo := &pt.Layers[li]
+					if lo.EffectiveBits != rep.EffectiveBits || lo.SNRDB != rep.SNRDB || lo.AccuracyLossPct != rep.AccuracyLossPct {
+						t.Fatalf("%s %s/%s layer %s: row (%v, %v, %v), chain (%v, %v, %v)",
+							preset, name, objName, layer.Name, lo.EffectiveBits, lo.SNRDB, lo.AccuracyLossPct,
+							rep.EffectiveBits, rep.SNRDB, rep.AccuracyLossPct)
+					}
+					w := float64(best.Result.MACs)
+					macs += w
+					bits += rep.EffectiveBits * w
+					snr += rep.SNRDB * w
+					loss += rep.AccuracyLossPct * w
+				}
+				if pt.EffectiveBits != bits/macs || pt.SNRDB != snr/macs || pt.AccuracyLossPct != loss/macs {
+					t.Errorf("%s %s/%s rollup (%v, %v, %v), per-layer chain (%v, %v, %v)",
+						preset, name, objName, pt.EffectiveBits, pt.SNRDB, pt.AccuracyLossPct,
+						bits/macs, snr/macs, loss/macs)
+				}
+			}
+		}
 	}
 }

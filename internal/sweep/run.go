@@ -325,17 +325,27 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point) error {
 	}
 	// One search per distinct (session, layer shape): an outcome depends
 	// only on the layer's shape and the options (the canonical seeds are
-	// shape properties too), so repeated blocks share
-	// the representative's bests — bit-identical to searching again, and
-	// cheaper than even a cache hit, which hashes the memoized seed
-	// prints. Shared bests are read-only; total names layers from the network.
+	// shape properties too), so repeated blocks share the
+	// representative's bests and fidelity reports — bit-identical to
+	// searching again, and cheaper than even a cache hit, which hashes the
+	// memoized seed prints. Shared bests are read-only; total names layers
+	// from the network.
 	type searchKey struct {
 		sess  *mapper.Session
 		shape uint64
 	}
-	solved := map[searchKey][]*mapper.Best{}
-	// bests[i*len(jobs)+j] is layer i's best for point j.
+	solved := map[searchKey]int{} // the representative's first index in bests
+	// bests[i*len(jobs)+j] is layer i's best for point j; with fidelity
+	// on, reports[k] is bests[k]'s report.
 	bests := make([]*mapper.Best, 0, len(job.network.Layers)*len(jobs))
+	var reports []fidelity.Report
+	if st.fid != nil {
+		reports = make([]fidelity.Report, 0, cap(bests))
+	}
+	// A report depends on a mapping only through its merge factor, so
+	// Params.Rollup runs once per distinct factor. The memo lives for one
+	// group: the chain is shared by concurrent groups and stays immutable.
+	byMerge := map[int]fidelity.Report{}
 	for i := range job.network.Layers {
 		layer := &job.network.Layers[i]
 		sess, err := job.layerSession(i)
@@ -344,16 +354,21 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point) error {
 		}
 		key := searchKey{sess, layer.ShapeFingerprint()}
 		start := len(bests)
-		switch rep := solved[key]; {
-		case rep != nil:
-			bests = append(bests, rep...)
-		case fixed != nil:
+		if r, ok := solved[key]; ok {
+			bests = append(bests, bests[r:r+len(jobs)]...)
+			if st.fid != nil {
+				reports = append(reports, reports[r:r+len(jobs)]...)
+			}
+			continue
+		}
+		solved[key] = start
+		if fixed != nil {
 			best := &mapper.Best{Mapping: fixed}
 			if best.Result, err = model.Evaluate(a, layer, fixed, model.Options{}); err != nil {
 				return failLayer(layer.Name, err)
 			}
 			bests = append(bests, best)
-		default:
+		} else {
 			mopts := e.searchOptions(job, sess, layer, key.shape)
 			row, err := sess.SearchObjectives(layer, mopts, objs)
 			if err != nil {
@@ -361,10 +376,21 @@ func (e *Evaluator) evaluate(jobs []pointJob, points []Point) error {
 			}
 			bests = append(bests, row...)
 		}
-		solved[key] = bests[start:]
+		if st.fid == nil {
+			continue
+		}
+		for _, best := range bests[start:] {
+			merged := st.fid.MergedPartials(best.Mapping)
+			rep, ok := byMerge[merged]
+			if !ok {
+				rep = st.fid.Evaluate(best.Mapping)
+				byMerge[merged] = rep
+			}
+			reports = append(reports, rep)
+		}
 	}
 	for j := range points {
-		e.total(&points[j], st.fid, job.network.Layers, bests[j:], len(jobs))
+		e.total(&points[j], job.network.Layers, bests, reports, j, len(jobs))
 	}
 	return nil
 }
@@ -400,15 +426,16 @@ func (e *Evaluator) searchOptions(job *pointJob, sess *mapper.Session, layer *wo
 }
 
 // total fills a point's network metrics from its per-layer bests
-// (bests[i*stride] for layers[i]), summing in layer order. Cached mapper
-// results are shared across points and layers, so the point holds them
-// read-only in Results and the fidelity rollup lands on point-owned
-// fields — never on a best's Result.
-func (e *Evaluator) total(p *Point, fid *fidelity.Chain, layers []workload.Layer, bests []*mapper.Best, stride int) {
+// (bests[i*stride+j] for layers[i]) and, with fidelity on, their reports
+// (reports[k] for bests[k]; nil with fidelity off), summing in layer
+// order. Cached mapper results are shared across points and layers, so
+// the point holds them read-only in Results and the fidelity rollup lands
+// on point-owned fields — never on a best's Result.
+func (e *Evaluator) total(p *Point, layers []workload.Layer, bests []*mapper.Best, reports []fidelity.Report, j, stride int) {
 	p.Results = make([]*model.Result, 0, len(layers))
 	var paddedMACs int64
 	var fidMACs, fidBits, fidSNR, fidLoss float64
-	for i := 0; i < len(bests); i += stride {
+	for i := j; i < len(bests); i += stride {
 		best := bests[i]
 		res := best.Result
 		p.Results = append(p.Results, res)
@@ -421,8 +448,8 @@ func (e *Evaluator) total(p *Point, fid *fidelity.Chain, layers []workload.Layer
 		p.DeltaEvals += best.Stats.DeltaEvals
 		p.FullEvals += best.Stats.FullEvals
 		var rep fidelity.Report
-		if fid != nil {
-			rep = fid.Evaluate(best.Mapping)
+		if reports != nil {
+			rep = reports[i]
 			w := float64(res.MACs)
 			fidMACs += w
 			fidBits += rep.EffectiveBits * w

@@ -128,7 +128,7 @@ type Axis struct {
 
 // Workload is one network evaluated per variant.
 type Workload struct {
-	// Network names a zoo network ("vgg16", "alexnet", "resnet18").
+	// Network names a zoo network (workload.ZooEntries lists them).
 	Network string `json:"network,omitempty"`
 	// Inline embeds a network document instead of naming one.
 	Inline *workload.Network `json:"inline,omitempty"`

@@ -37,9 +37,10 @@ var warmHitCases = []EvalRequest{
 // from the mapper's memo brought it to 1,466, and points that stop
 // concatenating ledgers to 1,446. Memoizing a variant's built
 // architecture with its session by build input, and indenting Marshal's
-// output in one pass instead of through json.Encoder, brought it to 744;
-// the ceiling is that plus 20%.
-const warmHitAllocCeiling = 893
+// output in one pass instead of through json.Encoder, brought it to 744,
+// and building each zoo network once per process to 624; the ceiling is
+// that plus 20%.
+const warmHitAllocCeiling = 748
 
 // TestWarmHitAllocs guards "a warm hit costs no more than a lookup": once
 // every hot request's searches are cached, answering them again must not
@@ -76,6 +77,48 @@ func TestWarmHitAllocs(t *testing.T) {
 	t.Logf("warm replay of %d hot requests: %.0f allocs", len(reqs), allocs)
 	if allocs > warmHitAllocCeiling {
 		t.Errorf("warm replay allocates %.0f times, ceiling %d", allocs, warmHitAllocCeiling)
+	}
+}
+
+// warmStudyAllocCeiling bounds the allocations of one warm fidelity
+// study of two presets x two networks x three objectives. Rebuilding
+// every zoo network per preset cost 695; building each entry once per
+// process and copying it at the asked batch brought it to 531. The
+// ceiling is that plus 20%.
+const warmStudyAllocCeiling = 637
+
+// TestWarmStudyAllocs guards the warm study path: once every search is
+// cached, a study must not rebuild its zoo networks (their layer names
+// alone cost a formatted string each), which the allocation count makes
+// visible.
+func TestWarmStudyAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("warms a twelve-point study")
+	}
+	sp := StudySpec{
+		Presets:       []string{"albireo", "albireo-adc-lean"},
+		Workloads:     []string{"resnet18", "mobilenet_v2"},
+		Objectives:    []string{"energy", "delay", "edp"},
+		Budget:        40,
+		Seed:          1,
+		SearchWorkers: 1,
+		Fidelity:      true,
+	}
+	opts := Options{Workers: 1, Cache: mapper.NewCache()}
+	study := func() {
+		if _, err := RunStudy(sp, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	study() // warm the cache: every search runs here
+	_, misses := opts.Cache.Stats()
+	allocs := testing.AllocsPerRun(3, study)
+	if _, after := opts.Cache.Stats(); after != misses {
+		t.Fatalf("warm study searched again: misses %d -> %d", misses, after)
+	}
+	t.Logf("warm fidelity study: %.0f allocs", allocs)
+	if allocs > warmStudyAllocCeiling {
+		t.Errorf("warm study allocates %.0f times, ceiling %d", allocs, warmStudyAllocCeiling)
 	}
 }
 

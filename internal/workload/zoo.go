@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // This file contains the layer tables of the built-in workload zoo. The
 // conv-era entries are the DNNs evaluated in the paper: VGG16 and AlexNet
@@ -304,11 +307,25 @@ func Zoo() map[string]func(batch int) Network {
 	return m
 }
 
-// ByName builds a zoo network by name.
+// zooAtBatch1 holds each zoo entry's network at batch 1, built on its
+// first use: asking for one entry builds no other.
+var zooAtBatch1 = func() map[string]func() Network {
+	entries := ZooEntries()
+	m := make(map[string]func() Network, len(entries))
+	for _, e := range entries {
+		m[e.Name] = sync.OnceValue(func() Network { return e.Build(1) })
+	}
+	return m
+}()
+
+// ByName returns a zoo network by name at the given batch size. Each entry
+// is built once per process; every call returns a copy the caller owns
+// (Network.WithBatch copies the layers, and a Layer holds only values),
+// equal to the entry's Build(batch).
 func ByName(name string, batch int) (Network, error) {
-	b, ok := Zoo()[name]
+	n, ok := zooAtBatch1[name]
 	if !ok {
 		return Network{}, fmt.Errorf("workload: unknown network %q", name)
 	}
-	return b(batch), nil
+	return n().WithBatch(batch), nil
 }

@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // distinctShapes counts a network's distinct layer-shape fingerprints —
 // the number of mapper searches a deduplicating evaluation actually runs.
@@ -333,5 +336,35 @@ func TestResNet34Shape(t *testing.T) {
 	r18 := ResNet18(1)
 	if macs <= r18.MACs() || n.WeightElems() <= r18.WeightElems() {
 		t.Error("ResNet34 should exceed ResNet18")
+	}
+}
+
+// TestByNameMatchesBuild pins the zoo memo: ByName builds each entry once
+// at batch 1 and derives the batch, which must equal building at that
+// batch, and what it returns is the caller's own — changing it leaves the
+// next call pristine.
+func TestByNameMatchesBuild(t *testing.T) {
+	for _, e := range ZooEntries() {
+		for _, b := range []int{1, 2, 3, 8, 64} {
+			got, err := ByName(e.Name, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := e.Build(b); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ByName(%q, %d) differs from Build(%d)", e.Name, b, b)
+			}
+			got.Layers[0].Name = "changed"
+			got.Layers[0].N = -1
+			again, err := ByName(e.Name, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := e.Build(b); !reflect.DeepEqual(again, want) {
+				t.Fatalf("ByName(%q, %d) after changing a returned network differs from Build(%d)", e.Name, b, b)
+			}
+		}
+	}
+	if _, err := ByName("no-such-net", 1); err == nil {
+		t.Error("ByName accepted an unknown network")
 	}
 }

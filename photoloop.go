@@ -138,7 +138,9 @@ type ZooEntry = workload.ZooEntry
 // and study workload selection.
 func WorkloadZoo() []ZooEntry { return workload.ZooEntries() }
 
-// NetworkByName builds a zoo network by name (WorkloadZoo lists them).
+// NetworkByName returns a zoo network by name (WorkloadZoo lists them) at
+// the given batch size. Each entry is built once per process; every call
+// returns a copy the caller owns.
 func NetworkByName(name string, batch int) (Network, error) {
 	return workload.ByName(name, batch)
 }
