@@ -18,15 +18,13 @@ import (
 // package's directory under internal/, then the type for a method or a
 // struct field, then the name.
 var exportAllowlist = map[string]string{
-	"arch.Arch.DomainGaps": "the lint the preset, spec, baseline and albireo tests run over every architecture they build",
-	"arch.Fixed":           "builds the rigid spatial factors of the tests' hand-written architectures, beside Choice",
-	"components.StarCouplerSpec.ExcessLossDB": "the excess_loss_db input of the documented star_coupler spec class lands here; no output reads it yet",
-	"components.WaveguideSpec.LossDBPerMM":    "the loss_db_per_mm input of the documented waveguide spec class lands here; no output reads it yet",
-	"exp.Fig2Result.Utilization":              "the root facade re-exports the type as photoloop.Fig2Result, whose callers read it",
-	"mapping.FactorSplits":                    "the exhaustive reference mapper the search is tested against enumerates with it",
-	"model.Result.UsageOf":                    "the refsim and albireo tests read one level's counts through it",
-	"refsim.Run":                              "the brute-force loop-nest oracle the model's counting rules are tested against (docs/MODELING.md §IV)",
-	"store.Store.Recovered":                   "the store fuzz and shard tests check through it how many torn tail bytes Open truncated",
+	"arch.Arch.DomainGaps":       "the lint the preset, spec, baseline and albireo tests run over every architecture they build",
+	"arch.Fixed":                 "builds the rigid spatial factors of the tests' hand-written architectures, beside Choice",
+	"exp.Fig2Result.Utilization": "the root facade re-exports the type as photoloop.Fig2Result, whose callers read it",
+	"mapping.FactorSplits":       "the exhaustive reference mapper the search is tested against enumerates with it",
+	"model.Result.UsageOf":       "the refsim and albireo tests read one level's counts through it",
+	"refsim.Run":                 "the brute-force loop-nest oracle the model's counting rules are tested against (docs/MODELING.md §IV)",
+	"store.Store.Recovered":      "the store fuzz and shard tests check through it how many torn tail bytes Open truncated",
 }
 
 // TestInternalExportsHaveProductionCallers keeps the packages' APIs to

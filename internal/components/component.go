@@ -13,7 +13,10 @@ package components
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Standard action names shared across component classes. A component only
@@ -101,48 +104,114 @@ func (b *Base) Actions() []string {
 	return out
 }
 
-// Params is a flat parameter bag used by the class registry (the Accelergy
-// "attributes" analogue) for spec-driven construction.
+// Params is a flat parameter bag (the Accelergy "attributes" analogue)
+// from which Build constructs a component of a registered class.
 type Params map[string]float64
 
-// Get returns the named parameter or the default.
-func (p Params) Get(key string, def float64) float64 {
-	if v, ok := p[key]; ok {
-		return v
-	}
-	return def
+// A schema is one parameter schema of a class: the fields of its spec
+// struct tagged `param:"name"`, with ",required" on a name the bag must
+// hold, decoded over the class's default spec.
+type schema struct {
+	class  string
+	def    any      // the default spec a bag is decoded over
+	names  []string // the declared names, in field order
+	params []param  // params[i] is how names[i] is set
+	build  func(name string, p Params) (Component, error)
 }
 
-// Require returns the named parameter or an error.
-func (p Params) Require(key string) (float64, error) {
-	v, ok := p[key]
-	if !ok {
-		return 0, fmt.Errorf("components: missing required parameter %q", key)
-	}
-	return v, nil
+type param struct {
+	required bool
+	field    int // index in the spec struct
 }
 
-// Factory builds a component of some class from parameters.
-type Factory func(name string, p Params) (Component, error)
-
-var registry = map[string]Factory{}
-
-// RegisterClass installs a factory for a component class. It panics on
-// duplicate registration (a programming error).
-func RegisterClass(class string, f Factory) {
-	if _, dup := registry[class]; dup {
-		panic(fmt.Sprintf("components: duplicate class %q", class))
+// newSchema reads the param tags of S. Its build decodes a bag into a
+// copy of def, sets the spec's Name and calls ctor.
+func newSchema[S any](class string, def S, ctor func(S) (Component, error)) *schema {
+	t := reflect.TypeOf(def)
+	s := &schema{class: class, def: def}
+	for i := 0; i < t.NumField(); i++ {
+		if tag, ok := t.Field(i).Tag.Lookup("param"); ok {
+			name, required := strings.CutSuffix(tag, ",required")
+			s.names = append(s.names, name)
+			s.params = append(s.params, param{required, i})
+		}
 	}
-	registry[class] = f
+	s.build = func(name string, p Params) (Component, error) {
+		spec := s.def.(S)
+		v := reflect.ValueOf(&spec).Elem()
+		v.FieldByName("Name").SetString(name)
+		if err := s.decode(name, p, v); err != nil {
+			return nil, err
+		}
+		return ctor(spec)
+	}
+	return s
 }
 
-// Build constructs a component of the named class.
+// decode sets v's fields from p. An integer field takes the value
+// truncated toward zero, as a Go conversion does. A name the schema does
+// not declare is an error, and so is a missing required one.
+func (s *schema) decode(name string, p Params, v reflect.Value) error {
+	var unknown []string
+	for k := range p {
+		if !slices.Contains(s.names, k) {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		return fmt.Errorf("components: %s %s: unknown parameter %q (%s takes %s)", s.class, name, unknown[0], s.class, strings.Join(s.names, ", "))
+	}
+	for i, d := range s.params {
+		x, ok := p[s.names[i]]
+		if !ok {
+			if d.required {
+				return fmt.Errorf("components: %s %s: missing required parameter %q", s.class, name, s.names[i])
+			}
+			continue
+		}
+		if f := v.Field(d.field); f.CanInt() {
+			f.SetInt(int64(x))
+		} else {
+			f.SetFloat(x)
+		}
+	}
+	return nil
+}
+
+// one is the registry entry of a class with a single schema.
+func one[S any](class string, def S, ctor func(S) (Component, error)) func(Params) *schema {
+	s := newSchema(class, def, ctor)
+	return func(Params) *schema { return s }
+}
+
+// registry maps each class to the entry that picks its schema for a bag.
+// The defaults written here are the ones a bag may leave out; every class
+// but the laser has one schema.
+var registry = map[string]func(Params) *schema{
+	"sram":         one("sram", SRAMSpec{Banks: 1}, NewSRAM),
+	"regfile":      one("regfile", regfileSpec{}, newRegfile),
+	"dram":         one("dram", DRAMSpec{AccessBits: 8}, NewDRAM),
+	"adc":          one("adc", ADCSpec{}, NewADC),
+	"dac":          one("dac", DACSpec{}, NewDAC),
+	"mzm":          one("mzm", MZMSpec{}, NewMZM),
+	"mrr":          one("mrr", MRRSpec{}, NewMRR),
+	"photodiode":   one("photodiode", PhotodiodeSpec{}, NewPhotodiode),
+	"laser":        laserSchema,
+	"star_coupler": one("star_coupler", StarCouplerSpec{}, NewStarCoupler),
+	"waveguide":    one("waveguide", WaveguideSpec{}, NewWaveguide),
+	"digital_mac":  one("digital_mac", DigitalMACSpec{}, NewDigitalMAC),
+	"wire":         one("wire", WireSpec{LengthMM: 1}, NewWire),
+}
+
+// Build constructs a component of the named class. A parameter the class
+// does not declare is an error naming the ones it does.
 func Build(class, name string, p Params) (Component, error) {
-	f, ok := registry[class]
+	pick, ok := registry[class]
 	if !ok {
 		return nil, fmt.Errorf("components: unknown class %q", class)
 	}
-	return f(name, p)
+	return pick(p).build(name, p)
 }
 
 // Classes returns the registered class names, sorted.

@@ -226,14 +226,14 @@ func TestLaserLinkBudget(t *testing.T) {
 }
 
 func TestStarCouplerAndWaveguide(t *testing.T) {
-	c, err := NewStarCoupler(StarCouplerSpec{Name: "sc", Ports: 8, ExcessLossDB: 0.5})
+	c, err := NewStarCoupler(StarCouplerSpec{Name: "sc", Ports: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if energyOf(t, c, ActionTransit) != 0 {
 		t.Error("star coupler transit should be free")
 	}
-	w, err := NewWaveguide(WaveguideSpec{Name: "wg", LengthMM: 5, LossDBPerMM: 0.2})
+	w, err := NewWaveguide(WaveguideSpec{Name: "wg", LengthMM: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +296,24 @@ func TestRegistryBuildsEveryClass(t *testing.T) {
 			t.Errorf("Build(%s) has no actions", c.class)
 		}
 	}
-	if _, err := Build("flux_capacitor", "x", nil); err == nil {
-		t.Error("Build accepted unknown class")
-	}
-	// Missing required params must error.
-	if _, err := Build("adc", "x", Params{"bits": 8}); err == nil {
-		t.Error("adc built without FOM")
+	// An unknown class, a missing required parameter and a name the class
+	// does not declare are refused.
+	for _, c := range []struct {
+		class string
+		p     Params
+		want  string
+	}{
+		{"flux_capacitor", nil, `components: unknown class "flux_capacitor"`},
+		{"adc", Params{"bits": 8}, `components: adc x: missing required parameter "walden_fj_per_step"`},
+		{"dram", Params{"pj_per_bit": 8, "pj_per_bt": 8}, `components: dram x: unknown parameter "pj_per_bt" (dram takes pj_per_bit, access_bits, static_mw)`},
+		{"laser", Params{"per_mac_pj": 0.5, "wall_plug_efficiency": 0.2}, `components: laser x: unknown parameter "wall_plug_efficiency" (laser takes per_mac_pj, static_mw)`},
+		{"laser", Params{"wall_plug_efficiency": 0.2, "static_mw": 1}, `components: laser x: unknown parameter "static_mw" (laser takes wall_plug_efficiency, path_loss_db, detector_sensitivity_mw, symbol_ns, macs_per_wavelength_symbol)`},
+		{"star_coupler", Params{"ports": 8, "excess_loss_db": 0.5}, `components: star_coupler x: unknown parameter "excess_loss_db" (star_coupler takes ports)`},
+		{"waveguide", Params{"length_mm": 3, "loss_db_per_mm": 0.2}, `components: waveguide x: unknown parameter "loss_db_per_mm" (waveguide takes length_mm)`},
+	} {
+		if _, err := Build(c.class, "x", c.p); err == nil || err.Error() != c.want {
+			t.Errorf("Build(%s, %v) = %v, want %s", c.class, c.p, err, c.want)
+		}
 	}
 }
 

@@ -12,13 +12,13 @@ import (
 type ADCSpec struct {
 	Name string
 	// Bits is the conversion resolution.
-	Bits int
+	Bits int `param:"bits,required"`
 	// WaldenFJPerStep is the figure of merit in femtojoules per
 	// conversion step. Published ADCs span ~5-200 fJ/step depending on
 	// rate and technology.
-	WaldenFJPerStep float64
+	WaldenFJPerStep float64 `param:"walden_fj_per_step,required"`
 	// UM2 is the converter area.
-	UM2 float64
+	UM2 float64 `param:"um2"`
 }
 
 // ADC is the built analog-to-digital converter. Beyond the Component
@@ -54,11 +54,11 @@ func NewADC(s ADCSpec) (Component, error) {
 type DACSpec struct {
 	Name string
 	// Bits is the DAC resolution.
-	Bits int
+	Bits int `param:"bits,required"`
 	// PJPerBit is the switching energy per resolved bit.
-	PJPerBit float64
+	PJPerBit float64 `param:"pj_per_bit,required"`
 	// UM2 is the converter area.
-	UM2 float64
+	UM2 float64 `param:"um2"`
 }
 
 // DAC is the built digital-to-analog converter. Beyond the Component
@@ -84,29 +84,4 @@ func NewDAC(s DACSpec) (Component, error) {
 		s.UM2 = 6 * float64(s.Bits)
 	}
 	return &DAC{Base: NewBase(s.Name, "dac", map[string]float64{ActionConvert: pj}, s.UM2, 0), bits: s.Bits}, nil
-}
-
-func init() {
-	RegisterClass("adc", func(name string, p Params) (Component, error) {
-		bits, err := p.Require("bits")
-		if err != nil {
-			return nil, err
-		}
-		fom, err := p.Require("walden_fj_per_step")
-		if err != nil {
-			return nil, err
-		}
-		return NewADC(ADCSpec{Name: name, Bits: int(bits), WaldenFJPerStep: fom, UM2: p.Get("um2", 0)})
-	})
-	RegisterClass("dac", func(name string, p Params) (Component, error) {
-		bits, err := p.Require("bits")
-		if err != nil {
-			return nil, err
-		}
-		pjb, err := p.Require("pj_per_bit")
-		if err != nil {
-			return nil, err
-		}
-		return NewDAC(DACSpec{Name: name, Bits: int(bits), PJPerBit: pjb, UM2: p.Get("um2", 0)})
-	})
 }

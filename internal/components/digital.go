@@ -11,11 +11,11 @@ import (
 type DigitalMACSpec struct {
 	Name string
 	// Bits is the operand precision.
-	Bits int
+	Bits int `param:"bits,required"`
 	// PJAt8Bit is the per-MAC energy at 8-bit operands.
-	PJAt8Bit float64
+	PJAt8Bit float64 `param:"pj_at_8bit"`
 	// UM2At8Bit is the area at 8-bit operands.
-	UM2At8Bit float64
+	UM2At8Bit float64 `param:"um2_at_8bit"`
 }
 
 // NewDigitalMAC builds a digital MAC component.
@@ -41,11 +41,11 @@ func NewDigitalMAC(s DigitalMACSpec) (Component, error) {
 type WireSpec struct {
 	Name string
 	// WordBits is the transfer width.
-	WordBits int
+	WordBits int `param:"word_bits,required"`
 	// LengthMM is the routed distance.
-	LengthMM float64
+	LengthMM float64 `param:"length_mm"`
 	// PJPerBitMM is the wire energy coefficient (~0.05-0.2 pJ/bit/mm).
-	PJPerBitMM float64
+	PJPerBitMM float64 `param:"pj_per_bit_mm"`
 }
 
 // NewWire builds an electrical interconnect component.
@@ -62,29 +62,4 @@ func NewWire(s WireSpec) (Component, error) {
 	return NewBase(s.Name, "wire", map[string]float64{
 		ActionTransfer: s.PJPerBitMM * float64(s.WordBits) * s.LengthMM,
 	}, 0, 0), nil
-}
-
-func init() {
-	RegisterClass("digital_mac", func(name string, p Params) (Component, error) {
-		bits, err := p.Require("bits")
-		if err != nil {
-			return nil, err
-		}
-		return NewDigitalMAC(DigitalMACSpec{
-			Name: name, Bits: int(bits),
-			PJAt8Bit:  p.Get("pj_at_8bit", 0),
-			UM2At8Bit: p.Get("um2_at_8bit", 0),
-		})
-	})
-	RegisterClass("wire", func(name string, p Params) (Component, error) {
-		bits, err := p.Require("word_bits")
-		if err != nil {
-			return nil, err
-		}
-		return NewWire(WireSpec{
-			Name: name, WordBits: int(bits),
-			LengthMM:   p.Get("length_mm", 1),
-			PJPerBitMM: p.Get("pj_per_bit_mm", 0),
-		})
-	})
 }

@@ -12,22 +12,22 @@ import (
 type SRAMSpec struct {
 	Name string
 	// CapacityBits is the total storage capacity.
-	CapacityBits int64
+	CapacityBits int64 `param:"capacity_bits,required"`
 	// AccessBits is the width of one read/write access.
-	AccessBits int
+	AccessBits int `param:"access_bits,required"`
 	// Banks splits the array; each bank behaves like an independent,
 	// smaller SRAM (reduces per-access energy, adds area overhead).
-	Banks int
+	Banks int `param:"banks"`
 	// BitPJPerSqrtKiB is the technology coefficient: pJ per accessed bit
 	// per sqrt(bank KiB). Typical 28nm-class value ~0.009.
-	BitPJPerSqrtKiB float64
+	BitPJPerSqrtKiB float64 `param:"bit_pj_per_sqrt_kib"`
 	// BitPJFloor is the capacity-independent per-bit floor (drivers,
 	// sense amps). Typical ~0.015 pJ/bit.
-	BitPJFloor float64
+	BitPJFloor float64 `param:"bit_pj_floor"`
 	// UM2PerBit is the area per bit including peripheral overhead.
-	UM2PerBit float64
+	UM2PerBit float64 `param:"um2_per_bit"`
 	// LeakMWPerMiB is static leakage per MiB of capacity.
-	LeakMWPerMiB float64
+	LeakMWPerMiB float64 `param:"leak_mw_per_mib"`
 }
 
 // NewSRAM builds an SRAM component from its spec.
@@ -76,6 +76,17 @@ func NewRegisterFile(name string, accessBits int, bitPJ float64) Component {
 	}, 1.2*float64(accessBits), 0)
 }
 
+// regfileSpec is the regfile class's parameter schema.
+type regfileSpec struct {
+	Name       string
+	AccessBits int     `param:"access_bits,required"`
+	BitPJ      float64 `param:"bit_pj"`
+}
+
+func newRegfile(s regfileSpec) (Component, error) {
+	return NewRegisterFile(s.Name, s.AccessBits, s.BitPJ), nil
+}
+
 // DRAMSpec parameterizes the off-chip DRAM model: a flat per-bit energy
 // times the access word width, plus a bandwidth attribute consumed by the
 // throughput model.
@@ -84,12 +95,12 @@ type DRAMSpec struct {
 	// PJPerBit is the end-to-end access energy per bit (I/O + array +
 	// controller). LPDDR4-class systems are ~4-8 pJ/bit; DDR3/4-era
 	// systems with PHY and controller are ~20-40 pJ/bit.
-	PJPerBit float64
+	PJPerBit float64 `param:"pj_per_bit,required"`
 	// AccessBits is the width of one word access (per-action energies
 	// are per word, matching the evaluator's word counts).
-	AccessBits int
+	AccessBits int `param:"access_bits"`
 	// StaticMW is background power (refresh, PHY idle).
-	StaticMW float64
+	StaticMW float64 `param:"static_mw"`
 }
 
 // NewDRAM builds a DRAM component.
@@ -108,45 +119,4 @@ func NewDRAM(s DRAMSpec) (Component, error) {
 	}
 	// Off-chip: no on-die area charged.
 	return NewBase(s.Name, "dram", actions, 0, s.StaticMW), nil
-}
-
-func init() {
-	RegisterClass("sram", func(name string, p Params) (Component, error) {
-		cap, err := p.Require("capacity_bits")
-		if err != nil {
-			return nil, err
-		}
-		width, err := p.Require("access_bits")
-		if err != nil {
-			return nil, err
-		}
-		return NewSRAM(SRAMSpec{
-			Name:            name,
-			CapacityBits:    int64(cap),
-			AccessBits:      int(width),
-			Banks:           int(p.Get("banks", 1)),
-			BitPJPerSqrtKiB: p.Get("bit_pj_per_sqrt_kib", 0),
-			BitPJFloor:      p.Get("bit_pj_floor", 0),
-			UM2PerBit:       p.Get("um2_per_bit", 0),
-			LeakMWPerMiB:    p.Get("leak_mw_per_mib", 0),
-		})
-	})
-	RegisterClass("regfile", func(name string, p Params) (Component, error) {
-		width, err := p.Require("access_bits")
-		if err != nil {
-			return nil, err
-		}
-		return NewRegisterFile(name, int(width), p.Get("bit_pj", 0)), nil
-	})
-	RegisterClass("dram", func(name string, p Params) (Component, error) {
-		pj, err := p.Require("pj_per_bit")
-		if err != nil {
-			return nil, err
-		}
-		return NewDRAM(DRAMSpec{
-			Name: name, PJPerBit: pj,
-			AccessBits: int(p.Get("access_bits", 8)),
-			StaticMW:   p.Get("static_mw", 0),
-		})
-	})
 }

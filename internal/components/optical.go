@@ -10,11 +10,11 @@ type MZMSpec struct {
 	// ModulatePJ is the dynamic energy per modulated symbol (CV^2-class
 	// driver energy). Conservative silicon MZMs are ~1 pJ/symbol;
 	// aggressive projections reach tens of fJ.
-	ModulatePJ float64
+	ModulatePJ float64 `param:"modulate_pj,required"`
 	// BiasMW is static bias/thermal power.
-	BiasMW float64
+	BiasMW float64 `param:"bias_mw"`
 	// UM2 is device area; MZMs are long devices (~1e4-1e5 um2).
-	UM2 float64
+	UM2 float64 `param:"um2"`
 }
 
 // NewMZM builds a Mach-Zehnder modulator component.
@@ -38,13 +38,13 @@ type MRRSpec struct {
 	Name string
 	// ProgramPJ is the energy to retune the ring to a new weight value
 	// (carrier injection / thermal settle).
-	ProgramPJ float64
+	ProgramPJ float64 `param:"program_pj,required"`
 	// TransitPJ is the marginal per-pass energy (usually tiny).
-	TransitPJ float64
+	TransitPJ float64 `param:"transit_pj"`
 	// HeaterMW is the static thermal-stabilization power per ring.
-	HeaterMW float64
+	HeaterMW float64 `param:"heater_mw"`
 	// UM2 is the ring footprint (~100-400 um2 with drivers).
-	UM2 float64
+	UM2 float64 `param:"um2"`
 }
 
 // NewMRR builds a microring resonator component.
@@ -70,12 +70,12 @@ func NewMRR(s MRRSpec) (Component, error) {
 type PhotodiodeSpec struct {
 	Name string
 	// DetectPJ is the energy per detected sample (TIA dominated).
-	DetectPJ float64
+	DetectPJ float64 `param:"detect_pj,required"`
 	// SensitivityMW is the minimum optical power for the target SNR —
 	// used by the laser budget model.
-	SensitivityMW float64
+	SensitivityMW float64 `param:"sensitivity_mw"`
 	// UM2 is the detector+TIA area.
-	UM2 float64
+	UM2 float64 `param:"um2"`
 }
 
 // Photodiode is the built photodiode+TIA. Beyond the Component interface
@@ -114,17 +114,17 @@ func NewPhotodiode(s PhotodiodeSpec) (Component, error) {
 type LaserSpec struct {
 	Name string
 	// WallPlugEfficiency is optical-out / electrical-in (0..1].
-	WallPlugEfficiency float64
+	WallPlugEfficiency float64 `param:"wall_plug_efficiency,required"`
 	// PathLossDB is the end-to-end optical loss from laser to detector.
-	PathLossDB float64
+	PathLossDB float64 `param:"path_loss_db"`
 	// DetectorSensitivityMW is the required received power per
 	// wavelength.
-	DetectorSensitivityMW float64
+	DetectorSensitivityMW float64 `param:"detector_sensitivity_mw"`
 	// SymbolNS is the optical symbol (cycle) duration in nanoseconds.
-	SymbolNS float64
+	SymbolNS float64 `param:"symbol_ns"`
 	// MACsPerWavelengthSymbol is how many MACs one wavelength-symbol
 	// carries (fan-out of one carrier across parallel multipliers).
-	MACsPerWavelengthSymbol float64
+	MACsPerWavelengthSymbol float64 `param:"macs_per_wavelength_symbol"`
 }
 
 // Laser is the built laser supply. Beyond the Component interface it
@@ -176,15 +176,36 @@ func NewLaserPerMAC(name string, perMACPJ, staticMW float64) (Component, error) 
 	return &Laser{Base: NewBase(name, "laser", map[string]float64{ActionSupply: perMACPJ}, 0, staticMW)}, nil
 }
 
+// laserPerMACSpec is the laser class's per-MAC parameter schema.
+type laserPerMACSpec struct {
+	Name     string
+	PerMACPJ float64 `param:"per_mac_pj,required"`
+	StaticMW float64 `param:"static_mw"`
+}
+
+var (
+	laserPerMAC = newSchema("laser", laserPerMACSpec{}, func(s laserPerMACSpec) (Component, error) {
+		return NewLaserPerMAC(s.Name, s.PerMACPJ, s.StaticMW)
+	})
+	laserBudget = newSchema("laser", LaserSpec{DetectorSensitivityMW: 0.01, SymbolNS: 0.2, MACsPerWavelengthSymbol: 1}, NewLaser)
+)
+
+// laserSchema is the laser's registry entry: a bag holding per_mac_pj
+// builds a calibrated per-MAC laser, any other a link-budget laser.
+func laserSchema(p Params) *schema {
+	if _, ok := p["per_mac_pj"]; ok {
+		return laserPerMAC
+	}
+	return laserBudget
+}
+
 // StarCouplerSpec parameterizes an NxN star coupler, the passive broadcast
-// element of Albireo. It costs no dynamic energy but contributes split loss
-// to the link budget and occupies area.
+// element of Albireo. It costs no dynamic energy and occupies area; its
+// split and excess loss enter the laser through albireo.LinkBudget.
 type StarCouplerSpec struct {
 	Name string
 	// Ports is the fan-out N.
-	Ports int
-	// ExcessLossDB is loss beyond the ideal 10*log10(N) split.
-	ExcessLossDB float64
+	Ports int `param:"ports,required"`
 	// UM2PerPort scales the coupler footprint.
 	UM2PerPort float64
 }
@@ -202,14 +223,12 @@ func NewStarCoupler(s StarCouplerSpec) (Component, error) {
 	}, s.UM2PerPort*float64(s.Ports), 0), nil
 }
 
-// WaveguideSpec parameterizes on-chip waveguide routing: passive, lossy,
-// and area-consuming.
+// WaveguideSpec parameterizes on-chip waveguide routing: passive and
+// area-consuming; its loss enters the laser through albireo.LinkBudget.
 type WaveguideSpec struct {
 	Name string
 	// LengthMM is the routed length.
-	LengthMM float64
-	// LossDBPerMM is propagation loss (silicon ~1-3 dB/cm => 0.1-0.3/mm).
-	LossDBPerMM float64
+	LengthMM float64 `param:"length_mm"`
 	// UM2PerMM is the footprint per routed mm.
 	UM2PerMM float64
 }
@@ -225,64 +244,4 @@ func NewWaveguide(s WaveguideSpec) (Component, error) {
 	return NewBase(s.Name, "waveguide", map[string]float64{
 		ActionTransit: 0,
 	}, s.UM2PerMM*s.LengthMM, 0), nil
-}
-
-func init() {
-	RegisterClass("mzm", func(name string, p Params) (Component, error) {
-		e, err := p.Require("modulate_pj")
-		if err != nil {
-			return nil, err
-		}
-		return NewMZM(MZMSpec{Name: name, ModulatePJ: e, BiasMW: p.Get("bias_mw", 0), UM2: p.Get("um2", 0)})
-	})
-	RegisterClass("mrr", func(name string, p Params) (Component, error) {
-		e, err := p.Require("program_pj")
-		if err != nil {
-			return nil, err
-		}
-		return NewMRR(MRRSpec{
-			Name: name, ProgramPJ: e,
-			TransitPJ: p.Get("transit_pj", 0),
-			HeaterMW:  p.Get("heater_mw", 0),
-			UM2:       p.Get("um2", 0),
-		})
-	})
-	RegisterClass("photodiode", func(name string, p Params) (Component, error) {
-		e, err := p.Require("detect_pj")
-		if err != nil {
-			return nil, err
-		}
-		return NewPhotodiode(PhotodiodeSpec{Name: name, DetectPJ: e, SensitivityMW: p.Get("sensitivity_mw", 0), UM2: p.Get("um2", 0)})
-	})
-	RegisterClass("laser", func(name string, p Params) (Component, error) {
-		if pj, ok := p["per_mac_pj"]; ok {
-			return NewLaserPerMAC(name, pj, p.Get("static_mw", 0))
-		}
-		wpe, err := p.Require("wall_plug_efficiency")
-		if err != nil {
-			return nil, err
-		}
-		return NewLaser(LaserSpec{
-			Name:                    name,
-			WallPlugEfficiency:      wpe,
-			PathLossDB:              p.Get("path_loss_db", 0),
-			DetectorSensitivityMW:   p.Get("detector_sensitivity_mw", 0.01),
-			SymbolNS:                p.Get("symbol_ns", 0.2),
-			MACsPerWavelengthSymbol: p.Get("macs_per_wavelength_symbol", 1),
-		})
-	})
-	RegisterClass("star_coupler", func(name string, p Params) (Component, error) {
-		ports, err := p.Require("ports")
-		if err != nil {
-			return nil, err
-		}
-		return NewStarCoupler(StarCouplerSpec{Name: name, Ports: int(ports), ExcessLossDB: p.Get("excess_loss_db", 0)})
-	})
-	RegisterClass("waveguide", func(name string, p Params) (Component, error) {
-		return NewWaveguide(WaveguideSpec{
-			Name:        name,
-			LengthMM:    p.Get("length_mm", 0),
-			LossDBPerMM: p.Get("loss_db_per_mm", 0.2),
-		})
-	})
 }

@@ -111,7 +111,6 @@ type generation struct {
 
 // jobState is one published job.
 type jobState struct {
-	id   string
 	spec json.RawMessage
 	cur  *generation
 	// reassigned accumulates across generations for Progress.
@@ -163,7 +162,7 @@ func (c *Coordinator) Publish(id string, spec json.RawMessage) {
 	if _, ok := c.jobs[id]; !ok {
 		c.order = append(c.order, id)
 	}
-	c.jobs[id] = &jobState{id: id, spec: spec}
+	c.jobs[id] = &jobState{spec: spec}
 }
 
 // Retire drops a job: outstanding leases die quietly (Complete on them

@@ -306,13 +306,18 @@ func TestRunArchSpecBase(t *testing.T) {
 }
 
 func TestRunUnknownComponentOverride(t *testing.T) {
-	sp := Spec{
-		Base:      templateBase(t),
-		Axes:      []Axis{{Param: "component.Nope.x", Values: []any{1.0}}},
-		Workloads: []Workload{{Inline: tinyNet()}},
-	}
-	if _, err := Run(sp, Options{}); err == nil || !strings.Contains(err.Error(), "no component") {
-		t.Errorf("err = %v", err)
+	for param, want := range map[string]string{
+		"component.Nope.x":                "no component",
+		"component.ADC.walden_fj_per_stp": `components: adc ADC: unknown parameter "walden_fj_per_stp" (adc takes bits, walden_fj_per_step, um2)`,
+	} {
+		sp := Spec{
+			Base:      templateBase(t),
+			Axes:      []Axis{{Param: param, Values: []any{1.0}}},
+			Workloads: []Workload{{Inline: tinyNet()}},
+		}
+		if _, err := Run(sp, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %s", param, err, want)
+		}
 	}
 }
 

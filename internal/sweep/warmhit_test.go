@@ -49,6 +49,9 @@ func TestWarmHitAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warms eight network evaluations")
 	}
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled values at random")
+	}
 	reqs := make([]EvalRequest, len(warmHitCases))
 	for i, c := range warmHitCases {
 		c.Seed = int64(1000 + i + 1)
@@ -94,6 +97,9 @@ const warmStudyAllocCeiling = 637
 func TestWarmStudyAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warms a twelve-point study")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled values at random")
 	}
 	sp := StudySpec{
 		Presets:       []string{"albireo", "albireo-adc-lean"},

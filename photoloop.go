@@ -180,7 +180,9 @@ func NewComponentLibrary() *ComponentLibrary { return components.NewLibrary() }
 
 // BuildComponent constructs a component from the class registry ("sram",
 // "dram", "adc", "dac", "mzm", "mrr", "photodiode", "laser",
-// "star_coupler", "waveguide", "digital_mac", "wire", "regfile").
+// "star_coupler", "waveguide", "digital_mac", "wire", "regfile"). A
+// parameter the class does not take is refused with an error naming the
+// ones it does (docs/MODELING.md, "Component parameters").
 func BuildComponent(class, name string, p ComponentParams) (Component, error) {
 	return components.Build(class, name, p)
 }
